@@ -14,9 +14,12 @@ with unit eps and ring embeddings i(a) = eps(.)a, i'(a) = a eps(.).  Their
 associativity is a consequence of coassociativity, so the algebra validator
 doubles as a theorem check and failures are internal errors, not input errors.
 
-The quasi-Frobenius decision runs five independently-computable conditions
-(projectivity + similarity against each dual ring, the embedding-extension
-test, and the two bimodule-level tests) and insists they agree.
+The quasi-Frobenius decision reports five equivalent conditions (projectivity
++ similarity against each dual ring, the embedding-extension test, and the two
+bimodule-level tests) and insists they agree.  The last one, the left dual ring
+as a bimodule over itself and the base, is exactly the (S, R) unit-bimodule
+route of the embedding-extension test: it is computed once and reported in
+both.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .modrep import (
     restrict_bimodule,
     tensor_over,
 )
-from .ringext import Extension, is_qf_extension
+from .ringext import Extension, is_qf_extension, merge_unit_routes
 from .simdiv import is_qf_bimodule, similar, split_witness_payload
 
 
@@ -347,71 +350,45 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
         verdicts.append(verdict)
         out.add(report.Check(name, condition, verdict, certificate, reason))
 
-    # carrier projective on the left and similar to the left dual ring
-    if wl is None:
-        decide(
-            "left projectivity + left dual similarity",
-            "left-projective-and-carrier-similar-to-left-dual-ring",
-            report.NO,
-            reason="carrier is not finitely generated projective as a left module over the base",
-        )
-    else:
-        sim = similar(c_left_bim, left_dual_as_bimodule(c, dl), seed=seed)
-        cert = None
-        if sim is not None:
+    def outcome_certificate(sub: report.Outcome):
+        return {"kind": "outcome", "checks": [ch.to_dict() for ch in sub.checks]}
+
+    not_projective = "carrier is not finitely generated projective as a {} module over the base"
+    # carrier projective on one side and similar to that side's dual ring
+    for side, w, carrier_bim, ring, ring_as_bimodule in (
+        ("left", wl, c_left_bim, dl, left_dual_as_bimodule),
+        ("right", wr, c_right_bim, dr, right_dual_as_bimodule),
+    ):
+        name = f"{side} projectivity + {side} dual similarity"
+        condition = f"{side}-projective-and-carrier-similar-to-{side}-dual-ring"
+        if w is None:
+            decide(name, condition, report.NO, reason=not_projective.format(side))
+            continue
+        sim = similar(carrier_bim, ring_as_bimodule(c, ring), seed=seed)
+        if sim is None:
+            decide(name, condition, report.NO, reason=f"carrier and {side} dual ring are not similar bimodules")
+        else:
             cert = {
                 "kind": "projective-and-similar",
                 "p": c.p,
-                "projectivity": split_witness_payload(wl),
+                "projectivity": split_witness_payload(w),
                 "similarity": sim.payload(),
             }
-        decide(
-            "left projectivity + left dual similarity",
-            "left-projective-and-carrier-similar-to-left-dual-ring",
-            report.YES if sim is not None else report.NO,
-            certificate=cert,
-            reason=None if sim is not None else "carrier and left dual ring are not similar bimodules",
-        )
-    # mirror condition through the right dual ring
-    if wr is None:
-        decide(
-            "right projectivity + right dual similarity",
-            "right-projective-and-carrier-similar-to-right-dual-ring",
-            report.NO,
-            reason="carrier is not finitely generated projective as a right module over the base",
-        )
-    else:
-        sim = similar(c_right_bim, right_dual_as_bimodule(c, dr), seed=seed)
-        cert = None
-        if sim is not None:
-            cert = {
-                "kind": "projective-and-similar",
-                "p": c.p,
-                "projectivity": split_witness_payload(wr),
-                "similarity": sim.payload(),
-            }
-        decide(
-            "right projectivity + right dual similarity",
-            "right-projective-and-carrier-similar-to-right-dual-ring",
-            report.YES if sim is not None else report.NO,
-            certificate=cert,
-            reason=None if sim is not None else "carrier and right dual ring are not similar bimodules",
-        )
+            decide(name, condition, report.YES, certificate=cert)
+    # the left dual ring as a bimodule over itself and the base is the
+    # (S, R) unit-bimodule route of the embedding extension test below
+    star_out = is_qf_bimodule(ext.bimodule_sr, seed=seed)
     # the base embedding into the left dual ring is a quasi-Frobenius extension
+    name, condition = "embedding extension test", "left-projective-and-embedding-into-left-dual-ring-qf"
     if wl is None:
-        decide(
-            "embedding extension test",
-            "left-projective-and-embedding-into-left-dual-ring-qf",
-            report.NO,
-            reason="carrier is not finitely generated projective as a left module over the base",
-        )
+        decide(name, condition, report.NO, reason=not_projective.format("left"))
     else:
-        ext_out = is_qf_extension(ext, seed=seed)
+        ext_out = merge_unit_routes(is_qf_bimodule(ext.bimodule_rs, seed=seed), star_out)
         decide(
-            "embedding extension test",
-            "left-projective-and-embedding-into-left-dual-ring-qf",
+            name,
+            condition,
             ext_out.verdict,
-            certificate={"kind": "outcome", "checks": [ch.to_dict() for ch in ext_out.checks]},
+            certificate=outcome_certificate(ext_out),
             reason=None
             if ext_out.verdict == report.YES
             else "embedding into the left dual ring is not quasi-Frobenius",
@@ -422,15 +399,13 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
         "carrier bimodule test",
         "carrier-qf-bimodule-over-base-and-left-dual-ring",
         bim_out.verdict,
-        certificate={"kind": "outcome", "checks": [ch.to_dict() for ch in bim_out.checks]},
+        certificate=outcome_certificate(bim_out),
     )
-    # left dual ring as a bimodule over itself and the base
-    star_out = is_qf_bimodule(ext.bimodule_sr, seed=seed)
     decide(
         "left dual ring bimodule test",
         "left-dual-ring-qf-bimodule-over-itself-and-base",
         star_out.verdict,
-        certificate={"kind": "outcome", "checks": [ch.to_dict() for ch in star_out.checks]},
+        certificate=outcome_certificate(star_out),
     )
 
     out.notes.append(

@@ -27,7 +27,7 @@ from . import linalg, report
 from .algebra import Algebra, equal_algebras
 from .errors import CharTooSmall, InternalCheckError, UsageError
 from .linalg import Mat
-from .modrep import HomSpace, LeftModule, hom_space
+from .modrep import LeftModule, hom_space
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (little-endian coefficient lists)
@@ -42,11 +42,6 @@ def _pnorm(f, p):
 
 def _pdeg(f):
     return len(f) - 1
-
-
-def _padd(f, g, p):
-    n = max(len(f), len(g))
-    return _pnorm([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)], p)
 
 
 def _psub(f, g, p):
@@ -542,6 +537,26 @@ def _iso_indecomposable(a: LeftModule, b: LeftModule, rng) -> Mat | None:
     return None
 
 
+def match_classes(dm: Decomposition, dn: Decomposition, rng):
+    """Pair each class of ``dm`` with its isomorphic class in ``dn``.
+
+    Returns a list of (summand of dm, summand of dn, isomorphism from the
+    first representative to the second), or None when some class of
+    ``dm`` has no isomorphic class in ``dn``.  Classes within one
+    decomposition are pairwise non-isomorphic, so each match is unique.
+    """
+    matches = []
+    for sm in dm.summands:
+        for sn in dn.summands:
+            g = _iso_indecomposable(sm.module, sn.module, rng)
+            if g is not None:
+                matches.append((sm, sn, g))
+                break
+        else:
+            return None
+    return matches
+
+
 def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
     """Indecomposable decomposition with verified inclusion/projection data."""
     rng = random.Random(seed)
@@ -606,27 +621,17 @@ def iso(m: LeftModule, n: LeftModule, seed: int = 0):
         f = h.element([rng.randrange(p) for _ in range(h.k)])
         if linalg.invert(f, p) is not None:
             return f
-    dm = decompose(m, seed=seed)
-    dn = decompose(n, seed=seed)
-    used = set()
+    dm, dn = decompose(m, seed=seed), decompose(n, seed=seed)
+    matches = match_classes(dm, dn, rng)
+    # M ~ N iff the class matching is a bijection preserving multiplicities
+    if matches is None or len(matches) != len(dn.summands):
+        return None
+    if any(sm.multiplicity != sn.multiplicity for sm, sn, _ in matches):
+        return None
     f = linalg.zeros(n.dim, m.dim)
-    for sm in dm.summands:
-        match = None
-        for idx, sn in enumerate(dn.summands):
-            if idx in used or sn.module.dim != sm.module.dim:
-                continue
-            g = _iso_indecomposable(sm.module, sn.module, rng)
-            if g is not None:
-                match = (idx, sn, g)
-                break
-        if match is None or match[1].multiplicity != sm.multiplicity:
-            return None
-        idx, sn, g = match
-        used.add(idx)
+    for sm, sn, g in matches:
         for injn, projm in zip(sn.injections, sm.projections):
             f = (f + linalg.matmul_chain(p, injn, g, projm)) % p
-    if len(used) != len(dn.summands):
-        return None
     if linalg.invert(f, p) is None:
         raise InternalCheckError("classwise-assembled isomorphism is singular")
     return f

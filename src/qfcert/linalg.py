@@ -50,12 +50,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise UsageError("division by zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
 
 def asmat(data, p: int) -> Mat:
     """Coerce to an int64 matrix with entries reduced mod p."""
@@ -191,22 +185,29 @@ def solve_right(a, b, p: int):
     return x[:, 0] if vector_rhs else x
 
 
+def _free_basis(a, p: int):
+    """Right-nullspace basis of ``a`` and the free columns of its rref.
+
+    Basis vector k is the unit vector at the k-th free column, completed
+    on the pivot columns so that ``a`` annihilates it.
+    """
+    red, pivots, r = rref(a, p)
+    n = red.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    basis = zeros(n, len(free))
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-red[:r, free]) % p
+    return basis, free
+
+
 def nullspace(a, p: int) -> Mat:
     """Basis of the right nullspace, as columns of the returned matrix.
 
     The basis vectors correspond to the free columns of the rref in
     increasing column order; the number of columns is ``cols - rank``.
     """
-    a = asmat(a, p)
-    m, n = a.shape
-    red, pivots, r = rref(a, p)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = zeros(n, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, k] = (-int(red[row, fc])) % p
-    return basis
+    return _free_basis(a, p)[0]
 
 
 def invert(a, p: int):
@@ -227,29 +228,9 @@ def invert(a, p: int):
     return red[:, n:]
 
 
-def kron(a: Mat, b: Mat, p: int) -> Mat:
-    return np.kron(a, b) % p
-
-
 def vec(m: Mat) -> Mat:
     """Row-major flattening; vec of an outer product a b^T is kron(a, b)."""
     return m.reshape(-1)
-
-
-def unvec(v: Mat, rows: int, cols: int) -> Mat:
-    return v.reshape(rows, cols)
-
-
-def block_diag(mats, p: int) -> Mat:
-    rs = sum(m.shape[0] for m in mats)
-    cs = sum(m.shape[1] for m in mats)
-    out = zeros(rs, cs)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m % p
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
 
 
 def column_space_basis(a, p: int) -> Mat:
@@ -278,15 +259,7 @@ def row_space_quotient(rel_rows, dim: int, p: int):
         raise UsageError(
             f"row_space_quotient: relations have {rel_rows.shape[1]} cols, expected {dim}"
         )
-    red, pivots, r = rref(rel_rows, p)
-    free = [c for c in range(dim) if c not in set(pivots)]
-    q = len(free)
-    proj = zeros(q, dim)
-    for k, fc in enumerate(free):
-        proj[k, fc] = 1
-        for row, pc in enumerate(pivots):
-            proj[k, pc] = (-int(red[row, fc])) % p
-    sect = zeros(dim, q)
-    for k, fc in enumerate(free):
-        sect[fc, k] = 1
-    return proj, sect
+    basis, free = _free_basis(rel_rows, p)
+    sect = zeros(dim, len(free))
+    sect[free, range(len(free))] = 1
+    return basis.T.copy(), sect

@@ -73,10 +73,6 @@ class LeftModule:
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra, p={self.p})"
 
 
-def make_module(algebra: Algebra, action) -> LeftModule:
-    return LeftModule(algebra, action)
-
-
 def regular_left(algebra: Algebra) -> LeftModule:
     return LeftModule(algebra, algebra.left_mult, _validate=False)
 
@@ -319,12 +315,6 @@ def tensor_over(s_alg: Algebra, m: Bimodule, n: Bimodule) -> BalancedTensor:
             if img.any():
                 raise InternalCheckError("balanced tensor action not well-defined")
     return out
-
-
-def induced_map(t_source: BalancedTensor, t_target: BalancedTensor, f_left, f_right, p: int) -> Mat:
-    """Map induced on balanced tensors by a pair of factor maps."""
-    big = np.kron(linalg.asmat(f_left, p), linalg.asmat(f_right, p)) % p
-    return linalg.matmul_chain(p, t_target.proj, big, t_source.sect)
 
 
 def left_dual(m: Bimodule) -> Bimodule:

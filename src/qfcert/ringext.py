@@ -19,9 +19,7 @@ import numpy as np
 
 from . import linalg, report
 from .algebra import Algebra, AlgebraHom, equal_algebras
-from .decomp import iso
 from .errors import InternalCheckError, UsageError
-from .linalg import Mat
 from .modrep import (
     Bimodule,
     LeftModule,
@@ -32,7 +30,7 @@ from .modrep import (
     restrict_bimodule,
     tensor_over,
 )
-from .simdiv import _module_payload, divides, is_qf_bimodule, split_witness_payload
+from .simdiv import _add_decision, _fgp_check, bimodule_iso_payload, divides, is_qf_bimodule
 
 
 class Extension:
@@ -62,15 +60,12 @@ def make_extension(hom: AlgebraHom) -> Extension:
     return Extension(hom)
 
 
-def is_qf_extension(ext: Extension, seed: int = 0) -> report.Outcome:
-    """QF test via the (R,S) unit bimodule, cross-checked on the (S,R) one."""
-    primary = is_qf_bimodule(ext.bimodule_rs, seed=seed)
-    cross = is_qf_bimodule(ext.bimodule_sr, seed=seed)
+def merge_unit_routes(primary: report.Outcome, cross: report.Outcome) -> report.Outcome:
+    """The extension verdict from the QF outcomes of its (R,S) and (S,R) unit bimodules."""
     out = report.Outcome(report.YES)
-    for c in primary.checks:
-        out.add(report.Check("target over (source,target): " + c.name, c.condition, c.verdict, c.certificate, c.reason, c.note))
-    for c in cross.checks:
-        out.add(report.Check("target over (target,source): " + c.name, c.condition, c.verdict, c.certificate, c.reason, c.note))
+    for prefix, route in (("target over (source,target): ", primary), ("target over (target,source): ", cross)):
+        for c in route.checks:
+            out.add(report.Check(prefix + c.name, c.condition, c.verdict, c.certificate, c.reason, c.note))
     if primary.verdict != cross.verdict:
         out.verdict = report.INCONSISTENT
         out.notes.append("the two equivalent unit-bimodule routes disagree")
@@ -79,30 +74,25 @@ def is_qf_extension(ext: Extension, seed: int = 0) -> report.Outcome:
     return out
 
 
+def is_qf_extension(ext: Extension, seed: int = 0) -> report.Outcome:
+    """QF test via the (R,S) unit bimodule, cross-checked on the (S,R) one."""
+    return merge_unit_routes(is_qf_bimodule(ext.bimodule_rs, seed=seed), is_qf_bimodule(ext.bimodule_sr, seed=seed))
+
+
 def is_frobenius_extension(ext: Extension, seed: int = 0) -> report.Outcome:
     """Frobenius: _R S projective f.g. and S ~ Hom_R(S, R) as (S,R)-bimodules."""
     out = report.Outcome(report.YES)
-    w = is_fg_projective(restrict_bimodule(ext.bimodule_rs, "left"))
+    name, condition = "dual comparison", "target-isomorphic-to-its-source-dual"
+    w, check = _fgp_check("source-side projectivity", "target-projective-over-source", restrict_bimodule(ext.bimodule_rs, "left"))
+    out.add(check)
     if w is None:
         out.verdict = report.NO
-        out.add(report.Check("source-side projectivity", "target-projective-over-source", report.NO, reason="no split section onto a free cover exists"))
-        out.add(report.Check("dual comparison", "target-isomorphic-to-its-source-dual", report.SKIPPED, reason="projectivity failed"))
+        out.add(report.Check(name, condition, report.SKIPPED, reason="projectivity failed"))
         return out
-    out.add(report.Check("source-side projectivity", "target-projective-over-source", report.YES, certificate=split_witness_payload(w)))
-    d = left_dual(ext.bimodule_rs)
-    f = iso(ext.bimodule_sr.carrier, d.carrier, seed=seed)
-    if f is None:
-        out.verdict = report.NO
-        out.add(report.Check("dual comparison", "target-isomorphic-to-its-source-dual", report.NO, reason="the target and its source-dual are not isomorphic bimodules"))
-        return out
-    cert = {
-        "kind": "bimodule-iso",
-        "p": ext.p,
-        "source": _module_payload(ext.bimodule_sr),
-        "target": _module_payload(d),
-        "matrix": report.payload_array(f),
-    }
-    out.add(report.Check("dual comparison", "target-isomorphic-to-its-source-dual", report.YES, certificate=cert))
+    _add_decision(
+        out, name, condition, bimodule_iso_payload(ext.bimodule_sr, left_dual(ext.bimodule_rs), seed=seed),
+        "the target and its source-dual are not isomorphic bimodules",
+    )
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, report
 from .algebra import equal_algebras
-from .decomp import _iso_indecomposable, decompose, iso
+from .decomp import decompose, iso, match_classes
 from .errors import InternalCheckError, NotProjectiveAtStage, UsageError
 from .linalg import Mat
 from .modrep import (
@@ -121,31 +121,14 @@ def _require_same_sides(m: Bimodule, n: Bimodule):
         raise UsageError("bimodules do not share their algebra pair")
 
 
-def divides(m: Bimodule, n: Bimodule, seed: int = 0):
-    """DividesCert for M | N^n (minimal n), or None."""
-    _require_same_sides(m, n)
+def _divides(m: Bimodule, n: Bimodule, dm, dn, seed: int):
+    """DividesCert for M | N^n (minimal n) from decompositions of both carriers, or None."""
     p = m.p
-    if m.dim == 0:
-        return DividesCert(m, n, 1, linalg.zeros(n.dim, 0), linalg.zeros(0, n.dim))
-    if n.dim == 0:
+    matches = match_classes(dm, dn, random.Random(seed))
+    if matches is None:
         return None
-    rng = random.Random(seed)
-    dm = decompose(m.carrier, seed=seed)
-    dn = decompose(n.carrier, seed=seed)
-    matches = []
-    for sm in dm.summands:
-        found = None
-        for sn in dn.summands:
-            if sn.module.dim != sm.module.dim:
-                continue
-            g = _iso_indecomposable(sm.module, sn.module, rng)
-            if g is not None:
-                found = (sn, g)
-                break
-        if found is None:
-            return None
-        matches.append((sm, found[0], found[1]))
-    power = max(math.ceil(sm.multiplicity / sn.multiplicity) for sm, sn, _ in matches)
+    # the zero module has no classes and divides N^1
+    power = max((math.ceil(sm.multiplicity / sn.multiplicity) for sm, sn, _ in matches), default=1)
     phi = linalg.zeros(power * n.dim, m.dim)
     psi = linalg.zeros(m.dim, power * n.dim)
     for sm, sn, g in matches:
@@ -156,6 +139,12 @@ def divides(m: Bimodule, n: Bimodule, seed: int = 0):
             phi[block] = (phi[block] + linalg.matmul_chain(p, sn.injections[j], g, sm.projections[t])) % p
             psi[:, block] = (psi[:, block] + linalg.matmul_chain(p, sm.injections[t], ginv, sn.projections[j])) % p
     return DividesCert(m, n, power, phi, psi)
+
+
+def divides(m: Bimodule, n: Bimodule, seed: int = 0):
+    """DividesCert for M | N^n (minimal n), or None."""
+    _require_same_sides(m, n)
+    return _divides(m, n, decompose(m.carrier, seed=seed), decompose(n.carrier, seed=seed), seed)
 
 
 class SimilarityCert:
@@ -172,116 +161,96 @@ class SimilarityCert:
 
 
 def similar(m: Bimodule, n: Bimodule, seed: int = 0):
-    """SimilarityCert (mutual division), or None."""
-    fwd = divides(m, n, seed=seed)
-    bwd = divides(n, m, seed=seed)
-    if (fwd is None) != (bwd is None):
-        # one-sided division is perfectly possible; similarity just fails
-        return None
+    """SimilarityCert (mutual division), or None.
+
+    Each carrier is decomposed once; both divisions are read off the same
+    two decompositions, and the backward one runs only if the forward one
+    holds.
+    """
+    _require_same_sides(m, n)
+    dm = decompose(m.carrier, seed=seed)
+    dn = decompose(n.carrier, seed=seed)
+    fwd = _divides(m, n, dm, dn, seed)
     if fwd is None:
         return None
-    return SimilarityCert(fwd, bwd)
+    bwd = _divides(n, m, dn, dm, seed)
+    return None if bwd is None else SimilarityCert(fwd, bwd)
 
 
 # ---------------------------------------------------------------------------
 # quasi-Frobenius predicates
 
 
-def _fgp_check(name, condition, module, payload_extra=None):
+def _fgp_check(name, condition, module):
     w = is_fg_projective(module)
     if w is None:
         return None, report.Check(name, condition, report.NO, reason="no split section onto a free cover exists")
-    cert = split_witness_payload(w)
-    if payload_extra:
-        cert.update(payload_extra)
-    return w, report.Check(name, condition, report.YES, certificate=cert)
+    return w, report.Check(name, condition, report.YES, certificate=split_witness_payload(w))
+
+
+def _add_decision(out: report.Outcome, name, condition, certificate, no_reason):
+    """Add a yes check carrying ``certificate``, or a no check (and verdict) if it is None."""
+    if certificate is None:
+        out.verdict = report.NO
+        out.add(report.Check(name, condition, report.NO, reason=no_reason))
+    else:
+        out.add(report.Check(name, condition, report.YES, certificate=certificate))
+
+
+def _projective_restrictions(m: Bimodule, out: report.Outcome, name, condition) -> bool:
+    """Shared prelude of the bimodule predicates: both restrictions projective.
+
+    Adds one check per side to ``out``.  If either side fails, the dual
+    comparison ``(name, condition)`` is added as skipped, the verdict
+    becomes no, and False is returned.
+    """
+    projective = True
+    for side in ("left", "right"):
+        w, check = _fgp_check(f"{side} restriction projective", f"{side}-restriction-fg-projective", restrict_bimodule(m, side))
+        out.add(check)
+        projective = projective and w is not None
+    if not projective:
+        out.verdict = report.NO
+        out.add(report.Check(name, condition, report.SKIPPED, reason="restrictions are not both projective"))
+    return projective
+
+
+def bimodule_iso_payload(source: Bimodule, target: Bimodule, seed: int = 0):
+    """Certificate for an isomorphism of bimodules source -> target, or None."""
+    f = iso(source.carrier, target.carrier, seed=seed)
+    if f is None:
+        return None
+    return {
+        "kind": "bimodule-iso",
+        "p": source.p,
+        "source": _module_payload(source),
+        "target": _module_payload(target),
+        "matrix": report.payload_array(f),
+    }
 
 
 def is_qf_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     """Quasi-Frobenius test for an (R, S)-bimodule."""
     out = report.Outcome(report.YES)
-    wl, cl = _fgp_check(
-        "left restriction projective",
-        "left-restriction-fg-projective",
-        restrict_bimodule(m, "left"),
-    )
-    out.add(cl)
-    wr, cr = _fgp_check(
-        "right restriction projective",
-        "right-restriction-fg-projective",
-        restrict_bimodule(m, "right"),
-    )
-    out.add(cr)
-    if wl is None or wr is None:
-        out.verdict = report.NO
-        out.add(
-            report.Check(
-                "dual similarity",
-                "left-dual-similar-to-right-dual",
-                report.SKIPPED,
-                reason="restrictions are not both projective",
-            )
+    name, condition = "dual similarity", "left-dual-similar-to-right-dual"
+    if _projective_restrictions(m, out, name, condition):
+        sim = similar(left_dual(m), right_dual(m), seed=seed)
+        _add_decision(
+            out, name, condition, None if sim is None else sim.payload(),
+            "left and right duals have different indecomposable support",
         )
-        return out
-    ld = left_dual(m)
-    rd = right_dual(m)
-    sim = similar(ld, rd, seed=seed)
-    if sim is None:
-        out.verdict = report.NO
-        out.add(
-            report.Check(
-                "dual similarity",
-                "left-dual-similar-to-right-dual",
-                report.NO,
-                reason="left and right duals have different indecomposable support",
-            )
-        )
-        return out
-    out.add(
-        report.Check(
-            "dual similarity",
-            "left-dual-similar-to-right-dual",
-            report.YES,
-            certificate=sim.payload(),
-        )
-    )
     return out
 
 
 def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     """Frobenius = projective restrictions + duals actually isomorphic."""
     out = report.Outcome(report.YES)
-    wl, cl = _fgp_check(
-        "left restriction projective",
-        "left-restriction-fg-projective",
-        restrict_bimodule(m, "left"),
-    )
-    out.add(cl)
-    wr, cr = _fgp_check(
-        "right restriction projective",
-        "right-restriction-fg-projective",
-        restrict_bimodule(m, "right"),
-    )
-    out.add(cr)
-    if wl is None or wr is None:
-        out.verdict = report.NO
-        out.add(report.Check("dual isomorphism", "left-dual-isomorphic-to-right-dual", report.SKIPPED, reason="restrictions are not both projective"))
-        return out
-    ld = left_dual(m)
-    rd = right_dual(m)
-    f = iso(ld.carrier, rd.carrier, seed=seed)
-    if f is None:
-        out.verdict = report.NO
-        out.add(report.Check("dual isomorphism", "left-dual-isomorphic-to-right-dual", report.NO, reason="duals are not isomorphic as bimodules"))
-        return out
-    cert = {
-        "kind": "bimodule-iso",
-        "p": m.p,
-        "source": _module_payload(ld),
-        "target": _module_payload(rd),
-        "matrix": report.payload_array(f),
-    }
-    out.add(report.Check("dual isomorphism", "left-dual-isomorphic-to-right-dual", report.YES, certificate=cert))
+    name, condition = "dual isomorphism", "left-dual-isomorphic-to-right-dual"
+    if _projective_restrictions(m, out, name, condition):
+        _add_decision(
+            out, name, condition, bimodule_iso_payload(left_dual(m), right_dual(m), seed=seed),
+            "duals are not isomorphic as bimodules",
+        )
     return out
 
 
@@ -296,18 +265,13 @@ def dual_sequence(m: Bimodule, depth: int):
     if depth < 0:
         raise UsageError("depth must be >= 0")
     stages = {0: m}
-    cur = m
-    for k in range(1, depth + 1):
-        if is_fg_projective(restrict_bimodule(cur, "left")) is None:
-            raise NotProjectiveAtStage(k, "left-dual direction")
-        cur = left_dual(cur)
-        stages[k] = cur
-    cur = m
-    for k in range(1, depth + 1):
-        if is_fg_projective(restrict_bimodule(cur, "right")) is None:
-            raise NotProjectiveAtStage(k, "right-dual direction")
-        cur = right_dual(cur)
-        stages[-k] = cur
+    for side, dual, sign in (("left", left_dual, 1), ("right", right_dual, -1)):
+        cur = m
+        for k in range(1, depth + 1):
+            if is_fg_projective(restrict_bimodule(cur, side)) is None:
+                raise NotProjectiveAtStage(k, f"{side}-dual direction")
+            cur = dual(cur)
+            stages[sign * k] = cur
     return [(k, stages[k]) for k in sorted(stages)]
 
 

@@ -6,6 +6,7 @@ so tests cross-check the package against independent constructions.
 """
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -107,3 +108,22 @@ def unit_bimodule_rs(r_alg, s_alg, phi_matrix, p):
     """S as an (R, S)-bimodule: left through phi, right regular."""
     la = np.stack([s_alg.left_mult_matrix(phi_matrix[:, i]) for i in range(r_alg.dim)])
     return Bimodule(r_alg, s_alg, la % p, s_alg.right_mult)
+
+
+def count_calls(monkeypatch, func):
+    """Wrap ``func`` with a call counter wherever a loaded qfcert module binds it.
+
+    Returns a one-element list holding the number of calls made so far.
+    """
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qfcert" or name.startswith("qfcert."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

@@ -6,7 +6,10 @@ pinned where the contract pins them (battery < 120 s, coring pipeline
 no tolerance.
 """
 
+import hashlib
 import itertools
+import json
+import pathlib
 import time
 
 import numpy as np
@@ -39,6 +42,9 @@ from qfcert.ringext import compose_check, qf_pair_witness
 from qfcert.simdiv import divides, is_qf_bimodule, similar
 
 SEED = 0
+
+# SHA-256 of each battery report's canonical JSON at SEED, by fixture name
+GOLDEN_REPORTS = json.loads(pathlib.Path(__file__).with_name("golden_reports.json").read_text())
 
 
 # --------------------------------------------------------------- shared
@@ -139,6 +145,16 @@ def test_criterion_01_certificate_soundness(battery_run):
             assert ok, (r["name"], reasons)
             total += 1
     assert total >= 40
+
+
+def test_battery_reports_are_byte_identical_to_golden_digests(battery_run):
+    results, _ = battery_run
+    digests = {
+        r["name"]: hashlib.sha256(report.canonical_json(r["report"]).encode()).hexdigest()
+        for r in results
+    }
+    assert len(digests) == 39
+    assert digests == GOLDEN_REPORTS
 
 
 def test_criterion_02_five_coring_conditions_agree():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfcert import linalg, report
+from qfcert import cli, decomp, linalg, report, schema, simdiv
 from qfcert.algebra import field_algebra, identity_hom, make_algebra, make_hom
 from qfcert.coring import (
     Comodule,
@@ -31,7 +31,7 @@ from qfcert.errors import (
 from qfcert.modrep import Bimodule, balanced_relations, tensor_over
 from qfcert.ringext import Extension
 
-from helpers import dual_numbers, group_alg, mat_units_algebra
+from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
 
 P = 5
 
@@ -237,6 +237,18 @@ def test_is_qf_coring_glued_no(glued):
     assert out.verdict == report.NO
     assert len(out.checks) == 5
     assert all(ch.verdict == report.NO for ch in out.checks)
+
+
+def test_check_coring_runs_each_decomposition_and_route_once(monkeypatch):
+    # five conditions: one similarity each for conditions 1, 2 and 4 and for
+    # the two unit-bimodule routes of condition 3, the second of which is
+    # condition 5 and is reported there without being run again
+    doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
+    decompositions = count_calls(monkeypatch, decomp.decompose)
+    qf_bimodule_runs = count_calls(monkeypatch, simdiv.is_qf_bimodule)
+    out = cli.run_documents("check-coring", [doc], seed=0)
+    assert out.verdict == report.YES
+    assert (decompositions, qf_bimodule_runs) == ([10], [3])
 
 
 # ---------------------------------------------------------------------------

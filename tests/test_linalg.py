@@ -40,6 +40,18 @@ def brute_nullspace(a, p):
     return sols
 
 
+def loop_free_basis(a, p):
+    """Reference free-column nullspace basis, one entry at a time."""
+    red, pivots, _ = linalg.rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for row, pc in enumerate(pivots):
+            basis[pc, k] = (-int(red[row, fc])) % p
+    return basis, free
+
+
 def test_prime_field_rejects_bad_p():
     for bad in (0, 1, 2, 4, 9, -5, 15):
         with pytest.raises(InvalidPrime):
@@ -138,6 +150,12 @@ def test_nullspace_membership_and_count(a):
     ns = linalg.nullspace(a, p)
     _, _, r = linalg.rref(a, p)
     assert ns.shape == (a.shape[1], a.shape[1] - r)
+    ref, free = loop_free_basis(a, p)
+    assert np.array_equal(ns, ref)
+    # the quotient by the row space projects along the same basis
+    proj, sect = linalg.row_space_quotient(a, a.shape[1], p)
+    assert np.array_equal(proj, ref.T)
+    assert np.array_equal(sect, np.eye(a.shape[1], dtype=np.int64)[:, free])
     if ns.shape[1]:
         prod = linalg.matmul(a, ns, p)
         assert not prod.any()

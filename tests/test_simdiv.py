@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    count_calls,
     dual_numbers,
     group_alg,
     mat_units_algebra,
@@ -13,7 +14,7 @@ from helpers import (
     unit_bimodule_rs,
 )
 from oracles import divides_enumeration_oracle, divides_oracle, similar_oracle
-from qfcert import linalg, report
+from qfcert import decomp, linalg, report
 from qfcert.algebra import field_algebra
 from qfcert.errors import NotProjectiveAtStage
 from qfcert.modrep import (
@@ -72,6 +73,19 @@ def test_divides_minimal_power():
     assert back is not None and back.n == 1
     sim = similar(m, n)
     assert sim is not None
+
+
+def test_similar_decomposes_each_carrier_once(monkeypatch):
+    p = 7
+    s1, s2 = simple_modules_prod(p)
+    m = sum_module(s1, s2, s2)
+    n = sum_module(s1, s2)
+    apart = {"forward": divides(m, n).payload(), "backward": divides(n, m).payload()}
+    decompositions = count_calls(monkeypatch, decomp.decompose)
+    sim = similar(m, n)
+    assert decompositions == [2]
+    # the same certificates as the two divisions computed on their own
+    assert report.canonical_json(sim.payload()) == report.canonical_json(dict(kind="similarity", **apart))
 
 
 def test_similarity_matches_oracle_on_small_corpus():
