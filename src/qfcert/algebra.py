@@ -76,9 +76,10 @@ class Algebra:
         return self.field.p
 
     def multiply(self, x, y) -> Mat:
-        x = linalg.asmat(x, self.p).reshape(-1)
-        y = linalg.asmat(y, self.p).reshape(-1)
-        return np.einsum("i,j,ijk->k", x, y, self.mul) % self.p
+        # two exact products: sum_i x_i mul[i] first, then y against it
+        n, p = self.dim, self.p
+        xm = linalg.matmul(linalg.asmat(x, p).reshape(1, n), self.mul.reshape(n, n * n), p)
+        return linalg.matmul(linalg.asmat(y, p).reshape(1, n), xm.reshape(n, n), p).reshape(-1)
 
     def left_mult_matrix(self, x) -> Mat:
         x = linalg.asmat(x, self.p).reshape(-1)

@@ -377,8 +377,13 @@ def find_idempotent(e_alg: Algebra, seed: int = 0):
         if xbar is None:
             raise InternalCheckError("Frobenius fixed space of dim >= 2 is scalar")
         m = _minpoly(bar, xbar)
-        roots = [c for c in range(p) if _eval_poly_scalar(m, c, p) == 0]
-        if len(roots) != _pdeg(m) or len(roots) < 2:
+        # m splits into distinct linear factors iff it divides t^p - t; only
+        # then may _edf run, since it never ends on a factor of higher degree
+        t = _pdivmod([0, 1], m, p)[1]
+        roots = []
+        if _ppowmod(t, p, m, p) == t:
+            roots = sorted(-g[0] % p for g in _edf(m, 1, p, rng))
+        if len(roots) != _pdeg(m) or len(roots) < 2 or any(_eval_poly_scalar(m, c, p) for c in roots):
             raise InternalCheckError("fixed-space element has a non-split minimal polynomial")
         c0 = roots[0]
         e_poly = [1]

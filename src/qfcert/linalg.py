@@ -1,12 +1,21 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Matrices are numpy ``int64`` arrays with entries reduced into ``[0, p)``.
-All routines are deterministic: row reduction always picks the leftmost
-pivot column and, within a column, the smallest usable row index.
+All routines are deterministic; ``rref`` returns the reduced row echelon
+form, which is unique, so the order in which it picks pivots never shows.
 
-Matrix products route through float64 BLAS when the result is provably
-exact (``(p-1)^2 * inner_dim <= 2**53``), which covers every size this
-package produces; an int64 fallback keeps the function total.
+One exactness rule covers every product.  A residue plus ``k`` products of
+two residues has magnitude at most ``(p-1) + k (p-1)^2``.  In float64 (and
+so in BLAS) such a value is kept below 2^51, two bits under the 2^53 limit
+of exact integers, so that ``_mod`` can reduce it with one multiply and a
+floor; in int64 it is kept below 2^63.  ``_exact_plan`` takes float64 when
+``k = 1`` fits there and int64 otherwise, and returns the largest ``k``:
+``matmul`` splits its inner dimension into chunks of ``k``, and ``rref``
+lets its working entries grow unreduced until the next panel could pass
+the bound.  The supported primes are the odd p with ``(p-1)^2 + p < 2^63``,
+that is p <= 3,037,000,493 (``in_range``); ``PrimeField`` and the schema
+reject larger ones.  Float64 serves every p with ``(p-1)^2 + p < 2^51``,
+that is p <= 47,453,133.
 """
 
 from __future__ import annotations
@@ -17,27 +26,78 @@ from .errors import InvalidPrime, UsageError
 
 Mat = np.ndarray
 
-_FLOAT_EXACT_BOUND = 2**53
+# magnitude bounds for unreduced values, by working dtype
+_BOUNDS = ((np.float64, 2**51), (np.int64, 2**63))
+# below this many entries one float ``%`` beats ``_mod``'s five passes
+_MOD_SMALL = 256
+# Miller-Rabin with these bases is deterministic for every n < 3.18e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for every n < 3.18e23."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+def in_range(p: int) -> bool:
+    """Whether the kernel's arithmetic is exact at p: ``(p-1)^2 + p < 2^63``."""
+    return (p - 1) ** 2 + p < 2**63
+
+
+def _exact_plan(p: int):
+    """``(dtype, k)``: the working dtype for F_p and the largest k such that
+    a residue plus k products of two residues stays under its bound."""
+    sq = (p - 1) ** 2
+    for dtype, bound in _BOUNDS:
+        if sq + p < bound:
+            return dtype, (bound - p) // sq
+    raise InvalidPrime(p)
+
+
+def _mod(x, p):
+    """x mod p in [0, p), for a working array from ``_exact_plan``.
+
+    numpy's float ``%`` is exact but costs about 25 ns an entry.  On larger
+    float arrays, with |x| < 2^51, ``(x + 1/2) / p`` lies at least 1/(2p)
+    from every integer and is computed with a smaller error, so its floor
+    is exactly ``x // p`` and five fast passes replace it.
+    """
+    if x.dtype != np.float64 or x.size <= _MOD_SMALL:
+        return x % p
+    q = x + 0.5
+    q *= 1.0 / p
+    np.floor(q, out=q)
+    q *= p
+    return x - q
+
+
 class PrimeField:
-    """A prime field F_p with p an odd prime (p = 2 is rejected)."""
+    """A prime field F_p with p an odd prime in the supported range
+    (p = 2 is rejected)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, (int, np.integer)) or p < 3 or not is_prime(int(p)):
+        if not isinstance(p, (int, np.integer)) or p < 3 or not in_range(int(p)) or not is_prime(int(p)):
             raise InvalidPrime(p)
         self.p = int(p)
 
@@ -66,20 +126,18 @@ def zeros(r: int, c: int) -> Mat:
 
 
 def matmul(a: Mat, b: Mat, p: int) -> Mat:
-    """Exact a @ b mod p."""
+    """Exact a @ b mod p, for entries of a and b in [0, p)."""
     if a.ndim != 2 or b.ndim != 2:
         raise UsageError(f"matmul expects 2-D arrays, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise UsageError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    inner = a.shape[1]
-    if inner == 0:
-        return zeros(a.shape[0], b.shape[1])
-    if (p - 1) * (p - 1) * inner <= _FLOAT_EXACT_BOUND:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(c).astype(np.int64) % p
-    # int64 is exact while (p-1)^2 * inner < 2^63; p here is tiny so this
-    # branch is effectively unreachable, but keep the function total.
-    return (a @ b) % p
+    dtype, k = _exact_plan(p)
+    a = a.astype(dtype, copy=False)
+    b = b.astype(dtype, copy=False)
+    out = a[:, :k] @ b[:k]
+    for k0 in range(k, a.shape[1], k):
+        out = _mod(out, p) + a[:, k0 : k0 + k] @ b[k0 : k0 + k]
+    return _mod(out, p).astype(np.int64, copy=False)
 
 
 def matmul_chain(p: int, *mats: Mat) -> Mat:
@@ -90,72 +148,104 @@ def matmul_chain(p: int, *mats: Mat) -> Mat:
 
 
 _RREF_PANEL = 32
+_RREF_SCAN = 64
 
 
 def rref(a, p: int):
     """Reduced row echelon form.
 
-    Returns ``(r, pivots, rank)`` where ``r`` is the reduced matrix,
-    ``pivots`` the list of pivot column indices in increasing order, and
-    ``rank == len(pivots)``.
+    Returns ``(r, pivots, rank)`` where ``r`` is the reduced matrix (a new
+    int64 array; ``a`` is left as it is), ``pivots`` the list of pivot
+    column indices in increasing order, and ``rank == len(pivots)``.
 
-    Elimination is panel-blocked: factor columns and normalized pivot rows
-    accumulate until the panel fills, then a single exact matmul applies
-    them to the whole matrix.  Pending updates are folded into any value
-    read before the flush, so the result is the usual (unique) reduced
-    form with pivot rows stacked at the top.
+    All-zero rows are set aside; they are the zero rows of the result.
+    The others, reduced mod p once, form one working array of the
+    ``_exact_plan`` dtype.  Elimination is Gauss-Jordan in panels: each
+    pivot queues its column of multipliers and its normalised row, and a
+    later pivot column or pivot row folds the queued updates in when it is
+    read, then is reduced.  A full panel is applied as one product on the
+    columns from its first pivot on, with no reduction; that adds at most
+    ``width`` products of residues to each entry, and the trailing columns
+    are reduced only when the next panel could pass the bound.
+
+    After a column with no pivot, the next ``_RREF_SCAN`` columns are
+    checked below row r in one step.  A column found zero there stays zero
+    below every later pivot row, since each pivot row comes from those rows,
+    so it is skipped for good and each column is scanned at most once.
     """
-    a = np.array(asmat(a, p), dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise UsageError("rref expects a 2-D array")
     m, n = a.shape
+    dtype, terms = _exact_plan(p)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    live = np.flatnonzero(a.any(axis=1))
+    work = a.astype(dtype) if live.size == m else a[live].astype(dtype, copy=False)
+    out = zeros(m, n)
     pivots = []
-    if m == 0 or n == 0:
-        return a, pivots, 0
-    w = _RREF_PANEL
-    fac = np.zeros((m, w), dtype=np.int64)
-    rows = np.zeros((w, n), dtype=np.int64)
-    j = 0  # pivots pending in the panel
-
-    def flush():
-        nonlocal j
-        if j:
-            a[...] = (a - matmul(fac[:, :j], rows[:j], p)) % p
-            j = 0
-
+    mr = live.size
+    if mr == 0:
+        return out, pivots, 0
+    w = min(_RREF_PANEL, terms)
+    fac = np.zeros((mr, w), dtype=dtype)
+    rows = np.zeros((w, n), dtype=dtype)
+    grown = 0  # products added to working entries since their last reduction
+    j = 0  # pivots queued in the panel
+    start = 0  # first pivot column of the panel
+    skip = np.zeros(n, dtype=bool)  # columns shown to have no pivot
+    scanned = 0  # columns before this one have been scanned
     r = 0
-    for col in range(n):
-        if r == m:
-            break
-        cur = a[:, col].copy()
-        if j:
-            cur = (cur - matmul(fac[:, :j], rows[:j, col : col + 1], p).ravel()) % p
-        nz = np.flatnonzero(cur[r:])
-        if nz.size == 0:
+    col = 0
+    while col < n and r < mr:
+        if col < scanned and skip[col]:
+            rest = (~skip[col:scanned]).nonzero()[0]
+            col = col + int(rest[0]) if rest.size else scanned
             continue
+        cur = _mod(work[:, col] - fac[:, :j] @ rows[:j, col], p)
+        nz = cur[r:].nonzero()[0]
+        if nz.size == 0:
+            col += 1
+            if col >= scanned:
+                scanned = min(n, col + _RREF_SCAN)
+                ahead = _mod(work[r:, col:scanned] - fac[r:, :j] @ rows[:j, col:scanned], p)
+                skip[col:scanned] = ~ahead.any(axis=0)
+            continue
+        if j == 0:
+            if grown + w > terms:
+                work[:, col:] = _mod(work[:, col:], p)
+                grown = 0
+            start = col
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            work[[r, i]] = work[[i, r]]
             fac[[r, i]] = fac[[i, r]]
             cur[[r, i]] = cur[[i, r]]
-        row = a[r].copy()
-        if j:
-            row = (row - matmul(fac[r : r + 1, :j], rows[:j], p).ravel()) % p
+        # reduce before scaling: an unreduced row times the inverse can overflow
+        row = _mod(work[r, col:] - fac[r, :j] @ rows[:j, col:], p)
         inv = pow(int(cur[r]), p - 2, p)
         if inv != 1:
-            row = row * inv % p
+            row = _mod(row * inv, p)
+        # the pivot row is zero left of col; stale entries there must not stay
         cur[r] = 0
-        a[r] = row
+        work[r, :col] = 0
+        work[r, col:] = row
         fac[r, :j] = 0
         fac[:, j] = cur
-        rows[j] = row
+        rows[j, :col] = 0
+        rows[j, col:] = row
         pivots.append(col)
         r += 1
         j += 1
+        col += 1
         if j == w:
-            flush()
-    flush()
-    return a, pivots, len(pivots)
+            work[:, start:] -= fac @ rows[:, start:]
+            grown += j
+            j = 0
+    if j:  # the rows below r are zero, so only the pivot rows take the last panel
+        work[:r, start:] -= fac[:r, :j] @ rows[:j, start:]
+    out[:r] = _mod(work[:r], p)
+    return out, pivots, r
 
 
 def rank(a, p: int) -> int:

@@ -36,7 +36,7 @@ from .algebra import Algebra, AlgebraHom, make_algebra
 from .coring import Coring, coring_from_raw_delta
 from .errors import SchemaError
 from .graded import GradedRing
-from .linalg import is_prime
+from .linalg import in_range, is_prime
 from .modrep import Bimodule, LeftModule
 from .ringext import Extension
 
@@ -100,6 +100,8 @@ def validate(doc) -> str:
     if "p" not in doc:
         raise SchemaError("/p", "missing")
     p = doc["p"]
+    if isinstance(p, int) and p >= 3 and not in_range(p):
+        raise SchemaError("/p", f"p = {p} is outside the supported range (p-1)^2 + p < 2^63")
     if isinstance(p, bool) or not isinstance(p, int) or p < 3 or not is_prime(p):
         raise SchemaError("/p", f"expected an odd prime >= 3, got {p!r}")
     present = [k for k in PAYLOAD_KEYS if k in doc]

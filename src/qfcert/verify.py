@@ -2,8 +2,11 @@
 
 Everything here is re-derived from the payload's own embedded data using
 exact matrix arithmetic only — no prover module is imported, so a bug in
-a prover cannot hide itself in its own verifier.  Each certificate kind
-states concrete matrix identities; this module recomputes them.
+a prover cannot hide itself in its own verifier.  That includes the F_p
+kernel: products here are int64 with the inner dimension cut into chunks
+(no float BLAS), and invertibility is checked by elimination on Python
+integers.  Each certificate kind states concrete matrix identities; this
+module recomputes them.
 
 Entry points: ``verify_payload`` for one certificate dict,
 ``verify_report`` for a full report (every certificate attached to a
@@ -14,15 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-
 PASSING = ("yes", "valid")
 VERDICTS = ("yes", "no", "vacuous", "inconsistent", "valid", "skipped")
 
 
-def _arr(obj):
-    a = np.array(obj, dtype=np.int64)
-    return a
+def _arr(obj, p):
+    """An int64 array of residues in [0, p), whatever integers the payload holds."""
+    return np.array(obj, dtype=np.int64) % p
 
 
 def _fail(reasons, prefix, msg):
@@ -30,7 +31,7 @@ def _fail(reasons, prefix, msg):
     return False
 
 
-def _module_payload(obj):
+def _module_payload(obj, p):
     """(left_acts, right_acts, dim) from an embedded bimodule payload.
 
     Shapes are rebuilt explicitly because zero-size arrays flatten when
@@ -39,30 +40,65 @@ def _module_payload(obj):
     malformed-payload reason.
     """
     d = int(obj["dim"])
-    la = _arr(obj["left_acts"]).reshape(len(obj["left_acts"]), d, d)
-    ra = _arr(obj["right_acts"]).reshape(len(obj["right_acts"]), d, d)
+    la = _arr(obj["left_acts"], p).reshape(len(obj["left_acts"]), d, d)
+    ra = _arr(obj["right_acts"], p).reshape(len(obj["right_acts"]), d, d)
     return la, ra, d
+
+
+def _mul(a, b, p):
+    """Exact ``a @ b mod p`` (batched like ``np.matmul``) in int64, for
+    entries in [0, p): each chunk of the inner dimension sums at most
+    ``step`` products below (p-1)^2, so no partial sum reaches 2^63."""
+    step = (2**63 - p) // (p - 1) ** 2
+    if step < 1:
+        raise ValueError(f"p = {p} is outside the supported range")
+    chunks = range(0, a.shape[-1], step)
+    if len(chunks) <= 1:
+        return np.matmul(a, b) % p
+    out = 0
+    for k in chunks:
+        out = (out + np.matmul(a[..., k : k + step], b[..., k : k + step, :])) % p
+    return out
+
+
+def _eye(n):
+    return np.eye(n, dtype=np.int64)
+
+
+def _invertible(f, p):
+    """Whether the square matrix f is invertible mod p (Gaussian elimination)."""
+    rows = [[int(x) % p for x in row] for row in f]
+    n = len(rows)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            k = rows[i][c] * inv % p
+            if k:
+                rows[i] = [(x - k * y) % p for x, y in zip(rows[i], rows[c])]
+    return True
 
 
 def _intertwines(f, source_acts, target_acts, p):
     """f . a_source == a_target . f for every action index."""
-    lhs = np.matmul(f, source_acts) % p
-    rhs = np.matmul(target_acts, f) % p
-    return np.array_equal(lhs, rhs)
+    return np.array_equal(_mul(f, source_acts, p), _mul(target_acts, f, p))
 
 
 def _verify_divides(cert, reasons, prefix):
     try:
         p = int(cert["p"])
         n = int(cert["n"])
-        sl, sr, dm = _module_payload(cert["source"])
-        tl, tr, dn = _module_payload(cert["target"])
-        phi = _arr(cert["phi"]).reshape(n * dn, dm)
-        psi = _arr(cert["psi"]).reshape(dm, n * dn)
+        sl, sr, dm = _module_payload(cert["source"], p)
+        tl, tr, dn = _module_payload(cert["target"], p)
+        phi = _arr(cert["phi"], p).reshape(n * dn, dm)
+        psi = _arr(cert["psi"], p).reshape(dm, n * dn)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(reasons, prefix, f"malformed divides payload ({exc})")
     ok = True
-    if not np.array_equal(linalg.matmul(psi, phi, p), linalg.identity(dm)):
+    if not np.array_equal(_mul(psi, phi, p), _eye(dm)):
         ok = _fail(reasons, prefix, "psi . phi is not the identity")
     for c in range(n):
         phic = phi[c * dn : (c + 1) * dn]
@@ -93,24 +129,24 @@ def _verify_split_witness(cert, reasons, prefix):
     try:
         p = int(cert["p"])
         n = len(cert["algebra_mul"])
-        mul = _arr(cert["algebra_mul"]).reshape(n, n, n)
+        mul = _arr(cert["algebra_mul"], p).reshape(n, n, n)
         d = len(cert["module_action"][0]) if n else 0
-        action = _arr(cert["module_action"]).reshape(n, d, d)
+        action = _arr(cert["module_action"], p).reshape(n, d, d)
         r = len(cert["pi_blocks"])
-        pi = _arr(cert["pi_blocks"]).reshape(r, d, n)
-        sigma = _arr(cert["sigma_blocks"]).reshape(r, n, d)
+        pi = _arr(cert["pi_blocks"], p).reshape(r, d, n)
+        sigma = _arr(cert["sigma_blocks"], p).reshape(r, n, d)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return _fail(reasons, prefix, f"malformed split witness ({exc})")
-    left_mult = mul.transpose(0, 2, 1) % p
-    total = linalg.zeros(d, d)
+    left_mult = mul.transpose(0, 2, 1)
+    total = np.zeros((d, d), dtype=np.int64)
     ok = True
     for b in range(r):
-        total = (total + linalg.matmul(pi[b], sigma[b], p)) % p
+        total = (total + _mul(pi[b], sigma[b], p)) % p
         if not _intertwines(sigma[b], action, left_mult, p):
             ok = _fail(reasons, prefix, f"sigma block {b} is not a module map")
         if not _intertwines(pi[b], left_mult, action, p):
             ok = _fail(reasons, prefix, f"pi block {b} is not a module map")
-    if not np.array_equal(total, linalg.identity(d)):
+    if not np.array_equal(total, _eye(d)):
         ok = _fail(reasons, prefix, "sum of pi . sigma is not the identity")
     return ok
 
@@ -118,15 +154,15 @@ def _verify_split_witness(cert, reasons, prefix):
 def _verify_bimodule_iso(cert, reasons, prefix):
     try:
         p = int(cert["p"])
-        sl, sr, dm = _module_payload(cert["source"])
-        tl, tr, dn = _module_payload(cert["target"])
-        f = _arr(cert["matrix"]).reshape(dn, dm)
+        sl, sr, dm = _module_payload(cert["source"], p)
+        tl, tr, dn = _module_payload(cert["target"], p)
+        f = _arr(cert["matrix"], p).reshape(dn, dm)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(reasons, prefix, f"malformed bimodule-iso payload ({exc})")
     if dm != dn:
         return _fail(reasons, prefix, f"source and target dimensions differ ({dm} vs {dn})")
     ok = True
-    if dm and linalg.invert(f, p) is None:
+    if not _invertible(f, p):
         ok = _fail(reasons, prefix, "matrix is not invertible")
     if not _intertwines(f, sl, tl, p) or not _intertwines(f, sr, tr, p):
         ok = _fail(reasons, prefix, "matrix does not intertwine the actions")
@@ -140,14 +176,14 @@ def _verify_pair_witness(cert, reasons, prefix):
         s = len(cert["tensor_side_action"])
         d = len(cert["tensor_side_action"][0]) if s else 0
         k = len(cert["hom_side_action"][0]) if s else 0
-        tacts = _arr(cert["tensor_side_action"]).reshape(s, d, d)
-        hacts = _arr(cert["hom_side_action"]).reshape(s, k, k)
-        alpha = _arr(cert["alpha"]).reshape(m * k, d)
-        alphabar = _arr(cert["alphabar"]).reshape(d, m * k)
+        tacts = _arr(cert["tensor_side_action"], p).reshape(s, d, d)
+        hacts = _arr(cert["hom_side_action"], p).reshape(s, k, k)
+        alpha = _arr(cert["alpha"], p).reshape(m * k, d)
+        alphabar = _arr(cert["alphabar"], p).reshape(d, m * k)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return _fail(reasons, prefix, f"malformed pair witness ({exc})")
     ok = True
-    if not np.array_equal(linalg.matmul(alphabar, alpha, p), linalg.identity(d)):
+    if not np.array_equal(_mul(alphabar, alpha, p), _eye(d)):
         ok = _fail(reasons, prefix, "composite alphabar . alpha is not the identity")
     for c in range(m):
         ablk = alpha[c * k : (c + 1) * k]
@@ -174,19 +210,19 @@ def _verify_decomposition(cert, reasons, prefix):
         p = int(cert["p"])
         na = len(cert["module_action"])
         d = len(cert["module_action"][0]) if na else 0
-        action = _arr(cert["module_action"]).reshape(na, d, d)
+        action = _arr(cert["module_action"], p).reshape(na, d, d)
         classes = cert["classes"]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return _fail(reasons, prefix, f"malformed decomposition payload ({exc})")
     ok = True
     pairs = []
-    total = linalg.zeros(d, d)
+    total = np.zeros((d, d), dtype=np.int64)
     for i, cls in enumerate(classes):
         try:
             dk = int(cls["dim"])
-            cact = _arr(cls["action"]).reshape(na, dk, dk)
-            injs = [_arr(v).reshape(d, dk) for v in cls["injections"]]
-            projs = [_arr(v).reshape(dk, d) for v in cls["projections"]]
+            cact = _arr(cls["action"], p).reshape(na, dk, dk)
+            injs = [_arr(v, p).reshape(d, dk) for v in cls["injections"]]
+            projs = [_arr(v, p).reshape(dk, d) for v in cls["projections"]]
         except (KeyError, TypeError, ValueError) as exc:
             return _fail(reasons, prefix, f"malformed class {i} ({exc})")
         if len(injs) != len(projs):
@@ -196,14 +232,14 @@ def _verify_decomposition(cert, reasons, prefix):
                 ok = _fail(reasons, prefix, f"class {i} copy {j} injection is not a module map")
             if not _intertwines(proj, action, cact, p):
                 ok = _fail(reasons, prefix, f"class {i} copy {j} projection is not a module map")
-            total = (total + linalg.matmul(inj, proj, p)) % p
+            total = (total + _mul(inj, proj, p)) % p
             pairs.append((inj, proj, dk))
-    if not np.array_equal(total, linalg.identity(d)):
+    if not np.array_equal(total, _eye(d)):
         ok = _fail(reasons, prefix, "sum of injection . projection is not the identity")
     for a, (inja, proja, da) in enumerate(pairs):
         for b, (injb, projb, db) in enumerate(pairs):
-            want = linalg.identity(da) if a == b else linalg.zeros(da, db)
-            if not np.array_equal(linalg.matmul(proja, injb, p), want):
+            want = _eye(da) if a == b else np.zeros((da, db), dtype=np.int64)
+            if not np.array_equal(_mul(proja, injb, p), want):
                 ok = _fail(reasons, prefix, f"copies {a} and {b} are not orthogonal idempotents")
     return ok
 

@@ -133,6 +133,14 @@ def test_schema_error_exit_2(tmp_path, capsys):
     assert cli.main(["check-coring", wrongkind]) == 2
 
 
+def test_prime_outside_supported_range_exit_2(tmp_path, capsys):
+    one = {"dim": 1, "mul": [[[1]]], "unit": [1]}
+    for p in (3037000507, 2**61 - 1, 2**62 + 135):
+        doc = write_doc(tmp_path, "big.json", {"p": p, "algebra": one})
+        assert cli.main(["check-extension", doc]) == 2
+        assert "supported range" in capsys.readouterr().err
+
+
 def test_internal_check_error_exit_3(tmp_path, monkeypatch):
     doc = write_doc(tmp_path, "ext.json", hom_doc(unit_extension(dual_numbers(5))))
 

@@ -13,12 +13,13 @@ from helpers import (
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import linalg
+from qfcert import linalg, verify
 from qfcert.algebra import make_algebra
 from qfcert.decomp import (
     _factor_poly,
     _minpoly,
     decompose,
+    decomposition_payload,
     end_ring,
     find_idempotent,
     iso,
@@ -141,6 +142,16 @@ def test_decompose_regular_group_algebras():
     # x^2+x+1 is irreducible over F5, so F5[C3] ~ F5 x F25
     d3 = decompose(regular_left(group_alg(p, 3)))
     assert d3.class_signature() == [(1, 1), (2, 1)]
+
+
+def test_decompose_group_algebra_at_a_large_prime():
+    # p = 2^31 - 1 = 1 mod 3: F_p[C_3] is F_p^3, whose idempotents come from
+    # the roots of a split minimal polynomial, found without scanning F_p
+    p = 2**31 - 1
+    d = decompose(regular_left(group_alg(p, 3)))
+    assert d.class_signature() == [(1, 1)] * 3
+    ok, reasons = verify.verify_payload(decomposition_payload(d))
+    assert ok, reasons
 
 
 def test_decompose_regular_upper_triangular():

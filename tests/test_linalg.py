@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfcert import linalg
-from qfcert.errors import InvalidPrime, UsageError
+from qfcert import linalg, schema
+from qfcert.errors import InvalidPrime, SchemaError, UsageError
+
+# the largest prime in float64 and the smallest in int64 (see _exact_plan)
+P_FLOAT_TOP = 47453111
+P_INT_LOW = 47453149
+# the largest prime the schema accepts, and the first one it rejects
+P_LARGEST = 3037000493
+P_FIRST_REJECTED = 3037000507
+M31 = 2**31 - 1
 
 
 def brute_rank(a, p):
@@ -188,3 +196,225 @@ def test_invert_two_sided(a):
         n = a.shape[0]
         assert linalg.matmul(a, inv, p).tolist() == linalg.identity(n).tolist()
         assert linalg.matmul(inv, a, p).tolist() == linalg.identity(n).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the delayed-reduction rref kernel
+
+
+def _panel_matmul(a, b, p):
+    inner = a.shape[1]
+    if inner == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    if (p - 1) * (p - 1) * inner <= 2**53:
+        c = a.astype(np.float64) @ b.astype(np.float64)
+        return np.rint(c).astype(np.int64) % p
+    return (a @ b) % p
+
+
+def panel_rref(a, p):
+    """The panel kernel rref replaced: every flush and every read reduces
+    mod p through an exact product.  Exact while (p-1)^2 * 32 < 2^63."""
+    a = np.array(np.asarray(a, dtype=np.int64) % p, dtype=np.int64)
+    m, n = a.shape
+    pivots = []
+    if m == 0 or n == 0:
+        return a, pivots, 0
+    w = 32
+    fac = np.zeros((m, w), dtype=np.int64)
+    rows = np.zeros((w, n), dtype=np.int64)
+    j = 0
+
+    def flush():
+        nonlocal j
+        if j:
+            a[...] = (a - _panel_matmul(fac[:, :j], rows[:j], p)) % p
+            j = 0
+
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        cur = a[:, col].copy()
+        if j:
+            cur = (cur - _panel_matmul(fac[:, :j], rows[:j, col : col + 1], p).ravel()) % p
+        nz = np.flatnonzero(cur[r:])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+            fac[[r, i]] = fac[[i, r]]
+            cur[[r, i]] = cur[[i, r]]
+        row = a[r].copy()
+        if j:
+            row = (row - _panel_matmul(fac[r : r + 1, :j], rows[:j], p).ravel()) % p
+        inv = pow(int(cur[r]), p - 2, p)
+        if inv != 1:
+            row = row * inv % p
+        cur[r] = 0
+        a[r] = row
+        fac[r, :j] = 0
+        fac[:, j] = cur
+        rows[j] = row
+        pivots.append(col)
+        r += 1
+        j += 1
+        if j == w:
+            flush()
+    flush()
+    return a, pivots, len(pivots)
+
+
+def python_rref(a, p):
+    """Gauss-Jordan on Python integers: exact at every p."""
+    rows = [[int(x) % p for x in row] for row in np.asarray(a)]
+    m = len(rows)
+    n = np.asarray(a).shape[1]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        k = next((i for i in range(r, m) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+@st.composite
+def systems(draw, primes):
+    """Matrices with dependent columns, all-zero rows, a run of zero
+    columns and (sometimes) entries outside [0, p)."""
+    p = draw(st.sampled_from(primes))
+    m = draw(st.integers(0, 70))
+    n = draw(st.integers(0, 160))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    a = rng.randint(0, p, size=(m, n)).astype(np.int64)
+    if m and n:
+        indep = draw(st.integers(1, n))
+        for c in range(indep, n):
+            k1, k2 = rng.randint(0, indep, size=2)
+            c1, c2 = rng.randint(0, p, size=2)
+            a[:, c] = (int(c1) * a[:, k1] + int(c2) * a[:, k2]) % p
+        a[rng.rand(m) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0
+        start = draw(st.integers(0, n - 1))
+        a[:, start : start + draw(st.integers(0, 130))] = 0
+        if draw(st.booleans()):
+            a = a - p * rng.randint(-3, 4, size=(m, n))
+    return a, p
+
+
+# at 6850007 (float64) and 480000019 (int64) a working entry can take 47 and
+# 40 products, so a second panel of 32 forces a reduction first
+@settings(max_examples=200, deadline=None)
+@given(systems([3, 5, 7, 11, 20011, 6850007, P_FLOAT_TOP, P_INT_LOW, 480000019]))
+def test_rref_matches_panel_kernel(system):
+    a, p = system
+    red, pivots, rank = linalg.rref(a, p)
+    ref, ref_pivots, ref_rank = panel_rref(a, p)
+    assert np.array_equal(red, ref)
+    assert pivots == ref_pivots and rank == ref_rank == len(pivots)
+
+
+def test_exact_plan_switches_dtype_between_the_reference_primes():
+    assert linalg._exact_plan(P_FLOAT_TOP) == (np.float64, 1)
+    assert linalg._exact_plan(6850007) == (np.float64, 47)
+    assert linalg._exact_plan(480000019) == (np.int64, 40)
+    assert linalg._exact_plan(P_INT_LOW)[0] is np.int64
+    assert linalg._exact_plan(5)[0] is np.float64
+    assert linalg._exact_plan(P_LARGEST) == (np.int64, 1)
+    with pytest.raises(InvalidPrime):
+        linalg._exact_plan(P_FIRST_REJECTED)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0), (4, 3), (40, 3), (3, 40)])
+def test_rref_leaves_input_and_returns_int64(shape):
+    p = 7
+    a = np.random.RandomState(1).randint(-20, 20, size=shape).astype(np.int64)
+    before = a.copy()
+    red, pivots, rank = linalg.rref(a, p)
+    assert np.array_equal(a, before)
+    assert red.dtype == np.int64 and red.shape == shape
+    assert ((red >= 0) & (red < p)).all()
+    assert rank == len(pivots) <= min(shape)
+
+
+def test_rref_skips_zero_rows_and_long_zero_column_runs():
+    p = 5
+    a = np.zeros((6, 300), dtype=np.int64)
+    a[1, 0] = 2
+    a[4, 150] = 3
+    a[4, 299] = 1
+    red, pivots, rank = linalg.rref(a, p)
+    assert pivots == [0, 150] and rank == 2
+    assert red[0, 0] == 1 and red[1, 150] == 1 and red[1, 299] == 2
+    assert not red[2:].any()
+
+
+@pytest.mark.parametrize("p", [M31, P_LARGEST])
+def test_rref_exact_at_large_primes(p):
+    rng = np.random.RandomState(3)
+    for m, n in ((12, 20), (20, 12), (5, 6), (33, 40)):
+        a = rng.randint(0, p, size=(m, n)).astype(np.int64)
+        a[:, 3] = 0
+        a[-1] = (2 * a[0] + (p - 1) * a[1]) % p
+        rows, pivots = python_rref(a, p)
+        red, got_pivots, rank = linalg.rref(a, p)
+        assert got_pivots == pivots and rank == len(pivots)
+        assert red.tolist() == rows
+
+
+@pytest.mark.parametrize("p", [P_FLOAT_TOP, P_INT_LOW, M31, P_LARGEST])
+def test_matmul_exact_at_large_primes(p):
+    full = np.full((3, 3), p - 1, dtype=np.int64)
+    assert linalg.matmul(full, full, p).tolist() == [[3] * 3] * 3
+    rng = np.random.RandomState(4)
+    a = rng.randint(0, p, size=(4, 70)).astype(np.int64)
+    b = rng.randint(0, p, size=(70, 5)).astype(np.int64)
+    expect = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(70)) % p for j in range(5)] for i in range(4)]
+    assert linalg.matmul(a, b, p).tolist() == expect
+
+
+def test_prime_range_bound_in_field_and_schema():
+    assert linalg.in_range(P_LARGEST) and not linalg.in_range(P_FIRST_REJECTED)
+    assert linalg.PrimeField(P_LARGEST).p == P_LARGEST
+    with pytest.raises(InvalidPrime):
+        linalg.PrimeField(P_FIRST_REJECTED)
+    one = {"dim": 1, "mul": [[[1]]], "unit": [1]}
+    assert schema.validate({"p": P_LARGEST, "algebra": one}) == "algebra"
+    for p in (P_FIRST_REJECTED, 2**61 - 1, 2**62 + 1, 10**40):
+        with pytest.raises(SchemaError) as exc:
+            schema.validate({"p": p, "algebra": one})
+        assert exc.value.pointer == "/p"
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if linalg.is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+def test_is_prime_on_large_primes_and_pseudoprimes():
+    primes = [M31, 2**61 - 1, 10**12 + 39, 2**62 - 57, 2**64 - 59, P_LARGEST, P_FIRST_REJECTED]
+    assert all(linalg.is_prime(n) for n in primes)
+    # Carmichael numbers, the last two also strong pseudoprimes to bases 2..7
+    # and 2..23 respectively; then composites built from large primes
+    composites = [561, 1105, 1729, 41041, 825265, 321197185, 9746347772161, 1436697831295441,
+                  3215031751, 3825123056546413051, 2**32 + 1, M31**2, M31 * (2**61 - 1)]
+    assert not any(linalg.is_prime(n) for n in composites)

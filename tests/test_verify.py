@@ -149,6 +149,22 @@ def test_decomposition_roundtrip_and_tamper():
     assert_rejected(missing, "identity")
 
 
+def test_verifier_has_its_own_exact_arithmetic():
+    # no prover kernel: linalg is not imported, so a kernel bug cannot pass its own audit
+    assert "linalg" not in vars(verify)
+    rng = np.random.RandomState(2)
+    for p in (P, 2**31 - 1, 3037000493):
+        a = rng.randint(0, p, size=(2, 3, 9)).astype(np.int64)
+        b = rng.randint(0, p, size=(9, 4)).astype(np.int64)
+        expect = [[[sum(int(a[t, i, k]) * int(b[k, j]) for k in range(9)) % p for j in range(4)]
+                   for i in range(3)] for t in range(2)]
+        assert verify._mul(a, b, p).tolist() == expect
+        assert verify._arr((a - p).tolist(), p).tolist() == a.tolist()
+    assert verify._invertible([[2, 0], [0, 3]], P) and verify._invertible([], P)
+    assert not verify._invertible([[2, 4], [1, 2]], P)
+    assert not verify._invertible([[1, 1], [1, 1]], 2**31 - 1)
+
+
 def test_unknown_and_malformed_payloads_rejected():
     assert_rejected({"kind": "definitely-not-a-kind"}, "unknown certificate kind")
     assert_rejected(["not", "a", "dict"])
