@@ -103,8 +103,10 @@ class Algebra:
         """A (greedy, deterministic) generating subset of the basis.
 
         Returned as a list of basis indices whose generated unital
-        subalgebra is everything.  Used to trim intertwining/relation
-        systems; validation never uses this shortcut.
+        subalgebra is everything.  Balancing relations and ``generators``
+        use it; an enveloping algebra's ``generators`` come from its
+        factors' indices, so this closure never runs on an envelope.
+        Validation never uses this shortcut.
         """
         if self._gens is not None:
             return self._gens
@@ -138,6 +140,11 @@ class Algebra:
                 break
         self._gens = gens
         return gens
+
+    def generators(self) -> Mat:
+        """Coordinate rows of a set that generates the algebra as a unital
+        algebra: the unit vectors at ``generating_indices``."""
+        return linalg.identity(self.dim)[self.generating_indices()]
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, p={self.p})"
@@ -207,6 +214,16 @@ class EnvelopingAlgebra(Algebra):
             re[:, j] = np.kron(left.unit, np.eye(nr, dtype=np.int64)[j]) % self.p
         self.left_embed = le
         self.right_embed = re
+
+    def generators(self) -> Mat:
+        """r (x) 1 and 1 (x) s for generating indices r of R and s of S.
+
+        R (x) 1 and 1 (x) S^op generate the envelope, so this needs only
+        the factors' closures, never one on the envelope itself.
+        """
+        left = self.left_embed[:, self.left_factor.generating_indices()]
+        right = self.right_embed[:, self.right_factor.generating_indices()]
+        return np.concatenate([left, right], axis=1).T
 
 
 _env_cache = {}

@@ -5,6 +5,13 @@ A coring is an (A, A)-bimodule C with a comultiplication Delta: C -> C(x)_A C
 counit eps: C -> A, both A-bimodule maps, subject to coassociativity and the
 counit laws.  All laws are verified exactly at construction.
 
+Coassociativity is compared in the triple tensor product, in both
+bracketings (C (x)_A C) (x)_A C and C (x)_A (C (x)_A C).  Each is a
+quotient M (x)_A N computed from a presentation A^k -> N -> 0 of its right
+factor: M^k modulo the image of M (x) ker, a system with dim M * k columns
+where the balancing relations on M (x) N would need dim M * dim N.  Maps
+through kron(X, I) and kron(I, X) are applied by reshaping, never built.
+
 The two convolution dual rings are built on the linear duals:
 
   *C = left-A-linear maps C -> A,   (f*g)(c) = g(c1 f(c2))
@@ -53,15 +60,73 @@ from .ringext import Extension, is_qf_extension, merge_unit_routes
 from .simdiv import is_qf_bimodule, similar, split_witness_payload
 
 
-def _stage_quotient(p, gens, left_right_acts, right_left_acts, dl, dr):
-    """Quotient of the (dl*dr)-dim space by middle-balancing relations."""
-    eye_l, eye_r = linalg.identity(dl), linalg.identity(dr)
-    rows = []
-    for g in gens:
-        diff = (np.kron(left_right_acts[g], eye_r) - np.kron(eye_l, right_left_acts[g])) % p
-        rows.append(diff.T)
-    rel = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, dl * dr)
-    return linalg.row_space_quotient(rel, dl * dr, p)
+def _module_generators(p, left_acts):
+    """Greedy generators of a left module given by its action tensor: the
+    basis vectors, in order, outside the submodule the earlier ones span."""
+    d = left_acts.shape[1]
+    gens, span = [], linalg.zeros(d, 0)
+    for v in range(d):
+        if span.shape[1] == d:
+            break
+        grown = linalg.column_space_basis(np.concatenate([span, left_acts[:, :, v].T], axis=1), p)
+        if grown.shape[1] > span.shape[1]:
+            gens.append(v)
+            span = grown
+    return gens
+
+
+def _push(p, right_acts, x, k):
+    """The vectors (m_j . x_i)_i of M^k, for every basis vector m_j of a
+    right module M and every column x of a matrix whose rows are k blocks
+    of algebra coordinates: entry [(y, i), (j, c)] is
+    sum_t right_acts[t, y, j] * x[i*dim A + t, c]."""
+    da, dm = right_acts.shape[0], right_acts.shape[1]
+    w = x.shape[1]
+    blocks = x.reshape(k, da, w).transpose(1, 0, 2).reshape(da, k * w)
+    out = linalg.matmul(right_acts.reshape(da, dm * dm).T, blocks, p)
+    return out.reshape(dm, dm, k, w).transpose(0, 2, 1, 3).reshape(dm * k, dm * w)
+
+
+def _presented_quotient(p, m_right_acts, n_left_acts):
+    """M (x)_A N from a presentation A^k -> N -> 0 of the left factor N.
+
+    With greedy generators g_1..g_k of N, P: A^k -> N sends the i-th unit
+    vector to g_i; its kernel K is a submodule and sigma is a linear
+    section of P.  Then M (x)_A N is M^k modulo the image of M (x) K:
+    (m_i) |-> sum m_i (x) g_i is an isomorphism onto it, inverted by
+    m (x) v |-> (m . sigma(v)_i)_i, which is balanced because
+    sigma(a v) - a sigma(v) lies in K.  Returns ``(proj, sect)`` between
+    raw M (x) N coordinates (index j*dim N + v) and the quotient basis,
+    with ``proj @ sect = I``; the linear systems have dim M * k columns
+    instead of dim M * dim N.
+    """
+    da, dn = n_left_acts.shape[0], n_left_acts.shape[1]
+    dm = m_right_acts.shape[1]
+    gens = _module_generators(p, n_left_acts)
+    k = len(gens)
+    # column i*da + t of the presentation is e_t . g_i
+    pres = n_left_acts[:, :, gens].transpose(1, 2, 0).reshape(dn, k * da)
+    sigma = linalg.solve_right(pres, linalg.identity(dn), p)
+    if sigma is None:
+        raise InternalCheckError("module generators do not span the module")
+    rel = _push(p, m_right_acts, linalg.nullspace(pres, p), k)
+    proj_q, sect_q = linalg.row_space_quotient(rel.T, dm * k, p)
+    proj = linalg.matmul(proj_q, _push(p, m_right_acts, sigma, k), p)
+    sect = np.zeros((dm, dn, proj_q.shape[0]), dtype=np.int64)
+    sect[:, gens] = sect_q.reshape(dm, k, -1)
+    return proj, sect.reshape(dm * dn, -1)
+
+
+def _kron_apply(p, b, s, c, eye_first):
+    """``kron(I_c, b) @ s`` if ``eye_first``, else ``kron(b, I_c) @ s``,
+    as one product with ``b`` on a reshaped ``s``.  Transposing both sides
+    gives ``a @ kron(., .)`` as well."""
+    n, q = b.shape
+    w = s.shape[1]
+    if not eye_first:
+        return linalg.matmul(b, s.reshape(q, c * w), p).reshape(n * c, w)
+    s = s.reshape(c, q, w).transpose(1, 0, 2).reshape(q, c * w)
+    return linalg.matmul(b, s, p).reshape(n, c, w).transpose(1, 0, 2).reshape(c * n, w)
 
 
 class Coring:
@@ -123,21 +188,26 @@ class Coring:
     def _check_coassociative(self):
         """(Delta (x) C) Delta = (C (x) Delta) Delta, compared inside the
         triple tensor product via the associativity isomorphism between the
-        two bracketings ((C (x) C) (x) C and C (x) (C (x) C))."""
+        two bracketings ((C (x) C) (x) C and C (x) (C (x) C)).
+
+        Each bracketing is T (x)_A C or C (x)_A T, with T the tensor
+        square, from a presentation of its right factor
+        (``_presented_quotient``).  Maps through kron(X, I) or kron(I, X)
+        go through ``_kron_apply``, so no Kronecker matrix is built.
+        """
         p, c = self.p, self.carrier
         t2 = self.tensor_square
-        dc, q2 = c.dim, t2.dim
-        gens = self.base.generating_indices()
-        eye_c = linalg.identity(dc)
+        dc = c.dim
         rep = self.delta_rep()
-        proj_l0, sect_l0 = _stage_quotient(p, gens, t2.right_acts, c.left_acts, q2, dc)
-        proj_r0, sect_r0 = _stage_quotient(p, gens, c.right_acts, t2.left_acts, dc, q2)
-        m_left = linalg.matmul_chain(p, proj_l0, np.kron(self.delta, eye_c) % p, rep)
-        m_right = linalg.matmul_chain(p, proj_r0, np.kron(eye_c, self.delta) % p, rep)
-        proj_l = linalg.matmul(proj_l0, np.kron(t2.proj, eye_c) % p, p)
-        lift_l = linalg.matmul(np.kron(t2.sect, eye_c) % p, sect_l0, p)
-        proj_r = linalg.matmul(proj_r0, np.kron(eye_c, t2.proj) % p, p)
-        lift_r = linalg.matmul(np.kron(eye_c, t2.sect) % p, sect_r0, p)
+        proj_l0, sect_l0 = _presented_quotient(p, t2.right_acts, c.left_acts)
+        proj_r0, sect_r0 = _presented_quotient(p, c.right_acts, t2.left_acts)
+        m_left = linalg.matmul(proj_l0, _kron_apply(p, self.delta, rep, dc, False), p)
+        m_right = linalg.matmul(proj_r0, _kron_apply(p, self.delta, rep, dc, True), p)
+        # proj @ kron(t2.proj, I) is (kron(t2.proj.T, I) @ proj.T).T
+        proj_l = _kron_apply(p, t2.proj.T, proj_l0.T, dc, False).T
+        lift_l = _kron_apply(p, t2.sect, sect_l0, dc, False)
+        proj_r = _kron_apply(p, t2.proj.T, proj_r0.T, dc, True).T
+        lift_r = _kron_apply(p, t2.sect, sect_r0, dc, True)
         assoc = linalg.matmul(proj_l, lift_r, p)
         if not np.array_equal(
             linalg.matmul(assoc, linalg.matmul(proj_r, lift_l, p), p),

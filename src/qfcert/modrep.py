@@ -34,12 +34,15 @@ def _validate_action(alg: Algebra, action: Mat):
     p = alg.p
     n, d = action.shape[0], action.shape[1]
     ident = linalg.identity(d)
-    u = np.einsum("i,iab->ab", alg.unit, action) % p
+    flat = action.reshape(n, d * d)
+    u = linalg.matmul(alg.unit.reshape(1, n), flat, p).reshape(d, d)
     if not np.array_equal(u, ident):
         raise UnitViolation(int(np.nonzero((u - ident) % p)[0][0]) if d else 0)
+    side_by_side = action.transpose(1, 0, 2).reshape(d, n * d)
     for i in range(n):
-        lhs = np.matmul(action[i], action) % p  # (n, d, d)
-        rhs = np.einsum("jk,kab->jab", alg.mul[i], action) % p
+        # action[i] @ action[j] and sum_k mul[i, j, k] action[k], for every j
+        lhs = linalg.matmul(action[i], side_by_side, p).reshape(d, n, d).transpose(1, 0, 2)
+        rhs = linalg.matmul(alg.mul[i], flat, p).reshape(n, d, d)
         if not np.array_equal(lhs, rhs):
             j = int(np.nonzero((lhs - rhs) % p)[0][0])
             raise ModuleLawViolation(i, j)
@@ -66,8 +69,9 @@ class LeftModule:
 
     def act(self, x) -> Mat:
         """Matrix of the action of an algebra element given by coordinates."""
-        x = linalg.asmat(x, self.p).reshape(-1)
-        return np.einsum("i,iab->ab", x, self.action) % self.p
+        x = linalg.asmat(x, self.p).reshape(1, -1)
+        d = self.dim
+        return linalg.matmul(x, self.action.reshape(-1, d * d), self.p).reshape(d, d)
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra, p={self.p})"
@@ -140,10 +144,14 @@ class HomSpace:
 def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
     """All module maps source -> target, via intertwining conditions.
 
-    Constraints are imposed generator-by-generator, shrinking the solution
-    space incrementally (equivalent to the full stacked system because the
-    intertwining condition is closed under products and the unit acts as
-    the identity).
+    Constraints are imposed for the algebra's ``generators``, one at a
+    time, shrinking the solution space incrementally.  This is equivalent
+    to the full system stacked over every basis element, because the
+    intertwining condition is closed under sums and products and the unit
+    acts as the identity.  The returned basis is the nullspace basis of
+    that full system (unit vectors at its free columns, completed on the
+    pivots), which depends only on the solution space, so it is the same
+    for any generating set and any order.
     """
     if not equal_algebras(source.algebra, target.algebra):
         raise UsageError("hom_space endpoints live over different algebras")
@@ -153,12 +161,15 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
     if k == 0:
         return HomSpace(source, target, np.zeros((0, dn, dm), dtype=np.int64))
     v = linalg.identity(k)
-    for g in source.algebra.generating_indices():
+    for x in source.algebra.generators():
         cur = v.shape[1]
         if cur == 0:
             break
         stack = v.T.reshape(cur, dn, dm)
-        resid = (np.matmul(stack, source.action[g]) - np.matmul(target.action[g], stack)) % p
+        # f a - a f for every basis map f at once, as two exact 2-D products
+        fa = linalg.matmul(stack.reshape(cur * dn, dm), source.act(x), p).reshape(cur, dn, dm)
+        af = linalg.matmul(target.act(x), stack.transpose(1, 0, 2).reshape(dn, cur * dm), p)
+        resid = (fa - af.reshape(dn, cur, dm).transpose(1, 0, 2)) % p
         coeffs = linalg.nullspace(resid.reshape(cur, k).T, p)
         v = linalg.matmul(v, coeffs, p)
     basis = v.T.reshape(-1, dn, dm)

@@ -110,6 +110,55 @@ def unit_bimodule_rs(r_alg, s_alg, phi_matrix, p):
     return Bimodule(r_alg, s_alg, la % p, s_alg.right_mult)
 
 
+def python_rref(a, p):
+    """Gauss-Jordan on Python integers: exact at every p."""
+    rows = [[int(x) % p for x in row] for row in np.asarray(a)]
+    m = len(rows)
+    n = np.asarray(a).shape[1]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        k = next((i for i in range(r, m) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def python_nullspace(a, p):
+    """Right-nullspace basis in ``linalg.nullspace``'s convention (unit
+    vectors at the free columns, completed on the pivots), on Python
+    integers."""
+    n = np.asarray(a).shape[1]
+    rows, pivots = python_rref(a, p)
+    free = [c for c in range(n) if c not in pivots]
+    basis = [[0] * len(free) for _ in range(n)]
+    for k, f in enumerate(free):
+        basis[f][k] = 1
+        for r, c in enumerate(pivots):
+            basis[c][k] = -rows[r][f] % p
+    return basis
+
+
+def stacked_hom_system(source, target):
+    """Rows of f a_i = a_i f over every basis element a_i of the algebra,
+    on the row-major flattening of f: the system ``hom_space`` trims."""
+    dm, dn = source.dim, target.dim
+    rows = [
+        np.kron(np.eye(dn, dtype=np.int64), source.action[i].T)
+        - np.kron(target.action[i], np.eye(dm, dtype=np.int64))
+        for i in range(source.algebra.dim)
+    ]
+    return np.concatenate(rows) % source.p
+
+
 def count_calls(monkeypatch, func):
     """Wrap ``func`` with a call counter wherever a loaded qfcert module binds it.
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from qfcert import cli, decomp, linalg, report, schema, simdiv
-from qfcert.algebra import field_algebra, identity_hom, make_algebra, make_hom
+from qfcert import cli, decomp, fixtures, linalg, report, schema, simdiv
+from qfcert.algebra import Algebra, EnvelopingAlgebra, field_algebra, identity_hom, make_algebra, make_hom
 from qfcert.coring import (
     Comodule,
+    _module_generators,
+    _presented_quotient,
     comodule_to_module,
     cotensor,
     cotensor_map,
@@ -28,7 +30,7 @@ from qfcert.errors import (
     UsageError,
     ValidationError,
 )
-from qfcert.modrep import Bimodule, balanced_relations, tensor_over
+from qfcert.modrep import Bimodule, as_bimodule, balanced_relations, regular_bimodule, tensor_over
 from qfcert.ringext import Extension
 
 from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
@@ -133,16 +135,23 @@ def test_non_bimodule_delta_rejected():
     assert e.value.which == "delta"
 
 
-def test_non_coassociative_rejected():
-    # dual of a NON-associative unital 3-dim algebra: u u = v, u v = 1, the
-    # rest zero; counit laws hold because the unit axioms do
-    f5 = field_algebra(P)
+def non_associative_mul():
+    """A NON-associative unital 3-dim multiplication: u u = v, u v = 1, the
+    rest zero apart from the unit e_0."""
     m = np.zeros((3, 3, 3), dtype=np.int64)
     for j in range(3):
         m[0, j, j] = 1
         m[j, 0, j] = 1
     m[1, 1, 2] = 1
     m[1, 2, 0] = 1
+    return m
+
+
+def test_non_coassociative_rejected():
+    # dual of a non-associative unital 3-dim algebra; counit laws hold
+    # because the unit axioms do
+    f5 = field_algebra(P)
+    m = non_associative_mul()
     carrier = Bimodule(
         f5,
         f5,
@@ -156,6 +165,73 @@ def test_non_coassociative_rejected():
     eps = np.array([[1, 0, 0]], dtype=np.int64)
     with pytest.raises(NotCoassociative):
         make_coring(f5, carrier, delta, eps)
+
+
+def base_changed_coring(a, m):
+    """A (x) D over a commutative base A, for the 3-dim "coalgebra" D dual to
+    the unital multiplication m (counit: the dual of the unit e_0).  Both
+    actions are on the A factor and a (x) d |-> sum (a (x) d1) (x) (1 (x) d2),
+    so the result is coassociative exactly when D is."""
+    da = a.dim
+    eye = np.eye(da, dtype=np.int64)
+    carrier = Bimodule(
+        a,
+        a,
+        np.stack([np.kron(x, np.eye(3, dtype=np.int64)) for x in a.left_mult]),
+        np.stack([np.kron(x, np.eye(3, dtype=np.int64)) for x in a.right_mult]),
+    )
+    # rows (a, d1, u, d2) of the raw square, columns (a, d)
+    raw = np.einsum("ab,ijk,u->aiujbk", eye, m, a.unit).reshape(9 * da * da, 3 * da) % P
+    t2 = tensor_over(a, carrier, carrier)
+    delta = linalg.matmul(t2.proj, raw, P)
+    eps = np.kron(eye, np.array([[1, 0, 0]], dtype=np.int64))
+    return make_coring(a, carrier, delta, eps)
+
+
+@pytest.mark.parametrize("base", [group_alg(P, 2), dual_numbers(P)], ids=["f5-c2", "dualnum"])
+def test_non_coassociative_rejected_over_a_larger_base(base):
+    with pytest.raises(NotCoassociative):
+        base_changed_coring(base, non_associative_mul())
+    # F_5[x]/(x^3) is associative, so its base change is a coring
+    good = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        for j in range(3 - i):
+            good[i, j, i + j] = 1
+    assert base_changed_coring(base, good).dim == 3 * base.dim
+
+
+def _stage_quotient(p, gens, left_right_acts, right_left_acts, dl, dr):
+    """The quotient the coassociativity check used before presentations:
+    the (dl*dr)-dim space modulo the middle-balancing relations."""
+    eye_l, eye_r = linalg.identity(dl), linalg.identity(dr)
+    rows = []
+    for g in gens:
+        diff = (np.kron(left_right_acts[g], eye_r) - np.kron(eye_l, right_left_acts[g])) % p
+        rows.append(diff.T)
+    rel = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, dl * dr)
+    return linalg.row_space_quotient(rel, dl * dr, p)
+
+
+def test_presented_quotient_matches_the_balancing_quotient():
+    m2 = fixtures.mat_units_algebra(P, 2)
+    sw_m2 = sweedler(fixtures.unit_extension(m2)).carrier
+    pairs = [
+        (regular_bimodule(fixtures.dual_numbers(P)), as_bimodule(fixtures.socle_module_dualnum(P))),
+        (regular_bimodule(m2), as_bimodule(fixtures.column_module(P))),
+        (sw_m2, sw_m2),
+    ]
+    for m, n in pairs:
+        s_alg = m.right_alg
+        # the greedy presentation has a kernel: k generators, k * dim A > dim N
+        assert len(_module_generators(P, n.left_acts)) * s_alg.dim > n.dim
+        proj, sect = _presented_quotient(P, m.right_acts, n.left_acts)
+        q = proj.shape[0]
+        assert np.array_equal(linalg.matmul(proj, sect, P), linalg.identity(q))
+        assert not linalg.matmul(proj, balanced_relations(s_alg, m, n).T, P).any()
+        assert q == tensor_over(s_alg, m, n).dim
+        ref, _ = _stage_quotient(P, s_alg.generating_indices(), m.right_acts, n.left_acts, m.dim, n.dim)
+        # same kernel: the two projections span the same row space
+        assert linalg.rank(np.concatenate([proj, ref]), P) == q == ref.shape[0]
 
 
 def test_glued_coring_is_valid(glued):
@@ -249,6 +325,22 @@ def test_check_coring_runs_each_decomposition_and_route_once(monkeypatch):
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
     assert (decompositions, qf_bimodule_runs) == ([10], [3])
+
+
+def test_check_coring_runs_no_closure_on_an_envelope(monkeypatch):
+    # envelope hom spaces take generators from the factors' closures
+    doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
+    closures = []
+    original = Algebra.generating_indices
+
+    def recorded(self):
+        closures.append(type(self))
+        return original(self)
+
+    monkeypatch.setattr(Algebra, "generating_indices", recorded)
+    out = cli.run_documents("check-coring", [doc], seed=0)
+    assert out.verdict == report.YES
+    assert closures and EnvelopingAlgebra not in closures
 
 
 # ---------------------------------------------------------------------------

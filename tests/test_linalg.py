@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from qfcert import linalg, schema
 from qfcert.errors import InvalidPrime, SchemaError, UsageError
 
+from helpers import python_rref
+
 # the largest prime in float64 and the smallest in int64 (see _exact_plan)
 P_FLOAT_TOP = 47453111
 P_INT_LOW = 47453149
@@ -264,28 +266,6 @@ def panel_rref(a, p):
             flush()
     flush()
     return a, pivots, len(pivots)
-
-
-def python_rref(a, p):
-    """Gauss-Jordan on Python integers: exact at every p."""
-    rows = [[int(x) % p for x in row] for row in np.asarray(a)]
-    m = len(rows)
-    n = np.asarray(a).shape[1]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        k = next((i for i in range(r, m) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows, pivots
 
 
 @st.composite

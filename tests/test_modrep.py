@@ -11,14 +11,18 @@ from helpers import (
     group_alg,
     mat_units_algebra,
     prod_fields,
+    python_nullspace,
     simple_modules_prod,
+    stacked_hom_system,
     trivial_module_dualnum,
 )
-from qfcert import linalg
+from qfcert import fixtures, linalg
+from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, make_hom, opposite
 from qfcert.errors import ActionsDoNotCommute, ModuleLawViolation, UsageError
 from qfcert.modrep import (
     Bimodule,
+    LeftModule,
     as_bimodule,
     bimodule_from_actions,
     direct_sum,
@@ -232,3 +236,51 @@ def test_opposite_regular_matches_right_mult():
     p = 5
     a = dual_numbers(p)
     assert np.array_equal(regular_left(opposite(a)).action, a.right_mult)
+
+
+def test_hom_basis_is_the_nullspace_of_the_full_system():
+    # hom_space imposes only the generators' conditions (on an envelope,
+    # r (x) 1 and 1 (x) s for generators of the factors); its basis must be
+    # the canonical nullspace basis of the system over every basis element
+    p = 5
+    col, socle = fixtures.column_module(p), fixtures.socle_module_dualnum(p)
+    ext = fixtures.diagonal_matrix_extension(p)
+    sw_dn = sweedler(fixtures.unit_extension(fixtures.dual_numbers(p))).carrier
+    sw_m2 = sweedler(fixtures.unit_extension(fixtures.mat_units_algebra(p, 2))).carrier
+    reg_dn = regular_bimodule(fixtures.dual_numbers(p))
+    pairs = [
+        (regular_left(col.algebra), col),
+        (col, regular_left(col.algebra)),
+        (socle, regular_left(socle.algebra)),
+        (regular_left(socle.algebra), socle),
+        (restrict_bimodule(sw_m2, "left"), restrict_bimodule(sw_m2, "left")),
+        (ext.bimodule_rs.carrier, ext.bimodule_rs.carrier),
+        (ext.bimodule_sr.carrier, ext.bimodule_sr.carrier),
+        (sw_dn.carrier, reg_dn.carrier),
+        (reg_dn.carrier, sw_dn.carrier),
+        (sw_m2.carrier, sw_m2.carrier),
+    ]
+    for source, target in pairs:
+        full = linalg.nullspace(stacked_hom_system(source, target), p)
+        assert np.array_equal(hom_space(source, target).matrix(), full)
+
+
+def test_hom_space_exact_at_the_largest_prime():
+    # dense modules at p = 3,037,000,493: (p-1)^2 * 2 already passes 2^63,
+    # so every product of two action matrices must be exact
+    p = 3037000493
+    a = mat_units_algebra(p, 2)
+    rng = np.random.RandomState(3)
+
+    def conjugated(action):
+        t = rng.randint(0, p, size=(action.shape[1],) * 2).astype(np.int64)
+        t_inv = linalg.invert(t, p)
+        assert t_inv is not None
+        return np.stack([linalg.matmul_chain(p, t, x, t_inv) for x in action])
+
+    source = LeftModule(a, conjugated(a.left_mult))
+    target = LeftModule(a, conjugated(direct_sum(column_module(p), column_module(p))[0].action))
+    h = hom_space(source, target)
+    assert h.k == 4
+    expected = python_nullspace(stacked_hom_system(source, target), p)
+    assert np.array_equal(h.matrix(), np.array(expected, dtype=np.int64))
