@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, memo
 from .errors import (
     AssociativityViolation,
     NotAGroup,
@@ -39,7 +39,7 @@ class Algebra:
         self.left_mult = np.ascontiguousarray(self.mul.transpose(0, 2, 1))
         # right_mult[j] : x -> x e_j
         self.right_mult = np.ascontiguousarray(self.mul.transpose(1, 2, 0))
-        self._gens = None
+        self._memo_key = None
         if _validate:
             self._validate()
 
@@ -51,23 +51,30 @@ class Algebra:
         if n == 0:
             raise UsageError("algebras must have positive dimension")
         L = self.left_mult
-        # unit laws: 1 * e_i = e_i = e_i * 1.
-        lhs = np.einsum("i,iab->ab", self.unit, L) % p
-        if not np.array_equal(lhs, linalg.identity(n)):
-            bad = int(np.nonzero((lhs - linalg.identity(n)) % p)[1][0])
-            raise UnitViolation(bad)
-        rhs = np.einsum("j,jab->ab", self.unit, self.right_mult) % p
-        if not np.array_equal(rhs, linalg.identity(n)):
-            bad = int(np.nonzero((rhs - linalg.identity(n)) % p)[1][0])
-            raise UnitViolation(bad)
+        eye = linalg.identity(n)
+        # unit laws: 1 * e_i = e_i = e_i * 1, each one exact 2-D product.
+        for side in (L, self.right_mult):
+            got = linalg.matmul(self.unit.reshape(1, n), side.reshape(n, n * n), p).reshape(n, n)
+            if not np.array_equal(got, eye):
+                raise UnitViolation(int(np.nonzero((got - eye) % p)[1][0]))
         # associativity: L_{e_i e_j} == L_i L_j for all pairs, which pins
-        # (e_i e_j) e_l = e_i (e_j e_l) for every l.
-        prod = np.einsum("iab,jbc->ijac", L, L) % p
-        expect = np.einsum("ijk,kac->ijac", self.mul, L) % p
+        # (e_i e_j) e_l = e_i (e_j e_l) for every l.  Rows (i, a) of L
+        # against columns (j, c) give every L_i L_j in one product.
+        prod = linalg.matmul(L.reshape(n * n, n), L.transpose(1, 0, 2).reshape(n, n * n), p)
+        prod = prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        expect = linalg.matmul(self.mul.reshape(n * n, n), L.reshape(n, n * n), p).reshape(n, n, n, n)
         if not np.array_equal(prod, expect):
             diff = np.nonzero((prod - expect) % p)
             i, j, l = int(diff[0][0]), int(diff[1][0]), int(diff[3][0])
             raise AssociativityViolation(i, j, l)
+
+    def memo_key(self) -> tuple:
+        """Exact memo key: p, ``mul`` and ``unit``; built once, on first use,
+        when every array of the algebra becomes read-only."""
+        if self._memo_key is None:
+            memo.readonly(self.left_mult, self.right_mult)
+            self._memo_key = (self.p,) + memo.array_key(self.mul, self.unit)
+        return self._memo_key
 
     # -- arithmetic ------------------------------------------------------
 
@@ -99,55 +106,53 @@ class Algebra:
             k >>= 1
         return out
 
-    def generating_indices(self):
+    def generating_indices(self) -> tuple:
         """A (greedy, deterministic) generating subset of the basis.
 
-        Returned as a list of basis indices whose generated unital
+        Returned as a tuple of basis indices whose generated unital
         subalgebra is everything.  Balancing relations and ``generators``
         use it; an enveloping algebra's ``generators`` come from its
         factors' indices, so this closure never runs on an envelope.
         Validation never uses this shortcut.
         """
-        if self._gens is not None:
-            return self._gens
-        p = self.p
-        gens = []
-        span = self.unit.reshape(-1, 1) % p
-        span = linalg.column_space_basis(span, p)
-        for i in range(self.dim):
-            e = linalg.zeros(self.dim, 1)
-            e[i, 0] = 1
-            if linalg.in_span(span, e, p):
-                continue
-            gens.append(i)
-            span = np.concatenate([span, e], axis=1)
-            # close under multiplication
-            while True:
-                prods = []
-                for a in range(span.shape[1]):
-                    va = span[:, a]
-                    prods.append(
-                        np.einsum("i,ijk->jk", va, self.mul).T % p
-                        @ span
-                        % p
-                    )
-                cand = np.concatenate([span] + prods, axis=1) % p
-                newspan = linalg.column_space_basis(cand, p)
-                if newspan.shape[1] == span.shape[1]:
-                    break
-                span = newspan
-            if span.shape[1] == self.dim:
-                break
-        self._gens = gens
-        return gens
+        return memo.cached("generating_indices", _generating_indices, self)
 
     def generators(self) -> Mat:
         """Coordinate rows of a set that generates the algebra as a unital
         algebra: the unit vectors at ``generating_indices``."""
-        return linalg.identity(self.dim)[self.generating_indices()]
+        return linalg.identity(self.dim)[list(self.generating_indices())]
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, p={self.p})"
+
+
+def _generating_indices(alg: Algebra) -> tuple:
+    p, n = alg.p, alg.dim
+    gens = []
+    span = linalg.column_space_basis(alg.unit.reshape(-1, 1), p)
+    flat = alg.mul.reshape(n, n * n)
+    for i in range(n):
+        e = linalg.zeros(n, 1)
+        e[i, 0] = 1
+        if linalg.in_span(span, e, p):
+            continue
+        gens.append(i)
+        span = np.concatenate([span, e], axis=1)
+        # close under multiplication: every product v_a v_b of span columns,
+        # ordered by a then b, as two exact 2-D products
+        while True:
+            s = span.shape[1]
+            # left[a] is the matrix of x -> v_a x (columns are coordinates)
+            left = linalg.matmul(span.T, flat, p).reshape(s, n, n).transpose(0, 2, 1)
+            prods = linalg.matmul(left.reshape(s * n, n), span, p)
+            cand = np.concatenate([span, prods.reshape(s, n, s).transpose(1, 0, 2).reshape(n, s * s)], axis=1)
+            newspan = linalg.column_space_basis(cand, p)
+            if newspan.shape[1] == span.shape[1]:
+                break
+            span = newspan
+        if span.shape[1] == n:
+            break
+    return tuple(gens)
 
 
 def make_algebra(p: int, mul, unit) -> Algebra:
@@ -200,20 +205,19 @@ class EnvelopingAlgebra(Algebra):
     def __init__(self, left: Algebra, right: Algebra):
         if left.field != right.field:
             raise UsageError("enveloping factors live over different fields")
-        sop = opposite(right)
-        t = tensor_algebra(left, sop)
-        super().__init__(t.field, t.mul, t.unit, _validate=False)
+        p = left.p
+        nl, nr = left.dim, right.dim
+        # (e_i (x) f_j)(e_k (x) f_l) = e_i e_k (x) f_l f_j: tensor_algebra
+        # with opposite(right), without building either intermediate
+        mul = np.einsum("ikm,ljn->ijklmn", left.mul, right.mul).reshape(nl * nr, nl * nr, nl * nr)
+        super().__init__(left.field, mul, np.kron(left.unit, right.unit), _validate=False)
         self.left_factor = left
         self.right_factor = right
-        nl, nr = left.dim, right.dim
-        le = linalg.zeros(nl * nr, nl)
-        for i in range(nl):
-            le[:, i] = np.kron(np.eye(nl, dtype=np.int64)[i], right.unit) % self.p
-        re = linalg.zeros(nl * nr, nr)
-        for j in range(nr):
-            re[:, j] = np.kron(left.unit, np.eye(nr, dtype=np.int64)[j]) % self.p
+        le = np.kron(linalg.identity(nl), right.unit.reshape(-1, 1)) % p
+        re = np.kron(left.unit.reshape(-1, 1), linalg.identity(nr)) % p
         self.left_embed = le
         self.right_embed = re
+        memo.readonly(self.mul, self.unit, self.left_mult, self.right_mult, le, re)
 
     def generators(self) -> Mat:
         """r (x) 1 and 1 (x) s for generating indices r of R and s of S.
@@ -221,26 +225,15 @@ class EnvelopingAlgebra(Algebra):
         R (x) 1 and 1 (x) S^op generate the envelope, so this needs only
         the factors' closures, never one on the envelope itself.
         """
-        left = self.left_embed[:, self.left_factor.generating_indices()]
-        right = self.right_embed[:, self.right_factor.generating_indices()]
+        left = self.left_embed[:, list(self.left_factor.generating_indices())]
+        right = self.right_embed[:, list(self.right_factor.generating_indices())]
         return np.concatenate([left, right], axis=1).T
 
 
-_env_cache = {}
-
-
 def enveloping(left: Algebra, right: Algebra) -> EnvelopingAlgebra:
-    """Memoized on factor identity: bimodules over the same pair of algebra
-    objects share one enveloping algebra (and its generating-set cache)."""
-    key = (id(left), id(right))
-    hit = _env_cache.get(key)
-    if hit is not None and hit.left_factor is left and hit.right_factor is right:
-        return hit
-    if len(_env_cache) > 256:
-        _env_cache.clear()
-    env = EnvelopingAlgebra(left, right)
-    _env_cache[key] = env
-    return env
+    """The enveloping algebra R (x) S^op; bimodules over equal pairs of
+    algebras share one within a memo scope."""
+    return memo.cached("enveloping", EnvelopingAlgebra, left, right)
 
 
 def check_group_table(table):

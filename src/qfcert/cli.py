@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import report, schema
+from . import memo, report, schema
 from . import verify as verify_mod
 from .coring import is_qf_coring, sweedler
 from .decomp import decompose, decomposition_payload
@@ -70,8 +70,15 @@ def run_documents(command, docs, seed=0, depth=1):
     ``docs`` is the list of parsed input documents the subcommand takes
     (two for similar/divides, one otherwise).  Returns an Outcome; the
     sweedler outcome carries the emitted coring document in
-    ``outcome.document``.
+    ``outcome.document``.  The call is one memo scope: equal hom spaces,
+    decompositions, idempotents, generators and envelopes are computed once
+    per call and freed when it returns.
     """
+    with memo.scope():
+        return _run(command, docs, seed, depth)
+
+
+def _run(command, docs, seed, depth):
     if command == "check-bimodule":
         return is_qf_bimodule(_bimodule_from(docs[0]), seed=seed)
     if command == "check-extension":

@@ -23,7 +23,7 @@ import random
 
 import numpy as np
 
-from . import linalg, report
+from . import linalg, memo, report
 from .algebra import Algebra, equal_algebras
 from .errors import CharTooSmall, InternalCheckError, UsageError
 from .linalg import Mat
@@ -222,15 +222,16 @@ def end_ring(m: LeftModule) -> EndomorphismRing:
     if m.dim == 0:
         raise UsageError("end_ring of the zero module is not represented")
     h = hom_space(m, m)
-    k = h.k
-    basis = h.basis
-    prods = np.matmul(basis[:, None], basis[None, :]).reshape(k * k, m.dim, m.dim) % m.p
+    k, d = h.k, m.dim
+    # every product basis[s] @ basis[t]: rows (s, a) against columns (t, c)
+    prods = linalg.matmul(h.basis.reshape(k * d, d), h.basis.transpose(1, 0, 2).reshape(d, k * d), m.p)
+    prods = prods.reshape(k, d, k, d).transpose(0, 2, 1, 3).reshape(k * k, d, d)
     coords = h.coords_batch(prods)  # (k, k*k) columns are coords
     mul = coords.T.reshape(k, k, k)
-    unit = h.coords(linalg.identity(m.dim))
+    unit = h.coords(linalg.identity(d))
     if unit is None:
         raise InternalCheckError("identity endomorphism missing from hom basis")
-    return EndomorphismRing(m, basis, mul, unit)
+    return EndomorphismRing(m, h.basis, mul, unit)
 
 
 def radical(e_alg: Algebra) -> Mat:
@@ -349,8 +350,13 @@ def find_idempotent(e_alg: Algebra, seed: int = 0):
 
     None answers are certain: they arise only when E/rad(E) is F_p or a
     finite field (Frobenius fixed space of dimension 1).  Randomness is
-    used only to find idempotents that provably exist.
+    used only to find idempotents that provably exist.  The idempotent is
+    read-only, and within a memo scope equal inputs share it.
     """
+    return memo.cached("find_idempotent", _find_idempotent, e_alg, seed)
+
+
+def _find_idempotent(e_alg: Algebra, seed: int):
     rng = random.Random(seed)
     p = e_alg.p
     n = e_alg.dim
@@ -428,6 +434,7 @@ def find_idempotent(e_alg: Algebra, seed: int = 0):
         raise InternalCheckError("idempotent lift failed to converge")
     if not e.any() or np.array_equal(e, e_alg.unit):
         raise InternalCheckError("idempotent lift degenerated to 0 or 1")
+    memo.readonly(e)
     return e
 
 
@@ -563,7 +570,15 @@ def match_classes(dm: Decomposition, dn: Decomposition, rng):
 
 
 def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
-    """Indecomposable decomposition with verified inclusion/projection data."""
+    """Indecomposable decomposition with verified inclusion/projection data.
+
+    Its arrays are read-only, and within a memo scope equal inputs share
+    one decomposition.
+    """
+    return memo.cached("decompose", _decompose, m, seed)
+
+
+def _decompose(m: LeftModule, seed: int) -> Decomposition:
     rng = random.Random(seed)
     p = m.p
     leaves = []
@@ -606,6 +621,8 @@ def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
         Summand(rep, [ij for ij, _ in members], [pr for _, pr in members])
         for rep, members in classes
     ]
+    for s in summands:
+        memo.readonly(s.module.action, *s.injections, *s.projections)
     return Decomposition(m, summands)
 
 

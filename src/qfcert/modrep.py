@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, memo
 from .algebra import Algebra, EnvelopingAlgebra, enveloping, equal_algebras, opposite
 from .errors import (
     ActionsDoNotCommute,
@@ -60,12 +60,20 @@ class LeftModule:
                 f"action tensor must be ({algebra.dim}, d, d), got {self.action.shape}"
             )
         self.dim = self.action.shape[1]
+        self._memo_key = None
         if _validate:
             _validate_action(algebra, self.action)
 
     @property
     def p(self) -> int:
         return self.algebra.p
+
+    def memo_key(self) -> tuple:
+        """Exact memo key: the algebra's key and the action, which becomes
+        read-only; built once, on first use."""
+        if self._memo_key is None:
+            self._memo_key = (self.algebra.memo_key(),) + memo.array_key(self.action)
+        return self._memo_key
 
     def act(self, x) -> Mat:
         """Matrix of the action of an algebra element given by coordinates."""
@@ -151,15 +159,18 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
     acts as the identity.  The returned basis is the nullspace basis of
     that full system (unit vectors at its free columns, completed on the
     pivots), which depends only on the solution space, so it is the same
-    for any generating set and any order.
+    for any generating set and any order.  The basis is read-only, and
+    within a memo scope equal inputs share it.
     """
     if not equal_algebras(source.algebra, target.algebra):
         raise UsageError("hom_space endpoints live over different algebras")
+    return HomSpace(source, target, memo.cached("hom_space", _hom_basis, source, target))
+
+
+def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
     p = source.p
     dm, dn = source.dim, target.dim
     k = dn * dm
-    if k == 0:
-        return HomSpace(source, target, np.zeros((0, dn, dm), dtype=np.int64))
     v = linalg.identity(k)
     for x in source.algebra.generators():
         cur = v.shape[1]
@@ -172,8 +183,9 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
         resid = (fa - af.reshape(dn, cur, dm).transpose(1, 0, 2)) % p
         coeffs = linalg.nullspace(resid.reshape(cur, k).T, p)
         v = linalg.matmul(v, coeffs, p)
-    basis = v.T.reshape(-1, dn, dm)
-    return HomSpace(source, target, basis)
+    basis = v.T.reshape(v.shape[1], dn, dm)
+    memo.readonly(basis)
+    return basis
 
 
 class Bimodule:

@@ -159,6 +159,42 @@ def stacked_hom_system(source, target):
     return np.concatenate(rows) % source.p
 
 
+LARGEST_PRIME = 3037000493  # the largest prime the schema accepts
+
+
+def dense_basis_change(n, p, rng):
+    """A random invertible n x n matrix over F_p and its inverse, as lists
+    of Python integers."""
+    while True:
+        t = [[int(x) for x in rng.randint(0, p, size=n)] for _ in range(n)]
+        rows, pivots = python_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(t)], p)
+        if pivots[:n] == list(range(n)):
+            return t, [row[n:] for row in rows]
+
+
+def _py_matmul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def rebased(alg, t, t_inv):
+    """(mul, unit) of ``alg`` in the basis f_i = sum_a t[a][i] e_a, on
+    Python integers."""
+    p, n = alg.p, alg.dim
+    mul = alg.mul.tolist()
+    out = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            prod = [sum(t[a][i] * t[b][j] * mul[a][b][c] for a in range(n) for b in range(n)) for c in range(n)]
+            out[i, j] = [sum(t_inv[k][c] * prod[c] for c in range(n)) % p for k in range(n)]
+    unit = _py_matmul(t_inv, [[u] for u in alg.unit.tolist()], p)
+    return out, np.array(unit, dtype=np.int64).reshape(-1)
+
+
+def conjugated(action, t, t_inv, p):
+    """The action tensor t x t^-1, on Python integers."""
+    return np.array([_py_matmul(_py_matmul(t, x.tolist(), p), t_inv, p) for x in action], dtype=np.int64)
+
+
 def count_calls(monkeypatch, func):
     """Wrap ``func`` with a call counter wherever a loaded qfcert module binds it.
 

@@ -7,6 +7,7 @@ import pytest
 
 from qfcert import linalg
 from qfcert.algebra import (
+    Algebra,
     AlgebraHom,
     enveloping,
     equal_algebras,
@@ -25,6 +26,8 @@ from qfcert.errors import (
     NotUnital,
     UnitViolation,
 )
+
+from helpers import LARGEST_PRIME, dense_basis_change, group_alg, rebased, upper_triangular2
 
 
 def mat_units_algebra(p, n):
@@ -192,9 +195,22 @@ def test_make_hom_validation():
     make_hom(k, s, [[1], [0]])
 
 
+def dense_basis_algebras():
+    """M2, C3 and T2 at the largest accepted prime, each in a random dense
+    basis: (p-1)^2 times the dimension passes 2^63, so validation and the
+    generating closure must multiply exactly."""
+    p = LARGEST_PRIME
+    out = []
+    for seed, plain in enumerate((mat_units_algebra(p, 2), group_alg(p, 3), upper_triangular2(p))):
+        t, t_inv = dense_basis_change(plain.dim, p, np.random.RandomState(seed))
+        out.append(rebased(plain, t, t_inv))
+    return out
+
+
 def test_generating_indices_generate():
     p = 5
-    for alg in (mat_units_algebra(p, 2), group_algebra(p, s3_table()), dual_numbers(p)):
+    dense = [make_algebra(LARGEST_PRIME, mul, unit) for mul, unit in dense_basis_algebras()]
+    for alg in [mat_units_algebra(p, 2), group_algebra(p, s3_table()), dual_numbers(p)] + dense:
         gens = alg.generating_indices()
         # closure of gens + unit spans everything
         span = alg.unit.reshape(-1, 1)
@@ -205,9 +221,29 @@ def test_generating_indices_generate():
         for _ in range(alg.dim):
             cols = [span[:, a] for a in range(span.shape[1])]
             prods = [alg.multiply(x, y).reshape(-1, 1) for x in cols for y in cols]
-            span = linalg.column_space_basis(np.concatenate([span] + prods, axis=1), p)
+            span = linalg.column_space_basis(np.concatenate([span] + prods, axis=1), alg.p)
         assert span.shape[1] == alg.dim
         assert len(gens) <= alg.dim
+
+
+def test_dense_basis_algebras_validate_at_the_largest_prime():
+    for mul, unit in dense_basis_algebras():
+        make_algebra(LARGEST_PRIME, mul, unit)
+        with pytest.raises(UnitViolation):
+            make_algebra(LARGEST_PRIME, mul, (unit + 1) % LARGEST_PRIME)
+
+
+def test_non_associative_dense_algebra_rejected_at_the_largest_prime():
+    # F_p[C_3] with g1 g1 = g2 + g1: the unit g0 still acts as one, but
+    # (g1 g1) g2 = g1 + g0 while g1 (g1 g2) = g1
+    p = LARGEST_PRIME
+    plain = group_alg(p, 3)
+    mul = plain.mul.copy()
+    mul[1, 1, 1] = 1
+    broken = Algebra(plain.field, mul, plain.unit, _validate=False)
+    t, t_inv = dense_basis_change(3, p, np.random.RandomState(9))
+    with pytest.raises(AssociativityViolation):
+        make_algebra(p, *rebased(broken, t, t_inv))
 
 
 def test_identity_and_compose():

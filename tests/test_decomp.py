@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LARGEST_PRIME,
     column_module,
+    conjugated,
+    dense_basis_change,
     dual_numbers,
     group_alg,
     mat_units_algebra,
@@ -26,7 +29,7 @@ from qfcert.decomp import (
     radical,
 )
 from qfcert.errors import CharTooSmall
-from qfcert.modrep import direct_sum, regular_left
+from qfcert.modrep import LeftModule, direct_sum, regular_left
 
 import random
 
@@ -152,6 +155,21 @@ def test_decompose_group_algebra_at_a_large_prime():
     assert d.class_signature() == [(1, 1)] * 3
     ok, reasons = verify.verify_payload(decomposition_payload(d))
     assert ok, reasons
+
+
+@pytest.mark.parametrize("name", ["M2", "C3", "T2"])
+def test_decompose_dense_conjugate_at_the_largest_prime(name):
+    # End(M) of a dense conjugate has dense structure constants, whose
+    # products pass 2^63 unless they are exact
+    p = LARGEST_PRIME
+    a = {"M2": lambda: mat_units_algebra(p, 2), "C3": lambda: group_alg(p, 3), "T2": lambda: upper_triangular2(p)}[name]()
+    plain = decompose(regular_left(a)).class_signature()
+    for seed in range(4):
+        t, t_inv = dense_basis_change(a.dim, p, np.random.RandomState(seed))
+        d = decompose(LeftModule(a, conjugated(a.left_mult, t, t_inv, p)))
+        assert d.class_signature() == plain
+        ok, reasons = verify.verify_payload(decomposition_payload(d))
+        assert ok, reasons
 
 
 def test_decompose_regular_upper_triangular():

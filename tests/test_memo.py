@@ -1,0 +1,125 @@
+"""The run-scoped memo: exact keys, read-only results, scope lifetime."""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from qfcert import cli, memo, report, schema
+from qfcert.coring import sweedler
+from qfcert.decomp import decompose, find_idempotent
+from qfcert.errors import UsageError
+from qfcert.fixtures import unit_extension
+from qfcert.modrep import hom_space, regular_left
+
+from helpers import dual_numbers, group_alg, mat_units_algebra
+
+P = 5
+
+
+@pytest.fixture
+def memo_scope():
+    """No test-wide scope here: these tests open their own and check what
+    happens outside one."""
+    yield
+
+
+@pytest.fixture
+def scopes(monkeypatch):
+    """Every scope ``cli.run_documents`` opens, in order."""
+    opened = []
+    original = memo.scope
+
+    @contextmanager
+    def recorded():
+        with original() as s:
+            opened.append(s)
+            yield s
+
+    monkeypatch.setattr(memo, "scope", recorded)
+    return opened
+
+
+def test_check_coring_memo_counts(scopes):
+    # coring-sweedler-f5-c2: (hits, misses) per memoized function
+    doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
+    out = cli.run_documents("check-coring", [doc], seed=0)
+    assert out.verdict == report.YES
+    assert scopes[0].counts() == {
+        "decompose": (5, 5),
+        "enveloping": (11, 3),
+        "find_idempotent": (12, 3),
+        "generating_indices": (61, 3),
+        "hom_space": (52, 34),
+    }
+
+
+def test_no_entry_survives_run_documents(scopes):
+    doc = schema.module_document(regular_left(mat_units_algebra(P, 2)))
+    with memo.scope() as outer:
+        cli.run_documents("decompose", [doc], seed=0)
+        assert memo._SCOPE.get() is outer
+    inner = scopes[1]
+    assert inner is not outer and inner.counts()["decompose"] == (0, 1)
+    assert inner.entries == {} and outer.entries == {}
+    assert memo._SCOPE.get() is None
+
+
+def test_memoized_hom_basis_is_read_only():
+    m = regular_left(mat_units_algebra(P, 2))
+    with memo.scope():
+        h = hom_space(m, m)
+        with pytest.raises(ValueError):
+            h.basis[0, 0, 0] = 1
+        assert np.array_equal(hom_space(m, m).basis, h.basis)
+    e = find_idempotent(mat_units_algebra(P, 2))
+    with pytest.raises(ValueError):
+        e[0] = 1
+    for s in decompose(m).summands:
+        with pytest.raises(ValueError):
+            s.injections[0][0, 0] = 1
+
+
+def test_equal_modules_share_one_entry():
+    a, b = regular_left(mat_units_algebra(P, 2)), regular_left(mat_units_algebra(P, 2))
+    assert a.algebra is not b.algebra
+    with memo.scope() as s:
+        ha, hb = hom_space(a, a), hom_space(b, b)
+        assert ha.basis is hb.basis
+        assert (ha.source, hb.source) == (a, b)
+        assert s.counts()["hom_space"] == (1, 1)
+        # keying froze the inputs, so the key cannot go stale
+        assert not a.action.flags.writeable and not b.algebra.mul.flags.writeable
+        assert decompose(a) is decompose(b, seed=0)
+        assert decompose(a, seed=1) is not decompose(a)
+
+
+def test_nothing_is_cached_outside_a_scope():
+    m = regular_left(mat_units_algebra(P, 2))
+    assert hom_space(m, m).basis is not hom_space(m, m).basis
+    assert m.action.flags.writeable
+
+
+def test_argument_checks_run_inside_a_scope():
+    a, b = regular_left(mat_units_algebra(P, 2)), regular_left(dual_numbers(P))
+    with memo.scope() as s:
+        hom_space(a, a)
+        with pytest.raises(UsageError):
+            hom_space(a, b)
+        with pytest.raises(UsageError):
+            hom_space(b, a)
+        assert s.counts() == {"generating_indices": (0, 1), "hom_space": (0, 1)}
+
+
+def test_same_document_twice_in_one_process_gives_the_same_report():
+    c2 = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
+    m2 = schema.module_document(regular_left(mat_units_algebra(P, 2)))
+
+    def run(command, doc):
+        out = cli.run_documents(command, [doc], seed=0)
+        digest = report.input_digest(report.canonical_json(doc).encode())
+        return report.canonical_json(report.build_report(out, 0, digest, command))
+
+    first = run("check-coring", c2)
+    run("decompose", m2)
+    assert run("check-coring", c2) == first
