@@ -469,22 +469,42 @@ class Decomposition:
         self._verify()
 
     def _verify(self):
-        p = self.module.p
-        d = self.module.dim
-        total = linalg.zeros(d, d)
-        pairs = []
-        for s in self.summands:
-            for inj, proj in zip(s.injections, s.projections):
-                total = (total + linalg.matmul(inj, proj, p)) % p
-                pairs.append((inj, proj, s.module.dim))
-        if not np.array_equal(total, linalg.identity(d)):
+        """Check the copies split the module, as ``verify`` will.
+
+        With the injections side by side in I and the projections stacked
+        in P: I P = id, P I = id, and a I = I D(a) for every generator a of
+        the algebra, where D(a) is block diagonal with each copy's class
+        action.  So every injection is a module map, and every projection
+        too, since P = I^-1 gives D(a) P = P a.  Raises InternalCheckError.
+        """
+        mod = self.module
+        p, d = mod.p, mod.dim
+        gens = mod.algebra.generators()
+        g, n = gens.shape
+
+        def on_gens(m):
+            return linalg.matmul(gens, m.action.reshape(n, m.dim * m.dim), p).reshape(g, m.dim, m.dim)
+
+        inj = np.concatenate([linalg.zeros(d, 0)] + [i for s in self.summands for i in s.injections], axis=1)
+        proj = np.concatenate([linalg.zeros(0, d)] + [q for s in self.summands for q in s.projections], axis=0)
+        if inj.shape != (d, d):
+            raise InternalCheckError("decomposition: copy dimensions do not add up")
+        ident = linalg.identity(d)
+        if not np.array_equal(linalg.matmul(inj, proj, p), ident):
             raise InternalCheckError("decomposition: sum of inj.proj is not the identity")
-        for a, (inja, proja, da) in enumerate(pairs):
-            for b, (injb, projb, db) in enumerate(pairs):
-                prod = linalg.matmul(proja, injb, p)
-                want = linalg.identity(da) if a == b else linalg.zeros(da, db)
-                if not np.array_equal(prod, want):
-                    raise InternalCheckError("decomposition: copies are not orthogonal")
+        if not np.array_equal(linalg.matmul(proj, inj, p), ident):
+            raise InternalCheckError("decomposition: copies are not orthogonal")
+        diag = linalg.zeros(g * d, d).reshape(g, d, d)
+        o = 0
+        for s in self.summands:
+            k, acts = s.module.dim, on_gens(s.module)
+            for _ in range(s.multiplicity):
+                diag[:, o : o + k, o : o + k] = acts
+                o += k
+        lhs = linalg.matmul(on_gens(mod).reshape(g * d, d), inj, p).reshape(g, d, d)
+        rhs = linalg.matmul(inj, diag.transpose(1, 0, 2).reshape(d, g * d), p)
+        if not np.array_equal(lhs, rhs.reshape(d, g, d).transpose(1, 0, 2)):
+            raise InternalCheckError("decomposition: an injection is not a module map")
 
     def class_signature(self):
         """Multiset of (dim, multiplicity), sorted."""

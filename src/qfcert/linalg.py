@@ -9,16 +9,31 @@ two residues has magnitude at most ``(p-1) + k (p-1)^2``.  In float64 (and
 so in BLAS) such a value is kept below 2^51, two bits under the 2^53 limit
 of exact integers, so that ``_mod`` can reduce it with one multiply and a
 floor; in int64 it is kept below 2^63.  ``_exact_plan`` takes float64 when
-``k = 1`` fits there and int64 otherwise, and returns the largest ``k``:
-``matmul`` splits its inner dimension into chunks of ``k``, and ``rref``
-lets its working entries grow unreduced until the next panel could pass
-the bound.  The supported primes are the odd p with ``(p-1)^2 + p < 2^63``,
-that is p <= 3,037,000,493 (``in_range``); ``PrimeField`` and the schema
-reject larger ones.  Float64 serves every p with ``(p-1)^2 + p < 2^51``,
-that is p <= 47,453,133.
+``k = 1`` fits there and int64 otherwise, and returns the largest ``k``
+for that dtype and for int64: ``matmul`` splits its inner dimension into
+chunks of ``k``, and ``rref`` lets its working entries grow unreduced
+until the next panel could pass the bound.  The supported primes are the
+odd p with ``(p-1)^2 + p < 2^63``, that is p <= 3,037,000,493
+(``in_range``); ``PrimeField`` and the schema reject larger ones.  Float64
+serves every p with ``(p-1)^2 + p < 2^51``, that is p <= 47,453,133.
+
+Small systems skip that machinery, whose fixed cost per call outweighs
+their arithmetic.  Both switches depend on size alone:
+
+- ``matmul`` with at most ``_MATMUL_SMALL`` multiply-adds, and an inner
+  dimension within the int64 budget of ``_exact_plan``, takes one int64
+  product and one ``%``.  Each entry is a sum of at most that many
+  products of residues, so it stays under 2^63.
+- ``rref`` on at most ``_RREF_SMALL`` entries runs eager Gauss-Jordan on
+  one int64 array and reduces it after every pivot.  Each update
+  ``x - c y`` of residues then stays within ``(p-1) + (p-1)^2``, which
+  is one int64 term and so under 2^63 at every supported prime.  It finds
+  the same unique reduced form as the panel kernel.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,9 +42,14 @@ from .errors import InvalidPrime, UsageError
 Mat = np.ndarray
 
 # magnitude bounds for unreduced values, by working dtype
-_BOUNDS = ((np.float64, 2**51), (np.int64, 2**63))
+_INT64_BOUND = 2**63
+_BOUNDS = ((np.float64, 2**51), (np.int64, _INT64_BOUND))
 # below this many entries one float ``%`` beats ``_mod``'s five passes
 _MOD_SMALL = 256
+# at most this many multiply-adds, one int64 product beats the float path
+_MATMUL_SMALL = 4096
+# at most this many entries, eager Gauss-Jordan beats the panel kernel
+_RREF_SMALL = 1024
 # Miller-Rabin with these bases is deterministic for every n < 3.18e23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -63,13 +83,16 @@ def in_range(p: int) -> bool:
     return (p - 1) ** 2 + p < 2**63
 
 
+@functools.lru_cache(maxsize=None)
 def _exact_plan(p: int):
-    """``(dtype, k)``: the working dtype for F_p and the largest k such that
-    a residue plus k products of two residues stays under its bound."""
+    """``(dtype, k, k64)``: the working dtype for F_p, the largest k such
+    that a residue plus k products of two residues stays under its bound,
+    and that largest k in int64 (at least 1 at every supported prime)."""
+    p = int(p)
     sq = (p - 1) ** 2
     for dtype, bound in _BOUNDS:
         if sq + p < bound:
-            return dtype, (bound - p) // sq
+            return dtype, (bound - p) // sq, (_INT64_BOUND - p) // sq
     raise InvalidPrime(p)
 
 
@@ -131,7 +154,9 @@ def matmul(a: Mat, b: Mat, p: int) -> Mat:
         raise UsageError(f"matmul expects 2-D arrays, got {a.ndim}-D and {b.ndim}-D")
     if a.shape[1] != b.shape[0]:
         raise UsageError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    dtype, k = _exact_plan(p)
+    dtype, k, k64 = _exact_plan(p)
+    if a.shape[1] <= k64 and a.shape[0] * a.shape[1] * b.shape[1] <= _MATMUL_SMALL:
+        return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % p
     a = a.astype(dtype, copy=False)
     b = b.astype(dtype, copy=False)
     out = a[:, :k] @ b[:k]
@@ -158,8 +183,9 @@ def rref(a, p: int):
     int64 array; ``a`` is left as it is), ``pivots`` the list of pivot
     column indices in increasing order, and ``rank == len(pivots)``.
 
-    All-zero rows are set aside; they are the zero rows of the result.
-    The others, reduced mod p once, form one working array of the
+    Systems of at most ``_RREF_SMALL`` entries go to ``_rref_small``.  In
+    larger ones all-zero rows are set aside; they are the zero rows of the
+    result.  The others, reduced mod p once, form one working array of the
     ``_exact_plan`` dtype.  Elimination is Gauss-Jordan in panels: each
     pivot queues its column of multipliers and its normalised row, and a
     later pivot column or pivot row folds the queued updates in when it is
@@ -177,7 +203,10 @@ def rref(a, p: int):
     if a.ndim != 2:
         raise UsageError("rref expects a 2-D array")
     m, n = a.shape
-    dtype, terms = _exact_plan(p)
+    # small systems need only k64 >= 1, which holds at every supported prime
+    dtype, terms, _ = _exact_plan(p)
+    if a.size <= _RREF_SMALL:
+        return _rref_small(a % p, p)
     if a.size and (a.min() < 0 or a.max() >= p):
         a = a % p
     live = np.flatnonzero(a.any(axis=1))
@@ -246,6 +275,34 @@ def rref(a, p: int):
         work[:r, start:] -= fac[:r, :j] @ rows[:j, start:]
     out[:r] = _mod(work[:r], p)
     return out, pivots, r
+
+
+def _rref_small(work, p: int):
+    """Eager Gauss-Jordan on ``work``, an int64 array of residues, in place:
+    ``rref`` for small systems.  Every update ``x - c y`` reads reduced
+    entries and is reduced at once, so no entry leaves one int64 term."""
+    m, n = work.shape
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        nz = work[r:, col].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+        inv = pow(int(work[r, col]), p - 2, p)
+        # one update scales the pivot row by inv and clears col in the others:
+        # row r takes (1 - inv) times itself away, row s takes c_s inv times it
+        fac = work[:, col] * inv % p if inv != 1 else work[:, col].copy()
+        fac[r] = 1 - inv
+        work[:, col:] -= np.multiply.outer(fac, work[r, col:])
+        work[:, col:] %= p
+        pivots.append(col)
+        r += 1
+    return work, pivots, r
 
 
 def rank(a, p: int) -> int:

@@ -38,14 +38,14 @@ def _validate_action(alg: Algebra, action: Mat):
     u = linalg.matmul(alg.unit.reshape(1, n), flat, p).reshape(d, d)
     if not np.array_equal(u, ident):
         raise UnitViolation(int(np.nonzero((u - ident) % p)[0][0]) if d else 0)
+    # action[i] @ action[j] and sum_k mul[i, j, k] action[k], for every (i, j);
+    # the first mismatch in C order is the reported (i, j)
     side_by_side = action.transpose(1, 0, 2).reshape(d, n * d)
-    for i in range(n):
-        # action[i] @ action[j] and sum_k mul[i, j, k] action[k], for every j
-        lhs = linalg.matmul(action[i], side_by_side, p).reshape(d, n, d).transpose(1, 0, 2)
-        rhs = linalg.matmul(alg.mul[i], flat, p).reshape(n, d, d)
-        if not np.array_equal(lhs, rhs):
-            j = int(np.nonzero((lhs - rhs) % p)[0][0])
-            raise ModuleLawViolation(i, j)
+    lhs = linalg.matmul(action.reshape(n * d, d), side_by_side, p).reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    rhs = linalg.matmul(alg.mul.reshape(n * n, n), flat, p).reshape(n, n, d, d)
+    if not np.array_equal(lhs, rhs):
+        i, j = np.argwhere(lhs != rhs)[0][:2]
+        raise ModuleLawViolation(int(i), int(j))
 
 
 class LeftModule:
@@ -145,8 +145,9 @@ class HomSpace:
         return sol
 
     def element(self, coeffs) -> Mat:
-        c = linalg.asmat(coeffs, self.source.p).reshape(-1)
-        return np.einsum("t,tab->ab", c, self.basis) % self.source.p
+        p, dn, dm = self.source.p, self.target.dim, self.source.dim
+        c = linalg.asmat(coeffs, p).reshape(1, self.k)
+        return linalg.matmul(c, self.basis.reshape(self.k, dn * dm), p).reshape(dn, dm)
 
 
 def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:

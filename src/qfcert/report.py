@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from . import __version__
 
 YES = "yes"
@@ -95,12 +97,6 @@ def build_report(outcome: Outcome, seed: int, input_sha: str, command: str) -> d
     }
 
 
-def _deep_int(x):
-    if isinstance(x, list):
-        return [_deep_int(v) for v in x]
-    return int(x)
-
-
 def payload_array(arr):
     """numpy array -> nested plain-int lists for JSON payloads."""
-    return _deep_int(arr.tolist())
+    return np.asarray(arr, dtype=np.int64).tolist()

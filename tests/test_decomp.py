@@ -19,6 +19,8 @@ from helpers import (
 from qfcert import linalg, verify
 from qfcert.algebra import make_algebra
 from qfcert.decomp import (
+    Decomposition,
+    Summand,
     _factor_poly,
     _minpoly,
     decompose,
@@ -28,7 +30,7 @@ from qfcert.decomp import (
     iso,
     radical,
 )
-from qfcert.errors import CharTooSmall
+from qfcert.errors import CharTooSmall, InternalCheckError
 from qfcert.modrep import LeftModule, direct_sum, regular_left
 
 import random
@@ -170,6 +172,21 @@ def test_decompose_dense_conjugate_at_the_largest_prime(name):
         assert d.class_signature() == plain
         ok, reasons = verify.verify_payload(decomposition_payload(d))
         assert ok, reasons
+
+
+def test_decomposition_rejects_copies_that_are_not_module_maps():
+    # the dual numbers D split as a vector space into two copies of the
+    # trivial module (x acts by 0): the copies are complementary, but x acts
+    # on D by a nonzero nilpotent, so the first injection is no module map
+    p = 5
+    d = regular_left(dual_numbers(p))
+    trivial = trivial_module_dualnum(p)
+    eye = linalg.identity(2)
+    summand = Summand(trivial, [eye[:, :1], eye[:, 1:]], [eye[:1], eye[1:]])
+    with pytest.raises(InternalCheckError, match="injection is not a module map"):
+        Decomposition(d, [summand])
+    # the same copies of D itself pass
+    Decomposition(d, [Summand(d, [eye], [eye])])
 
 
 def test_decompose_regular_upper_triangular():

@@ -211,12 +211,15 @@ def _panel_matmul(a, b, p):
     if (p - 1) * (p - 1) * inner <= 2**53:
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64) % p
-    return (a @ b) % p
+    if (p - 1) * (p - 1) * inner < 2**63:
+        return (a @ b) % p
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 def panel_rref(a, p):
     """The panel kernel rref replaced: every flush and every read reduces
-    mod p through an exact product.  Exact while (p-1)^2 * 32 < 2^63."""
+    mod p through an exact product (on Python integers where int64 could
+    overflow), so it is exact at every prime."""
     a = np.array(np.asarray(a, dtype=np.int64) % p, dtype=np.int64)
     m, n = a.shape
     pivots = []
@@ -269,12 +272,11 @@ def panel_rref(a, p):
 
 
 @st.composite
-def systems(draw, primes):
+def systems(draw, primes, shapes=st.tuples(st.integers(0, 70), st.integers(0, 160))):
     """Matrices with dependent columns, all-zero rows, a run of zero
     columns and (sometimes) entries outside [0, p)."""
     p = draw(st.sampled_from(primes))
-    m = draw(st.integers(0, 70))
-    n = draw(st.integers(0, 160))
+    m, n = draw(shapes)
     rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
     a = rng.randint(0, p, size=(m, n)).astype(np.int64)
     if m and n:
@@ -291,10 +293,25 @@ def systems(draw, primes):
     return a, p
 
 
+@st.composite
+def shapes_around_rref_cutoff(draw):
+    """(m, n) with m n just at or below ``_RREF_SMALL`` (the eager kernel)
+    or just above it (the panel kernel)."""
+    m = draw(st.integers(1, 70))
+    cut = linalg._RREF_SMALL
+    if draw(st.booleans()):
+        return m, draw(st.integers(max(1, cut // m - 2), cut // m))
+    return m, draw(st.integers(cut // m + 1, cut // m + 3))
+
+
+PANEL_PRIMES = [3, 5, 7, 11, 20011, 6850007, P_FLOAT_TOP, P_INT_LOW, 480000019]
+
+
 # at 6850007 (float64) and 480000019 (int64) a working entry can take 47 and
-# 40 products, so a second panel of 32 forces a reduction first
-@settings(max_examples=200, deadline=None)
-@given(systems([3, 5, 7, 11, 20011, 6850007, P_FLOAT_TOP, P_INT_LOW, 480000019]))
+# 40 products, so a second panel of 32 forces a reduction first; the second
+# strategy lands on both sides of the small-system switch
+@settings(max_examples=320, deadline=None)
+@given(st.one_of(systems(PANEL_PRIMES), systems(PANEL_PRIMES + [P_LARGEST], shapes_around_rref_cutoff())))
 def test_rref_matches_panel_kernel(system):
     a, p = system
     red, pivots, rank = linalg.rref(a, p)
@@ -304,12 +321,13 @@ def test_rref_matches_panel_kernel(system):
 
 
 def test_exact_plan_switches_dtype_between_the_reference_primes():
-    assert linalg._exact_plan(P_FLOAT_TOP) == (np.float64, 1)
-    assert linalg._exact_plan(6850007) == (np.float64, 47)
-    assert linalg._exact_plan(480000019) == (np.int64, 40)
+    # the third entry is the int64 budget, which the small-system paths use
+    assert linalg._exact_plan(P_FLOAT_TOP) == (np.float64, 1, 4096)
+    assert linalg._exact_plan(6850007) == (np.float64, 47, 196565)
+    assert linalg._exact_plan(480000019) == (np.int64, 40, 40)
     assert linalg._exact_plan(P_INT_LOW)[0] is np.int64
     assert linalg._exact_plan(5)[0] is np.float64
-    assert linalg._exact_plan(P_LARGEST) == (np.int64, 1)
+    assert linalg._exact_plan(P_LARGEST) == (np.int64, 1, 1)
     with pytest.raises(InvalidPrime):
         linalg._exact_plan(P_FIRST_REJECTED)
 
@@ -360,6 +378,35 @@ def test_matmul_exact_at_large_primes(p):
     b = rng.randint(0, p, size=(70, 5)).astype(np.int64)
     expect = [[sum(int(a[i, k]) * int(b[k, j]) for k in range(70)) % p for j in range(5)] for i in range(4)]
     assert linalg.matmul(a, b, p).tolist() == expect
+
+
+def python_matmul(a, b, p):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+
+
+@pytest.mark.parametrize("p", [5, 20011, P_FLOAT_TOP, P_INT_LOW, 480000019, P_LARGEST])
+def test_matmul_on_both_sides_of_the_small_switch(p):
+    cut = linalg._MATMUL_SMALL
+    rng = np.random.RandomState(p % 1000)
+    for m, k, n in ((16, 16, 16), (16, 16, 17), (1, 64, 64), (1, 64, 65), (64, 1, 64), (65, 1, 64), (4, 4, 256), (4, 4, 257)):
+        a = rng.randint(0, p, size=(m, k)).astype(np.int64)
+        b = rng.randint(0, p, size=(k, n)).astype(np.int64)
+        a[0] = p - 1  # the largest products of residues
+        b[:, 0] = p - 1
+        assert linalg.matmul(a, b, p).tolist() == python_matmul(a, b, p), ((m, k, n), m * k * n <= cut)
+
+
+# one int64 sum holds 40 products of residues at 480000019 and one at P_LARGEST
+@pytest.mark.parametrize("p, budget", [(480000019, 40), (P_LARGEST, 1)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_matmul_straddles_the_int64_one_product_budget(p, budget, extra):
+    assert linalg._exact_plan(p)[2] == budget
+    inner = budget + extra
+    a = np.full((3, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, 2), p - 1, dtype=np.int64)
+    b[0, 1] = p - 2
+    assert 3 * inner * 2 <= linalg._MATMUL_SMALL
+    assert linalg.matmul(a, b, p).tolist() == python_matmul(a, b, p)
 
 
 def test_prime_range_bound_in_field_and_schema():

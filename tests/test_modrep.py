@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LARGEST_PRIME,
     column_module,
+    conjugated,
+    dense_basis_change,
     dual_numbers,
     group_alg,
     mat_units_algebra,
     prod_fields,
     python_nullspace,
+    s3_table,
     simple_modules_prod,
     stacked_hom_system,
     trivial_module_dualnum,
 )
 from qfcert import fixtures, linalg
 from qfcert.coring import sweedler
-from qfcert.algebra import field_algebra, make_hom, opposite
+from qfcert.algebra import field_algebra, group_algebra, make_hom, opposite
 from qfcert.errors import ActionsDoNotCommute, ModuleLawViolation, UsageError
 from qfcert.modrep import (
     Bimodule,
@@ -46,6 +50,50 @@ def test_module_validation():
         from qfcert.modrep import LeftModule
 
         LeftModule(a, act)
+
+
+def first_law_failure(alg, action):
+    """The first (i, j) in C order with action[i] action[j] != sum_k
+    mul[i, j, k] action[k], on Python integers."""
+    p, a, mul = alg.p, action.tolist(), alg.mul.tolist()
+    n, d = len(a), len(a[0])
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = [[sum(a[i][r][t] * a[j][t][c] for t in range(d)) % p for c in range(d)] for r in range(d)]
+        rhs = [[sum(mul[i][j][k] * a[k][r][c] for k in range(n)) % p for c in range(d)] for r in range(d)]
+        if lhs != rhs:
+            return i, j
+    return None
+
+
+@pytest.mark.parametrize("group, p, index, pair", [("C3", 5, 2, (1, 1)), ("S3", 7, 3, (1, 3)), ("S3", 7, 4, (1, 2))])
+def test_module_law_violation_names_the_first_failing_pair(group, p, index, pair):
+    # one entry of a non-identity basis element's action is changed, so the
+    # unit axiom still holds and the first failure comes from a product
+    a = group_alg(p, 3) if group == "C3" else group_algebra(p, s3_table())
+    act = a.left_mult.copy()
+    act[index, 0, 1] = (act[index, 0, 1] + 1) % p
+    assert first_law_failure(a, act) == pair
+    with pytest.raises(ModuleLawViolation) as exc:
+        LeftModule(a, act)
+    assert exc.value.pair == pair
+
+
+def test_hom_space_element_exact_at_the_largest_prime():
+    # a linear combination of dense hom basis maps: raw int64 sums of
+    # products of residues would overflow at this prime
+    p = LARGEST_PRIME
+    a = mat_units_algebra(p, 2)
+    for seed in range(4):
+        rng = np.random.RandomState(seed)
+        t, t_inv = dense_basis_change(a.dim, p, rng)
+        m = LeftModule(a, conjugated(a.left_mult, t, t_inv, p))
+        h = hom_space(m, m)
+        coeffs = [int(x) for x in rng.randint(0, p, size=h.k)]
+        basis = h.basis.tolist()
+        expected = [
+            [sum(c * b[r][col] for c, b in zip(coeffs, basis)) % p for col in range(m.dim)] for r in range(m.dim)
+        ]
+        assert h.element(coeffs).tolist() == expected
 
 
 def test_hom_from_regular_has_dim_of_target():
