@@ -5,12 +5,12 @@ A coring is an (A, A)-bimodule C with a comultiplication Delta: C -> C(x)_A C
 counit eps: C -> A, both A-bimodule maps, subject to coassociativity and the
 counit laws.  All laws are verified exactly at construction.
 
-Coassociativity is compared in the triple tensor product, in both
-bracketings (C (x)_A C) (x)_A C and C (x)_A (C (x)_A C).  Each is a
-quotient M (x)_A N computed from a presentation A^k -> N -> 0 of its right
-factor: M^k modulo the image of M (x) ker, a system with dim M * k columns
-where the balancing relations on M (x) N would need dim M * dim N.  Maps
-through kron(X, I) and kron(I, X) are applied by reshaping, never built.
+Coassociativity, the comodule laws and the cotensor equalizer are all
+compared in a triple tensor product, bracketed one way, (T (x)_A N) for a
+tensor product T already built: ``modrep.triple_projection`` projects raw
+triple coordinates onto it, from a presentation of the right factor N.
+Maps through kron(X, I) and kron(I, X) are applied by reshaping
+(``linalg.kron_apply``), never built.
 
 The two convolution dual rings are built on the linear duals:
 
@@ -48,85 +48,16 @@ from .linalg import Mat
 from .modrep import (
     Bimodule,
     LeftModule,
-    balanced_relations,
     hom_space,
     is_fg_projective,
     regular_bimodule,
     regular_left,
     restrict_bimodule,
     tensor_over,
+    triple_projection,
 )
 from .ringext import Extension, is_qf_extension, merge_unit_routes
 from .simdiv import is_qf_bimodule, similar, split_witness_payload
-
-
-def _module_generators(p, left_acts):
-    """Greedy generators of a left module given by its action tensor: the
-    basis vectors, in order, outside the submodule the earlier ones span."""
-    d = left_acts.shape[1]
-    gens, span = [], linalg.zeros(d, 0)
-    for v in range(d):
-        if span.shape[1] == d:
-            break
-        grown = linalg.column_space_basis(np.concatenate([span, left_acts[:, :, v].T], axis=1), p)
-        if grown.shape[1] > span.shape[1]:
-            gens.append(v)
-            span = grown
-    return gens
-
-
-def _push(p, right_acts, x, k):
-    """The vectors (m_j . x_i)_i of M^k, for every basis vector m_j of a
-    right module M and every column x of a matrix whose rows are k blocks
-    of algebra coordinates: entry [(y, i), (j, c)] is
-    sum_t right_acts[t, y, j] * x[i*dim A + t, c]."""
-    da, dm = right_acts.shape[0], right_acts.shape[1]
-    w = x.shape[1]
-    blocks = x.reshape(k, da, w).transpose(1, 0, 2).reshape(da, k * w)
-    out = linalg.matmul(right_acts.reshape(da, dm * dm).T, blocks, p)
-    return out.reshape(dm, dm, k, w).transpose(0, 2, 1, 3).reshape(dm * k, dm * w)
-
-
-def _presented_quotient(p, m_right_acts, n_left_acts):
-    """M (x)_A N from a presentation A^k -> N -> 0 of the left factor N.
-
-    With greedy generators g_1..g_k of N, P: A^k -> N sends the i-th unit
-    vector to g_i; its kernel K is a submodule and sigma is a linear
-    section of P.  Then M (x)_A N is M^k modulo the image of M (x) K:
-    (m_i) |-> sum m_i (x) g_i is an isomorphism onto it, inverted by
-    m (x) v |-> (m . sigma(v)_i)_i, which is balanced because
-    sigma(a v) - a sigma(v) lies in K.  Returns ``(proj, sect)`` between
-    raw M (x) N coordinates (index j*dim N + v) and the quotient basis,
-    with ``proj @ sect = I``; the linear systems have dim M * k columns
-    instead of dim M * dim N.
-    """
-    da, dn = n_left_acts.shape[0], n_left_acts.shape[1]
-    dm = m_right_acts.shape[1]
-    gens = _module_generators(p, n_left_acts)
-    k = len(gens)
-    # column i*da + t of the presentation is e_t . g_i
-    pres = n_left_acts[:, :, gens].transpose(1, 2, 0).reshape(dn, k * da)
-    sigma = linalg.solve_right(pres, linalg.identity(dn), p)
-    if sigma is None:
-        raise InternalCheckError("module generators do not span the module")
-    rel = _push(p, m_right_acts, linalg.nullspace(pres, p), k)
-    proj_q, sect_q = linalg.row_space_quotient(rel.T, dm * k, p)
-    proj = linalg.matmul(proj_q, _push(p, m_right_acts, sigma, k), p)
-    sect = np.zeros((dm, dn, proj_q.shape[0]), dtype=np.int64)
-    sect[:, gens] = sect_q.reshape(dm, k, -1)
-    return proj, sect.reshape(dm * dn, -1)
-
-
-def _kron_apply(p, b, s, c, eye_first):
-    """``kron(I_c, b) @ s`` if ``eye_first``, else ``kron(b, I_c) @ s``,
-    as one product with ``b`` on a reshaped ``s``.  Transposing both sides
-    gives ``a @ kron(., .)`` as well."""
-    n, q = b.shape
-    w = s.shape[1]
-    if not eye_first:
-        return linalg.matmul(b, s.reshape(q, c * w), p).reshape(n * c, w)
-    s = s.reshape(c, q, w).transpose(1, 0, 2).reshape(q, c * w)
-    return linalg.matmul(b, s, p).reshape(n, c, w).transpose(1, 0, 2).reshape(c * n, w)
 
 
 class Coring:
@@ -186,35 +117,18 @@ class Coring:
         self._check_coassociative()
 
     def _check_coassociative(self):
-        """(Delta (x) C) Delta = (C (x) Delta) Delta, compared inside the
-        triple tensor product via the associativity isomorphism between the
-        two bracketings ((C (x) C) (x) C and C (x) (C (x) C)).
+        """(Delta (x) C) Delta = (C (x) Delta) Delta, compared in the triple
+        tensor product bracketed as (C (x)_A C) (x)_A C.
 
-        Each bracketing is T (x)_A C or C (x)_A T, with T the tensor
-        square, from a presentation of its right factor
-        (``_presented_quotient``).  Maps through kron(X, I) or kron(I, X)
-        go through ``_kron_apply``, so no Kronecker matrix is built.
+        Both sides are taken in raw C (x) C (x) C coordinates, and their
+        difference must lie in the span of the two balancing families,
+        which is the kernel of ``triple_projection``: the same check as the
+        regular right comodule's coassociativity.
         """
-        p, c = self.p, self.carrier
-        t2 = self.tensor_square
-        dc = c.dim
+        p, dc = self.p, self.dim
         rep = self.delta_rep()
-        proj_l0, sect_l0 = _presented_quotient(p, t2.right_acts, c.left_acts)
-        proj_r0, sect_r0 = _presented_quotient(p, c.right_acts, t2.left_acts)
-        m_left = linalg.matmul(proj_l0, _kron_apply(p, self.delta, rep, dc, False), p)
-        m_right = linalg.matmul(proj_r0, _kron_apply(p, self.delta, rep, dc, True), p)
-        # proj @ kron(t2.proj, I) is (kron(t2.proj.T, I) @ proj.T).T
-        proj_l = _kron_apply(p, t2.proj.T, proj_l0.T, dc, False).T
-        lift_l = _kron_apply(p, t2.sect, sect_l0, dc, False)
-        proj_r = _kron_apply(p, t2.proj.T, proj_r0.T, dc, True).T
-        lift_r = _kron_apply(p, t2.sect, sect_r0, dc, True)
-        assoc = linalg.matmul(proj_l, lift_r, p)
-        if not np.array_equal(
-            linalg.matmul(assoc, linalg.matmul(proj_r, lift_l, p), p),
-            linalg.identity(proj_l0.shape[0]),
-        ):
-            raise InternalCheckError("triple-tensor rebracketing is not an isomorphism")
-        if not np.array_equal(linalg.matmul(assoc, m_right, p), m_left):
+        diff = (linalg.kron_apply(p, rep, rep, dc, False) - linalg.kron_apply(p, rep, rep, dc, True)) % p
+        if linalg.matmul(triple_projection(self.tensor_square, self.carrier), diff, p).any():
             raise NotCoassociative()
 
     # -- small accessors ------------------------------------------------
@@ -550,17 +464,10 @@ class Comodule:
                     linalg.matmul(self.tensor.right_acts[a], self.coaction, p),
                 ):
                     raise NotBimoduleMap("coaction")
-            rel_inner = balanced_relations(base, car, cbim)
-            rel_outer = balanced_relations(base, cbim, cbim)
-            rel3 = np.concatenate(
-                [
-                    np.kron(rel_inner, linalg.identity(dc)) % p,
-                    np.kron(linalg.identity(dm), rel_outer) % p,
-                ],
-                axis=0,
-            )
-            one = linalg.matmul(np.kron(self.rep, linalg.identity(dc)) % p, self.rep, p)
-            two = linalg.matmul(np.kron(linalg.identity(dm), delta_rep) % p, self.rep, p)
+            # (M (x) C) (x) C: rho twice against Delta after rho
+            proj3 = triple_projection(self.tensor, cbim)
+            one = linalg.kron_apply(p, self.rep, self.rep, dc, False)
+            two = linalg.kron_apply(p, delta_rep, self.rep, dm, True)
             eval_eps = np.einsum("ac,aij->cij", self.coring.eps, car.right_acts) % p
             counit = eval_eps.transpose(1, 2, 0).reshape(dm, dm * dc)
         else:
@@ -570,24 +477,13 @@ class Comodule:
                     linalg.matmul(self.tensor.left_acts[a], self.coaction, p),
                 ):
                     raise NotBimoduleMap("coaction")
-            rel_inner = balanced_relations(base, cbim, car)
-            rel_outer = balanced_relations(base, cbim, cbim)
-            rel3 = np.concatenate(
-                [
-                    np.kron(rel_outer, linalg.identity(dm)) % p,
-                    np.kron(linalg.identity(dc), rel_inner) % p,
-                ],
-                axis=0,
-            )
-            one = linalg.matmul(np.kron(linalg.identity(dc), self.rep) % p, self.rep, p)
-            two = linalg.matmul(np.kron(delta_rep, linalg.identity(dm)) % p, self.rep, p)
+            # (C (x) C) (x) M: lambda twice against Delta after lambda
+            proj3 = triple_projection(self.coring.tensor_square, car)
+            one = linalg.kron_apply(p, self.rep, self.rep, dc, True)
+            two = linalg.kron_apply(p, delta_rep, self.rep, dm, False)
             eval_eps = np.einsum("ac,aij->cij", self.coring.eps, car.left_acts) % p
             counit = eval_eps.transpose(1, 0, 2).reshape(dm, dm * dc)
-        diff = (one - two) % p
-        if rel3.shape[0] == 0:
-            if diff.any():
-                raise NotCoassociative()
-        elif linalg.solve_right(rel3.T, diff, p) is None:
+        if linalg.matmul(proj3, (one - two) % p, p).any():
             raise NotCoassociative()
         if not np.array_equal(linalg.matmul(counit, self.rep, p), linalg.identity(dm)):
             raise CounitFails(self.side)
@@ -676,20 +572,13 @@ def cotensor(m: Comodule, n: Comodule) -> Cotensor:
         raise UsageError("cotensor factors live over different corings")
     c = m.coring
     p = c.p
-    dm, dc, dn = m.dim, c.dim, n.dim
+    dm, dn = m.dim, n.dim
     amb = tensor_over(c.base, m.carrier, n.carrier)
-    rel_mc = balanced_relations(c.base, m.carrier, c.carrier)
-    rel_cn = balanced_relations(c.base, c.carrier, n.carrier)
-    rel3 = np.concatenate(
-        [
-            np.kron(rel_mc, linalg.identity(dn)) % p,
-            np.kron(linalg.identity(dm), rel_cn) % p,
-        ],
-        axis=0,
-    )
-    proj3, _ = linalg.row_space_quotient(rel3, dm * dc * dn, p)
-    route_m = linalg.matmul(np.kron(m.rep, linalg.identity(dn)) % p, amb.sect, p)
-    route_n = linalg.matmul(np.kron(linalg.identity(dm), n.rep) % p, amb.sect, p)
+    # onto (M (x) C) (x) N; any projection with the same kernel differs by
+    # an invertible factor on the left, so the equalizer nullspace is the same
+    proj3 = triple_projection(m.tensor, n.carrier)
+    route_m = linalg.kron_apply(p, m.rep, amb.sect, dn, False)
+    route_n = linalg.kron_apply(p, n.rep, amb.sect, dm, True)
     equalizer = linalg.matmul(proj3, (route_m - route_n) % p, p)
     basis = linalg.nullspace(equalizer, p)
     # surviving outer actions, restricted to the equalizer

@@ -172,6 +172,18 @@ def matmul_chain(p: int, *mats: Mat) -> Mat:
     return out
 
 
+def kron_apply(p: int, b: Mat, s: Mat, c: int, eye_first: bool) -> Mat:
+    """``kron(I_c, b) @ s`` if ``eye_first``, else ``kron(b, I_c) @ s``,
+    as one product with ``b`` on a reshaped ``s``, so no Kronecker matrix
+    is built.  Transposing both sides gives ``a @ kron(., .)`` as well."""
+    n, q = b.shape
+    w = s.shape[1]
+    if not eye_first:
+        return matmul(b, s.reshape(q, c * w), p).reshape(n * c, w)
+    s = s.reshape(c, q, w).transpose(1, 0, 2).reshape(q, c * w)
+    return matmul(b, s, p).reshape(n, c, w).transpose(1, 0, 2).reshape(c * n, w)
+
+
 _RREF_PANEL = 32
 _RREF_SCAN = 64
 

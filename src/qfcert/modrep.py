@@ -7,11 +7,16 @@ one-sided action families plus the induced left module over the enveloping
 algebra R (x) S^op (basis pair (i, j) at index i*dim(S)+j acts by
 ``left[i] @ right[j]``).
 
-Balanced tensor products M (x)_S N are computed as explicit quotients of
-the vector-space tensor product; the quotient basis is the set of
-non-pivot coset representatives of the row-reduced relation space, and the
-returned object carries the projection/section pair so that callers can
-transport maps along the quotient.
+Every balanced tensor product M (x)_S N comes from one routine,
+``_presented_projection``: with a presentation S^k -> N -> 0 of the right
+factor, M (x)_S N is M^k modulo the image of M (x) ker, a system with
+dim M * k columns instead of dim M * dim N.  ``tensor_over`` then recovers
+the canonical basis from that projection, the unique one that is the
+identity on the non-pivot columns of the balancing relations' rref, so the
+basis does not depend on the generators taken.  The returned object
+carries the projection/section pair so that callers can transport maps
+along the quotient.  Triple products (M (x) M') (x) N go through the same
+routine (``triple_projection``).
 """
 
 from __future__ import annotations
@@ -207,22 +212,25 @@ class Bimodule:
         self.dim = self.left_acts.shape[1]
         if self.right_acts.shape[1] != self.dim:
             raise UsageError("left and right actions act on different spaces")
+        d, nl, nr = self.dim, left_alg.dim, right_alg.dim
+        la, ra = self.left_acts, self.right_acts
+        # left[i] @ right[j] for every pair (i, j), as one product
+        carrier_action = linalg.matmul(la.reshape(nl * d, d), ra.transpose(1, 0, 2).reshape(d, nr * d), p)
+        carrier_action = carrier_action.reshape(nl, d, nr, d).transpose(0, 2, 1, 3)
         if _validate:
-            _validate_action(left_alg, self.left_acts)
-            _validate_action(opposite(right_alg), self.right_acts)
-            # compatibility (a m) b = a (m b)
-            lhs = np.einsum("iab,jbc->ijac", self.left_acts, self.right_acts) % p
-            rhs = np.einsum("jab,ibc->ijac", self.right_acts, self.left_acts) % p
-            if not np.array_equal(lhs, rhs):
-                w = np.nonzero((lhs - rhs) % p)
-                raise ActionsDoNotCommute(int(w[0][0]), int(w[1][0]))
+            _validate_action(left_alg, la)
+            _validate_action(opposite(right_alg), ra)
+            # compatibility (a m) b = a (m b); the first mismatch in C order
+            # is the reported (i, j)
+            rhs = linalg.matmul(ra.reshape(nr * d, d), la.transpose(1, 0, 2).reshape(d, nl * d), p)
+            rhs = rhs.reshape(nr, d, nl, d).transpose(2, 0, 1, 3)
+            if not np.array_equal(carrier_action, rhs):
+                i, j = np.argwhere(carrier_action != rhs)[0][:2]
+                raise ActionsDoNotCommute(int(i), int(j))
         self.env = env if env is not None else enveloping(left_alg, right_alg)
-        carrier_action = (
-            np.einsum("iab,jbc->ijac", self.left_acts, self.right_acts) % p
-        ).reshape(left_alg.dim * right_alg.dim, self.dim, self.dim)
         # module laws over the enveloping algebra follow from the three
         # validations above, so the carrier skips re-validation.
-        self.carrier = LeftModule(self.env, carrier_action, _validate=False)
+        self.carrier = LeftModule(self.env, carrier_action.reshape(nl * nr, d, d), _validate=False)
 
     @property
     def p(self) -> int:
@@ -295,50 +303,111 @@ class BalancedTensor(Bimodule):
         return linalg.matmul(self.proj, w.reshape(-1, 1), p).reshape(-1)
 
 
-def balanced_relations(s_alg: Algebra, m: Bimodule, n: Bimodule) -> Mat:
-    """Rows spanning the balancing subspace of the full tensor space.
+def _generators(p, left_acts) -> list:
+    """Greedy generators of a left module given by its action tensor: the
+    basis vectors e_v, in order, outside the submodule that the earlier
+    ones span.  One rref of the blocks [A e_0 | A e_1 | ...] finds them
+    all, since e_v is kept exactly when block v holds a pivot."""
+    da, d = left_acts.shape[0], left_acts.shape[1]
+    # column v*da + t is e_t . e_v
+    _, pivots, _ = linalg.rref(left_acts.transpose(1, 2, 0).reshape(d, d * da), p)
+    return list(dict.fromkeys(c // da for c in pivots))
 
-    The subspace is spanned by (m s) (x) n - m (x) (s n) over algebra
-    generators s; quotienting the dm*dn space by it gives M (x)_S N.
+
+def _push(p, right_acts, x, k):
+    """The vectors (m_j . x_i)_i of M^k, for every basis vector m_j of a
+    right module M and every column x of a matrix whose rows are k blocks
+    of algebra coordinates: entry [(y, i), (j, c)] is
+    sum_t right_acts[t, y, j] * x[i*dim A + t, c]."""
+    da, dm = right_acts.shape[0], right_acts.shape[1]
+    w = x.shape[1]
+    blocks = x.reshape(k, da, w).transpose(1, 0, 2).reshape(da, k * w)
+    out = linalg.matmul(right_acts.reshape(da, dm * dm).T, blocks, p)
+    return out.reshape(dm, dm, k, w).transpose(0, 2, 1, 3).reshape(dm * k, dm * w)
+
+
+def _presented_projection(p, m_right_acts, n_left_acts) -> Mat:
+    """The projection of raw M (x) N coordinates (index j*dim N + v) onto
+    M (x)_A N, from a presentation A^k -> N -> 0 of the right factor.
+
+    With greedy generators g_1..g_k of N, P: A^k -> N sends the i-th unit
+    vector to g_i; its kernel K is a submodule and sigma is a linear
+    section of P.  Then M (x)_A N is M^k modulo the image of M (x) K:
+    (m_i) |-> sum m_i (x) g_i is an isomorphism onto it, inverted by
+    m (x) v |-> (m . sigma(v)_i)_i, which is balanced because
+    sigma(a v) - a sigma(v) lies in K.  The linear systems have dim M * k
+    columns instead of dim M * dim N, and the kernel of the result is the
+    balancing subspace whatever generators are taken.
     """
-    p = s_alg.p
-    dm, dn = m.dim, n.dim
-    eye_m, eye_n = linalg.identity(dm), linalg.identity(dn)
-    rel_rows = []
-    for g in s_alg.generating_indices():
-        diff = (np.kron(m.right_acts[g], eye_n) - np.kron(eye_m, n.left_acts[g])) % p
-        rel_rows.append(diff.T)
-    if not rel_rows:
-        return linalg.zeros(0, dm * dn)
-    return np.concatenate(rel_rows, axis=0)
+    da, dn = n_left_acts.shape[0], n_left_acts.shape[1]
+    dm = m_right_acts.shape[1]
+    gens = _generators(p, n_left_acts)
+    k = len(gens)
+    # column i*da + t of the presentation is e_t . g_i
+    pres = n_left_acts[:, :, gens].transpose(1, 2, 0).reshape(dn, k * da)
+    sigma = linalg.solve_right(pres, linalg.identity(dn), p)
+    if sigma is None:
+        raise InternalCheckError("module generators do not span the module")
+    rel = _push(p, m_right_acts, linalg.nullspace(pres, p), k)
+    proj_q, _ = linalg.row_space_quotient(rel.T, dm * k, p)
+    return linalg.matmul(proj_q, _push(p, m_right_acts, sigma, k), p)
+
+
+def _moved_classes(p, proj, acts, c, eye_first):
+    """``proj @ kron(X, I_c)`` (or ``kron(I_c, X)`` if ``eye_first``) for
+    every X in the stack ``acts``, as a (len(acts), q, dim) stack."""
+    k, d, q = acts.shape[0], acts.shape[1], proj.shape[0]
+    # proj @ kron(X, I) is (kron(X.T, I) @ proj.T).T, and X.T stacks by rows
+    moved = linalg.kron_apply(p, acts.transpose(0, 2, 1).reshape(k * d, d), proj.T, c, eye_first)
+    if eye_first:
+        moved = moved.reshape(c, k, d, q).transpose(1, 0, 2, 3)
+    return moved.reshape(k, d * c, q).transpose(0, 2, 1)
 
 
 def tensor_over(s_alg: Algebra, m: Bimodule, n: Bimodule) -> BalancedTensor:
-    """Balanced tensor product of an (R, S)- and an (S, T)-bimodule."""
+    """Balanced tensor product of an (R, S)- and an (S, T)-bimodule.
+
+    The kernel comes from ``_presented_projection``; the basis is the
+    canonical one, the unique projection that is the identity on the
+    non-pivot columns of the balancing relations' rref.  Those columns are
+    the pivots of the kernel's annihilator reduced in reversed column
+    order, so one rref of the reversed presented projection recovers it.
+    """
     if not (equal_algebras(m.right_alg, s_alg) and equal_algebras(n.left_alg, s_alg)):
         raise UsageError("tensor_over: middle algebra does not match the factors")
     p = s_alg.p
     dm, dn = m.dim, n.dim
     dim0 = dm * dn
-    eye_m, eye_n = linalg.identity(dm), linalg.identity(dn)
-    rel = balanced_relations(s_alg, m, n)
-    proj, sect = linalg.row_space_quotient(rel, dim0, p)
-    la = np.stack(
-        [linalg.matmul_chain(p, proj, np.kron(m.left_acts[a], eye_n) % p, sect) for a in range(m.left_alg.dim)]
-    )
-    ra = np.stack(
-        [linalg.matmul_chain(p, proj, np.kron(eye_m, n.right_acts[b]) % p, sect) for b in range(n.right_alg.dim)]
-    )
-    out = BalancedTensor(s_alg, m, n, m.left_alg, n.right_alg, la, ra, proj, sect)
-    # spot-check representative independence of the induced actions
-    if rel.shape[0]:
-        rng = np.random.RandomState(0)
-        combo = rel.T @ rng.randint(0, p, size=(rel.shape[0], 3)) % p
-        for a in range(min(2, m.left_alg.dim)):
-            img = linalg.matmul_chain(p, proj, np.kron(m.left_acts[a], eye_n) % p, combo)
-            if img.any():
-                raise InternalCheckError("balanced tensor action not well-defined")
-    return out
+    presented = _presented_projection(p, m.right_acts, n.left_acts)
+    q = presented.shape[0]
+    red, pivots, _ = linalg.rref(presented[:, ::-1], p)
+    proj = np.ascontiguousarray(red[::-1, ::-1])
+    free = [dim0 - 1 - c for c in reversed(pivots)]
+    sect = linalg.zeros(dim0, q)
+    sect[free, range(q)] = 1
+    # an outer action is well defined on classes when proj X = (proj X sect) proj
+    induced = []
+    for acts, c, eye_first in ((m.left_acts, dn, False), (n.right_acts, dm, True)):
+        moved = _moved_classes(p, proj, acts, c, eye_first)
+        on_classes = moved[:, :, free]
+        k = acts.shape[0]
+        lifted = linalg.matmul(on_classes.reshape(k * q, q), proj, p)
+        if not np.array_equal(lifted, moved.reshape(k * q, dim0)):
+            raise InternalCheckError("balanced tensor action not well-defined")
+        induced.append(on_classes)
+    return BalancedTensor(s_alg, m, n, m.left_alg, n.right_alg, induced[0], induced[1], proj, sect)
+
+
+def triple_projection(t: BalancedTensor, n: Bimodule) -> Mat:
+    """The projection of raw M (x) M' (x) N coordinates onto
+    (M (x) M') (x) N for ``t`` = M (x) M' and a third factor ``n``: the
+    presented ``t`` (x) N projection after kron(t.proj, I).  Its kernel is
+    spanned by both balancing families, (M-M' relations) (x) N and
+    M (x) (M'-N relations)."""
+    p = t.p
+    presented = _presented_projection(p, t.right_acts, n.left_acts)
+    # presented @ kron(t.proj, I) is (kron(t.proj.T, I) @ presented.T).T
+    return linalg.kron_apply(p, t.proj.T, presented.T, n.dim, False).T
 
 
 def left_dual(m: Bimodule) -> Bimodule:

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from qfcert import linalg
 from qfcert.algebra import group_algebra, make_algebra
 from qfcert.modrep import LeftModule, Bimodule
 
@@ -157,6 +158,25 @@ def stacked_hom_system(source, target):
         for i in range(source.algebra.dim)
     ]
     return np.concatenate(rows) % source.p
+
+
+def balanced_relations(s_alg, m, n):
+    """Rows spanning the balancing subspace of the full tensor space
+    M (x) N (index i*dim N + j): (m s) (x) n - m (x) (s n) over the
+    algebra generators s."""
+    p = s_alg.p
+    eye_m, eye_n = np.eye(m.dim, dtype=np.int64), np.eye(n.dim, dtype=np.int64)
+    rows = [
+        ((np.kron(m.right_acts[g], eye_n) - np.kron(eye_m, n.left_acts[g])) % p).T
+        for g in s_alg.generating_indices()
+    ]
+    return np.concatenate(rows) if rows else np.zeros((0, m.dim * n.dim), dtype=np.int64)
+
+
+def balancing_quotient(s_alg, m, n):
+    """``(proj, sect)`` of M (x)_S N as the full tensor space modulo the
+    balancing relations: the reference the presented quotients must match."""
+    return linalg.row_space_quotient(balanced_relations(s_alg, m, n), m.dim * n.dim, s_alg.p)
 
 
 LARGEST_PRIME = 3037000493  # the largest prime the schema accepts

@@ -141,6 +141,19 @@ def test_prime_outside_supported_range_exit_2(tmp_path, capsys):
         assert "supported range" in capsys.readouterr().err
 
 
+def test_zero_dimensional_coring_exits_cleanly(tmp_path, capsys):
+    # the schema accepts a 0-dim carrier: exit 2 or a verdict, never a traceback
+    field = {"dim": 1, "mul": [[[1]]], "unit": [1]}
+    dualnum = schema.algebra_document(dual_numbers(5))
+    for base in (field, dualnum):
+        n = base["dim"]
+        carrier = {"dim": 0, "left_action": [[]] * n, "right_action": [[]] * n}
+        body = {"base": base, "carrier": carrier, "delta": [], "eps": [[]] * n}
+        doc = write_doc(tmp_path, "zero.json", {"p": 5, "coring": body})
+        assert cli.main(["check-coring", doc]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_internal_check_error_exit_3(tmp_path, monkeypatch):
     doc = write_doc(tmp_path, "ext.json", hom_doc(unit_extension(dual_numbers(5))))
 

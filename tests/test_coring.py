@@ -7,8 +7,6 @@ from qfcert import cli, decomp, fixtures, linalg, report, schema, simdiv
 from qfcert.algebra import Algebra, EnvelopingAlgebra, field_algebra, identity_hom, make_algebra, make_hom
 from qfcert.coring import (
     Comodule,
-    _module_generators,
-    _presented_quotient,
     comodule_to_module,
     cotensor,
     cotensor_map,
@@ -30,10 +28,26 @@ from qfcert.errors import (
     UsageError,
     ValidationError,
 )
-from qfcert.modrep import Bimodule, as_bimodule, balanced_relations, regular_bimodule, tensor_over
+from qfcert.modrep import (
+    Bimodule,
+    _generators,
+    _presented_projection,
+    as_bimodule,
+    regular_bimodule,
+    tensor_over,
+    triple_projection,
+)
 from qfcert.ringext import Extension
 
-from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
+from helpers import (
+    LARGEST_PRIME,
+    balanced_relations,
+    balancing_quotient,
+    count_calls,
+    dual_numbers,
+    group_alg,
+    mat_units_algebra,
+)
 
 P = 5
 
@@ -200,38 +214,72 @@ def test_non_coassociative_rejected_over_a_larger_base(base):
     assert base_changed_coring(base, good).dim == 3 * base.dim
 
 
-def _stage_quotient(p, gens, left_right_acts, right_left_acts, dl, dr):
-    """The quotient the coassociativity check used before presentations:
-    the (dl*dr)-dim space modulo the middle-balancing relations."""
-    eye_l, eye_r = linalg.identity(dl), linalg.identity(dr)
-    rows = []
-    for g in gens:
-        diff = (np.kron(left_right_acts[g], eye_r) - np.kron(eye_l, right_left_acts[g])) % p
-        rows.append(diff.T)
-    rel = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, dl * dr)
-    return linalg.row_space_quotient(rel, dl * dr, p)
+def zero_bimodule(a):
+    z = np.zeros((a.dim, 0, 0), dtype=np.int64)
+    return Bimodule(a, a, z, z)
+
+
+def quotient_pairs(p):
+    """Bimodule pairs (M, N) whose presentation of N has a kernel K != 0,
+    then two with a zero-dimensional factor."""
+    m2 = fixtures.mat_units_algebra(p, 2)
+    dn = fixtures.dual_numbers(p)
+    ext = fixtures.unit_extension(m2)
+    sw_m2 = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)  # the M2 Sweedler carrier
+    with_kernel = [
+        (regular_bimodule(dn), as_bimodule(fixtures.socle_module_dualnum(p))),
+        (regular_bimodule(m2), as_bimodule(fixtures.column_module(p))),
+        (sw_m2, sw_m2),
+    ]
+    return with_kernel, [(regular_bimodule(dn), zero_bimodule(dn)), (zero_bimodule(dn), regular_bimodule(dn))]
 
 
 def test_presented_quotient_matches_the_balancing_quotient():
-    m2 = fixtures.mat_units_algebra(P, 2)
-    sw_m2 = sweedler(fixtures.unit_extension(m2)).carrier
-    pairs = [
-        (regular_bimodule(fixtures.dual_numbers(P)), as_bimodule(fixtures.socle_module_dualnum(P))),
-        (regular_bimodule(m2), as_bimodule(fixtures.column_module(P))),
-        (sw_m2, sw_m2),
-    ]
-    for m, n in pairs:
-        s_alg = m.right_alg
-        # the greedy presentation has a kernel: k generators, k * dim A > dim N
-        assert len(_module_generators(P, n.left_acts)) * s_alg.dim > n.dim
-        proj, sect = _presented_quotient(P, m.right_acts, n.left_acts)
-        q = proj.shape[0]
-        assert np.array_equal(linalg.matmul(proj, sect, P), linalg.identity(q))
-        assert not linalg.matmul(proj, balanced_relations(s_alg, m, n).T, P).any()
-        assert q == tensor_over(s_alg, m, n).dim
-        ref, _ = _stage_quotient(P, s_alg.generating_indices(), m.right_acts, n.left_acts, m.dim, n.dim)
-        # same kernel: the two projections span the same row space
-        assert linalg.rank(np.concatenate([proj, ref]), P) == q == ref.shape[0]
+    for p in (P, 20011, 47_453_149, LARGEST_PRIME):
+        with_kernel, zero_dim = quotient_pairs(p)
+        for m, n in with_kernel:
+            # k generators, k * dim A > dim N
+            assert len(_generators(p, n.left_acts)) * m.right_alg.dim > n.dim
+        for m, n in with_kernel + zero_dim:
+            s_alg = m.right_alg
+            presented = _presented_projection(p, m.right_acts, n.left_acts)
+            ref_proj, ref_sect = balancing_quotient(s_alg, m, n)
+            q = ref_proj.shape[0]
+            # same kernel: the two projections span the same row space
+            assert presented.shape == ref_proj.shape
+            assert linalg.rank(np.concatenate([presented, ref_proj]), p) == q == linalg.rank(presented, p)
+            # and the canonical basis recovered from it is the reference's
+            t = tensor_over(s_alg, m, n)
+            assert np.array_equal(t.proj, ref_proj) and np.array_equal(t.sect, ref_sect)
+
+
+@pytest.fixture(scope="module")
+def sweedler_m2():
+    return sweedler(unit_extension(mat_units_algebra(P, 2)))
+
+
+@pytest.mark.parametrize("name", ["sweedler-dualnum", "glued", "sweedler-m2"])
+def test_triple_projection_kernel_is_both_balancing_families(name, sweedler_dualnum, glued, sweedler_m2):
+    c = {"sweedler-dualnum": sweedler_dualnum, "glued": glued, "sweedler-m2": sweedler_m2}[name]
+    dc = c.dim
+    rel = balanced_relations(c.base, c.carrier, c.carrier)
+    proj3 = triple_projection(c.tensor_square, c.carrier)
+    q3 = proj3.shape[0]
+    # proj3 kills rel (x) C and C (x) rel, the rows of the reference rel3
+    assert not linalg.kron_apply(P, rel, proj3.T, dc, False).any()
+    assert not linalg.kron_apply(P, rel, proj3.T, dc, True).any()
+    # and kills nothing else: rel3 has rank dc^3 - q3.  That rank is the
+    # rank of rel (x) C plus that of C (x) rel on the first one's kernel,
+    # kron(Z, I) for a nullspace basis Z of rel
+    red, _, r = linalg.rref(rel, P)
+    z = linalg.nullspace(rel, P)
+    on_kernel = linalg.kron_apply(P, red[:r], np.kron(z, np.eye(dc, dtype=np.int64)), dc, True)
+    rel3_rank = r * dc + linalg.rank(on_kernel, P)
+    if dc**3 <= 729:
+        eye = np.eye(dc, dtype=np.int64)
+        rel3 = np.concatenate([np.kron(rel, eye), np.kron(eye, rel)]) % P
+        assert linalg.rank(rel3, P) == rel3_rank
+    assert linalg.rank(proj3, P) == q3 == dc**3 - rel3_rank
 
 
 def test_glued_coring_is_valid(glued):

@@ -49,7 +49,7 @@ def test_check_coring_memo_counts(scopes):
         "decompose": (5, 5),
         "enveloping": (11, 3),
         "find_idempotent": (12, 3),
-        "generating_indices": (71, 3),
+        "generating_indices": (70, 3),
         "hom_space": (52, 34),
     }
 

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     LARGEST_PRIME,
+    balancing_quotient,
     column_module,
     conjugated,
     dense_basis_change,
@@ -15,15 +16,17 @@ from helpers import (
     mat_units_algebra,
     prod_fields,
     python_nullspace,
+    rebased,
     s3_table,
     simple_modules_prod,
     stacked_hom_system,
     trivial_module_dualnum,
+    upper_triangular2,
 )
 from qfcert import fixtures, linalg
 from qfcert.coring import sweedler
-from qfcert.algebra import field_algebra, group_algebra, make_hom, opposite
-from qfcert.errors import ActionsDoNotCommute, ModuleLawViolation, UsageError
+from qfcert.algebra import field_algebra, group_algebra, make_algebra, make_hom, opposite
+from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
 from qfcert.modrep import (
     Bimodule,
     LeftModule,
@@ -96,6 +99,31 @@ def test_hom_space_element_exact_at_the_largest_prime():
         assert h.element(coeffs).tolist() == expected
 
 
+SMALL_ALGEBRAS = {
+    "m2": lambda p: mat_units_algebra(p, 2),
+    "c3": lambda p: group_alg(p, 3),
+    "t2": upper_triangular2,
+    "dualnum": dual_numbers,
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_ALGEBRAS))
+def test_regular_bimodule_and_tensor_square_at_the_largest_prime(name):
+    # in a dense basis, products of residues summed over the algebra's
+    # dimension pass 2^63: the bimodule law check, the carrier action and
+    # the tensor product's well-definedness check must multiply exactly
+    p = LARGEST_PRIME
+    plain = SMALL_ALGEBRAS[name](p)
+    for seed in range(4):
+        t, t_inv = dense_basis_change(plain.dim, p, np.random.RandomState(seed))
+        a = make_algebra(p, *rebased(plain, t, t_inv))
+        reg = regular_bimodule(a)
+        sq = tensor_over(a, reg, reg)
+        assert sq.dim == a.dim
+        proj, sect = balancing_quotient(a, reg, reg)
+        assert np.array_equal(sq.proj, proj) and np.array_equal(sq.sect, sect)
+
+
 def test_hom_from_regular_has_dim_of_target():
     # Hom_A(A, M) ~ M for any M (evaluation at 1)
     p = 5
@@ -150,6 +178,23 @@ def test_bimodule_from_actions_commutation_check():
         bimodule_from_actions(a, a, la, ra)
 
 
+def test_bimodule_commutation_failure_names_the_first_pair():
+    # F5^3 acts on the right through (0, P0, 1 - P0): left action 0 commutes
+    # with right action 0 but not with right action 1, so the first failing
+    # pair in C order is (0, 1)
+    p = 5
+    a = prod_fields(p)
+    mul = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        mul[i, i, i] = 1
+    b = make_algebra(p, mul, [1, 1, 1])
+    p0 = np.array([[1, 1], [0, 0]], dtype=np.int64)
+    ra = np.stack([np.zeros((2, 2), dtype=np.int64), p0, (linalg.identity(2) - p0) % p])
+    with pytest.raises(ActionsDoNotCommute) as exc:
+        Bimodule(a, b, a.left_mult, ra)
+    assert exc.value.pair == (0, 1)
+
+
 def test_regular_bimodule_and_restriction():
     p = 7
     a = group_alg(p, 3)
@@ -202,6 +247,20 @@ def test_tensor_balanced_relation():
     x = np.array([0, 1])
     one = np.array([1, 0])
     assert np.array_equal(tt.pure(x, one), tt.pure(one, x))
+
+
+def test_tensor_over_rejects_an_action_not_defined_on_classes():
+    # over F5 x F5, two idempotent splittings of F5^2 that do not commute,
+    # let through unvalidated: the left action does not respect balancing
+    p = 5
+    a = prod_fields(p)
+    left = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    right = np.array([[[1, 1], [0, 0]], [[0, 4], [0, 1]]])
+    with pytest.raises(ActionsDoNotCommute):
+        Bimodule(a, a, left, right)
+    m = Bimodule(a, a, left, right, _validate=False)
+    with pytest.raises(InternalCheckError, match="not well-defined"):
+        tensor_over(a, m, regular_bimodule(a))
 
 
 def test_tensor_side_mismatch_raises():
