@@ -89,12 +89,15 @@ class Algebra:
         return linalg.matmul(linalg.asmat(y, p).reshape(1, n), xm.reshape(n, n), p).reshape(-1)
 
     def left_mult_matrix(self, x) -> Mat:
-        x = linalg.asmat(x, self.p).reshape(-1)
-        return np.einsum("i,iab->ab", x, self.left_mult) % self.p
+        return self._combine(x, self.left_mult)
 
     def right_mult_matrix(self, x) -> Mat:
-        x = linalg.asmat(x, self.p).reshape(-1)
-        return np.einsum("i,iab->ab", x, self.right_mult) % self.p
+        return self._combine(x, self.right_mult)
+
+    def _combine(self, x, mats) -> Mat:
+        # sum_i x_i mats[i], as one exact product
+        n, p = self.dim, self.p
+        return linalg.matmul(linalg.asmat(x, p).reshape(1, n), mats.reshape(n, n * n), p).reshape(n, n)
 
     def power(self, x, k: int) -> Mat:
         out = self.unit.copy()
@@ -110,9 +113,10 @@ class Algebra:
         """A (greedy, deterministic) generating subset of the basis.
 
         Returned as a tuple of basis indices whose generated unital
-        subalgebra is everything.  Balancing relations and ``generators``
-        use it; an enveloping algebra's ``generators`` come from its
-        factors' indices, so this closure never runs on an envelope.
+        subalgebra is everything.  ``generators`` uses it, for the
+        module-map checks of a decomposition; an enveloping algebra's
+        ``generators`` come from its factors' indices, so this closure
+        never runs on an envelope.
         Validation never uses this shortcut.
         """
         return memo.cached("generating_indices", _generating_indices, self)

@@ -233,23 +233,14 @@ def _convolution_ring(c: Coring, side: str) -> DualRing:
     else:
         h = hom_space(restrict_bimodule(car, "right"), regular_left(opposite(base)))
     k = h.k
-    acts = np.zeros((k, dc, dc), dtype=np.int64)
-    for t in range(k):
-        if side == "left":
-            w = np.einsum("ay,aij->yij", h.basis[t], car.right_acts) % p
-            big = w.transpose(1, 2, 0).reshape(dc, dc * dc)
-        else:
-            w = np.einsum("ax,aij->xij", h.basis[t], car.left_acts) % p
-            big = w.transpose(1, 0, 2).reshape(dc, dc * dc)
-        acts[t] = linalg.matmul(big, rep, p)
-    mul = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        if side == "left":
-            prods = np.matmul(h.basis, acts[i]) % p  # f_i * f_j = f_j . mu_i
-            mul[i] = h.coords_batch(prods).T
-        else:
-            prods = np.matmul(h.basis[i], acts) % p  # f_i * f_j = f_i . nu_j
-            mul[i] = h.coords_batch(prods).T
+    # w[t, x, i, j] = sum_a f_t[a, x] X_a[i, j], for X the action on the other side
+    other = car.right_acts if side == "left" else car.left_acts
+    w = linalg.matmul(h.basis.transpose(0, 2, 1).reshape(k * dc, da), other.reshape(da, dc * dc), p)
+    w = w.reshape(k, dc, dc, dc).transpose((0, 2, 3, 1) if side == "left" else (0, 2, 1, 3))
+    acts = linalg.matmul(w.reshape(k * dc, dc * dc), rep, p).reshape(k, dc, dc)
+    # left: f_i * f_j = f_j . mu_i; right: f_i * f_j = f_i . nu_j
+    on_basis = h.action(linalg.matmul_pairs(h.basis, acts, p))
+    mul = on_basis.transpose((2, 0, 1) if side == "left" else (0, 2, 1))
     unit = h.coords(c.eps)
     if unit is None:
         raise InternalCheckError("counit does not lie in the dual hom space")
@@ -257,16 +248,12 @@ def _convolution_ring(c: Coring, side: str) -> DualRing:
         alg = make_algebra(p, mul, unit)
     except ValidationError as exc:
         raise InternalCheckError(f"convolution ring fails algebra laws: {exc}") from exc
-    embed_mat = linalg.zeros(k, da)
-    for t in range(da):
-        if side == "left":
-            image = linalg.matmul(base.right_mult[t], c.eps, p)  # eps(.) a
-        else:
-            image = linalg.matmul(base.left_mult[t], c.eps, p)  # a eps(.)
-        col = h.coords(image)
-        if col is None:
-            raise InternalCheckError("base embedding image escapes the dual hom space")
-        embed_mat[:, t] = col
+    # the image of e_t is eps(.) e_t on the left side, e_t eps(.) on the right
+    mult = base.right_mult if side == "left" else base.left_mult
+    images = linalg.matmul(mult.reshape(da * da, da), c.eps, p).reshape(da, da * dc)
+    embed_mat = linalg.solve_right(h.matrix(), images.T, p)
+    if embed_mat is None:
+        raise InternalCheckError("base embedding image escapes the dual hom space")
     try:
         embed = AlgebraHom(base, alg, embed_mat)
     except ValidationError as exc:
@@ -293,13 +280,8 @@ def carrier_over_left_dual(c: Coring, dl: DualRing) -> Bimodule:
 
 def left_dual_as_bimodule(c: Coring, dl: DualRing) -> Bimodule:
     """*C as an (A, *C)-bimodule: (a.f)(x) = f(x a), right regular."""
-    p = c.p
-    k = dl.dim
-    la = np.zeros((c.base.dim, k, k), dtype=np.int64)
-    for a in range(c.base.dim):
-        transformed = np.matmul(dl.basis, c.carrier.right_acts[a]) % p
-        la[a] = dl.hom.coords_batch(transformed)
-    return Bimodule(c.base, dl.algebra, la, dl.algebra.right_mult)
+    moved = linalg.matmul_pairs(dl.basis, c.carrier.right_acts, c.p).transpose(1, 0, 2, 3)
+    return Bimodule(c.base, dl.algebra, dl.hom.action(moved), dl.algebra.right_mult)
 
 
 def carrier_over_right_dual(c: Coring, dr: DualRing) -> Bimodule:
@@ -309,13 +291,8 @@ def carrier_over_right_dual(c: Coring, dr: DualRing) -> Bimodule:
 
 def right_dual_as_bimodule(c: Coring, dr: DualRing) -> Bimodule:
     """C* as a (C*, A)-bimodule: left regular, (f.a)(x) = f(a x)."""
-    p = c.p
-    k = dr.dim
-    ra = np.zeros((c.base.dim, k, k), dtype=np.int64)
-    for a in range(c.base.dim):
-        transformed = np.matmul(dr.basis, c.carrier.left_acts[a]) % p
-        ra[a] = dr.hom.coords_batch(transformed)
-    return Bimodule(dr.algebra, c.base, dr.algebra.left_mult, ra)
+    moved = linalg.matmul_pairs(dr.basis, c.carrier.left_acts, c.p).transpose(1, 0, 2, 3)
+    return Bimodule(dr.algebra, c.base, dr.algebra.left_mult, dr.hom.action(moved))
 
 
 def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:

@@ -214,21 +214,18 @@ class EndomorphismRing(Algebra):
         self.matrices = matrices  # (k, d, d)
 
     def matrix_of(self, coords) -> Mat:
-        c = linalg.asmat(coords, self.p).reshape(-1)
-        return np.einsum("t,tab->ab", c, self.matrices) % self.p
+        k, d = self.matrices.shape[0], self.module.dim
+        c = linalg.asmat(coords, self.p).reshape(1, k)
+        return linalg.matmul(c, self.matrices.reshape(k, d * d), self.p).reshape(d, d)
 
 
 def end_ring(m: LeftModule) -> EndomorphismRing:
     if m.dim == 0:
         raise UsageError("end_ring of the zero module is not represented")
     h = hom_space(m, m)
-    k, d = h.k, m.dim
-    # every product basis[s] @ basis[t]: rows (s, a) against columns (t, c)
-    prods = linalg.matmul(h.basis.reshape(k * d, d), h.basis.transpose(1, 0, 2).reshape(d, k * d), m.p)
-    prods = prods.reshape(k, d, k, d).transpose(0, 2, 1, 3).reshape(k * k, d, d)
-    coords = h.coords_batch(prods)  # (k, k*k) columns are coords
-    mul = coords.T.reshape(k, k, k)
-    unit = h.coords(linalg.identity(d))
+    # mul[s, t] holds the coordinates of basis[s] @ basis[t]
+    mul = h.action(linalg.matmul_pairs(h.basis, h.basis, m.p)).transpose(0, 2, 1)
+    unit = h.coords(linalg.identity(m.dim))
     if unit is None:
         raise InternalCheckError("identity endomorphism missing from hom basis")
     return EndomorphismRing(m, h.basis, mul, unit)
@@ -245,18 +242,17 @@ def radical(e_alg: Algebra) -> Mat:
     n = e_alg.dim
     if p <= n:
         raise CharTooSmall(p, n)
-    tracevec = np.einsum("iaa->i", e_alg.left_mult) % p
-    tform = np.einsum("ijk,k->ij", e_alg.mul, tracevec) % p
+    tracevec = np.trace(e_alg.left_mult, axis1=1, axis2=2) % p
+    tform = linalg.matmul(e_alg.mul.reshape(n * n, n), tracevec.reshape(n, 1), p).reshape(n, n)
     ker = linalg.nullspace(tform, p)
     power = ker
     for _ in range(n + 1):
         if power.shape[1] == 0:
             break
-        prods = []
-        for a in range(power.shape[1]):
-            la = e_alg.left_mult_matrix(power[:, a])
-            prods.append(linalg.matmul(la, ker, p))
-        power = linalg.column_space_basis(np.concatenate(prods, axis=1), p)
+        # column (a, c) is power_a ker_c
+        left_by = linalg.matmul(power.T, e_alg.left_mult.reshape(n, n * n), p)
+        prods = linalg.matmul(left_by.reshape(-1, n), ker, p).reshape(power.shape[1], n, -1)
+        power = linalg.column_space_basis(prods.transpose(1, 0, 2).reshape(n, -1), p)
     if power.shape[1] != 0:
         raise InternalCheckError("trace-form kernel failed the nilpotency check")
     return ker
@@ -264,8 +260,11 @@ def radical(e_alg: Algebra) -> Mat:
 
 def _quotient_algebra(e_alg: Algebra, proj: Mat, sect: Mat) -> Algebra:
     p = e_alg.p
-    prods = np.einsum("ai,bj,abk->ijk", sect, sect, e_alg.mul) % p
-    mul = np.einsum("ijk,qk->ijq", prods, proj) % p
+    n, q = sect.shape
+    # sum_(a,b) sect[a, i] sect[b, j] mul[a, b] in coordinates proj, one index at a time
+    left = linalg.matmul(sect.T, e_alg.mul.reshape(n, n * n), p).reshape(q, n, n)
+    both = linalg.matmul(sect.T, left.transpose(1, 0, 2).reshape(n, q * n), p)
+    mul = linalg.matmul(both.reshape(q * q, n), proj.T, p).reshape(q, q, q).transpose(1, 0, 2)
     unit = linalg.matmul(proj, e_alg.unit.reshape(-1, 1), p).reshape(-1)
     return Algebra(e_alg.field, mul, unit)
 

@@ -165,6 +165,16 @@ def matmul(a: Mat, b: Mat, p: int) -> Mat:
     return _mod(out, p).astype(np.int64, copy=False)
 
 
+def matmul_pairs(a: Mat, b: Mat, p: int) -> Mat:
+    """Exact ``a[i] @ b[j]`` for every pair (i, j) of two stacks of
+    matrices, as one ``matmul``: an (n, r, s) and an (m, s, c) stack give
+    an (n, m, r, c) array."""
+    n, r, s = a.shape
+    m, c = b.shape[0], b.shape[2]
+    out = matmul(a.reshape(n * r, s), b.transpose(1, 0, 2).reshape(s, m * c), p)
+    return out.reshape(n, r, m, c).transpose(0, 2, 1, 3)
+
+
 def matmul_chain(p: int, *mats: Mat) -> Mat:
     out = mats[0]
     for m in mats[1:]:
@@ -344,14 +354,14 @@ def solve_right(a, b, p: int):
     return x[:, 0] if vector_rhs else x
 
 
-def _free_basis(a, p: int):
-    """Right-nullspace basis of ``a`` and the free columns of its rref.
+def rref_nullspace(red, pivots, p: int):
+    """Right-nullspace basis and free columns of a matrix in reduced row
+    echelon form ``red`` with the given pivot columns.
 
     Basis vector k is the unit vector at the k-th free column, completed
-    on the pivot columns so that ``a`` annihilates it.
+    on the pivot columns so that ``red`` annihilates it.
     """
-    red, pivots, r = rref(a, p)
-    n = red.shape[1]
+    r, n = len(pivots), red.shape[1]
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = zeros(n, len(free))
@@ -366,7 +376,7 @@ def nullspace(a, p: int) -> Mat:
     The basis vectors correspond to the free columns of the rref in
     increasing column order; the number of columns is ``cols - rank``.
     """
-    return _free_basis(a, p)[0]
+    return rref_nullspace(*rref(a, p)[:2], p)[0]
 
 
 def invert(a, p: int):
@@ -418,7 +428,7 @@ def row_space_quotient(rel_rows, dim: int, p: int):
         raise UsageError(
             f"row_space_quotient: relations have {rel_rows.shape[1]} cols, expected {dim}"
         )
-    basis, free = _free_basis(rel_rows, p)
+    basis, free = rref_nullspace(*rref(rel_rows, p)[:2], p)
     sect = zeros(dim, len(free))
     sect[free, range(len(free))] = 1
     return basis.T.copy(), sect

@@ -7,16 +7,20 @@ one-sided action families plus the induced left module over the enveloping
 algebra R (x) S^op (basis pair (i, j) at index i*dim(S)+j acts by
 ``left[i] @ right[j]``).
 
-Every balanced tensor product M (x)_S N comes from one routine,
-``_presented_projection``: with a presentation S^k -> N -> 0 of the right
-factor, M (x)_S N is M^k modulo the image of M (x) ker, a system with
-dim M * k columns instead of dim M * dim N.  ``tensor_over`` then recovers
-the canonical basis from that projection, the unique one that is the
-identity on the non-pivot columns of the balancing relations' rref, so the
-basis does not depend on the generators taken.  The returned object
-carries the projection/section pair so that callers can transport maps
-along the quotient.  Triple products (M (x) M') (x) N go through the same
-routine (``triple_projection``).
+One presentation routine, ``_presentation``, serves both Hom and (x): a
+module M is presented as A^k -> M -> 0 on k greedy generators, with its
+relations and a linear section.  ``hom_space`` solves for the generators'
+images, k * dim N unknowns instead of dim N * dim M.  Every balanced tensor
+product M (x)_S N comes from ``_presented_projection``: with a presentation
+of the right factor, M (x)_S N is M^k modulo the image of M (x) ker, a
+system with dim M * k columns instead of dim M * dim N.  Both then recover
+their canonical basis with one rref of the result's reversed columns (the
+hom space's nullspace basis; for ``tensor_over`` the projection that is
+the identity on the non-pivot columns of the balancing relations' rref),
+so no basis depends on the generators taken.  The balanced tensor carries
+the projection/section pair so that callers can transport maps along the
+quotient.  Triple products (M (x) M') (x) N go through the same routine
+(``triple_projection``).
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ def _validate_action(alg: Algebra, action: Mat):
         raise UnitViolation(int(np.nonzero((u - ident) % p)[0][0]) if d else 0)
     # action[i] @ action[j] and sum_k mul[i, j, k] action[k], for every (i, j);
     # the first mismatch in C order is the reported (i, j)
-    side_by_side = action.transpose(1, 0, 2).reshape(d, n * d)
-    lhs = linalg.matmul(action.reshape(n * d, d), side_by_side, p).reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    lhs = linalg.matmul_pairs(action, action, p)
     rhs = linalg.matmul(alg.mul.reshape(n * n, n), flat, p).reshape(n, n, d, d)
     if not np.array_equal(lhs, rhs):
         i, j = np.argwhere(lhs != rhs)[0][:2]
@@ -149,6 +152,14 @@ class HomSpace:
             raise InternalCheckError("map expected to lie in hom space does not")
         return sol
 
+    def action(self, moved: Mat) -> Mat:
+        """The (n, k, k) action tensor whose a-th matrix has column t the
+        coordinates of ``moved[a, t]``, for an (n, k, dN, dM) stack of
+        moved basis maps, from one solve."""
+        n = moved.shape[0]
+        flat = moved.reshape(n * self.k, self.target.dim, self.source.dim)
+        return self.coords_batch(flat).reshape(self.k, n, self.k).transpose(1, 0, 2)
+
     def element(self, coeffs) -> Mat:
         p, dn, dm = self.source.p, self.target.dim, self.source.dim
         c = linalg.asmat(coeffs, p).reshape(1, self.k)
@@ -156,17 +167,23 @@ class HomSpace:
 
 
 def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
-    """All module maps source -> target, via intertwining conditions.
+    """All module maps M = source -> N = target, on generator images.
 
-    Constraints are imposed for the algebra's ``generators``, one at a
-    time, shrinking the solution space incrementally.  This is equivalent
-    to the full system stacked over every basis element, because the
-    intertwining condition is closed under sums and products and the unit
-    acts as the identity.  The returned basis is the nullspace basis of
-    that full system (unit vectors at its free columns, completed on the
-    pivots), which depends only on the solution space, so it is the same
-    for any generating set and any order.  The basis is read-only, and
-    within a memo scope equal inputs share it.
+    With a presentation A^k -> M -> 0 on greedy generators g_1..g_k
+    (``_presentation``), a map is fixed by its images n_i = f(g_i), and a
+    tuple (n_i) in N^k comes from a map exactly when it kills every
+    relation in ker(A^k -> M): k * dim N unknowns instead of dim N * dim M.
+    The relation rows are reduced in blocks, the rows kept so far plus the
+    next block, so that past the presentation no system exceeds
+    (dim M * dim N)^2 entries, the first step of the full system.  Each
+    solution becomes a map through the section sigma,
+    f = sum_(i,t) N(e_t) n_i sigma_(i,t).  The returned basis is the
+    canonical nullspace basis of the intertwining system over every basis
+    element (unit vectors at its free columns, completed on the pivots);
+    its free columns are the pivots of the maps reduced in reversed column
+    order, so one rref of the reversed maps recovers it whatever generators
+    are taken, as in ``tensor_over``.  The basis is read-only, and within a
+    memo scope equal inputs share it.
     """
     if not equal_algebras(source.algebra, target.algebra):
         raise UsageError("hom_space endpoints live over different algebras")
@@ -174,22 +191,28 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
 
 
 def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
-    p = source.p
-    dm, dn = source.dim, target.dim
-    k = dn * dm
-    v = linalg.identity(k)
-    for x in source.algebra.generators():
-        cur = v.shape[1]
-        if cur == 0:
-            break
-        stack = v.T.reshape(cur, dn, dm)
-        # f a - a f for every basis map f at once, as two exact 2-D products
-        fa = linalg.matmul(stack.reshape(cur * dn, dm), source.act(x), p).reshape(cur, dn, dm)
-        af = linalg.matmul(target.act(x), stack.transpose(1, 0, 2).reshape(dn, cur * dm), p)
-        resid = (fa - af.reshape(dn, cur, dm).transpose(1, 0, 2)) % p
-        coeffs = linalg.nullspace(resid.reshape(cur, k).T, p)
-        v = linalg.matmul(v, coeffs, p)
-    basis = v.T.reshape(v.shape[1], dn, dm)
+    p, dm, dn = source.p, source.dim, target.dim
+    k, ker, sigma = _presentation(p, source.action)
+    cols, budget = k * dn, (dm * dn) ** 2
+    # row (c, y) is component y of sum_(i,t) ker[(i,t), c] e_t . n_i
+    total = ker.shape[1] * dn
+    kept, pivots, done = linalg.zeros(0, cols), [], 0
+    while done < total and len(pivots) < cols:
+        take = min(total - done, budget // cols - len(pivots))
+        c0, c1 = done // dn, -(-(done + take) // dn)
+        rows = _push(p, target.action, ker[:, c0:c1], k).transpose(3, 0, 2, 1).reshape(-1, cols)
+        block = rows[done - c0 * dn : done - c0 * dn + take]
+        kept, pivots, r = linalg.rref(np.concatenate([kept, block]), p)
+        kept = kept[:r]
+        done += take
+    sols = linalg.rref_nullspace(kept, pivots, p)[0]
+    # f[y, x] = sum_(i,j) (sum_t N(e_t)[y, j] sigma[(i,t), x]) n_i[j]
+    lift = _push(p, target.action, sigma, k).transpose(0, 3, 2, 1).reshape(dn * dm, cols)
+    maps = linalg.matmul(lift, sols, p).T
+    red, _, w = linalg.rref(maps[:, ::-1], p)
+    if w != maps.shape[0]:
+        raise InternalCheckError("hom space solutions give dependent maps")
+    basis = np.ascontiguousarray(red[::-1, ::-1]).reshape(w, dn, dm)
     memo.readonly(basis)
     return basis
 
@@ -214,16 +237,13 @@ class Bimodule:
             raise UsageError("left and right actions act on different spaces")
         d, nl, nr = self.dim, left_alg.dim, right_alg.dim
         la, ra = self.left_acts, self.right_acts
-        # left[i] @ right[j] for every pair (i, j), as one product
-        carrier_action = linalg.matmul(la.reshape(nl * d, d), ra.transpose(1, 0, 2).reshape(d, nr * d), p)
-        carrier_action = carrier_action.reshape(nl, d, nr, d).transpose(0, 2, 1, 3)
+        carrier_action = linalg.matmul_pairs(la, ra, p)  # left[i] @ right[j]
         if _validate:
             _validate_action(left_alg, la)
             _validate_action(opposite(right_alg), ra)
             # compatibility (a m) b = a (m b); the first mismatch in C order
             # is the reported (i, j)
-            rhs = linalg.matmul(ra.reshape(nr * d, d), la.transpose(1, 0, 2).reshape(d, nl * d), p)
-            rhs = rhs.reshape(nr, d, nl, d).transpose(2, 0, 1, 3)
+            rhs = linalg.matmul_pairs(ra, la, p).transpose(1, 0, 2, 3)
             if not np.array_equal(carrier_action, rhs):
                 i, j = np.argwhere(carrier_action != rhs)[0][:2]
                 raise ActionsDoNotCommute(int(i), int(j))
@@ -303,27 +323,39 @@ class BalancedTensor(Bimodule):
         return linalg.matmul(self.proj, w.reshape(-1, 1), p).reshape(-1)
 
 
-def _generators(p, left_acts) -> list:
-    """Greedy generators of a left module given by its action tensor: the
-    basis vectors e_v, in order, outside the submodule that the earlier
-    ones span.  One rref of the blocks [A e_0 | A e_1 | ...] finds them
-    all, since e_v is kept exactly when block v holds a pivot."""
+def _presentation(p, left_acts):
+    """A presentation A^k -> M -> 0 of a left module given by its action
+    tensor: ``(k, ker, sigma)``, with ``ker`` a basis of the relations
+    (columns in A^k, index i*dim A + t for e_t in slot i) and ``sigma`` a
+    linear section.  The greedy generators are the basis vectors e_v, in
+    order, outside the submodule that the earlier ones span.  One rref of
+    the blocks [A e_0 | A e_1 | ... | I] finds them all, since e_v is kept
+    exactly when block v holds a pivot; restricted to the kept blocks it is
+    the presentation's rref, and its last columns invert the presentation
+    on the pivots, which gives sigma."""
     da, d = left_acts.shape[0], left_acts.shape[1]
     # column v*da + t is e_t . e_v
-    _, pivots, _ = linalg.rref(left_acts.transpose(1, 2, 0).reshape(d, d * da), p)
-    return list(dict.fromkeys(c // da for c in pivots))
+    blocks = left_acts.transpose(1, 2, 0).reshape(d, d * da)
+    red, pivots, _ = linalg.rref(np.concatenate([blocks, linalg.identity(d)], axis=1), p)
+    if pivots and pivots[-1] >= d * da:
+        raise InternalCheckError("module generators do not span the module")
+    gens = list(dict.fromkeys(c // da for c in pivots))
+    slot = {g: i for i, g in enumerate(gens)}
+    local = [slot[c // da] * da + c % da for c in pivots]
+    kept = [g * da + t for g in gens for t in range(da)]
+    sigma = linalg.zeros(len(gens) * da, d)
+    sigma[local] = red[:, d * da :]
+    return len(gens), linalg.rref_nullspace(red[:, kept], local, p)[0], sigma
 
 
-def _push(p, right_acts, x, k):
-    """The vectors (m_j . x_i)_i of M^k, for every basis vector m_j of a
-    right module M and every column x of a matrix whose rows are k blocks
-    of algebra coordinates: entry [(y, i), (j, c)] is
-    sum_t right_acts[t, y, j] * x[i*dim A + t, c]."""
-    da, dm = right_acts.shape[0], right_acts.shape[1]
+def _push(p, acts, x, k):
+    """Entry [y, j, i, c] is sum_t acts[t, y, j] * x[i*dim A + t, c]:
+    component y of e_j . x_i (right module) or x_i . e_j (left module),
+    for a matrix x whose rows are k blocks of algebra coordinates."""
+    da, dm = acts.shape[0], acts.shape[1]
     w = x.shape[1]
     blocks = x.reshape(k, da, w).transpose(1, 0, 2).reshape(da, k * w)
-    out = linalg.matmul(right_acts.reshape(da, dm * dm).T, blocks, p)
-    return out.reshape(dm, dm, k, w).transpose(0, 2, 1, 3).reshape(dm * k, dm * w)
+    return linalg.matmul(acts.reshape(da, dm * dm).T, blocks, p).reshape(dm, dm, k, w)
 
 
 def _presented_projection(p, m_right_acts, n_left_acts) -> Mat:
@@ -339,18 +371,15 @@ def _presented_projection(p, m_right_acts, n_left_acts) -> Mat:
     columns instead of dim M * dim N, and the kernel of the result is the
     balancing subspace whatever generators are taken.
     """
-    da, dn = n_left_acts.shape[0], n_left_acts.shape[1]
     dm = m_right_acts.shape[1]
-    gens = _generators(p, n_left_acts)
-    k = len(gens)
-    # column i*da + t of the presentation is e_t . g_i
-    pres = n_left_acts[:, :, gens].transpose(1, 2, 0).reshape(dn, k * da)
-    sigma = linalg.solve_right(pres, linalg.identity(dn), p)
-    if sigma is None:
-        raise InternalCheckError("module generators do not span the module")
-    rel = _push(p, m_right_acts, linalg.nullspace(pres, p), k)
+    k, ker, sigma = _presentation(p, n_left_acts)
+
+    def pushed(x):  # rows (y, i), columns (j, c)
+        return _push(p, m_right_acts, x, k).transpose(0, 2, 1, 3).reshape(dm * k, dm * x.shape[1])
+
+    rel = pushed(ker)
     proj_q, _ = linalg.row_space_quotient(rel.T, dm * k, p)
-    return linalg.matmul(proj_q, _push(p, m_right_acts, sigma, k), p)
+    return linalg.matmul(proj_q, pushed(sigma), p)
 
 
 def _moved_classes(p, proj, acts, c, eye_first):
@@ -410,26 +439,25 @@ def triple_projection(t: BalancedTensor, n: Bimodule) -> Mat:
     return linalg.kron_apply(p, t.proj.T, presented.T, n.dim, False).T
 
 
+def _dual(h: HomSpace, left_alg: Algebra, right_alg: Algebra, moved_left, moved_right) -> Bimodule:
+    """The dual bimodule on the basis of ``h``, from the moved basis maps:
+    ``moved_left[a, t]`` is a . f_t and ``moved_right[b, t]`` is f_t . b.
+    One solve gives both actions."""
+    acts = h.action(np.concatenate([moved_left, moved_right]))
+    out = Bimodule(left_alg, right_alg, acts[: left_alg.dim], acts[left_alg.dim :])
+    out.hom_basis = h.basis
+    return out
+
+
 def left_dual(m: Bimodule) -> Bimodule:
     """Hom_R(M, R) for an (R, S)-bimodule M, as an (S, R)-bimodule.
 
     Actions: (s . f . r)(x) = f(x s) r.
     """
-    r_alg, s_alg = m.left_alg, m.right_alg
-    p = m.p
+    r_alg, s_alg, p = m.left_alg, m.right_alg, m.p
     h = hom_space(restrict_bimodule(m, "left"), regular_left(r_alg))
-    k = h.k
-    la = linalg.zeros(s_alg.dim * k * k, 1).reshape(s_alg.dim, k, k)
-    for s in range(s_alg.dim):
-        transformed = np.matmul(h.basis, m.right_acts[s]) % p
-        la[s] = h.coords_batch(transformed)
-    ra = linalg.zeros(r_alg.dim * k * k, 1).reshape(r_alg.dim, k, k)
-    for r in range(r_alg.dim):
-        transformed = np.matmul(r_alg.right_mult[r], h.basis) % p
-        ra[r] = h.coords_batch(transformed)
-    out = Bimodule(s_alg, r_alg, la, ra)
-    out.hom_basis = h.basis
-    return out
+    s_f = linalg.matmul_pairs(h.basis, m.right_acts, p).transpose(1, 0, 2, 3)
+    return _dual(h, s_alg, r_alg, s_f, linalg.matmul_pairs(r_alg.right_mult, h.basis, p))
 
 
 def right_dual(m: Bimodule) -> Bimodule:
@@ -437,21 +465,10 @@ def right_dual(m: Bimodule) -> Bimodule:
 
     Actions: (s . g . r)(x) = s g(r x).
     """
-    r_alg, s_alg = m.left_alg, m.right_alg
-    p = m.p
+    r_alg, s_alg, p = m.left_alg, m.right_alg, m.p
     h = hom_space(restrict_bimodule(m, "right"), regular_left(opposite(s_alg)))
-    k = h.k
-    la = linalg.zeros(s_alg.dim * k * k, 1).reshape(s_alg.dim, k, k)
-    for s in range(s_alg.dim):
-        transformed = np.matmul(s_alg.left_mult[s], h.basis) % p
-        la[s] = h.coords_batch(transformed)
-    ra = linalg.zeros(r_alg.dim * k * k, 1).reshape(r_alg.dim, k, k)
-    for r in range(r_alg.dim):
-        transformed = np.matmul(h.basis, m.left_acts[r]) % p
-        ra[r] = h.coords_batch(transformed)
-    out = Bimodule(s_alg, r_alg, la, ra)
-    out.hom_basis = h.basis
-    return out
+    g_r = linalg.matmul_pairs(h.basis, m.left_acts, p).transpose(1, 0, 2, 3)
+    return _dual(h, s_alg, r_alg, linalg.matmul_pairs(s_alg.left_mult, h.basis, p), g_r)
 
 
 class SplitWitness:
@@ -468,23 +485,18 @@ class SplitWitness:
         self.pi_blocks = pi_blocks
         self.sigma_blocks = sigma_blocks
         self.free_rank = pi_blocks.shape[0]
-        p = module.p
-        d = module.dim
-        alg = module.algebra
-        total = linalg.zeros(d, d)
-        for b in range(self.free_rank):
-            total = (total + linalg.matmul(pi_blocks[b], sigma_blocks[b], p)) % p
+        p, d, n = module.p, module.dim, self.free_rank * module.algebra.dim
+        acts, left_mult = module.action, module.algebra.left_mult
+        total = linalg.matmul(pi_blocks.transpose(1, 0, 2).reshape(d, n), sigma_blocks.reshape(n, d), p)
         if not np.array_equal(total, linalg.identity(d)):
             raise InternalCheckError("split witness: pi . sigma is not the identity")
-        for b in range(self.free_rank):
-            lhs = np.matmul(sigma_blocks[b], module.action) % p
-            rhs = np.matmul(alg.left_mult, sigma_blocks[b]) % p
-            if not np.array_equal(lhs, rhs):
-                raise InternalCheckError("split witness: sigma is not a module map")
-            lhs = np.matmul(pi_blocks[b], alg.left_mult) % p
-            rhs = np.matmul(module.action, pi_blocks[b]) % p
-            if not np.array_equal(lhs, rhs):
-                raise InternalCheckError("split witness: pi is not a module map")
+        # sigma_b a = a sigma_b and pi_b a = a pi_b for every block b and basis element a
+        lhs = linalg.matmul_pairs(sigma_blocks, acts, p)
+        if not np.array_equal(lhs, linalg.matmul_pairs(left_mult, sigma_blocks, p).transpose(1, 0, 2, 3)):
+            raise InternalCheckError("split witness: sigma is not a module map")
+        lhs = linalg.matmul_pairs(pi_blocks, left_mult, p)
+        if not np.array_equal(lhs, linalg.matmul_pairs(acts, pi_blocks, p).transpose(1, 0, 2, 3)):
+            raise InternalCheckError("split witness: pi is not a module map")
 
 
 def is_fg_projective(m: LeftModule):
@@ -503,15 +515,11 @@ def is_fg_projective(m: LeftModule):
     h = hom_space(m, regular_left(alg))
     if h.k == 0:
         return None
-    pi_blocks = np.stack([m.action[:, :, b].T for b in range(d)]) % p
-    cols = []
-    for b in range(d):
-        prods = np.matmul(pi_blocks[b], h.basis) % p  # (k, d, d)
-        cols.append(prods.reshape(h.k, d * d).T)
-    cmat = np.concatenate(cols, axis=1)
+    pi_blocks = m.action.transpose(2, 1, 0).copy()  # [b][:, a] = a . m_b
+    # column (b, t) is pi_b f_t, flattened
+    cmat = linalg.matmul_pairs(pi_blocks, h.basis, p).reshape(d * h.k, d * d).T
     sol = linalg.solve_right(cmat, linalg.vec(linalg.identity(d)), p)
     if sol is None:
         return None
-    coeffs = sol.reshape(d, h.k)
-    sigma_blocks = np.einsum("bt,tnd->bnd", coeffs, h.basis) % p
+    sigma_blocks = linalg.matmul(sol.reshape(d, h.k), h.basis.reshape(h.k, -1), p).reshape(d, alg.dim, d)
     return SplitWitness(m, pi_blocks, sigma_blocks)

@@ -160,6 +160,29 @@ def stacked_hom_system(source, target):
     return np.concatenate(rows) % source.p
 
 
+def reference_hom_basis(source, target):
+    """Hom_A(source, target) by intertwining conditions on dim N * dim M
+    unknowns, imposed for the algebra's generators one at a time: the
+    canonical nullspace basis of the full system, (k, dim N, dim M), as the
+    reference the generator-image route of ``hom_space`` must match."""
+    p = source.p
+    dm, dn = source.dim, target.dim
+    k = dn * dm
+    v = linalg.identity(k)
+    for x in source.algebra.generators():
+        cur = v.shape[1]
+        if cur == 0:
+            break
+        stack = v.T.reshape(cur, dn, dm)
+        # f a - a f for every basis map f at once, as two exact 2-D products
+        fa = linalg.matmul(stack.reshape(cur * dn, dm), source.act(x), p).reshape(cur, dn, dm)
+        af = linalg.matmul(target.act(x), stack.transpose(1, 0, 2).reshape(dn, cur * dm), p)
+        resid = (fa - af.reshape(dn, cur, dm).transpose(1, 0, 2)) % p
+        coeffs = linalg.nullspace(resid.reshape(cur, k).T, p)
+        v = linalg.matmul(v, coeffs, p)
+    return v.T.reshape(v.shape[1], dn, dm)
+
+
 def balanced_relations(s_alg, m, n):
     """Rows spanning the balancing subspace of the full tensor space
     M (x) N (index i*dim N + j): (m s) (x) n - m (x) (s n) over the

@@ -174,6 +174,30 @@ def test_decompose_dense_conjugate_at_the_largest_prime(name):
         assert ok, reasons
 
 
+SUM_ALGEBRAS = {
+    "T2": upper_triangular2,
+    "D": dual_numbers,
+    "C3": lambda p: group_alg(p, 3),
+    "M2": lambda p: mat_units_algebra(p, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SUM_ALGEBRAS))
+def test_decompose_dense_conjugate_of_a_sum_at_the_largest_prime(name):
+    # End(A + A) is 2x2 matrices over A: its trace form, radical quotient
+    # and element matrices have dense structure constants in a dense basis
+    p = LARGEST_PRIME
+    a = SUM_ALGEBRAS[name](p)
+    total, _, _ = direct_sum(regular_left(a), regular_left(a))
+    plain = decompose(total).class_signature()
+    for seed in range(4):
+        t, t_inv = dense_basis_change(total.dim, p, np.random.RandomState(seed))
+        d = decompose(LeftModule(a, conjugated(total.action, t, t_inv, p)))
+        assert d.class_signature() == plain
+        ok, reasons = verify.verify_payload(decomposition_payload(d))
+        assert ok, reasons
+
+
 def test_decomposition_rejects_copies_that_are_not_module_maps():
     # the dual numbers D split as a vector space into two copies of the
     # trivial module (x acts by 0): the copies are complementary, but x acts

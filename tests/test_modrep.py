@@ -17,13 +17,14 @@ from helpers import (
     prod_fields,
     python_nullspace,
     rebased,
+    reference_hom_basis,
     s3_table,
     simple_modules_prod,
     stacked_hom_system,
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import fixtures, linalg
+from qfcert import fixtures, linalg, memo
 from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, group_algebra, make_algebra, make_hom, opposite
 from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
@@ -346,8 +347,7 @@ def test_opposite_regular_matches_right_mult():
 
 
 def test_hom_basis_is_the_nullspace_of_the_full_system():
-    # hom_space imposes only the generators' conditions (on an envelope,
-    # r (x) 1 and 1 (x) s for generators of the factors); its basis must be
+    # hom_space solves on the images of a few generators; its basis must be
     # the canonical nullspace basis of the system over every basis element
     p = 5
     col, socle = fixtures.column_module(p), fixtures.socle_module_dualnum(p)
@@ -370,6 +370,59 @@ def test_hom_basis_is_the_nullspace_of_the_full_system():
     for source, target in pairs:
         full = linalg.nullspace(stacked_hom_system(source, target), p)
         assert np.array_equal(hom_space(source, target).matrix(), full)
+
+
+def hom_pairs(p):
+    """Pairs (M, N) for the generator-image route: regular modules and
+    dense conjugates of them, direct sums, a semisimple source whose
+    relations span several blocks, zero-dimensional ends, the 16-dim
+    envelope carrier of the M2 Sweedler coring and a pair with Hom = 0."""
+    rng = np.random.RandomState(0)
+
+    def dense(m):
+        t, t_inv = dense_basis_change(m.dim, p, rng)
+        return LeftModule(m.algebra, conjugated(m.action, t, t_inv, p))
+
+    c3 = group_alg(p, 3)
+    regs = [regular_left(a) for a in (mat_units_algebra(p, 2), upper_triangular2(p), dual_numbers(p), c3)]
+    col = column_module(p)
+    reg_col = direct_sum(regs[0], col)[0]
+    trivial3 = direct_sum(*[LeftModule(c3, np.ones((3, 1, 1), dtype=np.int64))] * 3)[0]
+    zero = LeftModule(regs[2].algebra, np.zeros((2, 0, 0), dtype=np.int64))
+    ext = fixtures.unit_extension(fixtures.mat_units_algebra(p, 2))
+    carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs).carrier  # the M2 Sweedler carrier
+    return (
+        [(r, r) for r in regs]
+        + [(dense(r), dense(r)) for r in regs]
+        + [(reg_col, col), (col, dense(reg_col)), (dense(reg_col), dense(reg_col))]
+        + [(trivial3, regs[3]), (regs[3], trivial3), (dense(trivial3), dense(regs[3]))]
+        + [(zero, regs[2]), (regs[2], zero), (zero, zero)]
+        + [(carrier, carrier), (dense(carrier), carrier)]
+        + [simple_modules_prod(p)]
+    )
+
+
+@pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])
+def test_hom_space_matches_the_reference(p, monkeypatch):
+    # the generator-image basis is the incremental route's, and every system
+    # after the source's presentation stays within (dim M * dim N)^2 entries
+    sizes = []
+    rref = linalg.rref
+
+    def recorded(a, q):
+        sizes.append(np.shape(a))
+        return rref(a, q)
+
+    monkeypatch.setattr(linalg, "rref", recorded)
+    for source, target in hom_pairs(p):
+        with memo.scope():
+            sizes.clear()
+            basis = hom_space(source, target).basis
+            calls = list(sizes)
+        assert np.array_equal(basis, reference_hom_basis(source, target))
+        dm, dn, da = source.dim, target.dim, source.algebra.dim
+        assert calls[0] == (dm, dm * da + dm)
+        assert all(r * c <= (dm * dn) ** 2 for r, c in calls[1:])
 
 
 def test_hom_space_exact_at_the_largest_prime():
