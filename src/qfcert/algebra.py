@@ -89,15 +89,10 @@ class Algebra:
         return linalg.matmul(linalg.asmat(y, p).reshape(1, n), xm.reshape(n, n), p).reshape(-1)
 
     def left_mult_matrix(self, x) -> Mat:
-        return self._combine(x, self.left_mult)
+        return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.left_mult, self.p)[0]
 
     def right_mult_matrix(self, x) -> Mat:
-        return self._combine(x, self.right_mult)
-
-    def _combine(self, x, mats) -> Mat:
-        # sum_i x_i mats[i], as one exact product
-        n, p = self.dim, self.p
-        return linalg.matmul(linalg.asmat(x, p).reshape(1, n), mats.reshape(n, n * n), p).reshape(n, n)
+        return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.right_mult, self.p)[0]
 
     def power(self, x, k: int) -> Mat:
         out = self.unit.copy()
@@ -330,14 +325,17 @@ class AlgebraHom:
         img_unit = linalg.matmul(m, self.source.unit.reshape(-1, 1), p).reshape(-1)
         if not np.array_equal(img_unit, self.target.unit):
             raise NotUnital("map does not send unit to unit")
-        # phi(e_i e_j) == phi(e_i) phi(e_j)
-        cols = [m[:, i] for i in range(self.source.dim)]
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = linalg.matmul(m, self.source.mul[i, j].reshape(-1, 1), p).reshape(-1)
-                rhs = self.target.multiply(cols[i], cols[j])
-                if not np.array_equal(lhs, rhs):
-                    raise NotMultiplicative(i, j)
+        # phi(e_i e_j) == phi(e_i) phi(e_j) for every (i, j); the first
+        # mismatch in C order is the reported (i, j)
+        ns, nt = self.source.dim, self.target.dim
+        lhs = linalg.matmul(self.source.mul.reshape(ns * ns, ns), m.T, p).reshape(ns, ns, nt)
+        # left[i] has row b the product phi(e_i) e_b
+        left = linalg.combine(m, self.target.mul, p)
+        rhs = linalg.matmul(m.T, left.transpose(1, 0, 2).reshape(nt, ns * nt), p).reshape(ns, ns, nt)
+        rhs = rhs.transpose(1, 0, 2)
+        if not np.array_equal(lhs, rhs):
+            i, j = np.argwhere(lhs != rhs)[0][:2]
+            raise NotMultiplicative(int(i), int(j))
 
     def apply(self, x) -> Mat:
         return linalg.matmul(self.matrix, linalg.asmat(x, self.source.p).reshape(-1, 1), self.source.p).reshape(-1)

@@ -3,7 +3,10 @@
 A coring is an (A, A)-bimodule C with a comultiplication Delta: C -> C(x)_A C
 (given in the canonical quotient basis of the balanced tensor square) and a
 counit eps: C -> A, both A-bimodule maps, subject to coassociativity and the
-counit laws.  All laws are verified exactly at construction.
+counit laws.  All laws are verified exactly at construction.  Every
+linearity law f X_a = Y_a f (Delta and eps, a coaction, a comodule map, a
+coring morphism) is one ``linalg.intertwines`` over the stacked actions,
+and every sum_a c_a X_a over a stack is one ``linalg.combine``.
 
 Coassociativity, the comodule laws and the cotensor equalizer are all
 compared in a triple tensor product, bracketed one way, (T (x)_A N) for a
@@ -88,32 +91,19 @@ class Coring:
     def _validate(self):
         p, base, c = self.p, self.base, self.carrier
         t2 = self.tensor_square
-        for a in range(base.dim):
-            if not np.array_equal(
-                linalg.matmul(self.delta, c.left_acts[a], p),
-                linalg.matmul(t2.left_acts[a], self.delta, p),
-            ) or not np.array_equal(
-                linalg.matmul(self.delta, c.right_acts[a], p),
-                linalg.matmul(t2.right_acts[a], self.delta, p),
-            ):
-                raise NotBimoduleMap("delta")
-            if not np.array_equal(
-                linalg.matmul(self.eps, c.left_acts[a], p),
-                linalg.matmul(base.left_mult[a], self.eps, p),
-            ) or not np.array_equal(
-                linalg.matmul(self.eps, c.right_acts[a], p),
-                linalg.matmul(base.right_mult[a], self.eps, p),
-            ):
-                raise NotBimoduleMap("eps")
+        # both sides at once: Delta and eps against the left then the right actions
+        on_c = np.concatenate([c.left_acts, c.right_acts])
+        if not linalg.intertwines(self.delta, on_c, np.concatenate([t2.left_acts, t2.right_acts]), p):
+            raise NotBimoduleMap("delta")
+        if not linalg.intertwines(self.eps, on_c, np.concatenate([base.left_mult, base.right_mult]), p):
+            raise NotBimoduleMap("eps")
         rep = self.delta_rep()
-        left_eval = np.einsum("ak,aij->kij", self.eps, c.left_acts) % p
-        counit_left = left_eval.transpose(1, 0, 2).reshape(c.dim, c.dim * c.dim)
-        if not np.array_equal(linalg.matmul(counit_left, rep, p), linalg.identity(c.dim)):
-            raise CounitFails("left")
-        right_eval = np.einsum("ak,aij->kij", self.eps, c.right_acts) % p
-        counit_right = right_eval.transpose(1, 2, 0).reshape(c.dim, c.dim * c.dim)
-        if not np.array_equal(linalg.matmul(counit_right, rep, p), linalg.identity(c.dim)):
-            raise CounitFails("right")
+        dc = c.dim
+        # (eps (x) C) Delta = id = (C (x) eps) Delta, with eval[k] = sum_a eps[a, k] X_a
+        for side, acts, order in (("left", c.left_acts, (1, 0, 2)), ("right", c.right_acts, (1, 2, 0))):
+            counit = linalg.combine(self.eps, acts, p).transpose(order).reshape(dc, dc * dc)
+            if not np.array_equal(linalg.matmul(counit, rep, p), linalg.identity(dc)):
+                raise CounitFails(side)
         self._check_coassociative()
 
     def _check_coassociative(self):
@@ -178,8 +168,8 @@ def trivial_coring(a: Algebra) -> Coring:
     """A itself as a coring: Delta(x) = x (x) 1, eps = identity."""
     carrier = regular_bimodule(a)
     t2 = tensor_over(a, carrier, carrier)
-    unit_col = np.array(a.unit, dtype=np.int64).reshape(-1, 1)
-    delta = linalg.matmul(t2.proj, np.kron(linalg.identity(a.dim), unit_col) % a.p, a.p)
+    # t2.proj kron(I, 1) is (kron(I, 1.T) t2.proj.T).T
+    delta = linalg.kron_apply(a.p, a.unit.reshape(1, -1), t2.proj.T, a.dim, True).T
     return Coring(a, carrier, delta, linalg.identity(a.dim), _t2=t2)
 
 
@@ -190,10 +180,12 @@ def sweedler(ext: Extension) -> Coring:
     ds = s_alg.dim
     carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)
     t2 = tensor_over(s_alg, carrier, carrier)
-    unit_col = np.array(s_alg.unit, dtype=np.int64).reshape(-1, 1)
-    # s |-> class(s (x) 1) and s' |-> class(1 (x) s') inside the carrier
-    left_leg = linalg.matmul(carrier.proj, np.kron(linalg.identity(ds), unit_col) % p, p)
-    right_leg = linalg.matmul(carrier.proj, np.kron(unit_col, linalg.identity(ds)) % p, p)
+    # s |-> class(s (x) 1) and s' |-> class(1 (x) s') inside the carrier:
+    # carrier.proj kron(I, 1) is (kron(I, 1.T) carrier.proj.T).T, and so on
+    left_leg, right_leg = (
+        linalg.kron_apply(p, s_alg.unit.reshape(1, -1), carrier.proj.T, ds, eye_first).T
+        for eye_first in (True, False)
+    )
     delta = linalg.matmul_chain(p, t2.proj, np.kron(left_leg, right_leg) % p, carrier.sect)
     eps = linalg.matmul(s_alg.mul.reshape(ds * ds, ds).T % p, carrier.sect, p)
     return Coring(s_alg, carrier, delta, eps, _t2=t2)
@@ -430,36 +422,21 @@ class Comodule:
         return self.coring.p
 
     def _validate(self):
-        p, base = self.p, self.coring.base
+        p = self.p
         car, cbim = self.carrier, self.coring.carrier
         dm, dc = car.dim, cbim.dim
-        delta_rep = self.coring.delta_rep()
-        if self.side == "right":
-            for a in range(base.dim):
-                if not np.array_equal(
-                    linalg.matmul(self.coaction, car.right_acts[a], p),
-                    linalg.matmul(self.tensor.right_acts[a], self.coaction, p),
-                ):
-                    raise NotBimoduleMap("coaction")
-            # (M (x) C) (x) C: rho twice against Delta after rho
-            proj3 = triple_projection(self.tensor, cbim)
-            one = linalg.kron_apply(p, self.rep, self.rep, dc, False)
-            two = linalg.kron_apply(p, delta_rep, self.rep, dm, True)
-            eval_eps = np.einsum("ac,aij->cij", self.coring.eps, car.right_acts) % p
-            counit = eval_eps.transpose(1, 2, 0).reshape(dm, dm * dc)
-        else:
-            for a in range(base.dim):
-                if not np.array_equal(
-                    linalg.matmul(self.coaction, car.left_acts[a], p),
-                    linalg.matmul(self.tensor.left_acts[a], self.coaction, p),
-                ):
-                    raise NotBimoduleMap("coaction")
-            # (C (x) C) (x) M: lambda twice against Delta after lambda
-            proj3 = triple_projection(self.coring.tensor_square, car)
-            one = linalg.kron_apply(p, self.rep, self.rep, dc, True)
-            two = linalg.kron_apply(p, delta_rep, self.rep, dm, False)
-            eval_eps = np.einsum("ac,aij->cij", self.coring.eps, car.left_acts) % p
-            counit = eval_eps.transpose(1, 0, 2).reshape(dm, dm * dc)
+        right = self.side == "right"
+        acts, on_tensor = (car.right_acts, self.tensor.right_acts) if right else (car.left_acts, self.tensor.left_acts)
+        if not linalg.intertwines(self.coaction, acts, on_tensor, p):
+            raise NotBimoduleMap("coaction")
+        # right: in (M (x) C) (x) C, rho twice against Delta after rho;
+        # left: in (C (x) C) (x) M, lambda twice against Delta after lambda
+        proj3 = triple_projection(self.tensor, cbim) if right else triple_projection(self.coring.tensor_square, car)
+        one = linalg.kron_apply(p, self.rep, self.rep, dc, not right)
+        two = linalg.kron_apply(p, self.coring.delta_rep(), self.rep, dm, right)
+        # eps on the C leg, with eval[c] = sum_a eps[a, c] X_a
+        counit = linalg.combine(self.coring.eps, acts, p).transpose((1, 2, 0) if right else (1, 0, 2))
+        counit = counit.reshape(dm, dm * dc)
         if linalg.matmul(proj3, (one - two) % p, p).any():
             raise NotCoassociative()
         if not np.array_equal(linalg.matmul(counit, self.rep, p), linalg.identity(dm)):
@@ -493,31 +470,19 @@ def comodule_to_module(m: Comodule) -> LeftModule:
     """
     c = m.coring
     p = c.p
-    if m.side == "right":
-        if is_fg_projective(restrict_bimodule(c.carrier, "left")) is None:
-            raise NotFgpOverBase(
-                "carrier is not finitely generated projective as a left module over the base"
-            )
-        dual = left_dual_ring(c)
-        dm, dc = m.dim, c.dim
-        acts = np.zeros((dual.dim, dm, dm), dtype=np.int64)
-        for t in range(dual.dim):
-            w = np.einsum("ac,aij->cij", dual.basis[t], m.carrier.right_acts) % p
-            big = w.transpose(1, 2, 0).reshape(dm, dm * dc)
-            acts[t] = linalg.matmul(big, m.rep, p)
-        return LeftModule(opposite(dual.algebra), acts)
-    if is_fg_projective(restrict_bimodule(c.carrier, "right")) is None:
-        raise NotFgpOverBase(
-            "carrier is not finitely generated projective as a right module over the base"
-        )
-    dual = right_dual_ring(c)
-    dm, dc = m.dim, c.dim
-    acts = np.zeros((dual.dim, dm, dm), dtype=np.int64)
-    for t in range(dual.dim):
-        w = np.einsum("ac,aij->cij", dual.basis[t], m.carrier.left_acts) % p
-        big = w.transpose(1, 0, 2).reshape(dm, dc * dm)
-        acts[t] = linalg.matmul(big, m.rep, p)
-    return LeftModule(dual.algebra, acts)
+    right = m.side == "right"
+    side = "left" if right else "right"  # the dual ring's side
+    if is_fg_projective(restrict_bimodule(c.carrier, side)) is None:
+        raise NotFgpOverBase(f"carrier is not finitely generated projective as a {side} module over the base")
+    dual = left_dual_ring(c) if right else right_dual_ring(c)
+    k, dm, dc, da = dual.dim, m.dim, c.dim, c.base.dim
+    # w[t, c] = sum_a f_t[a, c] X_a, for X the action on the comodule side
+    coeffs = dual.basis.transpose(1, 0, 2).reshape(da, k * dc)
+    w = linalg.combine(coeffs, m.carrier.right_acts if right else m.carrier.left_acts, p)
+    # f_t on the C leg of the coaction: rows i, columns (j, c) or (c, j)
+    big = w.reshape(k, dc, dm, dm).transpose((0, 2, 3, 1) if right else (0, 2, 1, 3))
+    acts = linalg.matmul(big.reshape(k * dm, dm * dc), m.rep, p).reshape(k, dm, dm)
+    return LeftModule(opposite(dual.algebra) if right else dual.algebra, acts)
 
 
 class Cotensor:
@@ -558,26 +523,21 @@ def cotensor(m: Comodule, n: Comodule) -> Cotensor:
     route_n = linalg.kron_apply(p, n.rep, amb.sect, dm, True)
     equalizer = linalg.matmul(proj3, (route_m - route_n) % p, p)
     basis = linalg.nullspace(equalizer, p)
-    # surviving outer actions, restricted to the equalizer
-    la = _restrict_stack(amb.left_acts, basis, p)
-    ra = _restrict_stack(amb.right_acts, basis, p)
-    bim = Bimodule(m.carrier.left_alg, n.carrier.right_alg, la, ra)
+    # surviving outer actions, restricted to the equalizer: every X basis
+    # in one product, solved against basis in one system
+    acts = np.concatenate([amb.left_acts, amb.right_acts])
+    na, d, k = acts.shape[0], amb.dim, basis.shape[1]
+    moved = linalg.matmul(acts.reshape(na * d, d), basis, p).reshape(na, d, k)
+    sol = linalg.solve_right(basis, moved.transpose(1, 0, 2).reshape(d, na * k), p)
+    if sol is None:
+        raise UsageError(
+            "outer action does not preserve the cotensor subspace; "
+            "the carrier is not a bicomodule for it"
+        )
+    acts = sol.reshape(k, na, k).transpose(1, 0, 2)
+    nl = amb.left_acts.shape[0]
+    bim = Bimodule(m.carrier.left_alg, n.carrier.right_alg, acts[:nl], acts[nl:])
     return Cotensor(basis, amb, bim)
-
-
-def _restrict_stack(acts, basis, p):
-    k = basis.shape[1]
-    out = np.zeros((acts.shape[0], k, k), dtype=np.int64)
-    for i in range(acts.shape[0]):
-        moved = linalg.matmul(acts[i], basis, p)
-        sol = linalg.solve_right(basis, moved, p)
-        if sol is None:
-            raise UsageError(
-                "outer action does not preserve the cotensor subspace; "
-                "the carrier is not a bicomodule for it"
-            )
-        out[i] = sol
-    return out
 
 
 def cotensor_map(x: Comodule, n: Comodule, n2: Comodule, f) -> Mat:
@@ -588,24 +548,16 @@ def cotensor_map(x: Comodule, n: Comodule, n2: Comodule, f) -> Mat:
     if f.shape != (n2.dim, n.dim):
         raise UsageError(f"comodule map must be {n2.dim}x{n.dim}, got {f.shape}")
     # f must intertwine the coactions (checked in quotient coordinates)
-    lhs = linalg.matmul_chain(
-        p, n2.tensor.proj, np.kron(linalg.identity(c.dim), f) % p, n.rep
-    )
-    rhs = linalg.matmul(n2.coaction, f, p)
-    if not np.array_equal(lhs, rhs):
+    lhs = linalg.matmul(n2.tensor.proj, linalg.kron_apply(p, f, n.rep, c.dim, True), p)
+    if not np.array_equal(lhs, linalg.matmul(n2.coaction, f, p)):
         raise UsageError("map does not commute with the coactions")
-    for a in range(c.base.dim):
-        if not np.array_equal(
-            linalg.matmul(f, n.carrier.left_acts[a], p),
-            linalg.matmul(n2.carrier.left_acts[a], f, p),
-        ):
-            raise UsageError("comodule map is not linear over the base")
+    if not linalg.intertwines(f, n.carrier.left_acts, n2.carrier.left_acts, p):
+        raise UsageError("comodule map is not linear over the base")
     left = cotensor(x, n)
     right = cotensor(x, n2)
-    amb_map = linalg.matmul_chain(
-        p, right.ambient.proj, np.kron(linalg.identity(x.dim), f) % p, left.ambient.sect
-    )
-    moved = linalg.matmul(amb_map, left.basis, p)
+    # X cot N -> X (x) N -> X (x) N2 along kron(I, f), then onto X cot N2
+    raw = linalg.kron_apply(p, f, linalg.matmul(left.ambient.sect, left.basis, p), x.dim, True)
+    moved = linalg.matmul(right.ambient.proj, raw, p)
     sol = linalg.solve_right(right.basis, moved, p)
     if sol is None:
         raise InternalCheckError("induced map escapes the cotensor subspace")
@@ -626,16 +578,10 @@ def validate_coring_hom(c: Coring, d: Coring, rho: AlgebraHom, phi) -> report.Ou
     if phi.shape != (d.dim, c.dim):
         raise UsageError(f"carrier map must be {d.dim}x{c.dim}, got {phi.shape}")
     # phi must be bilinear over the source base (target viewed through rho)
-    for a in range(c.base.dim):
-        img = rho.matrix[:, a]
-        d_left = np.einsum("b,bij->ij", img, d.carrier.left_acts) % p
-        d_right = np.einsum("b,bij->ij", img, d.carrier.right_acts) % p
-        if not np.array_equal(
-            linalg.matmul(phi, c.carrier.left_acts[a], p), linalg.matmul(d_left, phi, p)
-        ) or not np.array_equal(
-            linalg.matmul(phi, c.carrier.right_acts[a], p), linalg.matmul(d_right, phi, p)
-        ):
-            raise NotBimoduleMap("phi")
+    on_c = np.concatenate([c.carrier.left_acts, c.carrier.right_acts])
+    on_d = [linalg.combine(rho.matrix, acts, p) for acts in (d.carrier.left_acts, d.carrier.right_acts)]
+    if not linalg.intertwines(phi, on_c, np.concatenate(on_d), p):
+        raise NotBimoduleMap("phi")
     out = report.Outcome(report.VALID)
     counit_ok = np.array_equal(
         linalg.matmul(d.eps, phi, p), linalg.matmul(rho.matrix, c.eps, p)

@@ -326,15 +326,14 @@ def _idem_from_element(bar: Algebra, x: Mat, rng) -> Mat | None:
         z = _eval_poly(bar, f0, x)
         if not z.any():
             return None
-        cols = [linalg.matmul(bar.left_mult_matrix(np.eye(bar.dim, dtype=np.int64)[i]), z.reshape(-1, 1), p) for i in range(bar.dim)]
-        ideal = linalg.column_space_basis(np.concatenate(cols, axis=1), p)
-        rows = []
-        rhs = []
-        for j in range(ideal.shape[1]):
-            rj = bar.right_mult_matrix(ideal[:, j])
-            rows.append(linalg.matmul(rj, ideal, p))
-            rhs.append(ideal[:, j])
-        sol = linalg.solve_right(np.concatenate(rows, axis=0), np.concatenate(rhs), p)
+        n = bar.dim
+        # A z is spanned by the e_i z, the columns of x -> x z
+        ideal = linalg.column_space_basis(bar.right_mult_matrix(z), p)
+        r = ideal.shape[1]
+        # e = ideal sol with y_j e = y_j for every column y_j of ideal
+        ys = linalg.combine(ideal, bar.left_mult, p)
+        system = linalg.matmul(ys.reshape(r * n, n), ideal, p)
+        sol = linalg.solve_right(system, ideal.T.reshape(-1), p)
         if sol is None:
             raise InternalCheckError("left ideal of a semisimple quotient has no right identity")
         e = linalg.matmul(ideal, sol.reshape(-1, 1), p).reshape(-1)
@@ -479,10 +478,10 @@ class Decomposition:
         mod = self.module
         p, d = mod.p, mod.dim
         gens = mod.algebra.generators()
-        g, n = gens.shape
+        g = gens.shape[0]
 
         def on_gens(m):
-            return linalg.matmul(gens, m.action.reshape(n, m.dim * m.dim), p).reshape(g, m.dim, m.dim)
+            return linalg.combine(gens.T, m.action, p)
 
         inj = np.concatenate([linalg.zeros(d, 0)] + [i for s in self.summands for i in s.injections], axis=1)
         proj = np.concatenate([linalg.zeros(0, d)] + [q for s in self.summands for q in s.projections], axis=0)
@@ -500,9 +499,7 @@ class Decomposition:
             for _ in range(s.multiplicity):
                 diag[:, o : o + k, o : o + k] = acts
                 o += k
-        lhs = linalg.matmul(on_gens(mod).reshape(g * d, d), inj, p).reshape(g, d, d)
-        rhs = linalg.matmul(inj, diag.transpose(1, 0, 2).reshape(d, g * d), p)
-        if not np.array_equal(lhs, rhs.reshape(d, g, d).transpose(1, 0, 2)):
+        if not linalg.intertwines(inj, diag, on_gens(mod), p):
             raise InternalCheckError("decomposition: an injection is not a module map")
 
     def class_signature(self):
@@ -533,11 +530,11 @@ def decomposition_payload(dec: Decomposition) -> dict:
 
 
 def _submodule(mod: LeftModule, basis_cols: Mat, proj_rows: Mat) -> LeftModule:
-    p = mod.p
-    act = np.stack(
-        [linalg.matmul_chain(p, proj_rows, mod.action[a], basis_cols) for a in range(mod.algebra.dim)]
-    )
-    return LeftModule(mod.algebra, act, _validate=False)
+    p, n, d, k = mod.p, mod.algebra.dim, mod.dim, basis_cols.shape[1]
+    # proj_rows X_a basis_cols for every a: X_a basis_cols in one product, then proj_rows
+    moved = linalg.matmul(mod.action.reshape(n * d, d), basis_cols, p).reshape(n, d, k)
+    act = linalg.matmul(proj_rows, moved.transpose(1, 0, 2).reshape(d, n * k), p)
+    return LeftModule(mod.algebra, act.reshape(proj_rows.shape[0], n, k).transpose(1, 0, 2), _validate=False)
 
 
 def _iso_indecomposable(a: LeftModule, b: LeftModule, rng) -> Mat | None:

@@ -251,32 +251,30 @@ def induce(ring: GradedRing, n: LeftModule) -> GradedModule:
     for d in dims:
         offsets.append(offsets[-1] + d)
     act = np.zeros((ring.dim, offsets[-1], offsets[-1]), dtype=np.int64)
-    eye_n = linalg.identity(dn)
     for x in range(ring.order):
         rb = ring.block(x)
-        for a in range(ring.dims[x]):
-            for y in range(ring.order):
-                z = int(ring.table[x, y])
-                lmap = ring.products[x][y][a].T % p  # left mult by a: R_y -> R_{xy}
-                blk = linalg.matmul_chain(p, tensors[z].proj, np.kron(lmap, eye_n) % p, tensors[y].sect)
-                act[rb.start + a, offsets[z] : offsets[z] + dims[z], offsets[y] : offsets[y] + dims[y]] = blk
+        for y in range(ring.order):
+            z = int(ring.table[x, y])
+            dx = ring.dims[x]
+            # left mult by each a in R_x, R_y -> R_{xy}, stacked by rows: the
+            # block of a is tensors[z].proj kron(lmap_a, I) tensors[y].sect
+            lmaps = ring.products[x][y].transpose(0, 2, 1).reshape(dx * ring.dims[z], ring.dims[y])
+            raw = linalg.kron_apply(p, lmaps, tensors[y].sect, dn, False)
+            blk = linalg.kron_apply(p, tensors[z].proj, raw, dx, True)
+            act[rb, offsets[z] : offsets[z] + dims[z], offsets[y] : offsets[y] + dims[y]] = blk.reshape(
+                dx, dims[z], dims[y]
+            )
     out = GradedModule(ring, dims, act)
     te = tensors[ring.e]
-    u = ring.r_e.unit.reshape(-1, 1)
-    to_ind = linalg.matmul(te.proj, np.kron(u, eye_n) % p, p)
+    eye_n = linalg.identity(dn)
+    # n |-> class(1 (x) n): te.proj kron(u, I) is (kron(u.T, I) te.proj.T).T
+    to_ind = linalg.kron_apply(p, ring.r_e.unit.reshape(1, -1), te.proj.T, dn, False).T
     from_raw = n.action.transpose(1, 0, 2).reshape(dn, ring.dims[ring.e] * dn) % p
     from_ind = linalg.matmul(from_raw, te.sect, p)
-    ide = restrict_e(out)
     ok = (
         np.array_equal(linalg.matmul(from_ind, to_ind, p), eye_n)
         and np.array_equal(linalg.matmul(to_ind, from_ind, p), linalg.identity(te.dim))
-        and all(
-            np.array_equal(
-                linalg.matmul(to_ind, n.action[a] % p, p),
-                linalg.matmul(ide.action[a], to_ind, p),
-            )
-            for a in range(ring.dims[ring.e])
-        )
+        and linalg.intertwines(to_ind, n.action, restrict_e(out).action, p)
     )
     if not ok:
         raise InternalCheckError("induction does not restrict back to the input module")
@@ -307,29 +305,18 @@ def coinduce(ring: GradedRing, n: LeftModule) -> GradedModule:
                 continue
             z = int(ring.table[x, y])
             src = ring.inv[z]  # arguments of r.f live in R_{(xy)^-1}
-            for a in range(ring.dims[x]):
-                # right mult by a: R_{(xy)^-1} -> R_{y^-1}, then apply f
-                rmat = ring.products[src][x][:, a, :].T % p
-                maps = np.matmul(homs[y].basis, rmat) % p
-                blk = homs[z].coords_batch(maps)
-                act[rb.start + a, offsets[z] : offsets[z] + dims[z], offsets[y] : offsets[y] + dims[y]] = blk
+            # right mult by each a in R_x: R_{(xy)^-1} -> R_{y^-1}, then apply f
+            rmats = ring.products[src][x].transpose(1, 2, 0)
+            moved = linalg.matmul_pairs(homs[y].basis, rmats, p).transpose(1, 0, 2, 3)
+            act[rb, offsets[z] : offsets[z] + dims[z], offsets[y] : offsets[y] + dims[y]] = homs[z].action(moved)
     out = GradedModule(ring, dims, act)
     out.hom_spaces = homs
     he = homs[ring.e]
-    u = ring.r_e.unit.reshape(-1, 1)
-    if he.k:
-        ev = np.matmul(he.basis, u)[:, :, 0].T % p  # column t is basis map t applied to 1
-    else:
-        ev = np.zeros((dn, 0), dtype=np.int64)
-    ide = restrict_e(out)
-    ev_inv = linalg.invert(ev, p) if ev.shape[0] == ev.shape[1] else None
-    ok = ev_inv is not None and all(
-        np.array_equal(
-            linalg.matmul(ev, ide.action[a], p),
-            linalg.matmul(n.action[a] % p, ev, p),
-        )
-        for a in range(ring.dims[ring.e])
-    )
+    # column t is basis map t applied to 1
+    ev = linalg.matmul(he.basis.reshape(he.k * dn, ring.dims[ring.e]), ring.r_e.unit.reshape(-1, 1), p)
+    ev = ev.reshape(he.k, dn).T
+    ok = ev.shape[0] == ev.shape[1] and linalg.invert(ev, p) is not None
+    ok = ok and linalg.intertwines(ev, restrict_e(out).action, n.action, p)
     if not ok:
         raise InternalCheckError("evaluation at 1 fails to identify the identity component")
     return out
@@ -374,9 +361,8 @@ def restriction_bimodules(ring: GradedRing):
         if h.k == 0:
             continue
         blk = coind.block(y)
-        for a in range(ring.dims[ring.e]):
-            maps = np.matmul(ring.r_e.right_mult[a] % p, h.basis) % p
-            ra[a, blk, blk] = h.coords_batch(maps)
+        # (f . a)(r) = f(r) a, for every a in R_e
+        ra[:, blk, blk] = h.action(linalg.matmul_pairs(ring.r_e.right_mult, h.basis, p))
     bim_c = Bimodule(ring.total, ring.r_e, coind.total.action, ra)
     return bim_r, bim_c
 

@@ -175,6 +175,26 @@ def matmul_pairs(a: Mat, b: Mat, p: int) -> Mat:
     return out.reshape(n, r, m, c).transpose(0, 2, 1, 3)
 
 
+def combine(coeffs: Mat, stack: Mat, p: int) -> Mat:
+    """Exact ``sum_a coeffs[a, k] stack[a]`` for every column k of an
+    (n, m) ``coeffs``, as one ``matmul``: an (n, r, c) stack gives an
+    (m, r, c) stack."""
+    n, r, c = stack.shape
+    return matmul(coeffs.T, stack.reshape(n, r * c), p).reshape(coeffs.shape[1], r, c)
+
+
+def intertwines(f: Mat, src: Mat, dst: Mat, p: int):
+    """Whether ``f @ src[a] == dst[a] @ f`` for every a, from two stacked
+    products, for (n, c, c) and (n, r, r) stacks ``src`` and ``dst``.  An
+    (r, c) map ``f`` gives one bool; an (m, r, c) stack of maps gives a
+    bool array with one answer per map."""
+    maps = f if f.ndim == 3 else f[None]
+    lhs = matmul_pairs(maps, src, p)
+    rhs = matmul_pairs(dst, maps, p).transpose(1, 0, 2, 3)
+    ok = (lhs == rhs).all(axis=(1, 2, 3))
+    return ok if f.ndim == 3 else bool(ok[0])
+
+
 def matmul_chain(p: int, *mats: Mat) -> Mat:
     out = mats[0]
     for m in mats[1:]:

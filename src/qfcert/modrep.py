@@ -21,6 +21,10 @@ so no basis depends on the generators taken.  The balanced tensor carries
 the projection/section pair so that callers can transport maps along the
 quotient.  Triple products (M (x) M') (x) N go through the same routine
 (``triple_projection``).
+
+Maps moved by an action come back to hom coordinates through one solve
+(``HomSpace.action``), and a module-map law f X_a = Y_a f is checked for
+every a at once by ``linalg.intertwines``.
 """
 
 from __future__ import annotations
@@ -85,9 +89,7 @@ class LeftModule:
 
     def act(self, x) -> Mat:
         """Matrix of the action of an algebra element given by coordinates."""
-        x = linalg.asmat(x, self.p).reshape(1, -1)
-        d = self.dim
-        return linalg.matmul(x, self.action.reshape(-1, d * d), self.p).reshape(d, d)
+        return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.action, self.p)[0]
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra, p={self.p})"
@@ -153,12 +155,13 @@ class HomSpace:
         return sol
 
     def action(self, moved: Mat) -> Mat:
-        """The (n, k, k) action tensor whose a-th matrix has column t the
-        coordinates of ``moved[a, t]``, for an (n, k, dN, dM) stack of
-        moved basis maps, from one solve."""
-        n = moved.shape[0]
-        flat = moved.reshape(n * self.k, self.target.dim, self.source.dim)
-        return self.coords_batch(flat).reshape(self.k, n, self.k).transpose(1, 0, 2)
+        """The (n, k, m) tensor whose a-th matrix has column t the
+        coordinates of ``moved[a, t]``, for an (n, m, dN, dM) stack of maps
+        in this space (for m = k, the moved basis maps of an action), from
+        one solve."""
+        n, m = moved.shape[:2]
+        flat = moved.reshape(n * m, self.target.dim, self.source.dim)
+        return self.coords_batch(flat).reshape(self.k, n, m).transpose(1, 0, 2)
 
     def element(self, coeffs) -> Mat:
         p, dn, dm = self.source.p, self.target.dim, self.source.dim
@@ -491,11 +494,9 @@ class SplitWitness:
         if not np.array_equal(total, linalg.identity(d)):
             raise InternalCheckError("split witness: pi . sigma is not the identity")
         # sigma_b a = a sigma_b and pi_b a = a pi_b for every block b and basis element a
-        lhs = linalg.matmul_pairs(sigma_blocks, acts, p)
-        if not np.array_equal(lhs, linalg.matmul_pairs(left_mult, sigma_blocks, p).transpose(1, 0, 2, 3)):
+        if not linalg.intertwines(sigma_blocks, acts, left_mult, p).all():
             raise InternalCheckError("split witness: sigma is not a module map")
-        lhs = linalg.matmul_pairs(pi_blocks, left_mult, p)
-        if not np.array_equal(lhs, linalg.matmul_pairs(acts, pi_blocks, p).transpose(1, 0, 2, 3)):
+        if not linalg.intertwines(pi_blocks, left_mult, acts, p).all():
             raise InternalCheckError("split witness: pi is not a module map")
 
 

@@ -37,11 +37,9 @@ class Extension:
     def __init__(self, hom: AlgebraHom):
         self.hom = hom
         r, s = hom.source, hom.target
-        p = r.p
-        la = np.stack([s.left_mult_matrix(hom.matrix[:, i]) for i in range(r.dim)]) % p
-        self.bimodule_rs = Bimodule(r, s, la, s.right_mult)
-        ra = np.stack([s.right_mult_matrix(hom.matrix[:, i]) for i in range(r.dim)]) % p
-        self.bimodule_sr = Bimodule(s, r, s.left_mult, ra)
+        # r acts through phi: by phi(e_i) times, on the left or on the right
+        self.bimodule_rs = Bimodule(r, s, linalg.combine(hom.matrix, s.left_mult, r.p), s.right_mult)
+        self.bimodule_sr = Bimodule(s, r, s.left_mult, linalg.combine(hom.matrix, s.right_mult, r.p))
 
     @property
     def source(self) -> Algebra:
@@ -136,15 +134,10 @@ def _hom_module_over_target(ext: Extension, x_mod: LeftModule):
 
     Returns (hom_space, action tensor of S on hom coordinates).
     """
-    p = ext.p
-    s_alg = ext.target
-    rs_left = restrict_bimodule(ext.bimodule_rs, "left")
-    g = hom_space(rs_left, x_mod)
-    acts = np.zeros((s_alg.dim, g.k, g.k), dtype=np.int64)
-    for s in range(s_alg.dim):
-        transformed = np.matmul(g.basis, s_alg.right_mult[s]) % p
-        acts[s] = g.coords_batch(transformed)
-    return g, acts
+    g = hom_space(restrict_bimodule(ext.bimodule_rs, "left"), x_mod)
+    # moved[s, t] = h_t after right multiplication by e_s
+    moved = linalg.matmul_pairs(g.basis, ext.target.right_mult, ext.p).transpose(1, 0, 2, 3)
+    return g, g.action(moved)
 
 
 def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.Outcome:
@@ -179,13 +172,12 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.
     g, g_acts = _hom_module_over_target(ext, x_mod)
     if g.k != dx_t.dim:
         raise InternalCheckError("hom module and tensor dual have different dimensions")
-    # theta0: pure tensor f_t (x) e_j  |->  (s |-> act_X(f_t(s)) e_j)
+    # theta0: pure tensor f_t (x) e_j  |->  (s |-> act_X(f_t(s)) e_j),
+    # from weights[t, s] = act_X(f_t(s)) = sum_r f_t[r, s] X(e_r)
     hom_basis = d_bim.hom_basis  # (dd, dim R, ds)
-    theta0 = linalg.zeros(g.k, dd * dx)
-    for t in range(dd):
-        weights = np.einsum("rs,rab->sab", hom_basis[t], x_mod.action) % p  # (ds, dx, dx)
-        maps = weights.transpose(2, 1, 0)  # (dx maps, dx rows, ds cols)
-        theta0[:, t * dx : (t + 1) * dx] = g.coords_batch(maps)
+    weights = linalg.combine(hom_basis.transpose(1, 0, 2).reshape(-1, dd * ds), x_mod.action, p)
+    maps = weights.reshape(dd, ds, dx, dx).transpose(0, 3, 2, 1).reshape(dd * dx, dx, ds)
+    theta0 = g.coords_batch(maps)
     # well-definedness on the quotient, then invertibility (projectivity)
     resid = linalg.matmul(theta0, (linalg.identity(dd * dx) - linalg.matmul(dx_t.sect, dx_t.proj, p)) % p, p)
     if resid.any():
@@ -194,34 +186,20 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.
     theta_inv = linalg.invert(theta, p)
     if theta_inv is None:
         raise InternalCheckError("canonical hom transport is singular despite projectivity")
-    eye_x = linalg.identity(dx)
-    alpha = linalg.zeros(m * g.k, lx.dim)
-    alphabar = linalg.zeros(lx.dim, m * g.k)
-    for c in range(m):
-        phic = cert.phi[c * dd : (c + 1) * dd]
-        psic = cert.psi[:, c * dd : (c + 1) * dd]
-        alpha[c * g.k : (c + 1) * g.k] = linalg.matmul_chain(
-            p, theta, dx_t.proj, np.kron(phic, eye_x) % p, lx.sect
-        )
-        alphabar[:, c * g.k : (c + 1) * g.k] = linalg.matmul_chain(
-            p, lx.proj, np.kron(psic, eye_x) % p, dx_t.sect, theta_inv
-        )
+    # alpha = kron(I_m, theta proj) kron(phi, I) sect and
+    # alphabar = proj kron(psi, I) kron(I_m, sect theta^-1), the latter transposed
+    gk, dl = g.k, lx.dim
+    to_hom = linalg.matmul(theta, dx_t.proj, p)
+    alpha = linalg.kron_apply(p, to_hom, linalg.kron_apply(p, cert.phi, lx.sect, dx, False), m, True)
+    from_hom = linalg.matmul(dx_t.sect, theta_inv, p).T
+    alphabar = linalg.kron_apply(p, from_hom, linalg.kron_apply(p, cert.psi.T, lx.proj.T, dx, False), m, True).T
     composite = linalg.matmul(alphabar, alpha, p)
-    identity_ok = np.array_equal(composite, linalg.identity(lx.dim))
+    identity_ok = np.array_equal(composite, linalg.identity(dl))
     # S-linearity of both maps, blockwise
-    linear_ok = True
-    for s in range(s_alg.dim):
-        for c in range(m):
-            ablk = alpha[c * g.k : (c + 1) * g.k]
-            if not np.array_equal(
-                linalg.matmul(ablk, lx.left_acts[s], p), linalg.matmul(g_acts[s], ablk, p)
-            ):
-                linear_ok = False
-            bblk = alphabar[:, c * g.k : (c + 1) * g.k]
-            if not np.array_equal(
-                linalg.matmul(bblk, g_acts[s], p), linalg.matmul(lx.left_acts[s], bblk, p)
-            ):
-                linear_ok = False
+    linear_ok = bool(
+        linalg.intertwines(alpha.reshape(m, gk, dl), lx.left_acts, g_acts, p).all()
+        and linalg.intertwines(alphabar.reshape(dl, m, gk).transpose(1, 0, 2), g_acts, lx.left_acts, p).all()
+    )
     verdict = report.YES if (identity_ok and linear_ok) else report.INCONSISTENT
     payload = {
         "kind": "pair-witness",

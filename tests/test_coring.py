@@ -8,6 +8,7 @@ from qfcert.algebra import Algebra, EnvelopingAlgebra, field_algebra, identity_h
 from qfcert.coring import (
     Comodule,
     comodule_to_module,
+    coring_from_raw_delta,
     cotensor,
     cotensor_map,
     is_qf_coring,
@@ -43,10 +44,13 @@ from helpers import (
     LARGEST_PRIME,
     balanced_relations,
     balancing_quotient,
+    conjugated,
     count_calls,
+    dense_basis_change,
     dual_numbers,
     group_alg,
     mat_units_algebra,
+    rebased,
 )
 
 P = 5
@@ -251,6 +255,31 @@ def test_presented_quotient_matches_the_balancing_quotient():
             # and the canonical basis recovered from it is the reference's
             t = tensor_over(s_alg, m, n)
             assert np.array_equal(t.proj, ref_proj) and np.array_equal(t.sect, ref_sect)
+
+
+def dense_trivial_coring_m2(p, seed=0):
+    """The trivial coring of M2(F_p) in a random dense basis, on a carrier
+    conjugated by a random dense matrix c: Delta(c x) = (c (x) c)(x (x) 1)
+    and eps(c x) = x."""
+    rng = np.random.RandomState(seed)
+    plain = mat_units_algebra(p, 2)
+    t, t_inv = dense_basis_change(plain.dim, p, rng)
+    a = make_algebra(p, *rebased(plain, t, t_inv))
+    c, c_inv = dense_basis_change(a.dim, p, rng)
+    carrier = Bimodule(a, a, conjugated(a.left_mult, c, c_inv, p), conjugated(a.right_mult, c, c_inv, p))
+    c, c_inv = np.array(c, dtype=np.int64), np.array(c_inv, dtype=np.int64)
+    # (c (x) c) kron(x, 1) = kron(c, c 1) x, taken at x = c^-1 v
+    c_unit = linalg.matmul(c, a.unit.reshape(-1, 1), p)
+    raw = linalg.matmul(np.kron(c, c_unit) % p, c_inv, p)
+    return coring_from_raw_delta(a, carrier, raw, c_inv)
+
+
+@pytest.mark.parametrize("p", [1_000_000_007, LARGEST_PRIME])
+def test_dense_trivial_coring_is_exact_at_large_primes(p):
+    c = dense_trivial_coring_m2(p)
+    regular_comodule(c, "left")
+    regular_comodule(c, "right")
+    assert is_qf_coring(c).verdict == report.YES
 
 
 @pytest.fixture(scope="module")
@@ -538,6 +567,10 @@ def test_cotensor_map_identity_and_sum(sweedler_dualnum):
     assert np.array_equal(cotensor_map(cm, cn, cn, eye), np.eye(cotensor(cm, cn).dim, dtype=np.int64))
     two = cotensor_map(cm, cn, cn, (2 * eye) % P)
     assert np.array_equal(two, (2 * np.eye(cotensor(cm, cn).dim, dtype=np.int64)) % P)
+    unit = np.zeros_like(eye)
+    unit[0, 1] = 1
+    with pytest.raises(UsageError, match="does not commute with the coactions"):
+        cotensor_map(cm, cn, cn, unit)
 
 
 def test_cotensor_map_into_doubled_comodule(sweedler_dualnum):

@@ -22,6 +22,7 @@ from qfcert.decomp import (
     Decomposition,
     Summand,
     _factor_poly,
+    _idem_from_element,
     _minpoly,
     decompose,
     decomposition_payload,
@@ -105,6 +106,20 @@ def test_find_idempotent_matrix_algebra():
     assert e is not None
     assert np.array_equal(a.multiply(e, e), e)
     assert e.any() and not np.array_equal(e, a.unit)
+
+
+def test_nilpotent_element_gives_the_right_identity_of_its_left_ideal():
+    # E12 has minimal polynomial t^2, so z = E12 itself and A z = span(E12, E22)
+    p = 5
+    a = mat_units_algebra(p, 2)
+    x = np.array([0, 1, 0, 0], dtype=np.int64)
+    e = _idem_from_element(a, x, random.Random(0))
+    assert e is not None
+    assert np.array_equal(a.multiply(e, e), e)
+    assert e.any() and not np.array_equal(e, a.unit)
+    # a right identity of A z: e lies in A z (no E11 or E21 part) and z e = z
+    assert e[0] == e[2] == 0
+    assert np.array_equal(a.multiply(x, e), x)
 
 
 def test_find_idempotent_group_algebra_c2():

@@ -396,6 +396,39 @@ def test_matmul_on_both_sides_of_the_small_switch(p):
         assert linalg.matmul(a, b, p).tolist() == python_matmul(a, b, p), ((m, k, n), m * k * n <= cut)
 
 
+@pytest.mark.parametrize("p", [5, P_INT_LOW, P_LARGEST])
+def test_combine_and_intertwines_exact_at_large_primes(p):
+    rng = np.random.RandomState(p % 997)
+    coeffs = rng.randint(0, p, size=(6, 3)).astype(np.int64)
+    stack = rng.randint(0, p, size=(6, 4, 5)).astype(np.int64)
+    coeffs[0], stack[0] = p - 1, p - 1
+    want = [[[sum(int(coeffs[a, k]) * int(stack[a, i, j]) for a in range(6)) % p for j in range(5)]
+             for i in range(4)] for k in range(3)]
+    assert linalg.combine(coeffs, stack, p).tolist() == want
+
+    # f = t [I | 0] u^-1 carries u b u^-1 to t b00 t^-1 when b has no block above-right
+    def invertible(n):
+        while True:
+            m = rng.randint(0, p, size=(n, n)).astype(np.int64)
+            inv = linalg.invert(m, p)
+            if inv is not None:
+                return m, inv
+
+    t, t_inv = invertible(3)
+    u, u_inv = invertible(5)
+    f = linalg.matmul(t, u_inv[:3], p)
+    b = rng.randint(0, p, size=(4, 5, 5)).astype(np.int64)
+    b[:, :3, 3:] = 0
+    src = np.stack([linalg.matmul(linalg.matmul(u, x, p), u_inv, p) for x in b])
+    dst = np.stack([linalg.matmul(linalg.matmul(t, x[:3, :3], p), t_inv, p) for x in b])
+    assert linalg.intertwines(f, src, dst, p) is True
+    bad = dst.copy()
+    bad[2, 0, 0] = (bad[2, 0, 0] + 1) % p
+    assert linalg.intertwines(f, src, bad, p) is False
+    assert linalg.intertwines(np.stack([f, f, f]), src, bad, p).tolist() == [False] * 3
+    assert linalg.intertwines(np.stack([f, linalg.zeros(3, 5)]), src, bad, p).tolist() == [False, True]
+
+
 # one int64 sum holds 40 products of residues at 480000019 and one at P_LARGEST
 @pytest.mark.parametrize("p, budget", [(480000019, 40), (P_LARGEST, 1)])
 @pytest.mark.parametrize("extra", [0, 1])

@@ -19,15 +19,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qfcert"
 ALLOWED = {
     "algebra.EnvelopingAlgebra.__init__": 1,
     "algebra.tensor_algebra": 1,
-    "coring.Comodule._validate": 2,
-    "coring.Coring._validate": 2,
-    "coring.comodule_to_module": 2,
-    "coring.validate_coring_hom": 2,
-    "graded.coinduce": 2,
-    "graded.restriction_bimodules": 1,
-    "ringext._hom_module_over_target": 1,
-    "ringext.qf_pair_witness": 1,
-    "simdiv.verify_cert": 4,
 }
 
 

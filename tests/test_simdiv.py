@@ -215,3 +215,21 @@ def test_qf_tensor_check_vacuous():
     good = regular_bimodule(dn)
     out = qf_tensor_check(good, bad)
     assert out.verdict == report.VACUOUS
+
+
+def test_verify_cert_names_each_failing_block():
+    p = 7
+    s1, s2 = simple_modules_prod(p)
+    m = sum_module(s1, s2, s2)
+    n = sum_module(s1, s2)
+    c = divides(m, n)
+    assert c.n == 2
+    # all-ones blocks are not module maps; the trivial right actions still commute
+    c.phi[n.dim :] = 1
+    c.psi[:, : n.dim] = 1
+    ok, reasons = verify_cert(c, m, n)
+    assert not ok
+    assert [r for r in reasons if "block" in r] == [
+        "psi block 0 does not intertwine the left actions",
+        "phi block 1 does not intertwine the left actions",
+    ]
