@@ -116,11 +116,8 @@ def _run(command, docs, seed, depth):
         else:
             cert = divides(m, n, seed=seed)
             name, cond = "division", "summand-of-a-finite-power"
-        out = report.Outcome(report.YES if cert is not None else report.NO)
-        if cert is not None:
-            out.add(report.Check(name, cond, report.YES, certificate=cert.payload()))
-        else:
-            out.add(report.Check(name, cond, report.NO, reason="no split factorization exists"))
+        out = report.Outcome(report.YES)
+        out.decide(name, cond, None if cert is None else cert.payload(), "no split factorization exists")
         return out
     if command == "dual-sequence":
         m = _bimodule_from(docs[0])

@@ -297,11 +297,6 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
     c_left_bim = carrier_over_left_dual(c, dl)
     c_right_bim = carrier_over_right_dual(c, dr)
     ext = Extension(dl.embed)
-    verdicts = []
-
-    def decide(name, condition, verdict, certificate=None, reason=None):
-        verdicts.append(verdict)
-        out.add(report.Check(name, condition, verdict, certificate, reason))
 
     def outcome_certificate(sub: report.Outcome):
         return {"kind": "outcome", "checks": [ch.to_dict() for ch in sub.checks]}
@@ -312,59 +307,47 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
         ("left", wl, c_left_bim, dl, left_dual_as_bimodule),
         ("right", wr, c_right_bim, dr, right_dual_as_bimodule),
     ):
-        name = f"{side} projectivity + {side} dual similarity"
-        condition = f"{side}-projective-and-carrier-similar-to-{side}-dual-ring"
-        if w is None:
-            decide(name, condition, report.NO, reason=not_projective.format(side))
-            continue
-        sim = similar(carrier_bim, ring_as_bimodule(c, ring), seed=seed)
-        if sim is None:
-            decide(name, condition, report.NO, reason=f"carrier and {side} dual ring are not similar bimodules")
-        else:
-            cert = {
-                "kind": "projective-and-similar",
-                "p": c.p,
-                "projectivity": split_witness_payload(w),
-                "similarity": sim.payload(),
-            }
-            decide(name, condition, report.YES, certificate=cert)
+        cert, reason = None, not_projective.format(side)
+        if w is not None:
+            sim = similar(carrier_bim, ring_as_bimodule(c, ring), seed=seed)
+            reason = f"carrier and {side} dual ring are not similar bimodules"
+            if sim is not None:
+                cert = {
+                    "kind": "projective-and-similar",
+                    "p": c.p,
+                    "projectivity": split_witness_payload(w),
+                    "similarity": sim.payload(),
+                }
+        out.decide(
+            f"{side} projectivity + {side} dual similarity",
+            f"{side}-projective-and-carrier-similar-to-{side}-dual-ring",
+            cert,
+            reason,
+        )
     # the left dual ring as a bimodule over itself and the base is the
     # (S, R) unit-bimodule route of the embedding extension test below
     star_out = is_qf_bimodule(ext.bimodule_sr, seed=seed)
     # the base embedding into the left dual ring is a quasi-Frobenius extension
     name, condition = "embedding extension test", "left-projective-and-embedding-into-left-dual-ring-qf"
     if wl is None:
-        decide(name, condition, report.NO, reason=not_projective.format("left"))
+        out.decide(name, condition, None, not_projective.format("left"))
     else:
         ext_out = merge_unit_routes(is_qf_bimodule(ext.bimodule_rs, seed=seed), star_out)
-        decide(
-            name,
-            condition,
-            ext_out.verdict,
-            certificate=outcome_certificate(ext_out),
-            reason=None
-            if ext_out.verdict == report.YES
-            else "embedding into the left dual ring is not quasi-Frobenius",
-        )
+        reason = None if ext_out.verdict == report.YES else "embedding into the left dual ring is not quasi-Frobenius"
+        out.add(report.Check(name, condition, ext_out.verdict, outcome_certificate(ext_out), reason))
     # carrier as a bimodule between base and left dual ring
     bim_out = is_qf_bimodule(c_left_bim, seed=seed)
-    decide(
-        "carrier bimodule test",
-        "carrier-qf-bimodule-over-base-and-left-dual-ring",
-        bim_out.verdict,
-        certificate=outcome_certificate(bim_out),
-    )
-    decide(
-        "left dual ring bimodule test",
-        "left-dual-ring-qf-bimodule-over-itself-and-base",
-        star_out.verdict,
-        certificate=outcome_certificate(star_out),
-    )
+    for name, condition, sub in (
+        ("carrier bimodule test", "carrier-qf-bimodule-over-base-and-left-dual-ring", bim_out),
+        ("left dual ring bimodule test", "left-dual-ring-qf-bimodule-over-itself-and-base", star_out),
+    ):
+        out.add(report.Check(name, condition, sub.verdict, outcome_certificate(sub)))
 
     out.notes.append(
         "two functor-level formulations of this property are certified through the "
         "module-level conditions above rather than re-derived independently"
     )
+    verdicts = [ch.verdict for ch in out.checks]
     if report.INCONSISTENT in verdicts:
         out.verdict = report.INCONSISTENT
         out.notes.append("a sub-decision was internally inconsistent")

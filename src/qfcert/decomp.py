@@ -506,9 +506,6 @@ class Decomposition:
         """Multiset of (dim, multiplicity), sorted."""
         return sorted((s.module.dim, s.multiplicity) for s in self.summands)
 
-    def total_copies(self):
-        return sum(s.multiplicity for s in self.summands)
-
 
 def decomposition_payload(dec: Decomposition) -> dict:
     """JSON-ready certificate: all injection/projection pairs per class."""

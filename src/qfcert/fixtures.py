@@ -183,14 +183,6 @@ class Fixture:
         self.depth = depth
 
 
-def _alg_doc(a):
-    return {"p": a.p, "algebra": schema.algebra_document(a)}
-
-
-def _coring_doc(c):
-    return schema.coring_document(c)
-
-
 _corpus_cache = None
 
 
@@ -278,7 +270,7 @@ def corpus():
             oracle = "the glued socle element admits no projective splitting"
         else:
             oracle = sweedler_oracle
-        add(name, "check-coring", [_coring_doc(c)], expected, oracle)
+        add(name, "check-coring", [schema.coring_document(c)], expected, oracle)
 
     # ---- graded rings
     graded_cases = [

@@ -13,7 +13,8 @@ component before returning), suspend (relabel the blocks by a group
 element), and is_qf_restriction, which decides whether restriction to R_e
 preserves the quasi-Frobenius property: every component must be finitely
 generated projective over R_e and R must be similar to Hom_{R_e}(R, R_e)
-as an (R, R_e)-bimodule.  Both halves are certified.
+as an (R, R_e)-bimodule.  Both halves are certified; the first is the
+shared ``simdiv.projective_prelude``, with one check per component.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from .modrep import (
     Bimodule,
     LeftModule,
     hom_space,
-    is_fg_projective,
     regular_left,
     tensor_over,
 )
-from .simdiv import similar, split_witness_payload
+from .simdiv import projective_prelude, similar
 
 
 class GradedRing:
@@ -377,53 +377,21 @@ def is_qf_restriction(ring: GradedRing, seed: int = 0) -> report.Outcome:
     the coinduced side.
     """
     out = report.Outcome(report.YES)
-    all_projective = True
-    for x in range(ring.order):
-        w = is_fg_projective(ring.component_module(x))
-        if w is None:
-            all_projective = False
-            out.add(
-                report.Check(
-                    f"component {x} projective",
-                    "component-projective-over-identity-part",
-                    report.NO,
-                    reason=f"component {x} is not a projective module over the identity part",
-                )
-            )
-        else:
-            out.add(
-                report.Check(
-                    f"component {x} projective",
-                    "component-projective-over-identity-part",
-                    report.YES,
-                    certificate=split_witness_payload(w),
-                )
-            )
     name = "ring similar to coinduced module"
     condition = "ring-similar-to-coinduced-identity-part"
-    if not all_projective:
-        out.verdict = report.NO
-        out.add(
-            report.Check(
-                name,
-                condition,
-                report.SKIPPED,
-                reason="some component is not projective over the identity part",
-            )
+    components = [
+        (
+            f"component {x} projective",
+            "component-projective-over-identity-part",
+            ring.component_module(x),
+            f"component {x} is not a projective module over the identity part",
         )
-        return out
-    bim_r, bim_c = restriction_bimodules(ring)
-    sim = similar(bim_r, bim_c, seed=seed)
-    if sim is None:
-        out.verdict = report.NO
-        out.add(
-            report.Check(
-                name,
-                condition,
-                report.NO,
-                reason="the ring and the coinduced module are not similar as bimodules",
-            )
+        for x in range(ring.order)
+    ]
+    if projective_prelude(out, components, name, condition, "some component is not projective over the identity part"):
+        sim = similar(*restriction_bimodules(ring), seed=seed)
+        out.decide(
+            name, condition, None if sim is None else sim.payload(),
+            "the ring and the coinduced module are not similar as bimodules",
         )
-    else:
-        out.add(report.Check(name, condition, report.YES, certificate=sim.payload()))
     return out

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, memo
-from .algebra import Algebra, EnvelopingAlgebra, enveloping, equal_algebras, opposite
+from .algebra import Algebra, enveloping, equal_algebras, opposite
 from .errors import (
     ActionsDoNotCommute,
     InternalCheckError,
@@ -223,7 +223,7 @@ def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
 class Bimodule:
     """An (R, S)-bimodule; carrier is a left module over R (x) S^op."""
 
-    def __init__(self, left_alg: Algebra, right_alg: Algebra, left_acts, right_acts, env=None, _validate=True):
+    def __init__(self, left_alg: Algebra, right_alg: Algebra, left_acts, right_acts, _validate=True):
         if left_alg.field != right_alg.field:
             raise UsageError("bimodule sides live over different fields")
         p = left_alg.p
@@ -250,7 +250,7 @@ class Bimodule:
             if not np.array_equal(carrier_action, rhs):
                 i, j = np.argwhere(carrier_action != rhs)[0][:2]
                 raise ActionsDoNotCommute(int(i), int(j))
-        self.env = env if env is not None else enveloping(left_alg, right_alg)
+        self.env = enveloping(left_alg, right_alg)
         # module laws over the enveloping algebra follow from the three
         # validations above, so the carrier skips re-validation.
         self.carrier = LeftModule(self.env, carrier_action.reshape(nl * nr, d, d), _validate=False)
@@ -263,10 +263,6 @@ class Bimodule:
         return (
             f"Bimodule(dim={self.dim} over ({self.left_alg.dim}, {self.right_alg.dim}), p={self.p})"
         )
-
-
-def bimodule_from_actions(left_alg, right_alg, left_acts, right_acts, env=None) -> Bimodule:
-    return Bimodule(left_alg, right_alg, left_acts, right_acts, env=env)
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
@@ -300,7 +296,7 @@ def power_bimodule(m: Bimodule, k: int) -> Bimodule:
         sl = slice(c * m.dim, (c + 1) * m.dim)
         la[:, sl, sl] = m.left_acts
         ra[:, sl, sl] = m.right_acts
-    return Bimodule(m.left_alg, m.right_alg, la, ra, env=m.env, _validate=False)
+    return Bimodule(m.left_alg, m.right_alg, la, ra, _validate=False)
 
 
 class BalancedTensor(Bimodule):

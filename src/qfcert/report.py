@@ -56,6 +56,15 @@ class Outcome:
     def add(self, check: Check):
         self.checks.append(check)
 
+    def decide(self, name, condition, certificate, no_reason):
+        """Add a yes check carrying ``certificate``, or, when it is None, a
+        no check with ``no_reason`` and set the verdict to no."""
+        if certificate is None:
+            self.verdict = NO
+            self.add(Check(name, condition, NO, reason=no_reason))
+        else:
+            self.add(Check(name, condition, YES, certificate=certificate))
+
     def certificates(self):
         return [c.certificate for c in self.checks if c.certificate is not None]
 

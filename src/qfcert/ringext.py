@@ -30,7 +30,7 @@ from .modrep import (
     restrict_bimodule,
     tensor_over,
 )
-from .simdiv import _add_decision, _fgp_check, bimodule_iso_payload, divides, is_qf_bimodule
+from .simdiv import NOT_SPLIT, bimodule_iso_payload, divides, is_qf_bimodule, projective_prelude
 
 
 class Extension:
@@ -81,16 +81,13 @@ def is_frobenius_extension(ext: Extension, seed: int = 0) -> report.Outcome:
     """Frobenius: _R S projective f.g. and S ~ Hom_R(S, R) as (S,R)-bimodules."""
     out = report.Outcome(report.YES)
     name, condition = "dual comparison", "target-isomorphic-to-its-source-dual"
-    w, check = _fgp_check("source-side projectivity", "target-projective-over-source", restrict_bimodule(ext.bimodule_rs, "left"))
-    out.add(check)
-    if w is None:
-        out.verdict = report.NO
-        out.add(report.Check(name, condition, report.SKIPPED, reason="projectivity failed"))
-        return out
-    _add_decision(
-        out, name, condition, bimodule_iso_payload(ext.bimodule_sr, left_dual(ext.bimodule_rs), seed=seed),
-        "the target and its source-dual are not isomorphic bimodules",
-    )
+    over_source = restrict_bimodule(ext.bimodule_rs, "left")
+    prelude = [("source-side projectivity", "target-projective-over-source", over_source, NOT_SPLIT)]
+    if projective_prelude(out, prelude, name, condition, "projectivity failed"):
+        out.decide(
+            name, condition, bimodule_iso_payload(ext.bimodule_sr, left_dual(ext.bimodule_rs), seed=seed),
+            "the target and its source-dual are not isomorphic bimodules",
+        )
     return out
 
 

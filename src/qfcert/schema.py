@@ -246,7 +246,7 @@ def load_path(path):
         raise SchemaError("", f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8")), raw
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("", f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -8,6 +8,12 @@ means mutual division, i.e. M and N have the same indecomposable support.
 The quasi-Frobenius predicate for an (R, S)-bimodule M: both one-sided
 restrictions are finitely generated projective and the left dual
 Hom_R(M, R) is similar to the right dual Hom_S(M, S) as (S, R)-bimodules.
+
+Every "projective, then compare" decision (these bimodule predicates,
+the Frobenius extension test and the graded restriction test) opens with
+``projective_prelude``: one split-witness check per module that must be
+projective, and the comparison marked skipped if any is not.  The
+comparison itself is then one ``Outcome.decide``.
 """
 
 from __future__ import annotations
@@ -181,38 +187,35 @@ def similar(m: Bimodule, n: Bimodule, seed: int = 0):
 # quasi-Frobenius predicates
 
 
-def _fgp_check(name, condition, module):
-    w = is_fg_projective(module)
-    if w is None:
-        return None, report.Check(name, condition, report.NO, reason="no split section onto a free cover exists")
-    return w, report.Check(name, condition, report.YES, certificate=split_witness_payload(w))
+NOT_SPLIT = "no split section onto a free cover exists"
 
 
-def _add_decision(out: report.Outcome, name, condition, certificate, no_reason):
-    """Add a yes check carrying ``certificate``, or a no check (and verdict) if it is None."""
-    if certificate is None:
-        out.verdict = report.NO
-        out.add(report.Check(name, condition, report.NO, reason=no_reason))
-    else:
-        out.add(report.Check(name, condition, report.YES, certificate=certificate))
+def projective_prelude(out: report.Outcome, modules, name, condition, skip_reason) -> bool:
+    """Shared prelude of every "projective, then compare" decision.
+
+    ``modules`` lists (name, condition, module, no_reason); each module
+    gets a check carrying its split witness, or a no check with
+    ``no_reason``.  If any fails, the comparison ``(name, condition)`` is
+    added as skipped with ``skip_reason``, the verdict is no, and False is
+    returned.
+    """
+    projective = True
+    for mod_name, mod_condition, module, no_reason in modules:
+        w = is_fg_projective(module)
+        out.decide(mod_name, mod_condition, None if w is None else split_witness_payload(w), no_reason)
+        projective = projective and w is not None
+    if not projective:
+        out.add(report.Check(name, condition, report.SKIPPED, reason=skip_reason))
+    return projective
 
 
 def _projective_restrictions(m: Bimodule, out: report.Outcome, name, condition) -> bool:
-    """Shared prelude of the bimodule predicates: both restrictions projective.
-
-    Adds one check per side to ``out``.  If either side fails, the dual
-    comparison ``(name, condition)`` is added as skipped, the verdict
-    becomes no, and False is returned.
-    """
-    projective = True
-    for side in ("left", "right"):
-        w, check = _fgp_check(f"{side} restriction projective", f"{side}-restriction-fg-projective", restrict_bimodule(m, side))
-        out.add(check)
-        projective = projective and w is not None
-    if not projective:
-        out.verdict = report.NO
-        out.add(report.Check(name, condition, report.SKIPPED, reason="restrictions are not both projective"))
-    return projective
+    """The prelude of the bimodule predicates: both restrictions projective."""
+    sides = [
+        (f"{side} restriction projective", f"{side}-restriction-fg-projective", restrict_bimodule(m, side), NOT_SPLIT)
+        for side in ("left", "right")
+    ]
+    return projective_prelude(out, sides, name, condition, "restrictions are not both projective")
 
 
 def bimodule_iso_payload(source: Bimodule, target: Bimodule, seed: int = 0):
@@ -235,8 +238,8 @@ def is_qf_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     name, condition = "dual similarity", "left-dual-similar-to-right-dual"
     if _projective_restrictions(m, out, name, condition):
         sim = similar(left_dual(m), right_dual(m), seed=seed)
-        _add_decision(
-            out, name, condition, None if sim is None else sim.payload(),
+        out.decide(
+            name, condition, None if sim is None else sim.payload(),
             "left and right duals have different indecomposable support",
         )
     return out
@@ -247,8 +250,8 @@ def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     out = report.Outcome(report.YES)
     name, condition = "dual isomorphism", "left-dual-isomorphic-to-right-dual"
     if _projective_restrictions(m, out, name, condition):
-        _add_decision(
-            out, name, condition, bimodule_iso_payload(left_dual(m), right_dual(m), seed=seed),
+        out.decide(
+            name, condition, bimodule_iso_payload(left_dual(m), right_dual(m), seed=seed),
             "duals are not isomorphic as bimodules",
         )
     return out

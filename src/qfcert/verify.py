@@ -277,7 +277,8 @@ def verify_payload(cert, reasons=None, prefix="certificate"):
     if not isinstance(cert, dict) or "kind" not in cert:
         ok = _fail(collected, prefix, "certificate is not an object with a kind")
     else:
-        handler = _KINDS.get(cert["kind"])
+        # only a string names a kind; a list or object kind would not even hash
+        handler = _KINDS.get(cert["kind"]) if isinstance(cert["kind"], str) else None
         if handler is None:
             ok = _fail(collected, prefix, f"unknown certificate kind {cert['kind']!r}")
         else:

@@ -255,3 +255,13 @@ def count_calls(monkeypatch, func):
                 if value is func:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def outcome_rows(out):
+    """The verdict, notes and per-check (name, condition, verdict, reason,
+    certificate kind) of an Outcome, for pinning a decision exactly."""
+    rows = [
+        (c.name, c.condition, c.verdict, c.reason, None if c.certificate is None else c.certificate["kind"])
+        for c in out.checks
+    ]
+    return out.verdict, list(out.notes), rows

@@ -127,6 +127,13 @@ def test_schema_error_exit_2(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{{{")
     assert cli.main(["check-extension", str(notjson)]) == 2
+    # nesting past the decoder's recursion limit is invalid JSON too, for verify as well
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for command in ("check-extension", "verify"):
+        capsys.readouterr()
+        assert cli.main([command, str(deep)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
     wrongkind = write_doc(
         tmp_path, "wrong.json", schema.module_document(regular_left(dual_numbers(5)))
     )
@@ -168,3 +175,16 @@ def test_battery_flag_conflicts_with_subcommand(tmp_path):
     doc = write_doc(tmp_path, "ext.json", hom_doc(unit_extension(dual_numbers(5))))
     assert cli.main(["--battery", "check-extension", doc]) == 2
     assert cli.main([]) == 2
+
+
+def test_verify_non_string_kind_is_a_no_with_a_reason(tmp_path, capsys):
+    doc = write_doc(tmp_path, "ext.json", hom_doc(unit_extension(group_alg(5, 2))))
+    rep_path = str(tmp_path / "rep.json")
+    assert cli.main(["check-extension", doc, "--report", rep_path]) == 0
+    rep = json.loads(open(rep_path).read())
+    for kind in ([], {}):
+        next(c for c in rep["checks"] if "certificate" in c)["certificate"]["kind"] = kind
+        bad = write_doc(tmp_path, "bad.json", rep)
+        capsys.readouterr()
+        assert cli.main(["verify", bad]) == 1
+        assert "unknown certificate kind" in capsys.readouterr().out

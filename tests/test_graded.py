@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qfcert import decomp, graded, linalg, report
-from qfcert.algebra import check_group_table, group_algebra, solve_unit
+from qfcert.algebra import check_group_table, group_algebra, make_algebra, solve_unit
 from qfcert.errors import NotAGroup, NotGraded, NotUnital, UsageError
 from qfcert.modrep import equal_modules, hom_space, regular_left
 from qfcert.simdiv import similar, verify_cert
 
-from helpers import cyclic_table, s3_table, upper_triangular2
+from helpers import cyclic_table, outcome_rows, s3_table, upper_triangular2
 
 C2 = cyclic_table(2)
 
@@ -226,3 +226,32 @@ def test_mislabelled_identity_component_rejected():
     assert check_group_table(swapped)[1] == 1
     with pytest.raises(NotGraded):
         graded.grade_by_partition(ga, swapped, [[0], [1]])
+
+
+def test_non_projective_component_skips_the_similarity_stage():
+    # F_5[x, y]/(x, y)^2 graded by C2 with R_e = <1, x> and R_1 = <y>:
+    # x kills y, so R_1 is the simple module over R_e = F_5[x]/(x^2)
+    mul = np.zeros((3, 3, 3), dtype=np.int64)
+    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[0, 2, 2] = mul[2, 0, 2] = 1
+    ring = graded.grade_by_partition(make_algebra(5, mul, [1, 0, 0]), C2, [[0, 1], [2]])
+    assert outcome_rows(graded.is_qf_restriction(ring)) == (
+        report.NO,
+        [],
+        [
+            ("component 0 projective", "component-projective-over-identity-part", report.YES, None, "split-witness"),
+            (
+                "component 1 projective",
+                "component-projective-over-identity-part",
+                report.NO,
+                "component 1 is not a projective module over the identity part",
+                None,
+            ),
+            (
+                "ring similar to coinduced module",
+                "ring-similar-to-coinduced-identity-part",
+                report.SKIPPED,
+                "some component is not projective over the identity part",
+                None,
+            ),
+        ],
+    )

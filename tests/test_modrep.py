@@ -32,7 +32,6 @@ from qfcert.modrep import (
     Bimodule,
     LeftModule,
     as_bimodule,
-    bimodule_from_actions,
     direct_sum,
     hom_space,
     is_fg_projective,
@@ -166,7 +165,7 @@ def test_hom_space_basis_members_intertwine():
             assert np.array_equal(lhs, rhs)
 
 
-def test_bimodule_from_actions_commutation_check():
+def test_bimodule_commutation_check():
     p = 5
     a = prod_fields(p)
     la = a.left_mult
@@ -176,7 +175,7 @@ def test_bimodule_from_actions_commutation_check():
     p1 = (linalg.identity(2) - p0) % p
     ra = np.stack([p0, p1])
     with pytest.raises(ActionsDoNotCommute):
-        bimodule_from_actions(a, a, la, ra)
+        Bimodule(a, a, la, ra)
 
 
 def test_bimodule_commutation_failure_names_the_first_pair():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dual_numbers, group_alg, mat_units_algebra, prod_fields, upper_triangular2
+from helpers import dual_numbers, group_alg, mat_units_algebra, outcome_rows, prod_fields, upper_triangular2
 from qfcert import report
 from qfcert.algebra import field_algebra, make_hom, tensor_algebra
 from qfcert.errors import UsageError
@@ -187,3 +187,22 @@ def test_pair_witness_rejects_module_over_wrong_algebra():
     wrong = LeftModule(field_algebra(5), np.array([[[1]]], dtype=np.int64))
     with pytest.raises(UsageError):
         qf_pair_witness(ext, wrong)
+
+
+def test_quotient_to_field_frobenius_outcome_is_pinned():
+    # the augmentation F_5[x]/(x^2) ->> F_5: F_5 is not projective over the
+    # dual numbers, so the dual comparison is skipped
+    assert outcome_rows(is_frobenius_extension(quotient_to_field_extension(5))) == (
+        report.NO,
+        [],
+        [
+            (
+                "source-side projectivity",
+                "target-projective-over-source",
+                report.NO,
+                "no split section onto a free cover exists",
+                None,
+            ),
+            ("dual comparison", "target-isomorphic-to-its-source-dual", report.SKIPPED, "projectivity failed", None),
+        ],
+    )

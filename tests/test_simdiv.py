@@ -8,6 +8,7 @@ from helpers import (
     dual_numbers,
     group_alg,
     mat_units_algebra,
+    outcome_rows,
     prod_fields,
     simple_modules_prod,
     trivial_module_dualnum,
@@ -233,3 +234,29 @@ def test_verify_cert_names_each_failing_block():
         "psi block 0 does not intertwine the left actions",
         "phi block 1 does not intertwine the left actions",
     ]
+
+
+def test_frobenius_bimodule_outcome_on_the_socle_module_is_pinned():
+    # F_5 over (F_5[x]/(x^2), F_5): free on the right, not projective on the left
+    out = is_frobenius_bimodule(as_bimodule(trivial_module_dualnum(5)))
+    assert outcome_rows(out) == (
+        report.NO,
+        [],
+        [
+            (
+                "left restriction projective",
+                "left-restriction-fg-projective",
+                report.NO,
+                "no split section onto a free cover exists",
+                None,
+            ),
+            ("right restriction projective", "right-restriction-fg-projective", report.YES, None, "split-witness"),
+            (
+                "dual isomorphism",
+                "left-dual-isomorphic-to-right-dual",
+                report.SKIPPED,
+                "restrictions are not both projective",
+                None,
+            ),
+        ],
+    )

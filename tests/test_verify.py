@@ -167,6 +167,8 @@ def test_verifier_has_its_own_exact_arithmetic():
 
 def test_unknown_and_malformed_payloads_rejected():
     assert_rejected({"kind": "definitely-not-a-kind"}, "unknown certificate kind")
+    assert_rejected({"kind": []}, "unknown certificate kind")
+    assert_rejected({"kind": {}}, "unknown certificate kind")
     assert_rejected(["not", "a", "dict"])
     assert_rejected({"p": P}, "kind")
     assert_rejected({"kind": "divides", "p": P}, "malformed")
