@@ -10,10 +10,11 @@ and every sum_a c_a X_a over a stack is one ``linalg.combine``.
 
 Coassociativity, the comodule laws and the cotensor equalizer are all
 compared in a triple tensor product, bracketed one way, (T (x)_A N) for a
-tensor product T already built: ``modrep.triple_projection`` projects raw
-triple coordinates onto it, from a presentation of the right factor N.
-Maps through kron(X, I) and kron(I, X) are applied by reshaping
-(``linalg.kron_apply``), never built.
+tensor product T already built: ``modrep.triple_projection`` projects
+the columns of raw triple coordinates onto it, from a presentation of the
+right factor N.  The projection is applied to those columns and never
+built as a matrix, and maps through kron(X, I) and kron(I, X) are applied
+by reshaping (``linalg.kron_apply``), never built either.
 
 The two convolution dual rings are built on the linear duals:
 
@@ -113,12 +114,13 @@ class Coring:
         Both sides are taken in raw C (x) C (x) C coordinates, and their
         difference must lie in the span of the two balancing families,
         which is the kernel of ``triple_projection``: the same check as the
-        regular right comodule's coassociativity.
+        regular right comodule's coassociativity.  The projection is
+        applied to the difference's dim C columns and never built.
         """
         p, dc = self.p, self.dim
         rep = self.delta_rep()
         diff = (linalg.kron_apply(p, rep, rep, dc, False) - linalg.kron_apply(p, rep, rep, dc, True)) % p
-        if linalg.matmul(triple_projection(self.tensor_square, self.carrier), diff, p).any():
+        if triple_projection(self.tensor_square, self.carrier, diff).any():
             raise NotCoassociative()
 
     # -- small accessors ------------------------------------------------
@@ -414,13 +416,13 @@ class Comodule:
             raise NotBimoduleMap("coaction")
         # right: in (M (x) C) (x) C, rho twice against Delta after rho;
         # left: in (C (x) C) (x) M, lambda twice against Delta after lambda
-        proj3 = triple_projection(self.tensor, cbim) if right else triple_projection(self.coring.tensor_square, car)
         one = linalg.kron_apply(p, self.rep, self.rep, dc, not right)
         two = linalg.kron_apply(p, self.coring.delta_rep(), self.rep, dm, right)
         # eps on the C leg, with eval[c] = sum_a eps[a, c] X_a
         counit = linalg.combine(self.coring.eps, acts, p).transpose((1, 2, 0) if right else (1, 0, 2))
         counit = counit.reshape(dm, dm * dc)
-        if linalg.matmul(proj3, (one - two) % p, p).any():
+        t, third = (self.tensor, cbim) if right else (self.coring.tensor_square, car)
+        if triple_projection(t, third, (one - two) % p).any():
             raise NotCoassociative()
         if not np.array_equal(linalg.matmul(counit, self.rep, p), linalg.identity(dm)):
             raise CounitFails(self.side)
@@ -501,10 +503,9 @@ def cotensor(m: Comodule, n: Comodule) -> Cotensor:
     amb = tensor_over(c.base, m.carrier, n.carrier)
     # onto (M (x) C) (x) N; any projection with the same kernel differs by
     # an invertible factor on the left, so the equalizer nullspace is the same
-    proj3 = triple_projection(m.tensor, n.carrier)
     route_m = linalg.kron_apply(p, m.rep, amb.sect, dn, False)
     route_n = linalg.kron_apply(p, n.rep, amb.sect, dm, True)
-    equalizer = linalg.matmul(proj3, (route_m - route_n) % p, p)
+    equalizer = triple_projection(m.tensor, n.carrier, (route_m - route_n) % p)
     basis = linalg.nullspace(equalizer, p)
     # surviving outer actions, restricted to the equalizer: every X basis
     # in one product, solved against basis in one system

@@ -19,6 +19,8 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 
+import numpy as np
+
 _SCOPE = contextvars.ContextVar("qfcert_memo_scope", default=None)
 
 
@@ -60,17 +62,26 @@ def array_key(*arrays) -> tuple:
     return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
 
 
+def _arg_key(a):
+    if isinstance(a, int):
+        return a
+    if isinstance(a, np.ndarray):
+        return array_key(a)
+    return a.memo_key()
+
+
 def cached(name: str, compute, *args):
     """``compute(*args)``, memoized in the open scope under ``name``.
 
-    Every argument is an int or has a ``memo_key()`` method; the key is
-    the name plus those values and keys.  Argument checks belong before
-    this call, so that they run on hits too.
+    Every argument is an int, an array (keyed by ``array_key``, which
+    freezes it) or has a ``memo_key()`` method; the key is the name plus
+    those values and keys.  Argument checks belong before this call, so
+    that they run on hits too.
     """
     s = _SCOPE.get()
     if s is None:
         return compute(*args)
-    key = (name,) + tuple(a if isinstance(a, int) else a.memo_key() for a in args)
+    key = (name,) + tuple(_arg_key(a) for a in args)
     try:
         value = s.entries[key]
     except KeyError:

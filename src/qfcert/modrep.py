@@ -8,19 +8,24 @@ algebra R (x) S^op (basis pair (i, j) at index i*dim(S)+j acts by
 ``left[i] @ right[j]``).
 
 One presentation routine, ``_presentation``, serves both Hom and (x): a
-module M is presented as A^k -> M -> 0 on k greedy generators, with its
-relations and a linear section.  ``hom_space`` solves for the generators'
-images, k * dim N unknowns instead of dim N * dim M.  Every balanced tensor
-product M (x)_S N comes from ``_presented_projection``: with a presentation
-of the right factor, M (x)_S N is M^k modulo the image of M (x) ker, a
-system with dim M * k columns instead of dim M * dim N.  Both then recover
-their canonical basis with one rref of the result's reversed columns (the
-hom space's nullspace basis; for ``tensor_over`` the projection that is
-the identity on the non-pivot columns of the balancing relations' rref),
-so no basis depends on the generators taken.  The balanced tensor carries
-the projection/section pair so that callers can transport maps along the
+module M is presented as A^k -> M -> 0, with its relations and a linear
+section, on k generators found by seeded spinning (random vectors drawn
+with a fixed seed, then the basis vectors, each kept when it enlarges the
+submodule spanned so far), so a free module gets a basis and no
+relations.  Presentations are memoized on the action tensor.
+``hom_space`` solves for the generators' images, k * dim N unknowns
+instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
+from ``_presented_projection``: with a presentation of the right factor,
+M (x)_S N is M^k modulo the image of M (x) ker, a system with dim M * k
+columns instead of dim M * dim N.  Both then recover their canonical
+basis with one rref of the result's reversed columns (the hom space's
+nullspace basis; for ``tensor_over`` the projection that is the identity
+on the non-pivot columns of the balancing relations' rref), so no basis
+depends on the generators taken.  The balanced tensor carries the
+projection/section pair so that callers can transport maps along the
 quotient.  Triple products (M (x) M') (x) N go through the same routine
-(``triple_projection``).
+(``triple_projection``), applied to the columns to be projected: that
+projection is never built.
 
 Maps moved by an action come back to hom coordinates through one solve
 (``HomSpace.action``), and a module-map law f X_a = Y_a f is checked for
@@ -28,6 +33,8 @@ every a at once by ``linalg.intertwines``.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -41,6 +48,9 @@ from .errors import (
     UsageError,
 )
 from .linalg import Mat
+
+# the fixed seed of the spinning draws in ``_presentation``
+_SPIN_SEED = 0
 
 
 def _validate_action(alg: Algebra, action: Mat):
@@ -172,7 +182,7 @@ class HomSpace:
 def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
     """All module maps M = source -> N = target, on generator images.
 
-    With a presentation A^k -> M -> 0 on greedy generators g_1..g_k
+    With a presentation A^k -> M -> 0 on spun generators g_1..g_k
     (``_presentation``), a map is fixed by its images n_i = f(g_i), and a
     tuple (n_i) in N^k comes from a map exactly when it kills every
     relation in ker(A^k -> M): k * dim N unknowns instead of dim N * dim M.
@@ -195,7 +205,8 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
 
 def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
     p, dm, dn = source.p, source.dim, target.dim
-    k, ker, sigma = _presentation(p, source.action)
+    gens, ker, sigma = _presentation(p, source.action)
+    k = gens.shape[1]
     cols, budget = k * dn, (dm * dn) ** 2
     # row (c, y) is component y of sum_(i,t) ker[(i,t), c] e_t . n_i
     total = ker.shape[1] * dn
@@ -324,27 +335,48 @@ class BalancedTensor(Bimodule):
 
 def _presentation(p, left_acts):
     """A presentation A^k -> M -> 0 of a left module given by its action
-    tensor: ``(k, ker, sigma)``, with ``ker`` a basis of the relations
-    (columns in A^k, index i*dim A + t for e_t in slot i) and ``sigma`` a
-    linear section.  The greedy generators are the basis vectors e_v, in
-    order, outside the submodule that the earlier ones span.  One rref of
-    the blocks [A e_0 | A e_1 | ... | I] finds them all, since e_v is kept
-    exactly when block v holds a pivot; restricted to the kept blocks it is
-    the presentation's rref, and its last columns invert the presentation
-    on the pivots, which gives sigma."""
+    tensor: ``(gens, ker, sigma)``, with the k generators as the columns of
+    ``gens``, ``ker`` a basis of the relations (columns in A^k, index
+    i*dim A + t for e_t in slot i) and ``sigma`` a linear section.
+
+    The generators come from seeded spinning: a few random vectors
+    r_0, r_1, ... (dim M / dim A, rounded up, plus two, drawn with a fixed
+    seed) and then the basis vectors e_0, e_1, ..., each kept when it lies
+    outside the submodule that the ones kept before it span.  Random
+    vectors generate as much as a module allows, so a free module gets a
+    basis and no relations; the basis vectors behind them make sure the
+    kept ones span.  One rref of the blocks [A r_0 | ... | A e_0 | ... | I]
+    finds them all, since a candidate is kept exactly when its block holds
+    a pivot; restricted to the kept blocks it is the presentation's rref,
+    and its last columns invert the presentation on the pivots, which gives
+    sigma.  Within a memo scope equal action tensors share one presentation.
+    """
+    return memo.cached("presentation", _spin, p, left_acts)
+
+
+def _spin(p, left_acts):
     da, d = left_acts.shape[0], left_acts.shape[1]
-    # column v*da + t is e_t . e_v
-    blocks = left_acts.transpose(1, 2, 0).reshape(d, d * da)
+    rng = random.Random(_SPIN_SEED)
+    drawn = -(-d // da) + 2
+    draws = np.array([rng.randrange(p) for _ in range(d * drawn)], dtype=np.int64).reshape(d, drawn)
+    candidates = np.concatenate([draws, linalg.identity(d)], axis=1)
+    n = candidates.shape[1]
+    # column v*da + t is e_t . c_v for the v-th candidate c_v
+    blocks = linalg.matmul(left_acts.reshape(da * d, d), candidates, p)
+    blocks = blocks.reshape(da, d, n).transpose(1, 2, 0).reshape(d, n * da)
     red, pivots, _ = linalg.rref(np.concatenate([blocks, linalg.identity(d)], axis=1), p)
-    if pivots and pivots[-1] >= d * da:
+    if pivots and pivots[-1] >= n * da:
         raise InternalCheckError("module generators do not span the module")
-    gens = list(dict.fromkeys(c // da for c in pivots))
-    slot = {g: i for i, g in enumerate(gens)}
+    picked = list(dict.fromkeys(c // da for c in pivots))
+    slot = {g: i for i, g in enumerate(picked)}
     local = [slot[c // da] * da + c % da for c in pivots]
-    kept = [g * da + t for g in gens for t in range(da)]
-    sigma = linalg.zeros(len(gens) * da, d)
-    sigma[local] = red[:, d * da :]
-    return len(gens), linalg.rref_nullspace(red[:, kept], local, p)[0], sigma
+    kept = [g * da + t for g in picked for t in range(da)]
+    sigma = linalg.zeros(len(picked) * da, d)
+    sigma[local] = red[:, n * da :]
+    ker = linalg.rref_nullspace(red[:, kept], local, p)[0]
+    gens = candidates[:, picked]
+    memo.readonly(gens, ker, sigma)
+    return gens, ker, sigma
 
 
 def _push(p, acts, x, k):
@@ -357,28 +389,44 @@ def _push(p, acts, x, k):
     return linalg.matmul(acts.reshape(da, dm * dm).T, blocks, p).reshape(dm, dm, k, w)
 
 
-def _presented_projection(p, m_right_acts, n_left_acts) -> Mat:
+def _presented_projection(p, m_right_acts, n_left_acts, x=None) -> Mat:
     """The projection of raw M (x) N coordinates (index j*dim N + v) onto
-    M (x)_A N, from a presentation A^k -> N -> 0 of the right factor.
+    M (x)_A N, from a presentation A^k -> N -> 0 of the right factor, or
+    that projection applied to the columns of ``x``.
 
-    With greedy generators g_1..g_k of N, P: A^k -> N sends the i-th unit
+    With spun generators g_1..g_k of N, P: A^k -> N sends the i-th unit
     vector to g_i; its kernel K is a submodule and sigma is a linear
     section of P.  Then M (x)_A N is M^k modulo the image of M (x) K:
     (m_i) |-> sum m_i (x) g_i is an isomorphism onto it, inverted by
     m (x) v |-> (m . sigma(v)_i)_i, which is balanced because
     sigma(a v) - a sigma(v) lies in K.  The linear systems have dim M * k
-    columns instead of dim M * dim N, and the kernel of the result is the
-    balancing subspace whatever generators are taken.
+    columns instead of dim M * dim N, none at all when N is free, and the
+    kernel of the result is the balancing subspace whatever generators are
+    taken.  Given ``x``, the section is pushed through the action on the
+    columns of ``x`` only, so the (dim M * k) x (dim M * dim N) section
+    push is never formed.
     """
-    dm = m_right_acts.shape[1]
-    k, ker, sigma = _presentation(p, n_left_acts)
+    da, dm, dn = m_right_acts.shape[0], m_right_acts.shape[1], n_left_acts.shape[1]
+    gens, ker, sigma = _presentation(p, n_left_acts)
+    k = gens.shape[1]
 
-    def pushed(x):  # rows (y, i), columns (j, c)
-        return _push(p, m_right_acts, x, k).transpose(0, 2, 1, 3).reshape(dm * k, dm * x.shape[1])
+    def pushed(cols):  # rows (y, i), columns (j, c)
+        return _push(p, m_right_acts, cols, k).transpose(0, 2, 1, 3).reshape(dm * k, dm * cols.shape[1])
 
-    rel = pushed(ker)
-    proj_q, _ = linalg.row_space_quotient(rel.T, dm * k, p)
-    return linalg.matmul(proj_q, pushed(sigma), p)
+    if x is None:
+        lifted = pushed(sigma)
+    else:
+        w = x.shape[1]
+        # z[(i, t), (j, w)] = sum_c sigma[(i, t), c] x[(j, c), w]
+        z = linalg.matmul(sigma, x.reshape(dm, dn, w).transpose(1, 0, 2).reshape(dn, dm * w), p)
+        # row (y, i) is sum_(t, j) acts[t, y, j] z[(i, t), (j, w)]
+        z = z.reshape(k, da, dm, w).transpose(1, 2, 0, 3).reshape(da * dm, k * w)
+        acts = m_right_acts.transpose(1, 0, 2).reshape(dm, da * dm)
+        lifted = linalg.matmul(acts, z, p).reshape(dm * k, w)
+    if ker.shape[1]:
+        proj_q, _ = linalg.row_space_quotient(pushed(ker).T, dm * k, p)
+        lifted = linalg.matmul(proj_q, lifted, p)
+    return lifted
 
 
 def _moved_classes(p, proj, acts, c, eye_first):
@@ -426,16 +474,17 @@ def tensor_over(s_alg: Algebra, m: Bimodule, n: Bimodule) -> BalancedTensor:
     return BalancedTensor(s_alg, m, n, m.left_alg, n.right_alg, induced[0], induced[1], proj, sect)
 
 
-def triple_projection(t: BalancedTensor, n: Bimodule) -> Mat:
+def triple_projection(t: BalancedTensor, n: Bimodule, x: Mat) -> Mat:
     """The projection of raw M (x) M' (x) N coordinates onto
-    (M (x) M') (x) N for ``t`` = M (x) M' and a third factor ``n``: the
-    presented ``t`` (x) N projection after kron(t.proj, I).  Its kernel is
-    spanned by both balancing families, (M-M' relations) (x) N and
-    M (x) (M'-N relations)."""
+    (M (x) M') (x) N, applied to the columns of ``x``, for ``t`` =
+    M (x) M' and a third factor ``n``: kron(t.proj, I) takes each column
+    into raw t (x) N coordinates, and the presented t (x) N projection
+    takes it from there.  The kernel is spanned by both balancing families,
+    (M-M' relations) (x) N and M (x) (M'-N relations).  Neither the
+    projection nor kron(t.proj, I) is built."""
     p = t.p
-    presented = _presented_projection(p, t.right_acts, n.left_acts)
-    # presented @ kron(t.proj, I) is (kron(t.proj.T, I) @ presented.T).T
-    return linalg.kron_apply(p, t.proj.T, presented.T, n.dim, False).T
+    raw = linalg.kron_apply(p, t.proj, x, n.dim, False)
+    return _presented_projection(p, t.right_acts, n.left_acts, raw)
 
 
 def _dual(h: HomSpace, left_alg: Algebra, right_alg: Algebra, moved_left, moved_right) -> Bimodule:

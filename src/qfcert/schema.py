@@ -10,7 +10,7 @@ lists of fixed shape.
   bimodule  {"left": <algebra>, "right": <algebra>,
              "left_action": nl*d*d, "right_action": nr*d*d}
   coring    {"base": <algebra>,
-             "carrier": {"dim": d, "left_action", "right_action"},
+             "carrier": {"dim": d >= 1, "left_action", "right_action"},
              "delta": (d*d)*d, "eps": n*d}
   graded    {"group_table": g*g, "components": [d_x],
              "products": g*g table of d_x*d_y*d_{xy}}
@@ -148,6 +148,8 @@ def validate(doc) -> str:
         _need_object(car, f"{base}/carrier")
         _need_keys(car, f"{base}/carrier", ("dim", "left_action", "right_action"))
         d = _nonneg_int(car["dim"], f"{base}/carrier/dim")
+        if d == 0:
+            raise SchemaError(f"{base}/carrier/dim", "a coring carrier must have positive dimension")
         _int_array(car["left_action"], (n, d, d), p, f"{base}/carrier/left_action")
         _int_array(car["right_action"], (n, d, d), p, f"{base}/carrier/right_action")
         _int_array(body["delta"], (d * d, d), p, f"{base}/delta")

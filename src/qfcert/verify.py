@@ -15,6 +15,8 @@ passing check must verify), both returning (ok, list of reasons).
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 PASSING = ("yes", "valid")
@@ -24,6 +26,19 @@ VERDICTS = ("yes", "no", "vacuous", "inconsistent", "valid", "skipped")
 def _arr(obj, p):
     """An int64 array of residues in [0, p), whatever integers the payload holds."""
     return np.array(obj, dtype=np.int64) % p
+
+
+# a payload value quoted in a reason: at most four levels of nesting (so
+# any depth is safe) and at most ``_SHOWN`` characters
+_SHOWN = 80
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 4
+_REPR.maxstring = _REPR.maxother = _SHOWN
+
+
+def _shown(value) -> str:
+    text = _REPR.repr(value)
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
 
 
 def _fail(reasons, prefix, msg):
@@ -280,7 +295,7 @@ def verify_payload(cert, reasons=None, prefix="certificate"):
         # only a string names a kind; a list or object kind would not even hash
         handler = _KINDS.get(cert["kind"]) if isinstance(cert["kind"], str) else None
         if handler is None:
-            ok = _fail(collected, prefix, f"unknown certificate kind {cert['kind']!r}")
+            ok = _fail(collected, prefix, f"unknown certificate kind {_shown(cert['kind'])}")
         else:
             try:
                 ok = handler(cert, collected, prefix)
@@ -315,7 +330,7 @@ def verify_report(rep):
     if reasons:
         return False, reasons
     if rep["verdict"] not in VERDICTS[:5]:
-        return False, [f"report: unknown verdict {rep['verdict']!r}"]
+        return False, [f"report: unknown verdict {_shown(rep['verdict'])}"]
     if not isinstance(rep["checks"], list):
         return False, ["report: checks is not a list"]
     ok = True
@@ -324,7 +339,7 @@ def verify_report(rep):
             ok = _fail(reasons, f"checks/{i}", "malformed check entry")
             continue
         if chk["verdict"] not in VERDICTS:
-            ok = _fail(reasons, f"checks/{i}", f"unknown verdict {chk['verdict']!r}")
+            ok = _fail(reasons, f"checks/{i}", f"unknown verdict {_shown(chk['verdict'])}")
             continue
         if chk["verdict"] in PASSING and chk.get("certificate") is not None:
             ok = verify_payload(chk["certificate"], reasons, f"checks/{i}") and ok

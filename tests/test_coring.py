@@ -31,6 +31,7 @@ from qfcert.errors import (
 )
 from qfcert.modrep import (
     Bimodule,
+    LeftModule,
     _presentation,
     _presented_projection,
     as_bimodule,
@@ -225,26 +226,33 @@ def zero_bimodule(a):
 
 def quotient_pairs(p):
     """Bimodule pairs (M, N) whose presentation of N has a kernel K != 0,
-    then two with a zero-dimensional factor."""
+    then the M2 Sweedler carrier, which is free over M2 and so presented
+    with no relations, then two with a zero-dimensional factor."""
     m2 = fixtures.mat_units_algebra(p, 2)
     dn = fixtures.dual_numbers(p)
+    c2 = group_alg(p, 2)
     ext = fixtures.unit_extension(m2)
     sw_m2 = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)  # the M2 Sweedler carrier
     with_kernel = [
         (regular_bimodule(dn), as_bimodule(fixtures.socle_module_dualnum(p))),
         (regular_bimodule(m2), as_bimodule(fixtures.column_module(p))),
-        (sw_m2, sw_m2),
+        (regular_bimodule(c2), as_bimodule(LeftModule(c2, np.ones((2, 1, 1), dtype=np.int64)))),
     ]
-    return with_kernel, [(regular_bimodule(dn), zero_bimodule(dn)), (zero_bimodule(dn), regular_bimodule(dn))]
+    zero_dim = [(regular_bimodule(dn), zero_bimodule(dn)), (zero_bimodule(dn), regular_bimodule(dn))]
+    return with_kernel, [(sw_m2, sw_m2)], zero_dim
 
 
 def test_presented_quotient_matches_the_balancing_quotient():
     for p in (P, 20011, 47_453_149, LARGEST_PRIME):
-        with_kernel, zero_dim = quotient_pairs(p)
+        with_kernel, free, zero_dim = quotient_pairs(p)
         for m, n in with_kernel:
             # k generators, k * dim A > dim N
-            assert _presentation(p, n.left_acts)[0] * m.right_alg.dim > n.dim
-        for m, n in with_kernel + zero_dim:
+            gens, ker, _ = _presentation(p, n.left_acts)
+            assert gens.shape[1] * m.right_alg.dim > n.dim and ker.shape[1] > 0
+        for m, n in free:
+            gens, ker, _ = _presentation(p, n.left_acts)
+            assert gens.shape[1] * m.right_alg.dim == n.dim and ker.shape[1] == 0
+        for m, n in with_kernel + free + zero_dim:
             s_alg = m.right_alg
             presented = _presented_projection(p, m.right_acts, n.left_acts)
             ref_proj, ref_sect = balancing_quotient(s_alg, m, n)
@@ -252,6 +260,10 @@ def test_presented_quotient_matches_the_balancing_quotient():
             # same kernel: the two projections span the same row space
             assert presented.shape == ref_proj.shape
             assert linalg.rank(np.concatenate([presented, ref_proj]), p) == q == linalg.rank(presented, p)
+            # the applied form is the projection times its argument
+            x = np.arange(m.dim * n.dim * 3, dtype=np.int64).reshape(m.dim * n.dim, 3) % p
+            applied = _presented_projection(p, m.right_acts, n.left_acts, x)
+            assert np.array_equal(applied, linalg.matmul(presented, x, p))
             # and the canonical basis recovered from it is the reference's
             t = tensor_over(s_alg, m, n)
             assert np.array_equal(t.proj, ref_proj) and np.array_equal(t.sect, ref_sect)
@@ -287,12 +299,21 @@ def sweedler_m2():
     return sweedler(unit_extension(mat_units_algebra(P, 2)))
 
 
+def applied_to_identity(t, n, block=512):
+    """``triple_projection`` of every raw unit vector, in column blocks."""
+    dim = t.factor_left.dim * t.factor_right.dim * n.dim
+    return np.concatenate(
+        [triple_projection(t, n, np.eye(dim, min(block, dim - j), -j, dtype=np.int64)) for j in range(0, dim, block)],
+        axis=1,
+    )
+
+
 @pytest.mark.parametrize("name", ["sweedler-dualnum", "glued", "sweedler-m2"])
 def test_triple_projection_kernel_is_both_balancing_families(name, sweedler_dualnum, glued, sweedler_m2):
     c = {"sweedler-dualnum": sweedler_dualnum, "glued": glued, "sweedler-m2": sweedler_m2}[name]
     dc = c.dim
     rel = balanced_relations(c.base, c.carrier, c.carrier)
-    proj3 = triple_projection(c.tensor_square, c.carrier)
+    proj3 = applied_to_identity(c.tensor_square, c.carrier)
     q3 = proj3.shape[0]
     # proj3 kills rel (x) C and C (x) rel, the rows of the reference rel3
     assert not linalg.kron_apply(P, rel, proj3.T, dc, False).any()
@@ -309,6 +330,21 @@ def test_triple_projection_kernel_is_both_balancing_families(name, sweedler_dual
         rel3 = np.concatenate([np.kron(rel, eye), np.kron(eye, rel)]) % P
         assert linalg.rank(rel3, P) == rel3_rank
     assert linalg.rank(proj3, P) == q3 == dc**3 - rel3_rank
+
+
+def test_coassociativity_never_builds_the_triple_projection(sweedler_m2, monkeypatch):
+    # no product in the check outputs more than dim C^3 x dim C entries,
+    # the size of the two raw comultiplication legs it compares
+    dc, sizes = sweedler_m2.dim, []
+    matmul = linalg.matmul
+
+    def recorded(a, b, q):
+        sizes.append(a.shape[0] * b.shape[1])
+        return matmul(a, b, q)
+
+    monkeypatch.setattr(linalg, "matmul", recorded)
+    sweedler_m2._check_coassociative()
+    assert sizes and max(sizes) <= dc**3 * dc
 
 
 def test_glued_coring_is_valid(glued):

@@ -51,6 +51,7 @@ def test_check_coring_memo_counts(scopes):
         "find_idempotent": (12, 3),
         "generating_indices": (8, 2),
         "hom_space": (52, 34),
+        "presentation": (18, 18),
     }
 
 
@@ -108,7 +109,7 @@ def test_argument_checks_run_inside_a_scope():
             hom_space(a, b)
         with pytest.raises(UsageError):
             hom_space(b, a)
-        assert s.counts() == {"hom_space": (0, 1)}
+        assert s.counts() == {"hom_space": (0, 1), "presentation": (0, 1)}
 
 
 def test_same_document_twice_in_one_process_gives_the_same_report():

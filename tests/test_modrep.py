@@ -31,6 +31,7 @@ from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViol
 from qfcert.modrep import (
     Bimodule,
     LeftModule,
+    _presentation,
     as_bimodule,
     direct_sum,
     hom_space,
@@ -403,8 +404,9 @@ def hom_pairs(p):
 
 @pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])
 def test_hom_space_matches_the_reference(p, monkeypatch):
-    # the generator-image basis is the incremental route's, and every system
-    # after the source's presentation stays within (dim M * dim N)^2 entries
+    # the generator-image basis is the incremental route's; the first system
+    # is the source's presentation on its drawn and basis candidates, and
+    # every later one stays within (dim M * dim N)^2 entries
     sizes = []
     rref = linalg.rref
 
@@ -420,7 +422,8 @@ def test_hom_space_matches_the_reference(p, monkeypatch):
             calls = list(sizes)
         assert np.array_equal(basis, reference_hom_basis(source, target))
         dm, dn, da = source.dim, target.dim, source.algebra.dim
-        assert calls[0] == (dm, dm * da + dm)
+        drawn = -(-dm // da) + 2
+        assert calls[0] == (dm, (drawn + dm) * da + dm)
         assert all(r * c <= (dm * dn) ** 2 for r, c in calls[1:])
 
 
@@ -443,3 +446,75 @@ def test_hom_space_exact_at_the_largest_prime():
     assert h.k == 4
     expected = python_nullspace(stacked_hom_system(source, target), p)
     assert np.array_equal(h.matrix(), np.array(expected, dtype=np.int64))
+
+
+def presented_modules(p):
+    """Modules to present: free ones, a cyclic non-free one, semisimple
+    ones, one whose drawn vectors cannot span (six copies of the trivial
+    dual-numbers module, so the basis vectors are needed), zero-dimensional
+    ones, and dense-basis conjugates of each."""
+    rng = np.random.RandomState(1)
+
+    def dense(m):
+        t, t_inv = dense_basis_change(m.dim, p, rng)
+        return LeftModule(m.algebra, conjugated(m.action, t, t_inv, p))
+
+    m2, dn = mat_units_algebra(p, 2), dual_numbers(p)
+    plain = [
+        regular_left(m2),
+        direct_sum(regular_left(dn), regular_left(dn))[0],
+        regular_left(upper_triangular2(p)),
+        direct_sum(regular_left(m2), column_module(p))[0],
+        direct_sum(*[trivial_module_dualnum(p)] * 6)[0],
+        LeftModule(group_alg(p, 3), np.ones((3, 1, 1), dtype=np.int64)),
+    ]
+    zero = [LeftModule(a, np.zeros((a.dim, 0, 0), dtype=np.int64)) for a in (dn, m2)]
+    return plain + [dense(m) for m in plain] + zero
+
+
+def presentation_map(action, gens, p):
+    """P: A^k -> M, column i*dim A + t the image e_t . g_i."""
+    da, d, k = action.shape[0], action.shape[1], gens.shape[1]
+    images = linalg.matmul(action.reshape(da * d, d), gens, p).reshape(da, d, k)
+    return images.transpose(1, 2, 0).reshape(d, k * da)
+
+
+@pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])
+def test_presentation_section_and_relations(p):
+    for m in presented_modules(p):
+        gens, ker, sigma = _presentation(p, m.action)
+        da, d, k = m.algebra.dim, m.dim, gens.shape[1]
+        pmap = presentation_map(m.action, gens, p)
+        assert np.array_equal(linalg.matmul(pmap, sigma, p), linalg.identity(d))
+        # ker lies in ker P and has its dimension, k dim A - rank P
+        assert not linalg.matmul(pmap, ker, p).any()
+        assert ker.shape == (k * da, k * da - d) and linalg.rank(ker, p) == k * da - d
+
+
+def test_presentation_falls_back_on_the_basis_vectors():
+    # six trivial modules need six generators, more than the 5 draws
+    m = direct_sum(*[trivial_module_dualnum(5)] * 6)[0]
+    gens = _presentation(5, m.action)[0]
+    assert gens.shape == (6, 6) and linalg.rank(gens, 5) == 6
+
+
+@pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])
+def test_presentation_depends_on_the_action_bytes_only(p):
+    for m in presented_modules(p):
+        copy = m.action.copy()
+        first, again = _presentation(p, m.action), _presentation(p, copy)
+        assert all(np.array_equal(x, y) for x, y in zip(first, again))
+        with memo.scope() as s:
+            hit = _presentation(p, m.action)
+            assert _presentation(p, np.array(copy)) is hit
+            assert s.counts() == {"presentation": (1, 1)}
+        assert all(not x.flags.writeable for x in hit)
+
+
+@pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])
+def test_sweedler_carrier_of_m2_is_presented_free(p):
+    # the carrier is free of rank 4 over M2: four generators, no relations
+    ext = fixtures.unit_extension(mat_units_algebra(p, 2))
+    carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)
+    gens, ker, _ = _presentation(p, carrier.left_acts)
+    assert gens.shape == (16, 4) and ker.shape == (16, 0)

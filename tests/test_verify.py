@@ -165,6 +165,28 @@ def test_verifier_has_its_own_exact_arithmetic():
     assert not verify._invertible([[1, 1], [1, 1]], 2**31 - 1)
 
 
+def nested_list(depth):
+    deep = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+def test_unknown_kind_and_verdict_are_quoted_within_80_characters():
+    deep = nested_list(900)
+    ok, reasons = verify.verify_payload({"kind": deep})
+    assert not ok and reasons == ["certificate: unknown certificate kind [[[[[...]]]]]"]
+    long_kind = "k" * 500
+    ok, reasons = verify.verify_payload({"kind": long_kind})
+    quoted = reasons[0].split("unknown certificate kind ")[1]
+    assert not ok and len(quoted) == 80 and "..." in quoted and quoted.startswith("'kkk")
+    rep = {"verdict": deep, "checks": [], "seed": 0, "tool_version": "0"}
+    assert verify.verify_report(rep) == (False, ["report: unknown verdict [[[[[...]]]]]"])
+    rep = {"verdict": "yes", "checks": [{"name": "n", "condition": "c", "verdict": long_kind}], "seed": 0, "tool_version": "0"}
+    ok, reasons = verify.verify_report(rep)
+    assert not ok and len(reasons) == 1 and len(reasons[0].split("unknown verdict ")[1]) == 80
+
+
 def test_unknown_and_malformed_payloads_rejected():
     assert_rejected({"kind": "definitely-not-a-kind"}, "unknown certificate kind")
     assert_rejected({"kind": []}, "unknown certificate kind")
