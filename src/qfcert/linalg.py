@@ -24,11 +24,9 @@ their arithmetic.  Both switches depend on size alone:
   dimension within the int64 budget of ``_exact_plan``, takes one int64
   product and one ``%``.  Each entry is a sum of at most that many
   products of residues, so it stays under 2^63.
-- ``rref`` on at most ``_RREF_SMALL`` entries runs eager Gauss-Jordan on
-  one int64 array and reduces it after every pivot.  Each update
-  ``x - c y`` of residues then stays within ``(p-1) + (p-1)^2``, which
-  is one int64 term and so under 2^63 at every supported prime.  It finds
-  the same unique reduced form as the panel kernel.
+- ``rref`` on at most ``_RREF_SMALL`` entries runs Gauss-Jordan on rows
+  of Python integers, which are exact at every p, so no bound applies.
+  It finds the same unique reduced form as the panel kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ _BOUNDS = ((np.float64, 2**51), (np.int64, _INT64_BOUND))
 _MOD_SMALL = 256
 # at most this many multiply-adds, one int64 product beats the float path
 _MATMUL_SMALL = 4096
-# at most this many entries, eager Gauss-Jordan beats the panel kernel
+# at most this many entries, Gauss-Jordan on Python integers beats the panel kernel
 _RREF_SMALL = 1024
 # Miller-Rabin with these bases is deterministic for every n < 3.18e23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -245,10 +243,11 @@ def rref(a, p: int):
     if a.ndim != 2:
         raise UsageError("rref expects a 2-D array")
     m, n = a.shape
-    # small systems need only k64 >= 1, which holds at every supported prime
     dtype, terms, _ = _exact_plan(p)
     if a.size <= _RREF_SMALL:
-        return _rref_small(a % p, p)
+        rows = (a % p).tolist()
+        pivots = _rref_small(rows, p)
+        return np.array(rows, dtype=np.int64).reshape(m, n), pivots, len(pivots)
     if a.size and (a.min() < 0 or a.max() >= p):
         a = a % p
     live = np.flatnonzero(a.any(axis=1))
@@ -319,32 +318,36 @@ def rref(a, p: int):
     return out, pivots, r
 
 
-def _rref_small(work, p: int):
-    """Eager Gauss-Jordan on ``work``, an int64 array of residues, in place:
-    ``rref`` for small systems.  Every update ``x - c y`` reads reduced
-    entries and is reduced at once, so no entry leaves one int64 term."""
-    m, n = work.shape
+def _rref_small(rows, p: int):
+    """Gauss-Jordan on ``rows``, a list of rows of residues as Python
+    integers, in place: ``rref`` for small systems.  Returns the pivot
+    columns.  Python integers are exact at every p, and on a few dozen
+    entries one list comprehension per row update costs less than the
+    numpy calls a pivot would take."""
+    m = len(rows)
     pivots = []
-    r = 0
-    for col in range(n):
+    for col in range(len(rows[0]) if m else 0):
+        r = len(pivots)
         if r == m:
             break
-        nz = work[r:, col].nonzero()[0]
-        if nz.size == 0:
+        for i in range(r, m):
+            if rows[i][col]:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            work[[r, i]] = work[[i, r]]
-        inv = pow(int(work[r, col]), p - 2, p)
-        # one update scales the pivot row by inv and clears col in the others:
-        # row r takes (1 - inv) times itself away, row s takes c_s inv times it
-        fac = work[:, col] * inv % p if inv != 1 else work[:, col].copy()
-        fac[r] = 1 - inv
-        work[:, col:] -= np.multiply.outer(fac, work[r, col:])
-        work[:, col:] %= p
+        piv = rows[i]
+        rows[i] = rows[r]
+        lead = piv[col]
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            piv = [y * inv % p for y in piv]
+        rows[r] = piv
+        for s, row in enumerate(rows):
+            c = row[col]
+            if c and s != r:
+                rows[s] = [(x - c * y) % p for x, y in zip(row, piv)]
         pivots.append(col)
-        r += 1
-    return work, pivots, r
+    return pivots
 
 
 def rank(a, p: int) -> int:

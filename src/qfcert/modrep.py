@@ -319,7 +319,10 @@ class BalancedTensor(Bimodule):
     """
 
     def __init__(self, middle, m, n, left_alg, right_alg, left_acts, right_acts, proj, sect):
-        super().__init__(left_alg, right_alg, left_acts, right_acts)
+        # ``tensor_over`` checked that the outer actions are well defined on
+        # classes; the quotient map is onto and intertwines them, so the
+        # module laws and their commutation carry over from M and N
+        super().__init__(left_alg, right_alg, left_acts, right_acts, _validate=False)
         self.middle = middle
         self.factor_left = m
         self.factor_right = n

@@ -203,6 +203,9 @@ def balancing_quotient(s_alg, m, n):
 
 
 LARGEST_PRIME = 3037000493  # the largest prime the schema accepts
+# the largest prime in float64 and the smallest in int64 (see linalg._exact_plan)
+P_FLOAT_TOP = 47453111
+P_INT_LOW = 47453149
 
 
 def dense_basis_change(n, p, rng):

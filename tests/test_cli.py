@@ -2,13 +2,34 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import dual_numbers, group_alg, mat_units_algebra, upper_triangular2
-from qfcert import cli, schema
-from qfcert.errors import InternalCheckError
+from helpers import (
+    LARGEST_PRIME,
+    P_FLOAT_TOP,
+    P_INT_LOW,
+    conjugated,
+    dense_basis_change,
+    dual_numbers,
+    group_alg,
+    mat_units_algebra,
+    rebased,
+    upper_triangular2,
+)
+from qfcert import cli, report, schema, verify
+from qfcert.algebra import make_algebra
+from qfcert.errors import (
+    CharTooSmall,
+    InternalCheckError,
+    NotProjectiveAtStage,
+    SchemaError,
+    UsageError,
+    ValidationError,
+)
 from qfcert.fixtures import column_module, socle_module_dualnum, unit_extension
-from qfcert.modrep import as_bimodule, regular_bimodule, regular_left
+from qfcert.modrep import Bimodule, LeftModule, as_bimodule, regular_bimodule, regular_left
 
 
 def write_doc(tmp_path, name, doc):
@@ -195,3 +216,48 @@ def test_verify_non_string_kind_is_a_no_with_a_reason(tmp_path, capsys):
         assert "unknown certificate kind" in out
         # a kind nested 900 deep is quoted in a few characters, not about 1,800
         assert len(out) < 1000
+
+
+FUZZ_ALGEBRAS = {
+    "C2": lambda p: group_alg(p, 2),
+    "C3": lambda p: group_alg(p, 3),
+    "D": dual_numbers,
+    "T2": upper_triangular2,
+    "M2": lambda p: mat_units_algebra(p, 2),
+}
+# the exception classes the CLI turns into exit code 2
+EXIT_2 = (SchemaError, UsageError, ValidationError, CharTooSmall, NotProjectiveAtStage)
+
+
+@st.composite
+def dense_documents(draw):
+    """A regular module or bimodule document over a small algebra at a
+    prime on either side of the float64/int64 switch, with the algebra's
+    basis and the carrier's basis each possibly changed densely."""
+    p = draw(st.sampled_from([P_FLOAT_TOP, P_INT_LOW, LARGEST_PRIME]))
+    alg = FUZZ_ALGEBRAS[draw(st.sampled_from(sorted(FUZZ_ALGEBRAS)))](p)
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        alg = make_algebra(p, *rebased(alg, *dense_basis_change(alg.dim, p, rng)))
+    t, t_inv = dense_basis_change(alg.dim, p, rng) if draw(st.booleans()) else (None, None)
+
+    def carrier(action):
+        return action if t is None else conjugated(action, t, t_inv, p)
+
+    if draw(st.booleans()):
+        return schema.module_document(LeftModule(alg, carrier(alg.left_mult)))
+    return schema.bimodule_document(Bimodule(alg, alg, carrier(alg.left_mult), carrier(alg.right_mult)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_documents(), st.sampled_from(["decompose", "check-bimodule"]))
+def test_documents_at_primes_around_the_dtype_switch_get_a_verified_verdict(doc, command):
+    raw = json.dumps(doc).encode()
+    try:
+        out = cli.run_documents(command, [json.loads(raw)])
+    except EXIT_2:
+        return
+    rep = report.build_report(out, 0, report.input_digest(raw), command)
+    ok, reasons = verify.verify_report(json.loads(report.canonical_json(rep)))
+    assert out.verdict in (report.YES, report.NO, report.VALID)
+    assert ok, reasons

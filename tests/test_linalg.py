@@ -6,18 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfcert import linalg, schema
 from qfcert.errors import InvalidPrime, SchemaError, UsageError
 
-from helpers import python_rref
+from helpers import LARGEST_PRIME as P_LARGEST, P_FLOAT_TOP, P_INT_LOW, python_nullspace, python_rref
 
-# the largest prime in float64 and the smallest in int64 (see _exact_plan)
-P_FLOAT_TOP = 47453111
-P_INT_LOW = 47453149
-# the largest prime the schema accepts, and the first one it rejects
-P_LARGEST = 3037000493
+# the first prime the schema rejects
 P_FIRST_REJECTED = 3037000507
 M31 = 2**31 - 1
 
@@ -320,8 +316,162 @@ def test_rref_matches_panel_kernel(system):
     assert pivots == ref_pivots and rank == ref_rank == len(pivots)
 
 
+SMALL_PRIMES = [3, 5, 20011, P_FLOAT_TOP, P_INT_LOW, P_LARGEST]
+
+
+@st.composite
+def small_systems(draw, extra_cols=0):
+    """``(a, p)`` for the small-system path: ``a`` has at most
+    ``_RREF_SMALL`` entries once ``extra_cols`` columns are appended (at
+    the cutoff or just below it, or an empty, one-entry or tiny shape),
+    dependent columns, zero rows and, sometimes, entries below 0 or >= p."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    kind = draw(st.sampled_from(["cutoff", "cutoff", "empty-rows", "empty-cols", "one", "tiny"]))
+    cut = linalg._RREF_SMALL
+    if kind == "cutoff":
+        m = draw(st.integers(1, 40))
+        n = draw(st.integers(max(1, cut // m - extra_cols - 2), max(1, cut // m - extra_cols)))
+    elif kind == "empty-rows":
+        m, n = 0, draw(st.integers(0, 6))
+    elif kind == "empty-cols":
+        m, n = draw(st.integers(1, 6)), 0
+    elif kind == "one":
+        m = n = 1
+    else:
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    a = rng.randint(0, p, size=(m, n)).astype(np.int64)
+    if m and n:
+        a[:, rng.rand(n) < 0.3] = 0
+        if n > 1:
+            a[:, -1] = (a[:, 0] * int(rng.randint(p)) + a[:, n // 2]) % p
+        a[rng.rand(m) < 0.2] = 0
+        if draw(st.booleans()):
+            a = a + p * rng.randint(-2, 3, size=(m, n))
+    return a, p
+
+
+def _fresh_int64(out, shape):
+    assert isinstance(out, np.ndarray) and out.dtype == np.int64 and out.flags.writeable
+    assert out.shape == shape
+
+
+def _reference_solution(a, b, p):
+    """free-variables-zero solution of a x = b from the panel reference,
+    or None; ``b`` is a matrix"""
+    n = a.shape[1]
+    red, pivots, _ = panel_rref(np.concatenate([a % p, b % p], axis=1), p)
+    if any(c >= n for c in pivots):
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for row, col in enumerate(pivots):
+        x[col] = red[row, n:]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+@example((np.zeros((0, 4), dtype=np.int64), 5))
+@example((np.zeros((3, 0), dtype=np.int64), P_LARGEST))
+@example((np.array([[2 * P_LARGEST - 1]]), P_LARGEST))
+def test_small_rref_nullspace_and_image_match_the_references(system):
+    a, p = system
+    before = a.copy()
+    red, pivots, rank = linalg.rref(a, p)
+    ref, ref_pivots, _ = panel_rref(a, p)
+    assert np.array_equal(red, ref) and pivots == ref_pivots and rank == len(pivots)
+    _fresh_int64(red, a.shape)
+    ns = linalg.nullspace(a, p)
+    _fresh_int64(ns, (a.shape[1], a.shape[1] - rank))
+    assert ns.tolist() == python_nullspace(a, p)
+    image = linalg.column_space_basis(a, p)
+    _fresh_int64(image, (a.shape[0], rank))
+    assert np.array_equal(image, (a % p)[:, ref_pivots])
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems(extra_cols=3), st.integers(1, 3), st.booleans(), st.integers(0, 2**31 - 1))
+@example((np.zeros((0, 4), dtype=np.int64), 3), 2, True, 0)
+@example((np.zeros((3, 0), dtype=np.int64), 20011), 1, False, 0)
+@example((np.array([[-1]]), P_INT_LOW), 1, False, 0)
+def test_small_solve_right_matches_the_reference(system, k, consistent, seed):
+    a, p = system
+    m, n = a.shape
+    rng = np.random.RandomState(seed)
+    if consistent:
+        b = linalg.matmul(a % p, rng.randint(0, p, size=(n, k)).astype(np.int64), p)
+    else:
+        b = rng.randint(0, p, size=(m, k)).astype(np.int64)
+        if m:  # a zero row of a with a nonzero right-hand side
+            a = a.copy()
+            a[-1] = 0
+            b[-1, 0] = 1
+    b = b - p * rng.randint(-1, 2, size=b.shape)
+    before_a, before_b = a.copy(), b.copy()
+    want = _reference_solution(a, b, p)
+    assert (want is not None) == (consistent or m == 0)
+    got = linalg.solve_right(a, b, p)
+    got_vec = linalg.solve_right(a, b[:, 0], p)
+    if want is None:
+        assert got is None and (got_vec is None) == (_reference_solution(a, b[:, :1], p) is None)
+    else:
+        _fresh_int64(got, (n, k))
+        _fresh_int64(got_vec, (n,))
+        assert np.array_equal(got, want) and np.array_equal(got_vec, want[:, 0])
+    assert np.array_equal(a, before_a) and np.array_equal(b, before_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), st.integers(0, 22), st.booleans(), st.integers(0, 2**31 - 1))
+def test_small_invert_matches_the_reference(p, n, singular, seed):
+    # n <= 22 keeps [a | I] at most _RREF_SMALL entries
+    assert n * 2 * n <= linalg._RREF_SMALL
+    rng = np.random.RandomState(seed)
+    a = rng.randint(0, p, size=(n, n)).astype(np.int64)
+    if singular and n:  # the last row a multiple of the first, or zero
+        a[-1] = 2 * a[0] % p if n > 1 else 0
+    a = a + p * rng.randint(-1, 2, size=(n, n))
+    before = a.copy()
+    red, pivots, _ = panel_rref(np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1), p)
+    inv = linalg.invert(a, p)
+    if singular and n:
+        assert pivots[:n] != list(range(n))
+    if pivots[:n] != list(range(n)):
+        assert inv is None
+    else:
+        _fresh_int64(inv, (n, n))
+        assert np.array_equal(inv, red[:, n:])
+        assert linalg.matmul(a % p, inv, p).tolist() == np.eye(n, dtype=np.int64).tolist()
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(5, max_dim=4), st.lists(st.integers(-7, 11), min_size=4, max_size=4))
+def test_small_kernel_matches_brute_force_on_f5(a, rhs):
+    p = 5
+    m, n = a.shape
+    a = a + p * np.random.RandomState(m * 7 + n).randint(-1, 2, size=a.shape)
+    sols = brute_nullspace(a, p)
+    rank = linalg.rank(a, p)
+    assert rank == brute_rank(a, p) and len(sols) == p ** (n - rank)
+    ns = linalg.nullspace(a, p)
+    assert all(tuple(col) in sols for col in ns.T % p)
+    b = np.array(rhs[:m], dtype=np.int64)
+    solvable = [v for v in itertools.product(range(p), repeat=n) if np.array_equal(a @ np.array(v) % p, b % p)]
+    x = linalg.solve_right(a, b, p)
+    assert (x is None) == (not solvable)
+    if x is not None:
+        assert tuple(x) in solvable
+    if m == n:
+        inv = linalg.invert(a, p)
+        assert (inv is None) == (rank < n)
+        if inv is not None:
+            assert (a @ inv % p).tolist() == np.eye(n, dtype=np.int64).tolist()
+
+
 def test_exact_plan_switches_dtype_between_the_reference_primes():
-    # the third entry is the int64 budget, which the small-system paths use
+    # the third entry is the int64 budget, which the small matmul path uses
     assert linalg._exact_plan(P_FLOAT_TOP) == (np.float64, 1, 4096)
     assert linalg._exact_plan(6850007) == (np.float64, 47, 196565)
     assert linalg._exact_plan(480000019) == (np.int64, 40, 40)

@@ -10,6 +10,7 @@ from helpers import (
     balancing_quotient,
     column_module,
     conjugated,
+    count_calls,
     dense_basis_change,
     dual_numbers,
     group_alg,
@@ -24,7 +25,7 @@ from helpers import (
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import fixtures, linalg, memo
+from qfcert import fixtures, linalg, memo, modrep
 from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, group_algebra, make_algebra, make_hom, opposite
 from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
@@ -518,3 +519,17 @@ def test_sweedler_carrier_of_m2_is_presented_free(p):
     carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)
     gens, ker, _ = _presentation(p, carrier.left_acts)
     assert gens.shape == (16, 4) and ker.shape == (16, 0)
+
+
+def test_tensor_over_does_not_revalidate_the_induced_actions(monkeypatch):
+    # the laws of M (x)_S N follow from the well-definedness check, so
+    # building the tensor square of the M2 Sweedler carrier validates nothing
+    p = 5
+    ext = fixtures.unit_extension(mat_units_algebra(p, 2))
+    carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)
+    calls = count_calls(monkeypatch, modrep._validate_action)
+    square = tensor_over(ext.target, carrier, carrier)
+    assert calls == [0] and square.dim == 64
+    # the induced actions still satisfy the laws that were skipped
+    Bimodule(square.left_alg, square.right_alg, square.left_acts, square.right_acts)
+    assert calls == [2]
