@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .graded import is_qf_restriction
-from .modrep import as_bimodule
+from .modrep import as_bimodule, envelope_module
 from .ringext import is_qf_extension
 from .simdiv import divides, dual_sequence, is_qf_bimodule, similar
 
@@ -92,7 +92,7 @@ def _run(command, docs, seed, depth):
         if kind == "module":
             mod = obj
         elif kind == "bimodule":
-            mod = obj.carrier
+            mod = envelope_module(obj)
         else:
             raise SchemaError("", f"this command needs a 'module' or 'bimodule' document, got {kind!r}")
         dec = decompose(mod, seed=seed)

@@ -1,8 +1,9 @@
 """Corings over a base algebra A, their comodules, and dual convolution rings.
 
 A coring is an (A, A)-bimodule C with a comultiplication Delta: C -> C(x)_A C
-(given in the canonical quotient basis of the balanced tensor square) and a
-counit eps: C -> A, both A-bimodule maps, subject to coassociativity and the
+(given on raw C (x) C coordinates, as documents give it, and stored in the
+canonical quotient basis of the balanced tensor square) and a counit
+eps: C -> A, both A-bimodule maps, subject to coassociativity and the
 counit laws.  All laws are verified exactly at construction.  Every
 linearity law f X_a = Y_a f (Delta and eps, a coaction, a comodule map, a
 coring morphism) is one ``linalg.intertwines`` over the stacked actions,
@@ -67,7 +68,7 @@ from .simdiv import is_qf_bimodule, similar, split_witness_payload
 class Coring:
     """Validated A-coring; see the module docstring for conventions."""
 
-    def __init__(self, base: Algebra, carrier: Bimodule, delta, eps, _t2=None):
+    def __init__(self, base: Algebra, carrier: Bimodule, delta, eps):
         if not (equal_algebras(carrier.left_alg, base) and equal_algebras(carrier.right_alg, base)):
             raise UsageError("coring carrier must be a bimodule over the base on both sides")
         p = base.p
@@ -75,17 +76,15 @@ class Coring:
         self.carrier = carrier
         self.p = p
         dc, da = carrier.dim, base.dim
-        # callers that already built the tensor square pass it through
-        self.tensor_square = _t2 if _t2 is not None else tensor_over(base, carrier, carrier)
-        q = self.tensor_square.dim
-        self.delta = linalg.asmat(delta, p)
+        raw = linalg.asmat(delta, p)
+        if raw.shape != (dc * dc, dc):
+            raise UsageError(f"delta must be {dc * dc}x{dc} (raw tensor-square coordinates), got {raw.shape}")
         self.eps = linalg.asmat(eps, p)
-        if self.delta.shape != (q, dc):
-            raise UsageError(
-                f"delta must be {q}x{dc} (quotient basis of the tensor square), got {self.delta.shape}"
-            )
         if self.eps.shape != (da, dc):
             raise UsageError(f"eps must be {da}x{dc}, got {self.eps.shape}")
+        self.tensor_square = tensor_over(base, carrier, carrier)
+        # any lift of the same class builds the same coring
+        self.delta = linalg.matmul(self.tensor_square.proj, raw, p)
         self._validate()
 
     # -- validation -----------------------------------------------------
@@ -150,29 +149,10 @@ def make_coring(base: Algebra, carrier: Bimodule, delta, eps) -> Coring:
     return Coring(base, carrier, delta, eps)
 
 
-def coring_from_raw_delta(base: Algebra, carrier: Bimodule, delta_raw, eps) -> Coring:
-    """Coring with delta given on raw tensor-square coordinates.
-
-    ``delta_raw`` is any (dim^2 x dim) representative; the class in the
-    balanced quotient is what matters, so different lifts of the same
-    comultiplication build equal corings.
-    """
-    p = base.p
-    dc = carrier.dim
-    raw = linalg.asmat(delta_raw, p)
-    if raw.shape != (dc * dc, dc):
-        raise UsageError(f"raw delta must be {dc * dc}x{dc}, got {raw.shape}")
-    t2 = tensor_over(base, carrier, carrier)
-    return Coring(base, carrier, linalg.matmul(t2.proj, raw, p), eps, _t2=t2)
-
-
 def trivial_coring(a: Algebra) -> Coring:
     """A itself as a coring: Delta(x) = x (x) 1, eps = identity."""
-    carrier = regular_bimodule(a)
-    t2 = tensor_over(a, carrier, carrier)
-    # t2.proj kron(I, 1) is (kron(I, 1.T) t2.proj.T).T
-    delta = linalg.kron_apply(a.p, a.unit.reshape(1, -1), t2.proj.T, a.dim, True).T
-    return Coring(a, carrier, delta, linalg.identity(a.dim), _t2=t2)
+    delta = np.kron(linalg.identity(a.dim), a.unit.reshape(-1, 1))
+    return Coring(a, regular_bimodule(a), delta, linalg.identity(a.dim))
 
 
 def sweedler(ext: Extension) -> Coring:
@@ -181,16 +161,15 @@ def sweedler(ext: Extension) -> Coring:
     p = ext.p
     ds = s_alg.dim
     carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs)
-    t2 = tensor_over(s_alg, carrier, carrier)
     # s |-> class(s (x) 1) and s' |-> class(1 (x) s') inside the carrier:
     # carrier.proj kron(I, 1) is (kron(I, 1.T) carrier.proj.T).T, and so on
     left_leg, right_leg = (
         linalg.kron_apply(p, s_alg.unit.reshape(1, -1), carrier.proj.T, ds, eye_first).T
         for eye_first in (True, False)
     )
-    delta = linalg.matmul_chain(p, t2.proj, np.kron(left_leg, right_leg) % p, carrier.sect)
+    delta = linalg.matmul(np.kron(left_leg, right_leg) % p, carrier.sect, p)
     eps = linalg.matmul(s_alg.mul.reshape(ds * ds, ds).T % p, carrier.sect, p)
-    return Coring(s_alg, carrier, delta, eps, _t2=t2)
+    return Coring(s_alg, carrier, delta, eps)
 
 
 class DualRing:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cli, report, schema, verify
 from .algebra import field_algebra, group_algebra, make_algebra, make_hom, tensor_algebra
-from .coring import coring_from_raw_delta, sweedler, trivial_coring
+from .coring import Coring, sweedler, trivial_coring
 from .errors import UsageError, ValidationError
 from .modrep import Bimodule, LeftModule, regular_bimodule, regular_left
 from .ringext import Extension, make_extension
@@ -151,7 +151,7 @@ def glued_coring(p):
     raw[2, 2] = 1
     raw[6, 2] = 1
     eps = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
-    return coring_from_raw_delta(dn, carrier, raw, eps)
+    return Coring(dn, carrier, raw, eps)
 
 
 def graded_c2_group(p):

@@ -98,7 +98,6 @@ class GradedRing:
             raise NotGraded("unit is not supported in the identity component")
         self.total = make_algebra(p, mul, unit)
         self.r_e = make_algebra(p, prods[e][e], unit[be])
-        self._components = {}
 
     @property
     def p(self) -> int:
@@ -109,12 +108,7 @@ class GradedRing:
 
     def component_module(self, x: int) -> LeftModule:
         """R_x as a left R_e-module (multiplication from the left)."""
-        got = self._components.get(x)
-        if got is None:
-            la = self.products[self.e][x].transpose(0, 2, 1) % self.p
-            got = LeftModule(self.r_e, la)
-            self._components[x] = got
-        return got
+        return LeftModule(self.r_e, self.products[self.e][x].transpose(0, 2, 1) % self.p)
 
     def __repr__(self):
         return f"GradedRing(order {self.order}, dims {self.dims} over F_{self.p})"

@@ -2,10 +2,11 @@
 
 A left module over an n-dimensional algebra is an action tensor of shape
 (n, d, d): ``action[i]`` is the matrix of the action of the i-th basis
-element, acting on coordinate columns.  A bimodule over (R, S) stores both
-one-sided action families plus the induced left module over the enveloping
-algebra R (x) S^op (basis pair (i, j) at index i*dim(S)+j acts by
-``left[i] @ right[j]``).
+element, acting on coordinate columns.  A bimodule over (R, S) stores its
+two one-sided action families and nothing else.  Only the decisions that
+decompose or compare a bimodule as one module read it over the enveloping
+algebra R (x) S^op, through ``envelope_module`` (basis pair (i, j) at index
+i*dim(S)+j acts by ``left[i] @ right[j]``).
 
 One presentation routine, ``_presentation``, serves both Hom and (x): a
 module M is presented as A^k -> M -> 0, with its relations and a linear
@@ -232,7 +233,7 @@ def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
 
 
 class Bimodule:
-    """An (R, S)-bimodule; carrier is a left module over R (x) S^op."""
+    """An (R, S)-bimodule: its two algebras and its two action tensors."""
 
     def __init__(self, left_alg: Algebra, right_alg: Algebra, left_acts, right_acts, _validate=True):
         if left_alg.field != right_alg.field:
@@ -249,22 +250,17 @@ class Bimodule:
         self.dim = self.left_acts.shape[1]
         if self.right_acts.shape[1] != self.dim:
             raise UsageError("left and right actions act on different spaces")
-        d, nl, nr = self.dim, left_alg.dim, right_alg.dim
-        la, ra = self.left_acts, self.right_acts
-        carrier_action = linalg.matmul_pairs(la, ra, p)  # left[i] @ right[j]
         if _validate:
+            la, ra = self.left_acts, self.right_acts
             _validate_action(left_alg, la)
             _validate_action(opposite(right_alg), ra)
             # compatibility (a m) b = a (m b); the first mismatch in C order
             # is the reported (i, j)
+            lhs = linalg.matmul_pairs(la, ra, p)
             rhs = linalg.matmul_pairs(ra, la, p).transpose(1, 0, 2, 3)
-            if not np.array_equal(carrier_action, rhs):
-                i, j = np.argwhere(carrier_action != rhs)[0][:2]
+            if not np.array_equal(lhs, rhs):
+                i, j = np.argwhere(lhs != rhs)[0][:2]
                 raise ActionsDoNotCommute(int(i), int(j))
-        self.env = enveloping(left_alg, right_alg)
-        # module laws over the enveloping algebra follow from the three
-        # validations above, so the carrier skips re-validation.
-        self.carrier = LeftModule(self.env, carrier_action.reshape(nl * nr, d, d), _validate=False)
 
     @property
     def p(self) -> int:
@@ -274,6 +270,15 @@ class Bimodule:
         return (
             f"Bimodule(dim={self.dim} over ({self.left_alg.dim}, {self.right_alg.dim}), p={self.p})"
         )
+
+
+def envelope_module(m: Bimodule) -> LeftModule:
+    """M as a left module over R (x) S^op: basis pair (i, j), at index
+    i*dim(S)+j, acts by ``left[i] @ right[j]``.  Its module laws follow from
+    the bimodule's, so it is not re-validated."""
+    d, nl, nr = m.dim, m.left_alg.dim, m.right_alg.dim
+    action = linalg.matmul_pairs(m.left_acts, m.right_acts, m.p).reshape(nl * nr, d, d)
+    return LeftModule(enveloping(m.left_alg, m.right_alg), action, _validate=False)
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:

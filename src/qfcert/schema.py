@@ -33,7 +33,7 @@ import json
 import numpy as np
 
 from .algebra import Algebra, AlgebraHom, make_algebra
-from .coring import Coring, coring_from_raw_delta
+from .coring import Coring
 from .errors import SchemaError
 from .graded import GradedRing
 from .linalg import in_range, is_prime
@@ -220,7 +220,7 @@ def build(doc):
         carrier = Bimodule(base, base, la, ra)
         delta = np.array(body["delta"], dtype=np.int64).reshape(d * d, d)
         eps = np.array(body["eps"], dtype=np.int64).reshape(base.dim, d)
-        return kind, coring_from_raw_delta(base, carrier, delta, eps)
+        return kind, Coring(base, carrier, delta, eps)
     if kind == "graded":
         return kind, GradedRing(p, body["group_table"], body["components"], body["products"])
     raise SchemaError("", f"unhandled payload kind {kind!r}")  # pragma: no cover

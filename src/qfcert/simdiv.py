@@ -30,6 +30,7 @@ from .linalg import Mat
 from .modrep import (
     Bimodule,
     SplitWitness,
+    envelope_module,
     is_fg_projective,
     left_dual,
     restrict_bimodule,
@@ -128,7 +129,7 @@ def _require_same_sides(m: Bimodule, n: Bimodule):
 
 
 def _divides(m: Bimodule, n: Bimodule, dm, dn, seed: int):
-    """DividesCert for M | N^n (minimal n) from decompositions of both carriers, or None."""
+    """DividesCert for M | N^n (minimal n) from decompositions of both envelope modules, or None."""
     p = m.p
     matches = match_classes(dm, dn, random.Random(seed))
     if matches is None:
@@ -150,7 +151,7 @@ def _divides(m: Bimodule, n: Bimodule, dm, dn, seed: int):
 def divides(m: Bimodule, n: Bimodule, seed: int = 0):
     """DividesCert for M | N^n (minimal n), or None."""
     _require_same_sides(m, n)
-    return _divides(m, n, decompose(m.carrier, seed=seed), decompose(n.carrier, seed=seed), seed)
+    return _divides(m, n, decompose(envelope_module(m), seed=seed), decompose(envelope_module(n), seed=seed), seed)
 
 
 class SimilarityCert:
@@ -169,13 +170,13 @@ class SimilarityCert:
 def similar(m: Bimodule, n: Bimodule, seed: int = 0):
     """SimilarityCert (mutual division), or None.
 
-    Each carrier is decomposed once; both divisions are read off the same
+    Each envelope module is decomposed once; both divisions are read off the same
     two decompositions, and the backward one runs only if the forward one
     holds.
     """
     _require_same_sides(m, n)
-    dm = decompose(m.carrier, seed=seed)
-    dn = decompose(n.carrier, seed=seed)
+    dm = decompose(envelope_module(m), seed=seed)
+    dn = decompose(envelope_module(n), seed=seed)
     fwd = _divides(m, n, dm, dn, seed)
     if fwd is None:
         return None
@@ -220,7 +221,7 @@ def _projective_restrictions(m: Bimodule, out: report.Outcome, name, condition) 
 
 def bimodule_iso_payload(source: Bimodule, target: Bimodule, seed: int = 0):
     """Certificate for an isomorphism of bimodules source -> target, or None."""
-    f = iso(source.carrier, target.carrier, seed=seed)
+    f = iso(envelope_module(source), envelope_module(target), seed=seed)
     if f is None:
         return None
     return {

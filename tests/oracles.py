@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from qfcert import linalg
-from qfcert.modrep import hom_space, power_bimodule
+from qfcert.modrep import envelope_module, hom_space, power_bimodule
 
 
 def divides_oracle(m_bim, n_bim) -> bool:
@@ -22,8 +22,8 @@ def divides_oracle(m_bim, n_bim) -> bool:
     if n_bim.dim == 0:
         return False
     p = m_bim.p
-    h_nm = hom_space(n_bim.carrier, m_bim.carrier)
-    h_mn = hom_space(m_bim.carrier, n_bim.carrier)
+    h_nm = hom_space(envelope_module(n_bim), envelope_module(m_bim))
+    h_mn = hom_space(envelope_module(m_bim), envelope_module(n_bim))
     if h_nm.k == 0 or h_mn.k == 0:
         return False
     cols = []
@@ -50,8 +50,8 @@ def divides_enumeration_oracle(m_bim, n_bim, max_power=2, budget=400000) -> bool
         return True
     for k in range(1, max_power + 1):
         nk = power_bimodule(n_bim, k)
-        h1 = hom_space(m_bim.carrier, nk.carrier)
-        h2 = hom_space(nk.carrier, m_bim.carrier)
+        h1 = hom_space(envelope_module(m_bim), envelope_module(nk))
+        h2 = hom_space(envelope_module(nk), envelope_module(m_bim))
         if h1.k == 0 or h2.k == 0:
             continue
         if p ** (h1.k + h2.k) > budget:

@@ -6,7 +6,7 @@ import pytest
 from qfcert import decomp, graded, linalg, report
 from qfcert.algebra import check_group_table, group_algebra, make_algebra, solve_unit
 from qfcert.errors import NotAGroup, NotGraded, NotUnital, UsageError
-from qfcert.modrep import equal_modules, hom_space, regular_left
+from qfcert.modrep import envelope_module, equal_modules, hom_space, regular_left
 from qfcert.simdiv import similar, verify_cert
 
 from helpers import cyclic_table, outcome_rows, s3_table, upper_triangular2
@@ -33,8 +33,8 @@ def trace_divides(m, n):
     p = m.p
     if m.dim == 0:
         return True
-    hf = hom_space(m.carrier, n.carrier)
-    hg = hom_space(n.carrier, m.carrier)
+    hf = hom_space(envelope_module(m), envelope_module(n))
+    hg = hom_space(envelope_module(n), envelope_module(m))
     if hf.k == 0 or hg.k == 0:
         return False
     prods = np.einsum("iab,jbc->ijac", hg.basis, hf.basis).reshape(hg.k * hf.k, m.dim * m.dim) % p

@@ -47,12 +47,20 @@ def test_check_coring_memo_counts(scopes):
     assert out.verdict == report.YES
     assert scopes[0].counts() == {
         "decompose": (5, 5),
-        "enveloping": (11, 3),
+        "enveloping": (8, 2),
         "find_idempotent": (12, 3),
         "generating_indices": (8, 2),
         "hom_space": (52, 34),
         "presentation": (18, 18),
     }
+
+
+def test_sweedler_builds_no_envelope():
+    # a coring reads its carrier's two actions only: no bimodule it builds
+    # is viewed over the enveloping algebra
+    with memo.scope() as s:
+        sweedler(unit_extension(mat_units_algebra(P, 2)))
+    assert "enveloping" not in s.counts()
 
 
 def test_no_entry_survives_run_documents(scopes):

@@ -35,6 +35,7 @@ from qfcert.modrep import (
     _presentation,
     as_bimodule,
     direct_sum,
+    envelope_module,
     hom_space,
     is_fg_projective,
     left_dual,
@@ -112,8 +113,9 @@ SMALL_ALGEBRAS = {
 @pytest.mark.parametrize("name", list(SMALL_ALGEBRAS))
 def test_regular_bimodule_and_tensor_square_at_the_largest_prime(name):
     # in a dense basis, products of residues summed over the algebra's
-    # dimension pass 2^63: the bimodule law check, the carrier action and
-    # the tensor product's well-definedness check must multiply exactly
+    # dimension pass 2^63: the bimodule law check (whose products
+    # left[i] @ right[j] are the envelope action) and the tensor product's
+    # well-definedness check must multiply exactly
     p = LARGEST_PRIME
     plain = SMALL_ALGEBRAS[name](p)
     for seed in range(4):
@@ -202,16 +204,19 @@ def test_regular_bimodule_and_restriction():
     a = group_alg(p, 3)
     b = regular_bimodule(a)
     assert b.dim == 3
-    assert b.env.dim == 9
     left = restrict_bimodule(b, "left")
     assert np.array_equal(left.action, a.left_mult)
     right = restrict_bimodule(b, "right")
     assert np.array_equal(right.action, a.right_mult)
-    # carrier index convention: (i,j) at i*dim(S)+j acts by L_i R_j
+    # a bimodule keeps its two actions only; the envelope view is built on
+    # request, with (i,j) at i*dim(S)+j acting by L_i R_j
+    assert not hasattr(b, "carrier") and not hasattr(b, "env")
+    env = envelope_module(b)
+    assert env.algebra.dim == 9 and env.dim == 3
     for i in range(3):
         for j in range(3):
             expect = linalg.matmul(a.left_mult[i], a.right_mult[j], p)
-            assert np.array_equal(b.carrier.action[i * 3 + j], expect)
+            assert np.array_equal(env.action[i * 3 + j], expect)
 
 
 def test_tensor_over_scalar_field_is_plain_tensor():
@@ -362,11 +367,11 @@ def test_hom_basis_is_the_nullspace_of_the_full_system():
         (socle, regular_left(socle.algebra)),
         (regular_left(socle.algebra), socle),
         (restrict_bimodule(sw_m2, "left"), restrict_bimodule(sw_m2, "left")),
-        (ext.bimodule_rs.carrier, ext.bimodule_rs.carrier),
-        (ext.bimodule_sr.carrier, ext.bimodule_sr.carrier),
-        (sw_dn.carrier, reg_dn.carrier),
-        (reg_dn.carrier, sw_dn.carrier),
-        (sw_m2.carrier, sw_m2.carrier),
+        (envelope_module(ext.bimodule_rs), envelope_module(ext.bimodule_rs)),
+        (envelope_module(ext.bimodule_sr), envelope_module(ext.bimodule_sr)),
+        (envelope_module(sw_dn), envelope_module(reg_dn)),
+        (envelope_module(reg_dn), envelope_module(sw_dn)),
+        (envelope_module(sw_m2), envelope_module(sw_m2)),
     ]
     for source, target in pairs:
         full = linalg.nullspace(stacked_hom_system(source, target), p)
@@ -391,7 +396,7 @@ def hom_pairs(p):
     trivial3 = direct_sum(*[LeftModule(c3, np.ones((3, 1, 1), dtype=np.int64))] * 3)[0]
     zero = LeftModule(regs[2].algebra, np.zeros((2, 0, 0), dtype=np.int64))
     ext = fixtures.unit_extension(fixtures.mat_units_algebra(p, 2))
-    carrier = tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs).carrier  # the M2 Sweedler carrier
+    carrier = envelope_module(tensor_over(ext.source, ext.bimodule_sr, ext.bimodule_rs))  # the M2 Sweedler carrier
     return (
         [(r, r) for r in regs]
         + [(dense(r), dense(r)) for r in regs]
