@@ -355,10 +355,6 @@ class AlgebraHom:
         return f"AlgebraHom({self.source!r} -> {self.target!r})"
 
 
-def make_hom(source: Algebra, target: Algebra, matrix) -> AlgebraHom:
-    return AlgebraHom(source, target, matrix)
-
-
 def identity_hom(a: Algebra) -> AlgebraHom:
     return AlgebraHom(a, a, linalg.identity(a.dim), _validate=False)
 

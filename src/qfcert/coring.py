@@ -25,13 +25,16 @@ The two convolution dual rings are built on the linear duals:
 with unit eps and ring embeddings i(a) = eps(.)a, i'(a) = a eps(.).  Their
 associativity is a consequence of coassociativity, so the algebra validator
 doubles as a theorem check and failures are internal errors, not input errors.
+A dual ring is the extension of the base by i or i' (``DualRing`` is an
+``Extension``), so one step of the endomorphism-ring tower is
+``left_dual_ring(sweedler(ext))``.
 
 The quasi-Frobenius decision reports five equivalent conditions (projectivity
 + similarity against each dual ring, the embedding-extension test, and the two
-bimodule-level tests) and insists they agree.  The last one, the left dual ring
-as a bimodule over itself and the base, is exactly the (S, R) unit-bimodule
-route of the embedding-extension test: it is computed once and reported in
-both.
+bimodule-level tests) and insists they agree.  Every dual ring bimodule in them
+is a unit bimodule of the extension: *C over (A, *C) with a.f = i(a)*f =
+f(x a), C* over (C*, A) with f.a = f*i'(a) = f(a x), and *C over (*C, A),
+which is both the last condition and a route of the embedding-extension test.
 """
 
 from __future__ import annotations
@@ -145,10 +148,6 @@ class Coring:
         return np.array_equal(canonical, self.delta)
 
 
-def make_coring(base: Algebra, carrier: Bimodule, delta, eps) -> Coring:
-    return Coring(base, carrier, delta, eps)
-
-
 def trivial_coring(a: Algebra) -> Coring:
     """A itself as a coring: Delta(x) = x (x) 1, eps = identity."""
     delta = np.kron(linalg.identity(a.dim), a.unit.reshape(-1, 1))
@@ -172,45 +171,45 @@ def sweedler(ext: Extension) -> Coring:
     return Coring(s_alg, carrier, delta, eps)
 
 
-class DualRing:
-    """A convolution dual ring of a coring.
+class DualRing(Extension):
+    """A convolution dual ring of a coring: the extension of the base by
+    its embedding i (left side) or i' (right side).
 
-    ``algebra`` is the ring in the canonical hom basis; ``basis[t]`` the
-    t-th basis map C -> A; ``action_maps[t]`` the induced endomorphism of
-    C (c |-> c1 f_t(c2) on the left side, c |-> f_t(c1) c2 on the right);
-    ``embed`` the ring map from the base.
+    ``hom`` is that embedding and ``target`` the ring, in the canonical
+    basis of ``maps``, the hom space of maps C -> A (``maps.basis[t]`` is
+    the t-th basis map).  ``action_maps[t]`` is the induced endomorphism
+    of C (c |-> c1 f_t(c2) on the left side, c |-> f_t(c1) c2 on the
+    right).
     """
 
-    def __init__(self, side, algebra, embed, hom, action_maps):
+    def __init__(self, side, embed, maps, action_maps):
+        super().__init__(embed)
         self.side = side
-        self.algebra = algebra
-        self.embed = embed
-        self.hom = hom
+        self.maps = maps
         self.action_maps = action_maps
 
-    @property
-    def basis(self) -> Mat:
-        return self.hom.basis
 
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
+def _dual_action(side: str, basis: Mat, acts: Mat, rep: Mat, p: int) -> Mat:
+    """Basis maps f_t: C -> A of a dual ring acting on a comodule M through its
+    coaction ``rep``: m0 f_t(m1) on the left side, f_t(m-1) m0 on the right,
+    for ``acts`` the base action on M on the coaction's side."""
+    (k, da, dc), dm = basis.shape, rep.shape[1]
+    # w[t, c, i, j] = sum_a f_t[a, c] X_a[i, j]
+    w = linalg.combine(basis.transpose(1, 0, 2).reshape(da, k * dc), acts, p).reshape(k, dc, dm, dm)
+    # f_t on the C leg: rows i, columns (j, c) or (c, j)
+    w = w.transpose((0, 2, 3, 1) if side == "left" else (0, 2, 1, 3))
+    return linalg.matmul(w.reshape(k * dm, dm * dc), rep, p).reshape(k, dm, dm)
 
 
 def _convolution_ring(c: Coring, side: str) -> DualRing:
     p, base, car = c.p, c.base, c.carrier
     dc, da = car.dim, base.dim
-    rep = c.delta_rep()
     if side == "left":
         h = hom_space(restrict_bimodule(car, "left"), regular_left(base))
     else:
         h = hom_space(restrict_bimodule(car, "right"), regular_left(opposite(base)))
-    k = h.k
-    # w[t, x, i, j] = sum_a f_t[a, x] X_a[i, j], for X the action on the other side
-    other = car.right_acts if side == "left" else car.left_acts
-    w = linalg.matmul(h.basis.transpose(0, 2, 1).reshape(k * dc, da), other.reshape(da, dc * dc), p)
-    w = w.reshape(k, dc, dc, dc).transpose((0, 2, 3, 1) if side == "left" else (0, 2, 1, 3))
-    acts = linalg.matmul(w.reshape(k * dc, dc * dc), rep, p).reshape(k, dc, dc)
+    # C is its own comodule through Delta, and the maps act on the other side's leg
+    acts = _dual_action(side, h.basis, car.right_acts if side == "left" else car.left_acts, c.delta_rep(), p)
     # left: f_i * f_j = f_j . mu_i; right: f_i * f_j = f_i . nu_j
     on_basis = h.action(linalg.matmul_pairs(h.basis, acts, p))
     mul = on_basis.transpose((2, 0, 1) if side == "left" else (0, 2, 1))
@@ -231,7 +230,7 @@ def _convolution_ring(c: Coring, side: str) -> DualRing:
         embed = AlgebraHom(base, alg, embed_mat)
     except ValidationError as exc:
         raise InternalCheckError(f"base embedding fails ring-map laws: {exc}") from exc
-    return DualRing(side, alg, embed, h, acts)
+    return DualRing(side, embed, h, acts)
 
 
 def left_dual_ring(c: Coring) -> DualRing:
@@ -248,24 +247,12 @@ def right_dual_ring(c: Coring) -> DualRing:
 
 def carrier_over_left_dual(c: Coring, dl: DualRing) -> Bimodule:
     """C as an (A, *C)-bimodule: base acts on the left, c.f = c1 f(c2)."""
-    return Bimodule(c.base, dl.algebra, c.carrier.left_acts, dl.action_maps)
-
-
-def left_dual_as_bimodule(c: Coring, dl: DualRing) -> Bimodule:
-    """*C as an (A, *C)-bimodule: (a.f)(x) = f(x a), right regular."""
-    moved = linalg.matmul_pairs(dl.basis, c.carrier.right_acts, c.p).transpose(1, 0, 2, 3)
-    return Bimodule(c.base, dl.algebra, dl.hom.action(moved), dl.algebra.right_mult)
+    return Bimodule(c.base, dl.target, c.carrier.left_acts, dl.action_maps)
 
 
 def carrier_over_right_dual(c: Coring, dr: DualRing) -> Bimodule:
     """C as a (C*, A)-bimodule: f.c = f(c1) c2, base acts on the right."""
-    return Bimodule(dr.algebra, c.base, dr.action_maps, c.carrier.right_acts)
-
-
-def right_dual_as_bimodule(c: Coring, dr: DualRing) -> Bimodule:
-    """C* as a (C*, A)-bimodule: left regular, (f.a)(x) = f(a x)."""
-    moved = linalg.matmul_pairs(dr.basis, c.carrier.left_acts, c.p).transpose(1, 0, 2, 3)
-    return Bimodule(dr.algebra, c.base, dr.algebra.left_mult, dr.hom.action(moved))
+    return Bimodule(dr.target, c.base, dr.action_maps, c.carrier.right_acts)
 
 
 def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
@@ -277,20 +264,20 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
     wr = is_fg_projective(restrict_bimodule(c.carrier, "right"))
     c_left_bim = carrier_over_left_dual(c, dl)
     c_right_bim = carrier_over_right_dual(c, dr)
-    ext = Extension(dl.embed)
 
     def outcome_certificate(sub: report.Outcome):
         return {"kind": "outcome", "checks": [ch.to_dict() for ch in sub.checks]}
 
     not_projective = "carrier is not finitely generated projective as a {} module over the base"
-    # carrier projective on one side and similar to that side's dual ring
-    for side, w, carrier_bim, ring, ring_as_bimodule in (
-        ("left", wl, c_left_bim, dl, left_dual_as_bimodule),
-        ("right", wr, c_right_bim, dr, right_dual_as_bimodule),
+    # carrier projective on one side and similar to that side's dual ring as
+    # a unit bimodule of its extension: *C over (A, *C), C* over (C*, A)
+    for side, w, carrier_bim, ring_bim in (
+        ("left", wl, c_left_bim, dl.bimodule_rs),
+        ("right", wr, c_right_bim, dr.bimodule_sr),
     ):
         cert, reason = None, not_projective.format(side)
         if w is not None:
-            sim = similar(carrier_bim, ring_as_bimodule(c, ring), seed=seed)
+            sim = similar(carrier_bim, ring_bim, seed=seed)
             reason = f"carrier and {side} dual ring are not similar bimodules"
             if sim is not None:
                 cert = {
@@ -307,13 +294,13 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
         )
     # the left dual ring as a bimodule over itself and the base is the
     # (S, R) unit-bimodule route of the embedding extension test below
-    star_out = is_qf_bimodule(ext.bimodule_sr, seed=seed)
+    star_out = is_qf_bimodule(dl.bimodule_sr, seed=seed)
     # the base embedding into the left dual ring is a quasi-Frobenius extension
     name, condition = "embedding extension test", "left-projective-and-embedding-into-left-dual-ring-qf"
     if wl is None:
         out.decide(name, condition, None, not_projective.format("left"))
     else:
-        ext_out = merge_unit_routes(is_qf_bimodule(ext.bimodule_rs, seed=seed), star_out)
+        ext_out = merge_unit_routes(is_qf_bimodule(dl.bimodule_rs, seed=seed), star_out)
         reason = None if ext_out.verdict == report.YES else "embedding into the left dual ring is not quasi-Frobenius"
         out.add(report.Check(name, condition, ext_out.verdict, outcome_certificate(ext_out), reason))
     # carrier as a bimodule between base and left dual ring
@@ -439,14 +426,8 @@ def comodule_to_module(m: Comodule) -> LeftModule:
     if is_fg_projective(restrict_bimodule(c.carrier, side)) is None:
         raise NotFgpOverBase(f"carrier is not finitely generated projective as a {side} module over the base")
     dual = left_dual_ring(c) if right else right_dual_ring(c)
-    k, dm, dc, da = dual.dim, m.dim, c.dim, c.base.dim
-    # w[t, c] = sum_a f_t[a, c] X_a, for X the action on the comodule side
-    coeffs = dual.basis.transpose(1, 0, 2).reshape(da, k * dc)
-    w = linalg.combine(coeffs, m.carrier.right_acts if right else m.carrier.left_acts, p)
-    # f_t on the C leg of the coaction: rows i, columns (j, c) or (c, j)
-    big = w.reshape(k, dc, dm, dm).transpose((0, 2, 3, 1) if right else (0, 2, 1, 3))
-    acts = linalg.matmul(big.reshape(k * dm, dm * dc), m.rep, p).reshape(k, dm, dm)
-    return LeftModule(opposite(dual.algebra) if right else dual.algebra, acts)
+    acts = _dual_action(side, dual.maps.basis, m.carrier.right_acts if right else m.carrier.left_acts, m.rep, p)
+    return LeftModule(opposite(dual.target) if right else dual.target, acts)
 
 
 class Cotensor:

@@ -28,11 +28,11 @@ import os
 import numpy as np
 
 from . import cli, report, schema, verify
-from .algebra import field_algebra, group_algebra, make_algebra, make_hom, tensor_algebra
+from .algebra import AlgebraHom, field_algebra, group_algebra, make_algebra, tensor_algebra
 from .coring import Coring, sweedler, trivial_coring
 from .errors import UsageError, ValidationError
 from .modrep import Bimodule, LeftModule, regular_bimodule, regular_left
-from .ringext import Extension, make_extension
+from .ringext import Extension
 
 CORPUS_VERSION = "v1"
 
@@ -86,13 +86,13 @@ def upper_triangular2(p):
 
 def unit_extension(alg) -> Extension:
     f = field_algebra(alg.p)
-    return make_extension(make_hom(f, alg, np.array(alg.unit).reshape(-1, 1)))
+    return Extension(AlgebraHom(f, alg, np.array(alg.unit).reshape(-1, 1)))
 
 
 def augmentation_extension(alg, row) -> Extension:
     """alg ->> F_p sending basis element i to row[i]."""
     f = field_algebra(alg.p)
-    return make_extension(make_hom(alg, f, np.array(row).reshape(1, -1)))
+    return Extension(AlgebraHom(alg, f, np.array(row).reshape(1, -1)))
 
 
 def diagonal_group_extension(p) -> Extension:
@@ -103,7 +103,7 @@ def diagonal_group_extension(p) -> Extension:
     for i in range(2):
         mat[2 * i, i] = 1
         mat[2 * i + 1, i] = 1
-    return make_extension(make_hom(r, s, mat))
+    return Extension(AlgebraHom(r, s, mat))
 
 
 def diagonal_matrix_extension(p) -> Extension:
@@ -113,7 +113,7 @@ def diagonal_matrix_extension(p) -> Extension:
     mat = np.zeros((4, 2), dtype=np.int64)
     mat[0, 0] = 1  # e11
     mat[3, 1] = 1  # e22
-    return make_extension(make_hom(r, s, mat))
+    return Extension(AlgebraHom(r, s, mat))
 
 
 def column_module(p):
@@ -449,7 +449,6 @@ def search_nakayama_candidates(p, max_dim=4, seed=0, limit=None):
     Returns the list of descriptions found (possibly empty — the scan is
     honest and small instances are not expected to separate the notions).
     """
-    from .modrep import left_dual, restrict_bimodule
     from .simdiv import is_frobenius_bimodule, is_qf_bimodule
 
     found = []

@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg, report
 from .algebra import (
     Algebra,
+    AlgebraHom,
     check_group_table,
     equal_algebras,
     field_algebra,
@@ -38,6 +39,7 @@ from .modrep import (
     regular_left,
     tensor_over,
 )
+from .ringext import Extension
 from .simdiv import projective_prelude, similar
 
 
@@ -334,20 +336,14 @@ def suspend(m: GradedModule, x: int) -> GradedModule:
 def restriction_bimodules(ring: GradedRing):
     """The pair compared by is_qf_restriction, both (R, R_e)-bimodules.
 
-    First: R with right R_e-multiplication.  Second: Coind(R_e) =
-    Hom_{R_e}(R, R_e) with left action (r . f)(r') = f(r' r) and right
-    action (f . a)(r) = f(r) a.
+    First: R as the (R, R_e) unit bimodule of the inclusion R_e -> R.
+    Second: Coind(R_e) = Hom_{R_e}(R, R_e) with left action
+    (r . f)(r') = f(r' r) and right action (f . a)(r) = f(r) a.
     """
     p = ring.p
-    eb = ring.block(ring.e)
-    # regular actions commute by associativity of the (validated) total ring
-    bim_r = Bimodule(
-        ring.total,
-        ring.r_e,
-        ring.total.left_mult,
-        ring.total.right_mult[eb.start : eb.stop] % p,
-        _validate=False,
-    )
+    inclusion = np.zeros((ring.total.dim, ring.r_e.dim), dtype=np.int64)
+    inclusion[ring.block(ring.e)] = linalg.identity(ring.r_e.dim)
+    bim_r = Extension(AlgebraHom(ring.r_e, ring.total, inclusion)).bimodule_sr
     coind = coinduce(ring, regular_left(ring.r_e))
     ra = np.zeros((ring.dims[ring.e], coind.dim, coind.dim), dtype=np.int64)
     for y in range(ring.order):

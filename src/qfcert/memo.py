@@ -22,6 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 
 _SCOPE = contextvars.ContextVar("qfcert_memo_scope", default=None)
+_MISSING = object()
 
 
 class Scope:
@@ -82,12 +83,12 @@ def cached(name: str, compute, *args):
     if s is None:
         return compute(*args)
     key = (name,) + tuple(_arg_key(a) for a in args)
-    try:
-        value = s.entries[key]
-    except KeyError:
-        value = compute(*args)
-        s.entries[key] = value
-        s.misses[name] = s.misses.get(name, 0) + 1
+    value = s.entries.get(key, _MISSING)
+    if value is not _MISSING:
+        s.hits[name] = s.hits.get(name, 0) + 1
         return value
-    s.hits[name] = s.hits.get(name, 0) + 1
+    # outside any ``except``: an error here must not chain a KeyError holding the key
+    value = compute(*args)
+    s.entries[key] = value
+    s.misses[name] = s.misses.get(name, 0) + 1
     return value

@@ -202,6 +202,20 @@ def balancing_quotient(s_alg, m, n):
     return linalg.row_space_quotient(balanced_relations(s_alg, m, n), m.dim * n.dim, s_alg.p)
 
 
+def moved_dual_bimodule(c, dual):
+    """A dual ring of a coring as a bimodule over itself and the base,
+    from its basis maps moved by the base action on C: *C over (A, *C)
+    with (a.f)(x) = f(x a), right regular; C* over (C*, A) left regular,
+    with (f.a)(x) = f(a x).  The reference the unit bimodules of the dual
+    ring's extension must match."""
+    p, h = c.p, dual.maps
+    if dual.side == "left":
+        moved = linalg.matmul_pairs(h.basis, c.carrier.right_acts, p).transpose(1, 0, 2, 3)
+        return Bimodule(c.base, dual.target, h.action(moved), dual.target.right_mult)
+    moved = linalg.matmul_pairs(h.basis, c.carrier.left_acts, p).transpose(1, 0, 2, 3)
+    return Bimodule(dual.target, c.base, dual.target.left_mult, h.action(moved))
+
+
 LARGEST_PRIME = 3037000493  # the largest prime the schema accepts
 # the largest prime in float64 and the smallest in int64 (see linalg._exact_plan)
 P_FLOAT_TOP = 47453111

@@ -17,7 +17,7 @@ import pytest
 
 from qfcert import cli, fixtures, linalg, report, verify
 from qfcert.algebra import group_algebra
-from qfcert.coring import left_dual_ring, make_coring, right_dual_ring, sweedler
+from qfcert.coring import Coring, left_dual_ring, right_dual_ring, sweedler
 from qfcert.decomp import decompose, iso
 from qfcert.fixtures import (
     column_module,
@@ -38,8 +38,9 @@ from qfcert.modrep import (
     hom_space,
     power_bimodule,
     regular_left,
+    restrict_bimodule,
 )
-from qfcert.ringext import compose_check, qf_pair_witness
+from qfcert.ringext import compose_check, is_qf_extension, qf_pair_witness
 from qfcert.simdiv import divides, is_qf_bimodule, similar
 
 SEED = 0
@@ -344,7 +345,7 @@ def test_criterion_10_dual_rings_associative_and_sweedler_valid():
         # unit validation on their structure constants
         dl = left_dual_ring(c)
         dr = right_dual_ring(c)
-        assert dl.algebra.dim == c.dim and dr.algebra.dim == c.dim
+        assert dl.target.dim == c.dim and dr.target.dim == c.dim
     for alg in (
         group_algebra(5, cyclic_table(2)),
         dual_numbers(5),
@@ -354,5 +355,29 @@ def test_criterion_10_dual_rings_associative_and_sweedler_valid():
     ):
         c = sweedler(unit_extension(alg))
         # re-validate from scratch: coassociativity and both counit laws
-        rebuilt = make_coring(c.base, c.carrier, c.delta_rep(), c.eps)
+        rebuilt = Coring(c.base, c.carrier, c.delta_rep(), c.eps)
         assert np.array_equal(rebuilt.delta, c.delta)
+
+
+def test_criterion_11_endomorphism_ring_tower(extension_fixtures):
+    """The paper's closing theorem as an oracle: if R -> S is
+    quasi-Frobenius, so is S -> *C, *C the left dual ring of the Sweedler
+    coring S (x)_R S; and *C is End_R(S), the maps being left S-linear on
+    S (x)_R S, so f(1 (x) -) is left R-linear on S."""
+    from qfcert import schema
+
+    towers = [(schema.build_extension(f.docs[0]), 1) for f in extension_fixtures if f.expected == "yes"]
+    assert len(towers) == 9
+    towers += [(unit_extension(group_algebra(5, cyclic_table(2))), 2), (unit_extension(dual_numbers(5)), 2)]
+    for ext, depth in towers:
+        for _ in range(depth):
+            over_source = restrict_bimodule(ext.bimodule_rs, "left")
+            end_dim = hom_space(over_source, over_source).k
+            ext = left_dual_ring(sweedler(ext))
+            assert ext.target.dim == end_dim
+            out = is_qf_extension(ext, seed=SEED)
+            assert out.verdict == report.YES
+            assert out.certificates()
+            rep = report.build_report(out, SEED, "0" * 64, "check-extension")
+            ok, reasons = verify.verify_report(json.loads(report.canonical_json(rep)))
+            assert ok, reasons

@@ -15,7 +15,6 @@ from qfcert.algebra import (
     group_algebra,
     identity_hom,
     make_algebra,
-    make_hom,
     opposite,
     tensor_algebra,
 )
@@ -121,7 +120,7 @@ def test_opposite_of_matrix_algebra_is_transpose_iso():
     for i in range(2):
         for j in range(2):
             t[j * 2 + i, i * 2 + j] = 1
-    make_hom(a, aop, t)  # validates multiplicativity+unit
+    AlgebraHom(a, aop, t)  # validates multiplicativity+unit
     assert equal_algebras(opposite(aop), a)
 
 
@@ -179,20 +178,20 @@ def test_enveloping_dim_and_embeddings():
             assert np.array_equal(e.multiply(a1, b1), e.multiply(b1, a1))
 
 
-def test_make_hom_validation():
+def test_algebra_hom_validation():
     p = 5
     s = dual_numbers(p)
     k = field_algebra(p)
     # quotient by x: fine
-    make_hom(s, k, [[1, 0]])
+    AlgebraHom(s, k, [[1, 0]])
     # "send x to 1": not multiplicative
     with pytest.raises(NotMultiplicative):
-        make_hom(s, k, [[1, 1]])
+        AlgebraHom(s, k, [[1, 1]])
     # zero map: not unital
     with pytest.raises(NotUnital):
-        make_hom(s, k, [[0, 0]])
+        AlgebraHom(s, k, [[0, 0]])
     # unit embedding k -> s
-    make_hom(k, s, [[1], [0]])
+    AlgebraHom(k, s, [[1], [0]])
 
 
 def dense_basis_algebras():

@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from qfcert import cli, decomp, fixtures, linalg, report, schema, simdiv
-from qfcert.algebra import Algebra, EnvelopingAlgebra, field_algebra, identity_hom, make_algebra, make_hom
+from qfcert.algebra import (
+    Algebra,
+    AlgebraHom,
+    EnvelopingAlgebra,
+    equal_algebras,
+    field_algebra,
+    identity_hom,
+    make_algebra,
+)
 from qfcert.coring import (
     Comodule,
+    Coring,
     comodule_to_module,
     cotensor,
     cotensor_map,
     is_qf_coring,
     left_dual_ring,
-    make_coring,
     plain_comodule,
     regular_comodule,
     right_dual_ring,
@@ -50,6 +58,7 @@ from helpers import (
     dual_numbers,
     group_alg,
     mat_units_algebra,
+    moved_dual_bimodule,
     rebased,
 )
 
@@ -59,7 +68,7 @@ P = 5
 def unit_extension(target):
     f = field_algebra(target.p)
     col = np.array(target.unit, dtype=np.int64).reshape(-1, 1)
-    return Extension(make_hom(f, target, col))
+    return Extension(AlgebraHom(f, target, col))
 
 
 def glued_coring(p):
@@ -80,7 +89,7 @@ def glued_coring(p):
     raw[2, 2] = 1
     raw[6, 2] = 1
     eps = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
-    return make_coring(dn, carrier, raw, eps)
+    return Coring(dn, carrier, raw, eps)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +147,7 @@ def test_zero_counit_rejected():
     alg = dual_numbers(P)
     triv = trivial_coring(alg)
     with pytest.raises(CounitFails):
-        make_coring(alg, triv.carrier, triv.delta_rep(), np.zeros((2, 2), dtype=np.int64))
+        Coring(alg, triv.carrier, triv.delta_rep(), np.zeros((2, 2), dtype=np.int64))
 
 
 def test_non_bimodule_delta_rejected():
@@ -147,7 +156,7 @@ def test_non_bimodule_delta_rejected():
     bad = triv.delta_rep()
     bad[:, 1] = bad[:, 0]  # Delta(x) := 1 (x) 1
     with pytest.raises(NotBimoduleMap) as e:
-        make_coring(alg, triv.carrier, bad, triv.eps)
+        Coring(alg, triv.carrier, bad, triv.eps)
     assert e.value.which == "delta"
 
 
@@ -178,7 +187,7 @@ def test_non_coassociative_rejected():
     delta = m.transpose(2, 0, 1).reshape(3, 9).T % P
     eps = np.array([[1, 0, 0]], dtype=np.int64)
     with pytest.raises(NotCoassociative):
-        make_coring(f5, carrier, delta, eps)
+        Coring(f5, carrier, delta, eps)
 
 
 def base_changed_coring(a, m):
@@ -197,7 +206,7 @@ def base_changed_coring(a, m):
     # rows (a, d1, u, d2) of the raw square, columns (a, d)
     delta = np.einsum("ab,ijk,u->aiujbk", eye, m, a.unit).reshape(9 * da * da, 3 * da) % P
     eps = np.kron(eye, np.array([[1, 0, 0]], dtype=np.int64))
-    return make_coring(a, carrier, delta, eps)
+    return Coring(a, carrier, delta, eps)
 
 
 @pytest.mark.parametrize("base", [group_alg(P, 2), dual_numbers(P)], ids=["f5-c2", "dualnum"])
@@ -276,7 +285,7 @@ def dense_trivial_coring_m2(p, seed=0):
     # (c (x) c) kron(x, 1) = kron(c, c 1) x, taken at x = c^-1 v
     c_unit = linalg.matmul(c, a.unit.reshape(-1, 1), p)
     raw = linalg.matmul(np.kron(c, c_unit) % p, c_inv, p)
-    return make_coring(a, carrier, raw, c_inv)
+    return Coring(a, carrier, raw, c_inv)
 
 
 @pytest.mark.parametrize("p", [1_000_000_007, LARGEST_PRIME])
@@ -354,47 +363,60 @@ def test_dual_rings_of_trivial_coring_recover_base():
     alg = group_alg(P, 3)
     c = trivial_coring(alg)
     for dual in (left_dual_ring(c), right_dual_ring(c)):
-        assert dual.dim == alg.dim
+        assert dual.target.dim == alg.dim
         # the base embedding is bijective here
-        assert linalg.invert(dual.embed.matrix, P) is not None
+        assert linalg.invert(dual.hom.matrix, P) is not None
 
 
 def test_trivial_coring_left_action_maps_are_right_multiplications():
     alg = dual_numbers(P)
     c = trivial_coring(alg)
     dl = left_dual_ring(c)
-    for t in range(dl.dim):
-        val = linalg.matmul(dl.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
+    for t in range(dl.target.dim):
+        val = linalg.matmul(dl.maps.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
         assert np.array_equal(dl.action_maps[t], alg.right_mult_matrix(val))
 
 
 def test_convolution_action_maps_compose(sweedler_dualnum):
     # left side: the action map of f*g is act(g) . act(f); right side dually
     dl = left_dual_ring(sweedler_dualnum)
-    for i in range(dl.dim):
-        for j in range(dl.dim):
-            prod = np.einsum("k,kab->ab", dl.algebra.mul[i, j], dl.action_maps) % P
+    for i in range(dl.target.dim):
+        for j in range(dl.target.dim):
+            prod = np.einsum("k,kab->ab", dl.target.mul[i, j], dl.action_maps) % P
             assert np.array_equal(prod, linalg.matmul(dl.action_maps[j], dl.action_maps[i], P))
     dr = right_dual_ring(sweedler_dualnum)
-    for i in range(dr.dim):
-        for j in range(dr.dim):
-            prod = np.einsum("k,kab->ab", dr.algebra.mul[i, j], dr.action_maps) % P
+    for i in range(dr.target.dim):
+        for j in range(dr.target.dim):
+            prod = np.einsum("k,kab->ab", dr.target.mul[i, j], dr.action_maps) % P
             assert np.array_equal(prod, linalg.matmul(dr.action_maps[i], dr.action_maps[j], P))
 
 
 def test_sweedler_dualnum_dual_ring_dims(sweedler_dualnum):
-    assert left_dual_ring(sweedler_dualnum).dim == 4
-    assert right_dual_ring(sweedler_dualnum).dim == 4
+    assert left_dual_ring(sweedler_dualnum).target.dim == 4
+    assert right_dual_ring(sweedler_dualnum).target.dim == 4
 
 
 def test_glued_dual_ring_is_local_three_dim(glued):
     dl = left_dual_ring(glued)
-    assert dl.dim == 3
+    assert dl.target.dim == 3
     # the embedding sends the nilpotent x to a nonzero nilpotent
-    img = dl.embed.matrix[:, 1]
+    img = dl.hom.matrix[:, 1]
     assert img.any()
-    sq = dl.algebra.multiply(img, img)
+    sq = dl.target.multiply(img, img)
     assert not sq.any()
+
+
+def test_dual_ring_unit_bimodules_are_the_moved_basis_maps():
+    # *C over (A, *C) and C* over (C*, A) are the unit bimodules of the
+    # extensions by i and i': i(a) * f = f(x a) and f * i'(a) = f(a x)
+    corings = [schema.expect(f.docs[0], "coring") for f in fixtures.corpus() if f.command == "check-coring"]
+    assert len(corings) == 10
+    for c in corings:
+        dl, dr = left_dual_ring(c), right_dual_ring(c)
+        for got, ref in ((dl.bimodule_rs, moved_dual_bimodule(c, dl)), (dr.bimodule_sr, moved_dual_bimodule(c, dr))):
+            assert equal_algebras(got.left_alg, ref.left_alg) and equal_algebras(got.right_alg, ref.right_alg)
+            assert np.array_equal(got.left_acts, ref.left_acts)
+            assert np.array_equal(got.right_acts, ref.right_acts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +512,8 @@ def test_comodule_to_module_trivial_coring():
     mod = comodule_to_module(com)
     dl = left_dual_ring(c)
     # over the trivial coring the dual acts through evaluation at 1
-    for t in range(dl.dim):
-        val = linalg.matmul(dl.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
+    for t in range(dl.target.dim):
+        val = linalg.matmul(dl.maps.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
         assert np.array_equal(mod.action[t], alg.right_mult_matrix(val))
 
 
@@ -672,7 +694,7 @@ def test_identity_morphism_valid():
 def test_unit_morphism_between_trivial_corings():
     f5 = field_algebra(P)
     dn = dual_numbers(P)
-    rho = make_hom(f5, dn, np.array([[1], [0]], dtype=np.int64))
+    rho = AlgebraHom(f5, dn, np.array([[1], [0]], dtype=np.int64))
     out = validate_coring_hom(trivial_coring(f5), trivial_coring(dn), rho, rho.matrix)
     assert out.verdict == report.VALID
     red = [ch for ch in out.checks if ch.condition == "morphism-qf-reduces-to-extension-qf"][0]

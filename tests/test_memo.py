@@ -1,5 +1,6 @@
 """The run-scoped memo: exact keys, read-only results, scope lifetime."""
 
+import traceback
 from contextlib import contextmanager
 
 import numpy as np
@@ -118,6 +119,19 @@ def test_argument_checks_run_inside_a_scope():
         with pytest.raises(UsageError):
             hom_space(b, a)
         assert s.counts() == {"hom_space": (0, 1), "presentation": (0, 1)}
+
+
+def test_error_in_a_memoized_body_carries_no_lookup_error():
+    # the miss's lookup error would hold the whole key, 64^3 entries here
+    def fail(a):
+        raise MemoryError("body failed")
+
+    with memo.scope() as s:
+        with pytest.raises(MemoryError) as info:
+            memo.cached("fail", fail, np.zeros((64, 64, 64), dtype=np.int64))
+    assert info.value.__context__ is None
+    assert len("".join(traceback.format_exception(info.value))) < 10_000
+    assert s.counts() == {}
 
 
 def test_same_document_twice_in_one_process_gives_the_same_report():

@@ -27,7 +27,7 @@ from helpers import (
 )
 from qfcert import fixtures, linalg, memo, modrep
 from qfcert.coring import sweedler
-from qfcert.algebra import field_algebra, group_algebra, make_algebra, make_hom, opposite
+from qfcert.algebra import field_algebra, group_algebra, make_algebra, opposite
 from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
 from qfcert.modrep import (
     Bimodule,

@@ -5,28 +5,28 @@ import pytest
 
 from helpers import dual_numbers, group_alg, mat_units_algebra, outcome_rows, prod_fields, upper_triangular2
 from qfcert import report
-from qfcert.algebra import field_algebra, make_hom, tensor_algebra
+from qfcert.algebra import AlgebraHom, field_algebra, tensor_algebra
 from qfcert.errors import UsageError
 from qfcert.modrep import LeftModule
 from qfcert.ringext import (
+    Extension,
     compose_check,
     is_frobenius_extension,
     is_qf_extension,
-    make_extension,
     qf_pair_witness,
 )
 
 
 def unit_extension(alg):
     f = field_algebra(alg.p)
-    return make_extension(make_hom(f, alg, np.array(alg.unit).reshape(-1, 1)))
+    return Extension(AlgebraHom(f, alg, np.array(alg.unit).reshape(-1, 1)))
 
 
 def quotient_to_field_extension(p):
     # F_p[x]/(x^2) ->> F_p, x |-> 0
     dn = dual_numbers(p)
     f = field_algebra(p)
-    return make_extension(make_hom(dn, f, [[1, 0]]))
+    return Extension(AlgebraHom(dn, f, [[1, 0]]))
 
 
 def diagonal_extension(p):
@@ -37,7 +37,7 @@ def diagonal_extension(p):
     for i in range(2):
         mat[2 * i, i] = 1
         mat[2 * i + 1, i] = 1
-    return make_extension(make_hom(r, s, mat))
+    return Extension(AlgebraHom(r, s, mat))
 
 
 def test_unit_embedding_group_algebra_is_qf():
@@ -98,9 +98,9 @@ def test_compose_check_agreement():
     f = field_algebra(p)
     c2 = group_alg(p, 2)
     m2 = mat_units_algebra(p, 2)
-    alpha = make_extension(make_hom(f, c2, np.array(c2.unit).reshape(-1, 1)))
+    alpha = Extension(AlgebraHom(f, c2, np.array(c2.unit).reshape(-1, 1)))
     # C2 -> M2 sending the generator to the swap matrix
-    beta = make_extension(make_hom(c2, m2, [[1, 0], [0, 1], [0, 1], [1, 0]]))
+    beta = Extension(AlgebraHom(c2, m2, [[1, 0], [0, 1], [0, 1], [1, 0]]))
     out = compose_check(alpha, beta)
     assert out.verdict == report.YES
     by_cond = {c.condition: c.verdict for c in out.checks}
@@ -112,8 +112,8 @@ def test_compose_check_vacuous_when_outer_not_qf():
     p = 5
     f = field_algebra(p)
     t2 = upper_triangular2(p)
-    alpha = make_extension(make_hom(f, f, [[1]]))
-    beta = make_extension(make_hom(f, t2, np.array(t2.unit).reshape(-1, 1)))
+    alpha = Extension(AlgebraHom(f, f, [[1]]))
+    beta = Extension(AlgebraHom(f, t2, np.array(t2.unit).reshape(-1, 1)))
     out = compose_check(alpha, beta)
     assert out.verdict == report.VACUOUS
 
@@ -121,8 +121,8 @@ def test_compose_check_vacuous_when_outer_not_qf():
 def test_compose_check_rejects_non_composable():
     p = 5
     f = field_algebra(p)
-    a = make_extension(make_hom(f, group_alg(p, 2), [[1], [0]]))
-    b = make_extension(make_hom(f, f, [[1]]))
+    a = Extension(AlgebraHom(f, group_alg(p, 2), [[1], [0]]))
+    b = Extension(AlgebraHom(f, f, [[1]]))
     with pytest.raises(UsageError):
         compose_check(a, b)
 

@@ -7,19 +7,19 @@ import pytest
 
 from helpers import dual_numbers, group_alg, mat_units_algebra
 from qfcert import schema
-from qfcert.algebra import equal_algebras, field_algebra, make_hom
+from qfcert.algebra import AlgebraHom, equal_algebras, field_algebra
 from qfcert.coring import sweedler, trivial_coring
 from qfcert.errors import SchemaError, ValidationError
 from qfcert.graded import equal_graded_modules, grade_by_partition, graded_regular
 from qfcert.modrep import regular_bimodule, regular_left
-from qfcert.ringext import make_extension
+from qfcert.ringext import Extension
 
 P = 5
 
 
 def unit_extension(alg):
     f = field_algebra(alg.p)
-    return make_extension(make_hom(f, alg, np.array(alg.unit).reshape(-1, 1)))
+    return Extension(AlgebraHom(f, alg, np.array(alg.unit).reshape(-1, 1)))
 
 
 def pointer_of(doc):

@@ -14,12 +14,12 @@ from helpers import (
     mat_units_algebra,
 )
 from qfcert import report, verify
-from qfcert.algebra import field_algebra, make_hom
+from qfcert.algebra import AlgebraHom, field_algebra
 from qfcert.coring import is_qf_coring, trivial_coring
 from qfcert.decomp import decompose, decomposition_payload
 from qfcert.graded import grade_by_partition, is_qf_restriction
 from qfcert.modrep import is_fg_projective, regular_bimodule, regular_left
-from qfcert.ringext import is_frobenius_extension, is_qf_extension, make_extension, qf_pair_witness
+from qfcert.ringext import Extension, is_frobenius_extension, is_qf_extension, qf_pair_witness
 from qfcert.simdiv import similar, split_witness_payload
 
 P = 5
@@ -27,7 +27,7 @@ P = 5
 
 def unit_extension(alg):
     f = field_algebra(alg.p)
-    return make_extension(make_hom(f, alg, np.array(alg.unit).reshape(-1, 1)))
+    return Extension(AlgebraHom(f, alg, np.array(alg.unit).reshape(-1, 1)))
 
 
 def assert_verifies(payload):
