@@ -180,7 +180,7 @@ def _run_predicate(args):
         raws += raw
     depth = getattr(args, "depth", 1)
     out = run_documents(args.command, docs, seed=args.seed, depth=depth)
-    command_str = args.command if args.command != "dual-sequence" else f"dual-sequence --depth {depth}"
+    command_str = report.command_field(args.command, depth)
 
     if args.command == "sweedler":
         text = report.canonical_json(out.document)

@@ -211,8 +211,7 @@ def _convolution_ring(c: Coring, side: str) -> DualRing:
     # C is its own comodule through Delta, and the maps act on the other side's leg
     acts = _dual_action(side, h.basis, car.right_acts if side == "left" else car.left_acts, c.delta_rep(), p)
     # left: f_i * f_j = f_j . mu_i; right: f_i * f_j = f_i . nu_j
-    on_basis = h.action(linalg.matmul_pairs(h.basis, acts, p))
-    mul = on_basis.transpose((2, 0, 1) if side == "left" else (0, 2, 1))
+    mul = h.precomposed(acts).transpose((0, 2, 1) if side == "left" else (2, 0, 1))
     unit = h.coords(c.eps)
     if unit is None:
         raise InternalCheckError("counit does not lie in the dual hom space")

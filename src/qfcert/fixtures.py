@@ -31,6 +31,7 @@ from . import cli, report, schema, verify
 from .algebra import AlgebraHom, field_algebra, group_algebra, make_algebra, tensor_algebra
 from .coring import Coring, sweedler, trivial_coring
 from .errors import UsageError, ValidationError
+from .graded import grade_by_partition
 from .modrep import Bimodule, LeftModule, regular_bimodule, regular_left
 from .ringext import Extension
 
@@ -158,15 +159,11 @@ def graded_c2_group(p):
     """The C2 group algebra graded by C2 itself."""
     table = cyclic_table(2)
     a = group_algebra(p, table)
-    from .graded import grade_by_partition
-
     return grade_by_partition(a, table, [[0], [1]])
 
 
 def graded_c2_triangular(p):
     """T_2 graded by C2: diagonal part in the identity component."""
-    from .graded import grade_by_partition
-
     return grade_by_partition(upper_triangular2(p), cyclic_table(2), [[0, 1], [2]])
 
 
@@ -387,7 +384,7 @@ def battery(seed: int = 0):
     for f in corpus():
         raws = b"".join(report.canonical_json(d).encode() for d in f.docs)
         out = cli.run_documents(f.command, f.docs, seed=seed, depth=f.depth)
-        command_str = f.command if f.command != "dual-sequence" else f"dual-sequence --depth {f.depth}"
+        command_str = report.command_field(f.command, f.depth)
         rep = report.build_report(out, seed, report.input_digest(raws), command_str)
         verified, reasons = verify.verify_report(rep)
         ok = out.verdict == f.expected and verified

@@ -7,43 +7,65 @@ unit is solved for from the structure constants (NotUnital if none) and
 must be supported in the identity component.  Graded modules carry a
 matching block decomposition with R_x . M_y inside M_{xy}.
 
-Operations: restrict_e (identity component over R_e), induce and coinduce
-(both constructions verify their adjunction identity on the identity
-component before returning), suspend (relabel the blocks by a group
-element), and is_qf_restriction, which decides whether restriction to R_e
-preserves the quasi-Frobenius property: every component must be finitely
-generated projective over R_e and R must be similar to Hom_{R_e}(R, R_e)
-as an (R, R_e)-bimodule.  Both halves are certified; the first is the
-shared ``simdiv.projective_prelude``, with one check per component.
+Restriction to R_e is restriction along the inclusion R_e -> R, kept on
+the ring as an ``Extension``.  Its adjoints are one construction each on
+that extension's unit bimodules, and both verify their adjunction
+identity on the identity component before returning:
+- ``induce`` is R (x)_{R_e} N, one balanced tensor product.  Its canonical
+  basis is already in block order: e_i (x) n_j has raw index
+  i * dim N + j, the components of R are contiguous, and each balancing
+  relation (r a) (x) n - r (x) (a n) stays in the component of r.
+- ``coinduce`` is Hom_{R_e}(R, N), one hom space, with R acting by
+  precomposition with its right multiplications.  R is the direct sum of
+  its components over R_e, so the intertwining system splits by source
+  component, and each canonical basis map (a row of the reduced echelon
+  form of a direct sum on disjoint coordinates) lives on a single R_x; it
+  has degree x^-1, and the maps are sorted stably by degree.
+
+Also: restrict_e (identity component over R_e), suspend (relabel the
+blocks by a group element), and is_qf_restriction, which decides whether
+restriction to R_e preserves the quasi-Frobenius property: every
+component must be finitely generated projective over R_e, and R must be
+similar to Coind(R_e), the left dual of R over (R_e, R), as an
+(R, R_e)-bimodule.  Both halves are certified; the first is the shared
+``simdiv.projective_prelude``, with one check per component.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import linalg, report
-from .algebra import (
-    Algebra,
-    AlgebraHom,
-    check_group_table,
-    equal_algebras,
-    field_algebra,
-    make_algebra,
-    solve_unit,
-)
+from .algebra import Algebra, AlgebraHom, check_group_table, equal_algebras, make_algebra, solve_unit
 from .errors import InternalCheckError, NotGraded, NotUnital, UsageError
-from .modrep import (
-    Bimodule,
-    LeftModule,
-    hom_space,
-    regular_left,
-    tensor_over,
-)
+from .modrep import HomSpace, LeftModule, as_bimodule, hom_space, left_dual, restrict_bimodule, tensor_over
 from .ringext import Extension
 from .simdiv import projective_prelude, similar
 
 
-class GradedRing:
+class _Blocks:
+    """Coordinates in one block per group element, concatenated in
+    group-element order."""
+
+    def __init__(self, dims, order: int):
+        dims = [int(d) for d in dims]
+        if len(dims) != order or min(dims) < 0:
+            raise UsageError("need one nonnegative dimension per group element")
+        self.dims = dims
+        self.offsets = [0, *itertools.accumulate(dims)]
+        self.dim = self.offsets[-1]
+
+    def block(self, x: int) -> slice:
+        return slice(self.offsets[x], self.offsets[x + 1])
+
+    def component(self, index) -> np.ndarray:
+        """The block of each coordinate position in ``index``."""
+        return np.searchsorted(self.offsets, index, side="right") - 1
+
+
+class GradedRing(_Blocks):
     """Ring graded by a finite group, stored component by component.
 
     ``products[x][y]`` has shape (dim R_x, dim R_y, dim R_{xy}) and gives
@@ -58,14 +80,8 @@ class GradedRing:
         self.order = int(table.shape[0])
         self.e = e
         self.inv = inv
-        dims = [int(d) for d in dims]
-        if len(dims) != self.order or min(dims) < 0:
-            raise UsageError("need one nonnegative dimension per group element")
-        self.dims = dims
-        self.offsets = [0]
-        for d in dims:
-            self.offsets.append(self.offsets[-1] + d)
-        self.dim = self.offsets[-1]
+        super().__init__(dims, self.order)
+        dims = self.dims
         if len(products) != self.order or any(len(row) != self.order for row in products):
             raise UsageError("products must be an order x order table of tensors")
         prods = []
@@ -75,13 +91,9 @@ class GradedRing:
                 z = int(table[x, y])
                 m = np.asarray(products[x][y], dtype=np.int64) % p
                 want = (dims[x], dims[y], dims[z])
-                if m.shape != want and m.size == dims[x] * dims[y] * dims[z]:
-                    m = m.reshape(want)
-                if m.shape != want:
-                    raise UsageError(
-                        f"product tensor at ({x}, {y}) has shape {m.shape}, expected {want}"
-                    )
-                row.append(m)
+                if m.size != dims[x] * dims[y] * dims[z]:
+                    raise UsageError(f"product tensor at ({x}, {y}) has shape {m.shape}, expected {want}")
+                row.append(m.reshape(want))
             prods.append(row)
         self.products = prods
         mul = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
@@ -100,13 +112,14 @@ class GradedRing:
             raise NotGraded("unit is not supported in the identity component")
         self.total = make_algebra(p, mul, unit)
         self.r_e = make_algebra(p, prods[e][e], unit[be])
+        inclusion = np.zeros((self.dim, self.r_e.dim), dtype=np.int64)
+        inclusion[be] = linalg.identity(self.r_e.dim)
+        # the inclusion R_e -> R, whose adjoints are induction and coinduction
+        self.extension = Extension(AlgebraHom(self.r_e, self.total, inclusion))
 
     @property
     def p(self) -> int:
         return self.total.p
-
-    def block(self, x: int) -> slice:
-        return slice(self.offsets[x], self.offsets[x + 1])
 
     def component_module(self, x: int) -> LeftModule:
         """R_x as a left R_e-module (multiplication from the left)."""
@@ -147,7 +160,7 @@ def grade_by_partition(alg: Algebra, table, partition) -> GradedRing:
     return GradedRing(alg.p, t, dims, products)
 
 
-class GradedModule:
+class GradedModule(_Blocks):
     """Left module over a graded ring with a compatible block decomposition.
 
     ``action`` is the total action stack (dim R, dim M, dim M) on the
@@ -156,15 +169,8 @@ class GradedModule:
     """
 
     def __init__(self, ring: GradedRing, dims, action, _validate=True):
+        super().__init__(dims, ring.order)
         self.ring = ring
-        dims = [int(d) for d in dims]
-        if len(dims) != ring.order or min(dims) < 0:
-            raise UsageError("need one nonnegative dimension per group element")
-        self.dims = dims
-        self.offsets = [0]
-        for d in dims:
-            self.offsets.append(self.offsets[-1] + d)
-        self.dim = self.offsets[-1]
         self.total = LeftModule(ring.total, action, _validate=_validate)
         if self.total.dim != self.dim:
             raise UsageError("total action size does not match the component dimensions")
@@ -174,9 +180,6 @@ class GradedModule:
     @property
     def p(self) -> int:
         return self.ring.p
-
-    def block(self, y: int) -> slice:
-        return slice(self.offsets[y], self.offsets[y + 1])
 
     def _check_blocks(self):
         t = self.ring.table
@@ -188,9 +191,7 @@ class GradedModule:
                 outside[self.block(int(t[x, y]))] = False
                 cols = act[rb.start : rb.stop, :, self.block(y)]
                 if cols[:, outside, :].any():
-                    raise NotGraded(
-                        f"action of component {x} leaks M_{y} outside component {int(t[x, y])}"
-                    )
+                    raise NotGraded(f"action of component {x} leaks M_{y} outside component {int(t[x, y])}")
 
     def __repr__(self):
         return f"GradedModule(dims {self.dims} over F_{self.p})"
@@ -219,57 +220,30 @@ def restrict_e(m: GradedModule) -> LeftModule:
     return LeftModule(ring.r_e, acts, _validate=False)
 
 
-def _trivial_side(p: int, d: int):
-    return linalg.identity(d).reshape(1, d, d)
-
-
 def induce(ring: GradedRing, n: LeftModule) -> GradedModule:
     """R tensored over R_e with N, graded by Ind(N)_y = R_y (x)_{R_e} N.
 
-    Before returning, the evaluation n |-> class(1 (x) n) is checked to
-    identify N with the identity component, R_e-linearly and invertibly.
+    Each class has the degree of the raw pure tensor it stands for.  Before
+    returning, the evaluation n |-> class(1 (x) n) is checked to identify
+    N with the identity component, R_e-linearly and invertibly.
     """
     if not equal_algebras(n.algebra, ring.r_e):
         raise UsageError("induce expects a module over the identity component")
-    p = ring.p
-    dn = n.dim
-    k = field_algebra(p)
-    n_bim = Bimodule(ring.r_e, k, n.action, _trivial_side(p, dn), _validate=False)
-    tensors = []
-    for y in range(ring.order):
-        dy = ring.dims[y]
-        # right multiplication of R_e on R_y
-        ra = ring.products[y][ring.e].transpose(1, 2, 0) % p
-        y_bim = Bimodule(k, ring.r_e, _trivial_side(p, dy), ra, _validate=False)
-        tensors.append(tensor_over(ring.r_e, y_bim, n_bim))
-    dims = [t.dim for t in tensors]
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    act = np.zeros((ring.dim, offsets[-1], offsets[-1]), dtype=np.int64)
-    for x in range(ring.order):
-        rb = ring.block(x)
-        for y in range(ring.order):
-            z = int(ring.table[x, y])
-            dx = ring.dims[x]
-            # left mult by each a in R_x, R_y -> R_{xy}, stacked by rows: the
-            # block of a is tensors[z].proj kron(lmap_a, I) tensors[y].sect
-            lmaps = ring.products[x][y].transpose(0, 2, 1).reshape(dx * ring.dims[z], ring.dims[y])
-            raw = linalg.kron_apply(p, lmaps, tensors[y].sect, dn, False)
-            blk = linalg.kron_apply(p, tensors[z].proj, raw, dx, True)
-            act[rb, offsets[z] : offsets[z] + dims[z], offsets[y] : offsets[y] + dims[y]] = blk.reshape(
-                dx, dims[z], dims[y]
-            )
-    out = GradedModule(ring, dims, act)
-    te = tensors[ring.e]
-    eye_n = linalg.identity(dn)
-    # n |-> class(1 (x) n): te.proj kron(u, I) is (kron(u.T, I) te.proj.T).T
-    to_ind = linalg.kron_apply(p, ring.r_e.unit.reshape(1, -1), te.proj.T, dn, False).T
+    p, dn = ring.p, n.dim
+    t = tensor_over(ring.r_e, ring.extension.bimodule_sr, as_bimodule(n))
+    labels = ring.component(np.nonzero(t.sect.T)[1] // dn)
+    if np.any(np.diff(labels) < 0):
+        raise InternalCheckError("induced basis is not in block order")
+    out = GradedModule(ring, np.bincount(labels, minlength=ring.order), t.left_acts)
+    raw_e = slice(ring.offsets[ring.e] * dn, ring.offsets[ring.e + 1] * dn)
+    ind_e = out.block(ring.e)
+    # n |-> class(1 (x) n): proj kron(u, I) is (kron(u.T, I) proj.T).T
+    to_ind = linalg.kron_apply(p, ring.r_e.unit.reshape(1, -1), t.proj[ind_e, raw_e].T, dn, False).T
     from_raw = n.action.transpose(1, 0, 2).reshape(dn, ring.dims[ring.e] * dn) % p
-    from_ind = linalg.matmul(from_raw, te.sect, p)
+    from_ind = linalg.matmul(from_raw, t.sect[raw_e, ind_e], p)
     ok = (
-        np.array_equal(linalg.matmul(from_ind, to_ind, p), eye_n)
-        and np.array_equal(linalg.matmul(to_ind, from_ind, p), linalg.identity(te.dim))
+        np.array_equal(linalg.matmul(from_ind, to_ind, p), linalg.identity(dn))
+        and np.array_equal(linalg.matmul(to_ind, from_ind, p), linalg.identity(out.dims[ring.e]))
         and linalg.intertwines(to_ind, n.action, restrict_e(out).action, p)
     )
     if not ok:
@@ -281,36 +255,23 @@ def coinduce(ring: GradedRing, n: LeftModule) -> GradedModule:
     """R_e-linear maps R -> N, graded by Coind(N)_y = Hom_{R_e}(R_{y^-1}, N).
 
     The ring acts by (r . f)(r') = f(r' r).  Evaluation at 1 must identify
-    the identity component with N; this is checked before returning.  The
-    component hom-space bases ride along as ``hom_spaces``.
+    the identity component with N; this is checked before returning.
     """
     if not equal_algebras(n.algebra, ring.r_e):
         raise UsageError("coinduce expects a module over the identity component")
-    p = ring.p
-    dn = n.dim
-    homs = [hom_space(ring.component_module(ring.inv[y]), n) for y in range(ring.order)]
-    dims = [h.k for h in homs]
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    act = np.zeros((ring.dim, offsets[-1], offsets[-1]), dtype=np.int64)
-    for x in range(ring.order):
-        rb = ring.block(x)
-        for y in range(ring.order):
-            if dims[y] == 0:
-                continue
-            z = int(ring.table[x, y])
-            src = ring.inv[z]  # arguments of r.f live in R_{(xy)^-1}
-            # right mult by each a in R_x: R_{(xy)^-1} -> R_{y^-1}, then apply f
-            rmats = ring.products[src][x].transpose(1, 2, 0)
-            moved = linalg.matmul_pairs(homs[y].basis, rmats, p).transpose(1, 0, 2, 3)
-            act[rb, offsets[z] : offsets[z] + dims[z], offsets[y] : offsets[y] + dims[y]] = homs[z].action(moved)
-    out = GradedModule(ring, dims, act)
-    out.hom_spaces = homs
-    he = homs[ring.e]
-    # column t is basis map t applied to 1
-    ev = linalg.matmul(he.basis.reshape(he.k * dn, ring.dims[ring.e]), ring.r_e.unit.reshape(-1, 1), p)
-    ev = ev.reshape(he.k, dn).T
+    p, dn = ring.p, n.dim
+    h = hom_space(restrict_bimodule(ring.extension.bimodule_rs, "left"), n)
+    # the source component R_x of each basis map, from the columns it touches
+    sources = [np.unique(ring.component(np.flatnonzero(f.any(axis=0)))) for f in h.basis]
+    if any(s.size != 1 for s in sources):
+        raise InternalCheckError("a coinduced basis map spans several components")
+    degrees = np.array([ring.inv[int(s[0])] for s in sources], dtype=np.int64)
+    order = np.argsort(degrees, kind="stable")
+    h = HomSpace(h.source, h.target, h.basis[order])
+    out = GradedModule(ring, np.bincount(degrees, minlength=ring.order), h.precomposed(ring.total.right_mult))
+    # column t is identity-component basis map t applied to 1
+    he = h.basis[out.block(ring.e)]
+    ev = linalg.matmul(he.reshape(-1, ring.dim), ring.total.unit.reshape(-1, 1), p).reshape(len(he), dn).T
     ok = ev.shape[0] == ev.shape[1] and linalg.invert(ev, p) is not None
     ok = ok and linalg.intertwines(ev, restrict_e(out).action, n.action, p)
     if not ok:
@@ -337,24 +298,12 @@ def restriction_bimodules(ring: GradedRing):
     """The pair compared by is_qf_restriction, both (R, R_e)-bimodules.
 
     First: R as the (R, R_e) unit bimodule of the inclusion R_e -> R.
-    Second: Coind(R_e) = Hom_{R_e}(R, R_e) with left action
-    (r . f)(r') = f(r' r) and right action (f . a)(r) = f(r) a.
+    Second: Coind(R_e) = Hom_{R_e}(R, R_e), the left dual of R over
+    (R_e, R), whose actions (s . f . a)(x) = f(x s) a are exactly
+    (r . f)(r') = f(r' r) and (f . a)(r) = f(r) a.
     """
-    p = ring.p
-    inclusion = np.zeros((ring.total.dim, ring.r_e.dim), dtype=np.int64)
-    inclusion[ring.block(ring.e)] = linalg.identity(ring.r_e.dim)
-    bim_r = Extension(AlgebraHom(ring.r_e, ring.total, inclusion)).bimodule_sr
-    coind = coinduce(ring, regular_left(ring.r_e))
-    ra = np.zeros((ring.dims[ring.e], coind.dim, coind.dim), dtype=np.int64)
-    for y in range(ring.order):
-        h = coind.hom_spaces[y]
-        if h.k == 0:
-            continue
-        blk = coind.block(y)
-        # (f . a)(r) = f(r) a, for every a in R_e
-        ra[:, blk, blk] = h.action(linalg.matmul_pairs(ring.r_e.right_mult, h.basis, p))
-    bim_c = Bimodule(ring.total, ring.r_e, coind.total.action, ra)
-    return bim_r, bim_c
+    ext = ring.extension
+    return ext.bimodule_sr, left_dual(ext.bimodule_rs)
 
 
 def is_qf_restriction(ring: GradedRing, seed: int = 0) -> report.Outcome:
@@ -362,9 +311,11 @@ def is_qf_restriction(ring: GradedRing, seed: int = 0) -> report.Outcome:
 
     Two stages, both certified: every component R_x must be finitely
     generated projective over R_e (split witnesses), and R must be similar
-    to Coind(R_e) = Hom_{R_e}(R, R_e) as an (R, R_e)-bimodule, where R_e
-    acts on the right by multiplication on R and by (f . a)(r) = f(r) a on
-    the coinduced side.
+    to Coind(R_e) = Hom_{R_e}(R, R_e) as an (R, R_e)-bimodule.  Both come
+    from the inclusion R_e -> R (``restriction_bimodules``): R is its
+    (R, R_e) unit bimodule and Coind(R_e) the left dual of R over (R_e, R),
+    so R_e acts on the right by multiplication on R and by
+    (f . a)(r) = f(r) a on the coinduced side.
     """
     out = report.Outcome(report.YES)
     name = "ring similar to coinduced module"

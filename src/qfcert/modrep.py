@@ -40,7 +40,7 @@ import random
 import numpy as np
 
 from . import linalg, memo
-from .algebra import Algebra, enveloping, equal_algebras, opposite
+from .algebra import Algebra, enveloping, equal_algebras, field_algebra, opposite
 from .errors import (
     ActionsDoNotCommute,
     InternalCheckError,
@@ -174,6 +174,12 @@ class HomSpace:
         flat = moved.reshape(n * m, self.target.dim, self.source.dim)
         return self.coords_batch(flat).reshape(self.k, n, m).transpose(1, 0, 2)
 
+    def precomposed(self, stack: Mat) -> Mat:
+        """The action (s . h)(x) = h(x s) on this space of an algebra that
+        acts on the source through ``stack`` (one map per basis element, such
+        as its right multiplications), as ``action`` returns it."""
+        return self.action(_precompose(self.basis, stack, self.source.p))
+
     def element(self, coeffs) -> Mat:
         p, dn, dm = self.source.p, self.target.dim, self.source.dim
         c = linalg.asmat(coeffs, p).reshape(1, self.k)
@@ -296,8 +302,6 @@ def restrict_bimodule(m: Bimodule, side: str) -> LeftModule:
 
 def as_bimodule(m: LeftModule) -> Bimodule:
     """View a left module as an (A, F_p)-bimodule (trivial right side)."""
-    from .algebra import field_algebra
-
     k = field_algebra(m.p)
     ra = linalg.identity(m.dim).reshape(1, m.dim, m.dim)
     return Bimodule(m.algebra, k, m.action, ra)
@@ -495,14 +499,17 @@ def triple_projection(t: BalancedTensor, n: Bimodule, x: Mat) -> Mat:
     return _presented_projection(p, t.right_acts, n.left_acts, raw)
 
 
+def _precompose(basis, stack, p) -> Mat:
+    """``moved[a, t]`` is the basis map f_t after ``stack[a]``: f_t(stack[a] x)."""
+    return linalg.matmul_pairs(basis, stack, p).transpose(1, 0, 2, 3)
+
+
 def _dual(h: HomSpace, left_alg: Algebra, right_alg: Algebra, moved_left, moved_right) -> Bimodule:
     """The dual bimodule on the basis of ``h``, from the moved basis maps:
     ``moved_left[a, t]`` is a . f_t and ``moved_right[b, t]`` is f_t . b.
     One solve gives both actions."""
     acts = h.action(np.concatenate([moved_left, moved_right]))
-    out = Bimodule(left_alg, right_alg, acts[: left_alg.dim], acts[left_alg.dim :])
-    out.hom_basis = h.basis
-    return out
+    return Bimodule(left_alg, right_alg, acts[: left_alg.dim], acts[left_alg.dim :])
 
 
 def left_dual(m: Bimodule) -> Bimodule:
@@ -512,7 +519,7 @@ def left_dual(m: Bimodule) -> Bimodule:
     """
     r_alg, s_alg, p = m.left_alg, m.right_alg, m.p
     h = hom_space(restrict_bimodule(m, "left"), regular_left(r_alg))
-    s_f = linalg.matmul_pairs(h.basis, m.right_acts, p).transpose(1, 0, 2, 3)
+    s_f = _precompose(h.basis, m.right_acts, p)
     return _dual(h, s_alg, r_alg, s_f, linalg.matmul_pairs(r_alg.right_mult, h.basis, p))
 
 
@@ -523,7 +530,7 @@ def right_dual(m: Bimodule) -> Bimodule:
     """
     r_alg, s_alg, p = m.left_alg, m.right_alg, m.p
     h = hom_space(restrict_bimodule(m, "right"), regular_left(opposite(s_alg)))
-    g_r = linalg.matmul_pairs(h.basis, m.left_acts, p).transpose(1, 0, 2, 3)
+    g_r = _precompose(h.basis, m.left_acts, p)
     return _dual(h, s_alg, r_alg, linalg.matmul_pairs(s_alg.left_mult, h.basis, p), g_r)
 
 

@@ -94,6 +94,11 @@ def input_digest(raw_bytes: bytes) -> str:
     return hashlib.sha256(raw_bytes).hexdigest()
 
 
+def command_field(command: str, depth: int) -> str:
+    """A report's command field: ``dual-sequence`` carries its depth."""
+    return f"dual-sequence --depth {depth}" if command == "dual-sequence" else command
+
+
 def build_report(outcome: Outcome, seed: int, input_sha: str, command: str) -> dict:
     return {
         "tool_version": __version__,

@@ -27,6 +27,7 @@ from .modrep import (
     hom_space,
     is_fg_projective,
     left_dual,
+    regular_left,
     restrict_bimodule,
     tensor_over,
 )
@@ -125,17 +126,6 @@ def compose_check(alpha: Extension, beta: Extension, seed: int = 0) -> report.Ou
     return out
 
 
-def _hom_module_over_target(ext: Extension, x_mod: LeftModule):
-    """Hom_R(S, X) as a left S-module, (s.h)(s') = h(s' s).
-
-    Returns (hom_space, action tensor of S on hom coordinates).
-    """
-    g = hom_space(restrict_bimodule(ext.bimodule_rs, "left"), x_mod)
-    # moved[s, t] = h_t after right multiplication by e_s
-    moved = linalg.matmul_pairs(g.basis, ext.target.right_mult, ext.p).transpose(1, 0, 2, 3)
-    return g, g.action(moved)
-
-
 def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.Outcome:
     """Split pair alpha: S(x)_R X -> Hom_R(S,X)^m, alphabar back, at X.
 
@@ -148,7 +138,8 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.
         raise UsageError("test module must be a left module over the extension source")
     p = ext.p
     s_alg = ext.target
-    if is_fg_projective(restrict_bimodule(ext.bimodule_rs, "left")) is None:
+    over_source = restrict_bimodule(ext.bimodule_rs, "left")
+    if is_fg_projective(over_source) is None:
         return report.Outcome(
             report.VACUOUS,
             notes=["precondition failed: the target is not projective over the source"],
@@ -165,12 +156,15 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.
     xb = as_bimodule(x_mod)
     lx = tensor_over(ext.source, ext.bimodule_sr, xb)  # S (x)_R X
     dx_t = tensor_over(ext.source, d_bim, xb)  # D (x)_R X
-    g, g_acts = _hom_module_over_target(ext, x_mod)
+    # Hom_R(S, X) as a left S-module, (s . h)(s') = h(s' s)
+    g = hom_space(over_source, x_mod)
+    g_acts = g.precomposed(s_alg.right_mult)
     if g.k != dx_t.dim:
         raise InternalCheckError("hom module and tensor dual have different dimensions")
     # theta0: pure tensor f_t (x) e_j  |->  (s |-> act_X(f_t(s)) e_j),
     # from weights[t, s] = act_X(f_t(s)) = sum_r f_t[r, s] X(e_r)
-    hom_basis = d_bim.hom_basis  # (dd, dim R, ds)
+    # the basis of d_bim, from the hom space that left_dual solved for
+    hom_basis = hom_space(over_source, regular_left(ext.source)).basis  # (dd, dim R, ds)
     weights = linalg.combine(hom_basis.transpose(1, 0, 2).reshape(-1, dd * ds), x_mod.action, p)
     maps = weights.reshape(dd, ds, dx, dx).transpose(0, 3, 2, 1).reshape(dd * dx, dx, ds)
     theta0 = g.coords_batch(maps)

@@ -11,8 +11,8 @@ import sys
 import numpy as np
 
 from qfcert import linalg
-from qfcert.algebra import group_algebra, make_algebra
-from qfcert.modrep import LeftModule, Bimodule
+from qfcert.algebra import field_algebra, group_algebra, make_algebra
+from qfcert.modrep import Bimodule, LeftModule, hom_space, tensor_over
 
 
 def mat_units_algebra(p, n):
@@ -282,3 +282,76 @@ def outcome_rows(out):
         for c in out.checks
     ]
     return out.verdict, list(out.notes), rows
+
+
+def _blockwise(ring, dims):
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    return offsets, np.zeros((ring.dim, offsets[-1], offsets[-1]), dtype=np.int64)
+
+
+def reference_induce(ring, n):
+    """Ind(N) assembled component by component, as ``(dims, action)``: one
+    balanced tensor product R_y (x)_{R_e} N per component, and the block of
+    a in R_x from R_y to R_{xy} transported through both quotients.  The
+    reference the one tensor product of ``graded.induce`` must match."""
+    p, dn = ring.p, n.dim
+    k = field_algebra(p)
+    n_bim = Bimodule(ring.r_e, k, n.action, linalg.identity(dn).reshape(1, dn, dn), _validate=False)
+    tensors = []
+    for y in range(ring.order):
+        dy = ring.dims[y]
+        # right multiplication of R_e on R_y
+        ra = ring.products[y][ring.e].transpose(1, 2, 0) % p
+        y_bim = Bimodule(k, ring.r_e, linalg.identity(dy).reshape(1, dy, dy), ra, _validate=False)
+        tensors.append(tensor_over(ring.r_e, y_bim, n_bim))
+    dims = [t.dim for t in tensors]
+    offsets, act = _blockwise(ring, dims)
+    for x in range(ring.order):
+        rb = ring.block(x)
+        for y in range(ring.order):
+            z = int(ring.table[x, y])
+            dx = ring.dims[x]
+            # left mult by each a in R_x, R_y -> R_{xy}, stacked by rows: the
+            # block of a is tensors[z].proj kron(lmap_a, I) tensors[y].sect
+            lmaps = ring.products[x][y].transpose(0, 2, 1).reshape(dx * ring.dims[z], ring.dims[y])
+            raw = linalg.kron_apply(p, lmaps, tensors[y].sect, dn, False)
+            blk = linalg.kron_apply(p, tensors[z].proj, raw, dx, True)
+            act[rb, offsets[z] : offsets[z + 1], offsets[y] : offsets[y + 1]] = blk.reshape(dx, dims[z], dims[y])
+    return dims, act
+
+
+def reference_coinduce(ring, n):
+    """Coind(N) assembled component by component, as ``(dims, action,
+    homs)``: one hom space Hom_{R_e}(R_{y^-1}, N) per degree y, and the
+    block of a in R_x from degree y to xy from right multiplication by a.
+    The reference the one hom space of ``graded.coinduce`` must match."""
+    p = ring.p
+    homs = [hom_space(ring.component_module(ring.inv[y]), n) for y in range(ring.order)]
+    dims = [h.k for h in homs]
+    offsets, act = _blockwise(ring, dims)
+    for x in range(ring.order):
+        rb = ring.block(x)
+        for y in range(ring.order):
+            if dims[y] == 0:
+                continue
+            z = int(ring.table[x, y])
+            # right mult by each a in R_x: R_{(xy)^-1} -> R_{y^-1}, then apply f
+            rmats = ring.products[ring.inv[z]][x].transpose(1, 2, 0)
+            moved = linalg.matmul_pairs(homs[y].basis, rmats, p).transpose(1, 0, 2, 3)
+            act[rb, offsets[z] : offsets[z + 1], offsets[y] : offsets[y + 1]] = homs[z].action(moved)
+    return dims, act, homs
+
+
+def reference_coinduced_bimodule(ring):
+    """Coind(R_e) = Hom_{R_e}(R, R_e) as an (R, R_e)-bimodule on the
+    component-ordered basis of ``reference_coinduce``, with the right
+    action (f . a)(r) = f(r) a written block by block."""
+    p = ring.p
+    dims, act, homs = reference_coinduce(ring, LeftModule(ring.r_e, ring.r_e.left_mult))
+    offsets, _ = _blockwise(ring, dims)
+    ra = np.zeros((ring.dims[ring.e], offsets[-1], offsets[-1]), dtype=np.int64)
+    for y, h in enumerate(homs):
+        if h.k:
+            blk = slice(offsets[y], offsets[y + 1])
+            ra[:, blk, blk] = h.action(linalg.matmul_pairs(ring.r_e.right_mult, h.basis, p))
+    return Bimodule(ring.total, ring.r_e, act, ra)

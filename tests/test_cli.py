@@ -139,6 +139,15 @@ def test_dual_sequence_depth_and_projectivity_guard(tmp_path, capsys):
     assert cli.main(["dual-sequence", soc]) == 2
 
 
+def test_report_command_field_carries_the_dual_sequence_depth(tmp_path, capsys):
+    reg = write_doc(tmp_path, "reg.json", schema.bimodule_document(regular_bimodule(group_alg(5, 2))))
+    cases = ((["dual-sequence", "--depth", "2"], "dual-sequence --depth 2"), (["check-bimodule"], "check-bimodule"))
+    for argv, field in cases:
+        path = str(tmp_path / "report.json")
+        assert cli.main([argv[0], reg, *argv[1:], "--report", path]) == 0
+        assert json.loads(open(path).read())["command"] == field == report.command_field(argv[0], 2)
+
+
 def test_schema_error_exit_2(tmp_path, capsys):
     bad = write_doc(tmp_path, "bad.json", {"p": 4, "algebra": {"dim": 0, "mul": [], "unit": []}})
     assert cli.main(["check-extension", bad]) == 2

@@ -6,10 +6,20 @@ import pytest
 from qfcert import decomp, graded, linalg, report
 from qfcert.algebra import check_group_table, group_algebra, make_algebra, solve_unit
 from qfcert.errors import NotAGroup, NotGraded, NotUnital, UsageError
-from qfcert.modrep import envelope_module, equal_modules, hom_space, regular_left
+from qfcert.modrep import LeftModule, envelope_module, equal_modules, hom_space, regular_left, restrict_bimodule
 from qfcert.simdiv import similar, verify_cert
 
-from helpers import cyclic_table, outcome_rows, s3_table, upper_triangular2
+from helpers import (
+    count_calls,
+    cyclic_table,
+    mat_units_algebra,
+    outcome_rows,
+    reference_coinduce,
+    reference_coinduced_bimodule,
+    reference_induce,
+    s3_table,
+    upper_triangular2,
+)
 
 C2 = cyclic_table(2)
 
@@ -21,6 +31,13 @@ def f5c2_graded():
 def t2_graded(p=5):
     # diagonal in degree e, strict upper triangle in degree g
     return graded.grade_by_partition(upper_triangular2(p), C2, [[0, 1], [2]])
+
+
+def square_zero_graded(p=5):
+    """F_p[x, y]/(x, y)^2 by C2: R_e = <1, x> and R_1 = <y>."""
+    mul = np.zeros((3, 3, 3), dtype=np.int64)
+    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[0, 2, 2] = mul[2, 0, 2] = 1
+    return graded.grade_by_partition(make_algebra(p, mul, [1, 0, 0]), C2, [[0, 1], [2]])
 
 
 def trace_divides(m, n):
@@ -144,6 +161,65 @@ def test_zero_components_trivial_grading():
     assert graded.coinduce(triv, n).dims == [2, 0]
 
 
+def _one_dim_module(ring, weights):
+    return LeftModule(ring.r_e, np.array(weights, dtype=np.int64).reshape(-1, 1, 1))
+
+
+def _gradings():
+    """(ring, extra R_e-modules) for each grading the one-construction
+    functors are compared on; the regular module is always tested too."""
+    c3, s3 = cyclic_table(3), s3_table()
+    sq = square_zero_graded()
+    m2 = graded.grade_by_partition(mat_units_algebra(5, 2), C2, [[0, 3], [1, 2]])
+    return {
+        "f5-c2": (f5c2_graded(), []),
+        "f7-c2": (graded.grade_by_partition(group_algebra(7, C2), C2, [[0], [1]]), []),
+        "t2-f5": (t2_graded(5), []),
+        "t2-f7": (t2_graded(7), []),
+        "f7-c3": (graded.grade_by_partition(group_algebra(7, c3), c3, [[0], [1], [2]]), []),
+        "f5-s3": (graded.grade_by_partition(group_algebra(5, s3), s3, [[i] for i in range(6)]), []),
+        "f5-c2-empty-component": (graded.grade_by_partition(group_algebra(5, C2), C2, [[0, 1], []]), []),
+        # the socle of R_e = F_5[x]/(x^2): x acts by zero
+        "square-zero": (sq, [_one_dim_module(sq, [1, 0])]),
+        # the diagonal of M_2(F_5) in degree e; e11 acts by one, e22 by zero
+        "m2-f5": (m2, [_one_dim_module(m2, [1, 0])]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_gradings()))
+def test_induce_and_coinduce_equal_the_componentwise_assembly(name, monkeypatch):
+    ring, extra = _gradings()[name]
+    tensors = count_calls(monkeypatch, graded.tensor_over)
+    homs = count_calls(monkeypatch, graded.hom_space)
+    for n in [regular_left(ring.r_e)] + extra:
+        ind = graded.induce(ring, n)
+        dims, act = reference_induce(ring, n)
+        assert ind.dims == dims and np.array_equal(ind.total.action, act)
+        co = graded.coinduce(ring, n)
+        dims, act, _ = reference_coinduce(ring, n)
+        assert co.dims == dims and np.array_equal(co.total.action, act)
+    # one tensor product and one hom space per module, none per component
+    assert tensors[0] == homs[0] == len(extra) + 1
+    zero = LeftModule(ring.r_e, np.zeros((ring.r_e.dim, 0, 0), dtype=np.int64))
+    assert graded.induce(ring, zero).dims == graded.coinduce(ring, zero).dims == [0] * ring.order
+
+
+@pytest.mark.parametrize("name", sorted(_gradings()))
+def test_restriction_bimodules_are_the_inclusion_and_its_left_dual(name):
+    ring = _gradings()[name][0]
+    br, bc = graded.restriction_bimodules(ring)
+    be = ring.block(ring.e)
+    assert np.array_equal(br.left_acts, ring.total.left_mult)
+    assert np.array_equal(br.right_acts, ring.total.right_mult[be])
+    # the left dual's basis maps, each on one component, ordered by degree
+    h = hom_space(restrict_bimodule(ring.extension.bimodule_rs, "left"), regular_left(ring.r_e))
+    sources = [np.searchsorted(ring.offsets, np.flatnonzero(f.any(axis=0))[0], side="right") - 1 for f in h.basis]
+    order = np.argsort([ring.inv[x] for x in sources], kind="stable")
+    ref = reference_coinduced_bimodule(ring)
+    assert np.array_equal(bc.left_acts[:, order][:, :, order], ref.left_acts)
+    assert np.array_equal(bc.right_acts[:, order][:, :, order], ref.right_acts)
+
+
 # ----------------------------------------------------------------- suspension
 
 
@@ -229,11 +305,8 @@ def test_mislabelled_identity_component_rejected():
 
 
 def test_non_projective_component_skips_the_similarity_stage():
-    # F_5[x, y]/(x, y)^2 graded by C2 with R_e = <1, x> and R_1 = <y>:
     # x kills y, so R_1 is the simple module over R_e = F_5[x]/(x^2)
-    mul = np.zeros((3, 3, 3), dtype=np.int64)
-    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = mul[0, 2, 2] = mul[2, 0, 2] = 1
-    ring = graded.grade_by_partition(make_algebra(5, mul, [1, 0, 0]), C2, [[0, 1], [2]])
+    ring = square_zero_graded()
     assert outcome_rows(graded.is_qf_restriction(ring)) == (
         report.NO,
         [],
