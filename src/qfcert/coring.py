@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg, report
+from . import linalg, memo, report
 from .algebra import Algebra, AlgebraHom, equal_algebras, field_algebra, make_algebra, opposite
 from .errors import (
     CounitFails,
@@ -254,6 +254,7 @@ def carrier_over_right_dual(c: Coring, dr: DualRing) -> Bimodule:
     return Bimodule(dr.target, c.base, dr.action_maps, c.carrier.right_acts)
 
 
+@memo.scoped
 def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
     """Five equivalent quasi-Frobenius tests; they must agree."""
     out = report.Outcome(report.YES)

@@ -37,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from . import linalg, report
+from . import linalg, memo, report
 from .algebra import Algebra, AlgebraHom, check_group_table, equal_algebras, make_algebra, solve_unit
 from .errors import InternalCheckError, NotGraded, NotUnital, UsageError
 from .modrep import HomSpace, LeftModule, as_bimodule, hom_space, left_dual, restrict_bimodule, tensor_over
@@ -306,6 +306,7 @@ def restriction_bimodules(ring: GradedRing):
     return ext.bimodule_sr, left_dual(ext.bimodule_rs)
 
 
+@memo.scoped
 def is_qf_restriction(ring: GradedRing, seed: int = 0) -> report.Outcome:
     """Decide whether restriction to the identity component preserves QF.
 

@@ -3,6 +3,8 @@
 ``scope()`` opens a memo for the length of a ``with`` block;
 ``cli.run_documents`` opens one per call, so the command line and the
 battery share results within one document and free them when it ends.
+The public decisions are ``scoped``: called with no scope open, they open
+one for their own call, so a library caller shares results the same way.
 Outside a scope ``cached`` just calls the function: nothing is kept.
 
 Keys are exact.  ``array_key`` holds the dtype, shape and bytes of each
@@ -17,6 +19,7 @@ Each scope counts hits and misses per memoized function (``counts``).
 from __future__ import annotations
 
 import contextvars
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,6 +52,20 @@ def scope():
     finally:
         _SCOPE.reset(token)
         s.entries.clear()
+
+
+def scoped(func):
+    """``func`` run in the open scope, or in a scope of its own when none is
+    open."""
+
+    @functools.wraps(func)
+    def run(*args, **kwargs):
+        if _SCOPE.get() is not None:
+            return func(*args, **kwargs)
+        with scope():
+            return func(*args, **kwargs)
+
+    return run
 
 
 def readonly(*arrays):

@@ -8,12 +8,13 @@ decompose or compare a bimodule as one module read it over the enveloping
 algebra R (x) S^op, through ``envelope_module`` (basis pair (i, j) at index
 i*dim(S)+j acts by ``left[i] @ right[j]``).
 
-One presentation routine, ``_presentation``, serves both Hom and (x): a
-module M is presented as A^k -> M -> 0, with its relations and a linear
+One presentation serves Hom, (x) and projectivity: ``_presentation``
+presents a module M as A^k -> M -> 0, with its relations and a linear
 section, on k generators found by seeded spinning (random vectors drawn
 with a fixed seed, then the basis vectors, each kept when it enlarges the
 submodule spanned so far), so a free module gets a basis and no
 relations.  Presentations are memoized on the action tensor.
+``is_fg_projective`` splits that cover A^k -> M.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
 from ``_presented_projection``: with a presentation of the right factor,
@@ -535,12 +536,13 @@ def right_dual(m: Bimodule) -> Bimodule:
 
 
 class SplitWitness:
-    """Certificate that M is a direct summand of a finite free module.
+    """Certificate that M is a direct summand of a finite free module A^k.
 
-    ``pi_blocks[b]`` is the b-th block of the projection A^d -> M (a
-    (dim M, dim A) matrix, sending a |-> a . m_b for the b-th generator);
+    ``pi_blocks[b]`` is the b-th block of the projection A^k -> M (a
+    (dim M, dim A) matrix, sending a |-> a . g_b for the b-th generator);
     ``sigma_blocks[b]`` is the b-th block of an A-linear section.  The
-    defining identities are re-checked on construction.
+    defining identities, the full pi . sigma = id and both module-map laws,
+    are re-checked on construction.
     """
 
     def __init__(self, module: LeftModule, pi_blocks: Mat, sigma_blocks: Mat):
@@ -561,26 +563,39 @@ class SplitWitness:
 
 
 def is_fg_projective(m: LeftModule):
-    """Split witness exhibiting M as a summand of A^dim(M), or None.
+    """Split witness exhibiting M as a summand of A^k, or None.
 
-    The generators are the basis vectors of M; a section is searched for
-    inside Hom_A(M, A)^dim(M) by one exact linear solve, so a None answer
-    is a proof of non-projectivity (over these generators, hence over any:
-    the regular cover by all basis vectors is surjective).
+    The cover is P: A^k -> M on the k spun generators g_1..g_k of
+    ``_presentation``, a |-> a . g_b on the b-th summand.  By the dual
+    basis lemma M is projective exactly when P splits, so a None answer is
+    a proof of non-projectivity.  P splits exactly when some module map
+    rho: A^k -> K onto its kernel fixes K.  Such a rho is fixed by the
+    images ker z_i of the k unit vectors, so one exact solve in
+    k * dim K unknowns finds one or proves there is none; then
+    (1 - rho) sigma, for the presentation's linear section sigma, is a
+    section that is a module map.  A cover without relations is an
+    isomorphism, inverted by sigma: no system at all.
     """
-    alg = m.algebra
-    p = m.p
-    d = m.dim
-    if d == 0:
-        return SplitWitness(m, np.zeros((0, 0, alg.dim), dtype=np.int64), np.zeros((0, alg.dim, 0), dtype=np.int64))
-    h = hom_space(m, regular_left(alg))
-    if h.k == 0:
-        return None
-    pi_blocks = m.action.transpose(2, 1, 0).copy()  # [b][:, a] = a . m_b
-    # column (b, t) is pi_b f_t, flattened
-    cmat = linalg.matmul_pairs(pi_blocks, h.basis, p).reshape(d * h.k, d * d).T
-    sol = linalg.solve_right(cmat, linalg.vec(linalg.identity(d)), p)
-    if sol is None:
-        return None
-    sigma_blocks = linalg.matmul(sol.reshape(d, h.k), h.basis.reshape(h.k, -1), p).reshape(d, alg.dim, d)
-    return SplitWitness(m, pi_blocks, sigma_blocks)
+    alg, p, d, n = m.algebra, m.p, m.dim, m.algebra.dim
+    gens, ker, sigma = _presentation(p, m.action)
+    k, c = gens.shape[1], ker.shape[1]
+    # pi_blocks[b][:, t] = e_t . g_b
+    pi_blocks = linalg.matmul(m.action.reshape(n * d, d), gens, p).reshape(n, d, k).transpose(2, 1, 0)
+    if c:
+        relations = ker.reshape(k, n, c)
+        # w[t, b, s, l]: coordinate s in slot b of e_t . kappa_l, for the relations kappa_l
+        w = linalg.matmul_pairs(alg.left_mult, relations, p)
+        # rho(e_t e_i) = e_t . ker z_i and rho(kappa_j) = kappa_j:
+        # row (b, s, j), column (i, l) is sum_t w[t, b, s, l] kappa_j[(i, t)]
+        system = linalg.matmul(
+            w.transpose(1, 2, 3, 0).reshape(k * n * c, n), relations.transpose(1, 0, 2).reshape(n, k * c), p
+        )
+        system = system.reshape(k, n, c, k, c).transpose(0, 1, 4, 3, 2).reshape(k * n * c, k * c)
+        z = linalg.solve_right(system, linalg.vec(ker), p)
+        if z is None:
+            return None
+        # rho[(b, s), (i, t)] = sum_l w[t, b, s, l] z[(i, l)]
+        rho = linalg.matmul(w.reshape(n * k * n, c), z.reshape(k, c).T, p)
+        rho = rho.reshape(n, k * n, k).transpose(1, 2, 0).reshape(k * n, k * n)
+        sigma = (sigma - linalg.matmul(rho, sigma, p)) % p
+    return SplitWitness(m, pi_blocks, sigma.reshape(k, n, d))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg, report
+from . import linalg, memo, report
 from .algebra import Algebra, AlgebraHom, equal_algebras
 from .errors import InternalCheckError, UsageError
 from .modrep import (
@@ -77,11 +77,13 @@ def merge_unit_routes(primary: report.Outcome, cross: report.Outcome) -> report.
     return out
 
 
+@memo.scoped
 def is_qf_extension(ext: Extension, seed: int = 0) -> report.Outcome:
     """QF test via the (R,S) unit bimodule, cross-checked on the (S,R) one."""
     return merge_unit_routes(is_qf_bimodule(ext.bimodule_rs, seed=seed), is_qf_bimodule(ext.bimodule_sr, seed=seed))
 
 
+@memo.scoped
 def is_frobenius_extension(ext: Extension, seed: int = 0) -> report.Outcome:
     """Frobenius: _R S projective f.g. and S ~ Hom_R(S, R) as (S,R)-bimodules."""
     out = report.Outcome(report.YES)
@@ -96,6 +98,7 @@ def is_frobenius_extension(ext: Extension, seed: int = 0) -> report.Outcome:
     return out
 
 
+@memo.scoped
 def compose_check(alpha: Extension, beta: Extension, seed: int = 0) -> report.Outcome:
     """With beta QF, alpha is QF iff beta . alpha is; vacuous otherwise."""
     if not equal_algebras(alpha.target, beta.source):
@@ -126,6 +129,7 @@ def compose_check(alpha: Extension, beta: Extension, seed: int = 0) -> report.Ou
     return out
 
 
+@memo.scoped
 def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.Outcome:
     """Split pair alpha: S(x)_R X -> Hom_R(S,X)^m, alphabar back, at X.
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import linalg, report
+from . import linalg, memo, report
 from .algebra import equal_algebras
 from .decomp import decompose, iso, match_classes
 from .errors import InternalCheckError, NotProjectiveAtStage, UsageError
@@ -233,6 +233,7 @@ def bimodule_iso_payload(source: Bimodule, target: Bimodule, seed: int = 0):
     }
 
 
+@memo.scoped
 def is_qf_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     """Quasi-Frobenius test for an (R, S)-bimodule."""
     out = report.Outcome(report.YES)
@@ -246,6 +247,7 @@ def is_qf_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     return out
 
 
+@memo.scoped
 def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
     """Frobenius = projective restrictions + duals actually isomorphic."""
     out = report.Outcome(report.YES)
@@ -279,6 +281,7 @@ def dual_sequence(m: Bimodule, depth: int):
     return [(k, stages[k]) for k in sorted(stages)]
 
 
+@memo.scoped
 def qf_tensor_check(m: Bimodule, n: Bimodule, seed: int = 0) -> report.Outcome:
     """QF (x) QF should be QF; reports agreement (expected: yes)."""
     if not equal_algebras(m.right_alg, n.left_alg):

@@ -12,7 +12,7 @@ import numpy as np
 
 from qfcert import linalg
 from qfcert.algebra import field_algebra, group_algebra, make_algebra
-from qfcert.modrep import Bimodule, LeftModule, hom_space, tensor_over
+from qfcert.modrep import Bimodule, LeftModule, SplitWitness, hom_space, regular_left, tensor_over
 
 
 def mat_units_algebra(p, n):
@@ -183,6 +183,30 @@ def reference_hom_basis(source, target):
     return v.T.reshape(v.shape[1], dn, dm)
 
 
+def reference_is_fg_projective(m):
+    """Split witness of M as a summand of A^dim(M), or None: the cover by
+    all basis vectors of M, a section searched for inside
+    Hom_A(M, A)^dim(M) by one solve of pi sigma = id on every basis vector,
+    as the reference the spun-generator cover of ``is_fg_projective`` must
+    agree with."""
+    alg = m.algebra
+    p = m.p
+    d = m.dim
+    if d == 0:
+        return SplitWitness(m, np.zeros((0, 0, alg.dim), dtype=np.int64), np.zeros((0, alg.dim, 0), dtype=np.int64))
+    h = hom_space(m, regular_left(alg))
+    if h.k == 0:
+        return None
+    pi_blocks = m.action.transpose(2, 1, 0).copy()  # [b][:, a] = a . m_b
+    # column (b, t) is pi_b f_t, flattened
+    cmat = linalg.matmul_pairs(pi_blocks, h.basis, p).reshape(d * h.k, d * d).T
+    sol = linalg.solve_right(cmat, linalg.vec(linalg.identity(d)), p)
+    if sol is None:
+        return None
+    sigma_blocks = linalg.matmul(sol.reshape(d, h.k), h.basis.reshape(h.k, -1), p).reshape(d, alg.dim, d)
+    return SplitWitness(m, pi_blocks, sigma_blocks)
+
+
 def balanced_relations(s_alg, m, n):
     """Rows spanning the balancing subspace of the full tensor space
     M (x) N (index i*dim N + j): (m s) (x) n - m (x) (s n) over the
@@ -255,6 +279,15 @@ def conjugated(action, t, t_inv, p):
     return np.array([_py_matmul(_py_matmul(t, x.tolist(), p), t_inv, p) for x in action], dtype=np.int64)
 
 
+def _rebind(monkeypatch, func, wrapper):
+    """Put ``wrapper`` wherever a loaded qfcert module binds ``func``."""
+    for name, mod in list(sys.modules.items()):
+        if name == "qfcert" or name.startswith("qfcert."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
 def count_calls(monkeypatch, func):
     """Wrap ``func`` with a call counter wherever a loaded qfcert module binds it.
 
@@ -266,11 +299,20 @@ def count_calls(monkeypatch, func):
         calls[0] += 1
         return func(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "qfcert" or name.startswith("qfcert."):
-            for attr, value in list(vars(mod).items()):
-                if value is func:
-                    monkeypatch.setattr(mod, attr, counted)
+    _rebind(monkeypatch, func, counted)
+    return calls
+
+
+def record_calls(monkeypatch, func):
+    """Wrap ``func`` wherever a loaded qfcert module binds it; returns the
+    list of the positional arguments of every call made so far."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    _rebind(monkeypatch, func, recorded)
     return calls
 
 

@@ -6,14 +6,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qfcert import cli, memo, report, schema
+from qfcert import cli, memo, modrep, report, schema
 from qfcert.coring import sweedler
 from qfcert.decomp import decompose, find_idempotent
 from qfcert.errors import UsageError
 from qfcert.fixtures import unit_extension
-from qfcert.modrep import hom_space, regular_left
+from qfcert.modrep import LeftModule, hom_space, regular_left
+from qfcert.ringext import qf_pair_witness
 
-from helpers import dual_numbers, group_alg, mat_units_algebra
+from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
 
 P = 5
 
@@ -51,8 +52,9 @@ def test_check_coring_memo_counts(scopes):
         "enveloping": (8, 2),
         "find_idempotent": (12, 3),
         "generating_indices": (8, 2),
-        "hom_space": (52, 34),
-        "presentation": (18, 18),
+        # each of the 8 projectivity tests reads a presentation, not a hom space
+        "hom_space": (44, 34),
+        "presentation": (26, 18),
     }
 
 
@@ -73,6 +75,21 @@ def test_no_entry_survives_run_documents(scopes):
     assert inner is not outer and inner.counts()["decompose"] == (0, 1)
     assert inner.entries == {} and outer.entries == {}
     assert memo._SCOPE.get() is None
+
+
+def test_a_decision_opens_a_scope_only_when_none_is_open(monkeypatch):
+    # qf_pair_witness on the F_5[C2] unit extension needs 5 distinct hom
+    # spaces, and the scope it opens solves each of them once
+    solves = count_calls(monkeypatch, modrep._hom_basis)
+    ext = unit_extension(group_alg(P, 2))
+    x = LeftModule(ext.source, np.ones((1, 1, 1), dtype=np.int64))
+    assert qf_pair_witness(ext, x).verdict == report.YES
+    assert solves == [5] and memo._SCOPE.get() is None
+    # an open scope is joined: the second call solves nothing
+    with memo.scope():
+        qf_pair_witness(ext, x)
+        qf_pair_witness(ext, x)
+    assert solves == [10]
 
 
 def test_memoized_hom_basis_is_read_only():

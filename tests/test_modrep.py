@@ -18,17 +18,20 @@ from helpers import (
     prod_fields,
     python_nullspace,
     rebased,
+    record_calls,
     reference_hom_basis,
+    reference_is_fg_projective,
     s3_table,
     simple_modules_prod,
     stacked_hom_system,
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import fixtures, linalg, memo, modrep
+from qfcert import cli, fixtures, linalg, memo, modrep, verify
 from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, group_algebra, make_algebra, opposite
 from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
+from qfcert.simdiv import split_witness_payload
 from qfcert.modrep import (
     Bimodule,
     LeftModule,
@@ -306,8 +309,10 @@ def test_duals_of_unit_bimodule_shapes():
 def test_fgp_regular_and_column_modules():
     p = 5
     a = mat_units_algebra(p, 2)
-    w = is_fg_projective(regular_left(a))
-    assert w is not None and w.free_rank == 4
+    m = regular_left(a)
+    w = is_fg_projective(m)
+    # the cover is on the spun generators: a singular first draw and one more
+    assert w is not None and w.free_rank == _presentation(p, m.action)[0].shape[1] == 2
     col = column_module(p)
     w2 = is_fg_projective(col)
     assert w2 is not None
@@ -334,6 +339,28 @@ def test_fgp_simple_over_prod_fields_projective():
     s1, _ = simple_modules_prod(p)
     w = is_fg_projective(s1)
     assert w is not None
+
+
+def test_spun_cover_agrees_with_the_cover_by_all_basis_vectors(monkeypatch):
+    # every module the battery tests for projectivity, once each
+    calls = record_calls(monkeypatch, modrep.is_fg_projective)
+    for f in fixtures.corpus():
+        cli.run_documents(f.command, f.docs, seed=0, depth=f.depth)
+    battery = list({(m.algebra.memo_key(), m.action.tobytes()): m for (m,) in calls}.values())
+    # and two that are not projective: the trivial dual-numbers module, and
+    # the simple top of T2 e22 (e22 acts by 1, e11 and e12 by 0)
+    p = 5
+    top = LeftModule(upper_triangular2(p), np.array([[[0]], [[1]], [[0]]], dtype=np.int64))
+    projective = []
+    for m in battery + [trivial_module_dualnum(p), top]:
+        w, ref = is_fg_projective(m), reference_is_fg_projective(m)
+        assert (w is None) == (ref is None)
+        projective.append(w is not None)
+        if w is not None:
+            assert w.free_rank == _presentation(m.p, m.action)[0].shape[1] <= m.dim
+            assert verify.verify_payload(split_witness_payload(w)) == (True, [])
+    assert projective[-2:] == [False, False]
+    assert True in projective[:-2] and False in projective[:-2]
 
 
 def test_direct_sum_and_as_bimodule():

@@ -18,7 +18,7 @@ from qfcert.algebra import AlgebraHom, field_algebra
 from qfcert.coring import is_qf_coring, trivial_coring
 from qfcert.decomp import decompose, decomposition_payload
 from qfcert.graded import grade_by_partition, is_qf_restriction
-from qfcert.modrep import is_fg_projective, regular_bimodule, regular_left
+from qfcert.modrep import LeftModule, direct_sum, is_fg_projective, regular_bimodule, regular_left
 from qfcert.ringext import Extension, is_frobenius_extension, is_qf_extension, qf_pair_witness
 from qfcert.simdiv import similar, split_witness_payload
 
@@ -51,6 +51,33 @@ def test_split_witness_roundtrip_and_tamper():
     bad = copy.deepcopy(pay)
     bad["pi_blocks"][0][0][0] = (bad["pi_blocks"][0][0][0] + 1) % P
     assert_rejected(bad)
+
+
+def test_split_witness_on_fewer_generators_than_basis_vectors():
+    # M2(F_5)^2 (dim 8) is presented free on 2 spun generators
+    m2 = regular_left(mat_units_algebra(P, 2))
+    w = is_fg_projective(direct_sum(m2, m2)[0])
+    pay = split_witness_payload(w)
+    assert len(pay["pi_blocks"]) == len(pay["sigma_blocks"]) == 2 < w.module.dim
+    assert_verifies(pay)
+    # any entry of any block, changed, is rejected
+    for key in ("pi_blocks", "sigma_blocks"):
+        for b, i, j in np.ndindex(np.shape(pay[key])):
+            bad = copy.deepcopy(pay)
+            bad[key][b][i][j] = (bad[key][b][i][j] + 1) % P
+            assert_rejected(bad)
+    # a cover missing one generator does not split
+    for b in range(2):
+        dropped = copy.deepcopy(pay)
+        del dropped["pi_blocks"][b], dropped["sigma_blocks"][b]
+        assert_rejected(dropped, "sum of pi . sigma is not the identity")
+
+
+def test_split_witness_of_the_zero_module():
+    w = is_fg_projective(LeftModule(dual_numbers(P), np.zeros((2, 0, 0), dtype=np.int64)))
+    pay = split_witness_payload(w)
+    assert w.free_rank == 0 and pay["pi_blocks"] == pay["sigma_blocks"] == []
+    assert_verifies(pay)
 
 
 def test_similarity_roundtrip_and_tamper():
