@@ -337,9 +337,6 @@ class AlgebraHom:
             i, j = np.argwhere(lhs != rhs)[0][:2]
             raise NotMultiplicative(int(i), int(j))
 
-    def apply(self, x) -> Mat:
-        return linalg.matmul(self.matrix, linalg.asmat(x, self.source.p).reshape(-1, 1), self.source.p).reshape(-1)
-
     def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
         """self after inner."""
         if inner.target is not self.source and not equal_algebras(inner.target, self.source):

@@ -10,23 +10,26 @@ so in BLAS) such a value is kept below 2^51, two bits under the 2^53 limit
 of exact integers, so that ``_mod`` can reduce it with one multiply and a
 floor; in int64 it is kept below 2^63.  ``_exact_plan`` takes float64 when
 ``k = 1`` fits there and int64 otherwise, and returns the largest ``k``
-for that dtype and for int64: ``matmul`` splits its inner dimension into
-chunks of ``k``, and ``rref`` lets its working entries grow unreduced
-until the next panel could pass the bound.  The supported primes are the
-odd p with ``(p-1)^2 + p < 2^63``, that is p <= 3,037,000,493
-(``in_range``); ``PrimeField`` and the schema reject larger ones.  Float64
-serves every p with ``(p-1)^2 + p < 2^51``, that is p <= 47,453,133.
+for that dtype and for int64; ``matmul`` splits its inner dimension into
+chunks of ``k``.  The supported primes are the odd p with
+``(p-1)^2 + p < 2^63``, that is p <= 3,037,000,493 (``in_range``);
+``PrimeField`` and the schema reject larger ones.  Float64 serves every p
+with ``(p-1)^2 + p < 2^51``, that is p <= 47,453,133.
 
-Small systems skip that machinery, whose fixed cost per call outweighs
-their arithmetic.  Both switches depend on size alone:
+``rref`` reads no budget: every entry it updates is a residue minus one
+product of two residues, above ``-(p-1)^2``, so int64 holds it at every
+supported p.
+
+Small inputs take a cheaper path, since the fixed numpy cost per call
+outweighs their arithmetic.  Both switches depend on size alone:
 
 - ``matmul`` with at most ``_MATMUL_SMALL`` multiply-adds, and an inner
   dimension within the int64 budget of ``_exact_plan``, takes one int64
   product and one ``%``.  Each entry is a sum of at most that many
   products of residues, so it stays under 2^63.
 - ``rref`` on at most ``_RREF_SMALL`` entries runs Gauss-Jordan on rows
-  of Python integers, which are exact at every p, so no bound applies.
-  It finds the same unique reduced form as the panel kernel.
+  of Python integers, which are exact at every p.  It finds the same
+  unique reduced form as the int64 kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ _BOUNDS = ((np.float64, 2**51), (np.int64, _INT64_BOUND))
 _MOD_SMALL = 256
 # at most this many multiply-adds, one int64 product beats the float path
 _MATMUL_SMALL = 4096
-# at most this many entries, Gauss-Jordan on Python integers beats the panel kernel
+# at most this many entries, Gauss-Jordan on Python integers beats the int64 kernel's numpy calls
 _RREF_SMALL = 1024
 # Miller-Rabin with these bases is deterministic for every n < 3.18e23
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -83,9 +86,10 @@ def in_range(p: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _exact_plan(p: int):
-    """``(dtype, k, k64)``: the working dtype for F_p, the largest k such
-    that a residue plus k products of two residues stays under its bound,
-    and that largest k in int64 (at least 1 at every supported prime)."""
+    """``(dtype, k, k64)`` for ``matmul``: the working dtype for F_p, the
+    largest k such that a residue plus k products of two residues stays
+    under its bound, and that largest k in int64 (at least 1 at every
+    supported prime).  ``rref`` does not read it."""
     p = int(p)
     sq = (p - 1) ** 2
     for dtype, bound in _BOUNDS:
@@ -212,7 +216,7 @@ def kron_apply(p: int, b: Mat, s: Mat, c: int, eye_first: bool) -> Mat:
     return matmul(b, s, p).reshape(n, c, w).transpose(1, 0, 2).reshape(c * n, w)
 
 
-_RREF_PANEL = 32
+# the pivot search tests this many columns below the pivot row at once
 _RREF_SCAN = 64
 
 
@@ -223,99 +227,45 @@ def rref(a, p: int):
     int64 array; ``a`` is left as it is), ``pivots`` the list of pivot
     column indices in increasing order, and ``rank == len(pivots)``.
 
-    Systems of at most ``_RREF_SMALL`` entries go to ``_rref_small``.  In
-    larger ones all-zero rows are set aside; they are the zero rows of the
-    result.  The others, reduced mod p once, form one working array of the
-    ``_exact_plan`` dtype.  Elimination is Gauss-Jordan in panels: each
-    pivot queues its column of multipliers and its normalised row, and a
-    later pivot column or pivot row folds the queued updates in when it is
-    read, then is reduced.  A full panel is applied as one product on the
-    columns from its first pivot on, with no reduction; that adds at most
-    ``width`` products of residues to each entry, and the trailing columns
-    are reduced only when the next panel could pass the bound.
-
-    After a column with no pivot, the next ``_RREF_SCAN`` columns are
-    checked below row r in one step.  A column found zero there stays zero
-    below every later pivot row, since each pivot row comes from those rows,
-    so it is skipped for good and each column is scanned at most once.
+    Systems of at most ``_RREF_SMALL`` entries go to ``_rref_small``.
+    Larger ones run eager Gauss-Jordan on int64 residues: each pivot row,
+    scaled to a leading 1, is subtracted from every row with a nonzero
+    entry in its column, on the columns from the pivot on, and the result
+    is reduced mod p at once.  The pivot search tests the next
+    ``_RREF_SCAN`` columns below row r in one step: a column zero there
+    stays zero below every later pivot row, so it is passed over for good.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise UsageError("rref expects a 2-D array")
     m, n = a.shape
-    dtype, terms, _ = _exact_plan(p)
     if a.size <= _RREF_SMALL:
         rows = (a % p).tolist()
         pivots = _rref_small(rows, p)
         return np.array(rows, dtype=np.int64).reshape(m, n), pivots, len(pivots)
-    if a.size and (a.min() < 0 or a.max() >= p):
-        a = a % p
-    live = np.flatnonzero(a.any(axis=1))
-    work = a.astype(dtype) if live.size == m else a[live].astype(dtype, copy=False)
-    out = zeros(m, n)
+    work = a % p
     pivots = []
-    mr = live.size
-    if mr == 0:
-        return out, pivots, 0
-    w = min(_RREF_PANEL, terms)
-    fac = np.zeros((mr, w), dtype=dtype)
-    rows = np.zeros((w, n), dtype=dtype)
-    grown = 0  # products added to working entries since their last reduction
-    j = 0  # pivots queued in the panel
-    start = 0  # first pivot column of the panel
-    skip = np.zeros(n, dtype=bool)  # columns shown to have no pivot
-    scanned = 0  # columns before this one have been scanned
-    r = 0
-    col = 0
-    while col < n and r < mr:
-        if col < scanned and skip[col]:
-            rest = (~skip[col:scanned]).nonzero()[0]
-            col = col + int(rest[0]) if rest.size else scanned
+    r = col = 0
+    while r < m and col < n:
+        hit = np.flatnonzero(work[r:, col : col + _RREF_SCAN].any(axis=0))
+        if not hit.size:
+            col += _RREF_SCAN
             continue
-        cur = _mod(work[:, col] - fac[:, :j] @ rows[:j, col], p)
-        nz = cur[r:].nonzero()[0]
-        if nz.size == 0:
-            col += 1
-            if col >= scanned:
-                scanned = min(n, col + _RREF_SCAN)
-                ahead = _mod(work[r:, col:scanned] - fac[r:, :j] @ rows[:j, col:scanned], p)
-                skip[col:scanned] = ~ahead.any(axis=0)
-            continue
-        if j == 0:
-            if grown + w > terms:
-                work[:, col:] = _mod(work[:, col:], p)
-                grown = 0
-            start = col
-        i = r + int(nz[0])
+        col += int(hit[0])
+        i = r + int(np.flatnonzero(work[r:, col])[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
-            fac[[r, i]] = fac[[i, r]]
-            cur[[r, i]] = cur[[i, r]]
-        # reduce before scaling: an unreduced row times the inverse can overflow
-        row = _mod(work[r, col:] - fac[r, :j] @ rows[:j, col:], p)
-        inv = pow(int(cur[r]), p - 2, p)
-        if inv != 1:
-            row = _mod(row * inv, p)
-        # the pivot row is zero left of col; stale entries there must not stay
-        cur[r] = 0
-        work[r, :col] = 0
+        row = work[r, col:] * pow(int(work[r, col]), -1, p) % p
         work[r, col:] = row
-        fac[r, :j] = 0
-        fac[:, j] = cur
-        rows[j, :col] = 0
-        rows[j, col:] = row
+        mult = work[:, col].copy()
+        mult[r] = 0
+        nz = np.flatnonzero(mult)
+        if nz.size:
+            work[nz, col:] = (work[nz, col:] - np.outer(mult[nz], row)) % p
         pivots.append(col)
         r += 1
-        j += 1
         col += 1
-        if j == w:
-            work[:, start:] -= fac @ rows[:, start:]
-            grown += j
-            j = 0
-    if j:  # the rows below r are zero, so only the pivot rows take the last panel
-        work[:r, start:] -= fac[:r, :j] @ rows[:j, start:]
-    out[:r] = _mod(work[:r], p)
-    return out, pivots, r
+    return work, pivots, r
 
 
 def _rref_small(rows, p: int):

@@ -12,8 +12,8 @@ One presentation serves Hom, (x) and projectivity: ``_presentation``
 presents a module M as A^k -> M -> 0, with its relations and a linear
 section, on k generators found by seeded spinning (random vectors drawn
 with a fixed seed, then the basis vectors, each kept when it enlarges the
-submodule spanned so far), so a free module gets a basis and no
-relations.  Presentations are memoized on the action tensor.
+submodule spanned so far); a free module can still get relations
+(``_presentation``).  Presentations are memoized on the action tensor.
 ``is_fg_projective`` splits that cover A^k -> M.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
@@ -328,12 +328,11 @@ class BalancedTensor(Bimodule):
     quotient basis; ``proj @ sect`` is the identity.
     """
 
-    def __init__(self, middle, m, n, left_alg, right_alg, left_acts, right_acts, proj, sect):
+    def __init__(self, m, n, left_alg, right_alg, left_acts, right_acts, proj, sect):
         # ``tensor_over`` checked that the outer actions are well defined on
         # classes; the quotient map is onto and intertwines them, so the
         # module laws and their commutation carry over from M and N
         super().__init__(left_alg, right_alg, left_acts, right_acts, _validate=False)
-        self.middle = middle
         self.factor_left = m
         self.factor_right = n
         self.proj = proj
@@ -355,14 +354,16 @@ def _presentation(p, left_acts):
     The generators come from seeded spinning: a few random vectors
     r_0, r_1, ... (dim M / dim A, rounded up, plus two, drawn with a fixed
     seed) and then the basis vectors e_0, e_1, ..., each kept when it lies
-    outside the submodule that the ones kept before it span.  Random
-    vectors generate as much as a module allows, so a free module gets a
-    basis and no relations; the basis vectors behind them make sure the
-    kept ones span.  One rref of the blocks [A r_0 | ... | A e_0 | ... | I]
-    finds them all, since a candidate is kept exactly when its block holds
-    a pivot; restricted to the kept blocks it is the presentation's rref,
-    and its last columns invert the presentation on the pivots, which gives
-    sigma.  Within a memo scope equal action tensors share one presentation.
+    outside the submodule that the ones kept before it span.  The basis
+    vectors behind the random ones make sure the kept ones span M; that,
+    and no kept one lying in the span of those before it, is all the
+    spinning guarantees.  A free module can get relations: when the first
+    draw is a zero divisor a second one is kept too, so the regular F_5[C2]
+    and M2(F_5) modules get 2 generators, with 2 and 4 relations.  One
+    rref of the blocks [A r_0 | ... | A e_0 | ... | I] finds them all,
+    since a candidate is kept exactly when its block holds a pivot;
+    restricted to the kept blocks it is the presentation's rref, and its
+    last columns invert the presentation on the pivots, which gives sigma.  Within a memo scope equal action tensors share one presentation.
     """
     return memo.cached("presentation", _spin, p, left_acts)
 
@@ -484,7 +485,7 @@ def tensor_over(s_alg: Algebra, m: Bimodule, n: Bimodule) -> BalancedTensor:
         if not np.array_equal(lifted, moved.reshape(k * q, dim0)):
             raise InternalCheckError("balanced tensor action not well-defined")
         induced.append(on_classes)
-    return BalancedTensor(s_alg, m, n, m.left_alg, n.right_alg, induced[0], induced[1], proj, sect)
+    return BalancedTensor(m, n, m.left_alg, n.right_alg, induced[0], induced[1], proj, sect)
 
 
 def triple_projection(t: BalancedTensor, n: Bimodule, x: Mat) -> Mat:

@@ -197,7 +197,7 @@ def test_invert_two_sided(a):
 
 
 # ---------------------------------------------------------------------------
-# the delayed-reduction rref kernel
+# the int64 rref kernel, against the panel reference
 
 
 def _panel_matmul(a, b, p):
@@ -213,9 +213,10 @@ def _panel_matmul(a, b, p):
 
 
 def panel_rref(a, p):
-    """The panel kernel rref replaced: every flush and every read reduces
-    mod p through an exact product (on Python integers where int64 could
-    overflow), so it is exact at every prime."""
+    """A reference rref by another method, delayed reduction in panels of
+    32 pivots: every flush and every read reduces mod p through an exact
+    product (on Python integers where int64 could overflow), so it is
+    exact at every prime."""
     a = np.array(np.asarray(a, dtype=np.int64) % p, dtype=np.int64)
     m, n = a.shape
     pivots = []
@@ -291,8 +292,8 @@ def systems(draw, primes, shapes=st.tuples(st.integers(0, 70), st.integers(0, 16
 
 @st.composite
 def shapes_around_rref_cutoff(draw):
-    """(m, n) with m n just at or below ``_RREF_SMALL`` (the eager kernel)
-    or just above it (the panel kernel)."""
+    """(m, n) with m n just at or below ``_RREF_SMALL`` (Gauss-Jordan on
+    Python integers) or just above it (the int64 kernel)."""
     m = draw(st.integers(1, 70))
     cut = linalg._RREF_SMALL
     if draw(st.booleans()):
@@ -303,17 +304,80 @@ def shapes_around_rref_cutoff(draw):
 PANEL_PRIMES = [3, 5, 7, 11, 20011, 6850007, P_FLOAT_TOP, P_INT_LOW, 480000019]
 
 
-# at 6850007 (float64) and 480000019 (int64) a working entry can take 47 and
-# 40 products, so a second panel of 32 forces a reduction first; the second
-# strategy lands on both sides of the small-system switch
+# the primes cover both dtypes of ``_exact_plan``, which the reference's
+# products follow; the second strategy lands on both sides of the
+# small-system switch
 @settings(max_examples=320, deadline=None)
 @given(st.one_of(systems(PANEL_PRIMES), systems(PANEL_PRIMES + [P_LARGEST], shapes_around_rref_cutoff())))
 def test_rref_matches_panel_kernel(system):
     a, p = system
+    before = a.copy()
     red, pivots, rank = linalg.rref(a, p)
     ref, ref_pivots, ref_rank = panel_rref(a, p)
     assert np.array_equal(red, ref)
     assert pivots == ref_pivots and rank == ref_rank == len(pivots)
+    _fresh_int64(red, a.shape)
+    assert np.array_equal(a, before)
+
+
+def _check_large_rref(a, p):
+    """``rref`` of a system above ``_RREF_SMALL`` equals the panel
+    reference, in a fresh int64 array, and leaves ``a`` as it was."""
+    assert a.size > linalg._RREF_SMALL
+    before = a.copy()
+    red, pivots, rank = linalg.rref(a, p)
+    ref, ref_pivots, _ = panel_rref(a, p)
+    assert np.array_equal(red, ref) and pivots == ref_pivots and rank == len(pivots)
+    _fresh_int64(red, a.shape)
+    assert np.array_equal(a, before)
+    return pivots
+
+
+EDGE_PRIMES = [5, 20011, P_LARGEST]
+
+
+# tall systems such as the 768 x 16 and 448 x 8 ones the M2(F_5) coring
+# solves: many rows to update per pivot, and the rank reached long before
+# the last row
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+@pytest.mark.parametrize("m, n", [(768, 16), (448, 8), (129, 9)])
+def test_rref_tall_systems_match_the_panel_reference(p, m, n):
+    rng = np.random.RandomState(m + n)
+    full = rng.randint(0, p, size=(m, n)).astype(np.int64)
+    deficient = full.copy()
+    deficient[:, n // 2] = (3 * full[:, 0] + full[:, 1]) % p
+    deficient[:, -1] = 0
+    sparse = full * (rng.rand(m, n) < 0.05)
+    sparse[: m // 2] = 0
+    assert _check_large_rref(full, p) == list(range(n))
+    for a in (deficient, sparse, full - p * rng.randint(-2, 3, size=(m, n))):
+        _check_large_rref(a, p)
+
+
+# a run of columns with no pivot, all zero or in the span of the columns
+# before it (zero below the pivot rows once those are reduced), that ends
+# just before, at or just after a multiple of the pivot search's window
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+@pytest.mark.parametrize("start", [0, 3])
+@pytest.mark.parametrize("over", [-1, 0, 1])
+@pytest.mark.parametrize("windows", [1, 2])
+def test_rref_zero_column_runs_around_the_scan_window(p, start, over, windows):
+    scan = linalg._RREF_SCAN
+    length = windows * scan + over
+    m, tail = 20, 5
+    n = start + length + tail
+    rng = np.random.RandomState(length * 7 + start)
+    a = rng.randint(0, p, size=(m, n)).astype(np.int64)
+    run = slice(start, start + length)
+    a[:, run] = 0
+    want = list(range(start)) + list(range(start + length, start + length + tail))
+    assert _check_large_rref(a, p) == want
+    if start:
+        mix = rng.randint(0, p, size=(start, length)).astype(np.int64)
+        a[:, run] = linalg.matmul(a[:, :start], mix, p)
+        assert _check_large_rref(a, p) == want
+    # the same run reaching the last column
+    assert _check_large_rref(a[:, : start + length], p) == list(range(start))
 
 
 SMALL_PRIMES = [3, 5, 20011, P_FLOAT_TOP, P_INT_LOW, P_LARGEST]
