@@ -2,16 +2,17 @@
 
 Strategy: compute End(M) by structure constants, split off idempotents,
 recurse.  The radical of the endomorphism ring comes from the trace form
-(valid for p > dim End, hence the CharTooSmall guard); idempotents are
-found deterministically where possible:
+(valid for p > dim End, hence the CharTooSmall guard).  Idempotents of the
+semisimple quotient B come from linear algebra and powering alone:
 
-* commutative semisimple quotient: the dimension of the Frobenius fixed
-  space {x : x^p = x} counts the field factors, so "no idempotent" answers
-  are certain (never randomized);
-* noncommutative semisimple quotient: an idempotent always exists and is
-  built from a reducible minimal polynomial (coprime splitting) or a
-  nilpotent zero divisor, falling back to seeded random sampling for the
-  existence search only.
+* commutative B: the Frobenius fixed space {x : x^p = x} is F_p^s, one
+  coordinate per field factor, so s = 1 answers "no idempotent" with
+  certainty (never randomized).  Otherwise, for a seeded random a in it,
+  b = a^((p-1)/2) is 0 or +-1 on each factor, and (b^2 + b)/2 is the
+  idempotent that is 1 where a is a nonzero square; at most 64 draws;
+* noncommutative B: an idempotent always exists.  Candidates x (basis
+  vectors, their sums and products, then seeded random elements) are
+  tried until the commutative subalgebra F_p[x] splits, by the rule above.
 
 Idempotents lift through the nilpotent radical by Newton iteration
 (e <- 3e^2 - 2e^3) and every lift is re-verified exactly.
@@ -28,178 +29,6 @@ from .algebra import Algebra, equal_algebras
 from .errors import CharTooSmall, InternalCheckError, UsageError
 from .linalg import Mat
 from .modrep import LeftModule, hom_space
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (little-endian coefficient lists)
-
-
-def _pnorm(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pdeg(f):
-    return len(f) - 1
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    return _pnorm([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)], p)
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _pnorm(out, p)
-
-
-def _pdivmod(f, g, p):
-    f = list(f)
-    if not g:
-        raise UsageError("polynomial division by zero")
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and _pnorm(f, p):
-        f = _pnorm(f, p)
-        if len(f) < len(g):
-            break
-        c = f[-1] * inv % p
-        d = len(f) - len(g)
-        q[d] = c
-        for i in range(len(g)):
-            f[d + i] = (f[d + i] - c * g[i]) % p
-        f = _pnorm(f, p)
-    return _pnorm(q, p), _pnorm(f, p)
-
-
-def _pgcd(f, g, p):
-    f, g = _pnorm(f, p), _pnorm(g, p)
-    while g:
-        f, g = g, _pdivmod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _pxgcd(f, g, p):
-    """(d, u, v) with u f + v g = d, d monic."""
-    r0, r1 = _pnorm(f, p), _pnorm(g, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = [c * inv % p for c in r0]
-        s0 = [c * inv % p for c in s0]
-        t0 = [c * inv % p for c in t0]
-    return r0, s0, t0
-
-
-def _ppowmod(f, e, m, p):
-    out = [1]
-    base = _pdivmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            out = _pdivmod(_pmul(out, base, p), m, p)[1]
-        base = _pdivmod(_pmul(base, base, p), m, p)[1]
-        e >>= 1
-    return out
-
-
-def _pderiv(f, p):
-    return _pnorm([i * f[i] for i in range(1, len(f))], p)
-
-
-def _pth_root(f, p):
-    """p-th root of f(t) = g(t^p); over F_p coefficients are fixed by Frobenius."""
-    return _pnorm([f[i] for i in range(0, len(f), p)], p)
-
-
-def _squarefree_decomp(f, p):
-    """List of (squarefree monic factor, multiplicity)."""
-    f = _pnorm(f, p)
-    out = []
-    if _pdeg(f) < 1:
-        return out
-    fp = _pderiv(f, p)
-    if not fp:
-        for h, m in _squarefree_decomp(_pth_root(f, p), p):
-            out.append((h, m * p))
-        return out
-    c = _pgcd(f, fp, p)
-    w = _pdivmod(f, c, p)[0]
-    i = 1
-    while _pdeg(w) > 0:
-        y = _pgcd(w, c, p)
-        z = _pdivmod(w, y, p)[0]
-        if _pdeg(z) > 0:
-            out.append((z, i))
-        i += 1
-        w = y
-        c = _pdivmod(c, y, p)[0]
-    if _pdeg(c) > 0:
-        for h, m in _squarefree_decomp(c, p):
-            out.append((h, m * p))
-    return out
-
-
-def _ddf(f, p):
-    """Distinct-degree factorization of a squarefree monic f."""
-    out = []
-    h = [0, 1]  # t
-    i = 1
-    g = list(f)
-    while _pdeg(g) >= 2 * i:
-        h = _ppowmod(h, p, g, p)
-        d = _pgcd(g, _psub(h, [0, 1], p), p)
-        if _pdeg(d) > 0:
-            out.append((d, i))
-            g = _pdivmod(g, d, p)[0]
-            h = _pdivmod(h, g, p)[1]
-        i += 1
-    if _pdeg(g) > 0:
-        out.append((g, _pdeg(g)))
-    return out
-
-
-def _edf(f, d, p, rng):
-    """Equal-degree factorization (Cantor-Zassenhaus), p odd."""
-    if _pdeg(f) == d:
-        return [f]
-    e = (p**d - 1) // 2
-    while True:
-        r = [rng.randrange(p) for _ in range(_pdeg(f))]
-        r = _pnorm(r, p)
-        if _pdeg(r) < 1:
-            continue
-        g = _pgcd(_psub(_ppowmod(r, e, f, p), [1], p), f, p)
-        if 0 < _pdeg(g) < _pdeg(f):
-            rest = _pdivmod(f, g, p)[0]
-            return _edf(g, d, p, rng) + _edf(rest, d, p, rng)
-
-
-def _factor_poly(f, p, rng):
-    """Monic irreducible factors with multiplicities."""
-    out = {}
-    for g, mult in _squarefree_decomp(f, p):
-        for h, d in _ddf(g, p):
-            for irr in _edf(h, d, p, rng):
-                key = tuple(irr)
-                out[key] = out.get(key, 0) + mult
-    return [(list(k), m) for k, m in sorted(out.items())]
-
 
 # ---------------------------------------------------------------------------
 # endomorphism rings
@@ -269,78 +98,47 @@ def _quotient_algebra(e_alg: Algebra, proj: Mat, sect: Mat) -> Algebra:
     return Algebra(e_alg.field, mul, unit)
 
 
-def _minpoly(alg: Algebra, x: Mat):
-    """Monic minimal polynomial of an element (little-endian coeffs)."""
+def _generated_subalgebra(alg: Algebra, x: Mat) -> tuple[Algebra, Mat]:
+    """F_p[x] in its power basis 1, x, ..., x^(k-1), with those powers as
+    columns (the inclusion into ``alg``)."""
     p = alg.p
-    powers = [alg.unit.copy()]
-    while True:
-        mat = np.stack(powers, axis=1)
-        nxt = alg.multiply(powers[-1], x)
-        sol = linalg.solve_right(mat, nxt, p)
-        if sol is not None:
-            coeffs = [(-int(c)) % p for c in sol] + [1]
-            return _pnorm(coeffs, p)
-        powers.append(nxt)
-        if len(powers) > alg.dim + 1:
-            raise InternalCheckError("minimal polynomial search exceeded the dimension")
+    powers = [alg.unit, linalg.asmat(x, p).reshape(-1)]
+    while linalg.rank(np.stack(powers, axis=1), p) == len(powers):
+        powers.append(alg.multiply(powers[-1], x))
+    k = len(powers) - 1
+    # e_i e_j = x^(i+j): the powers up to x^(2k-2), in the power basis
+    while len(powers) < 2 * k - 1:
+        powers.append(alg.multiply(powers[-1], x))
+    basis = np.stack(powers[:k], axis=1)
+    coords = linalg.solve_right(basis, np.stack(powers[: 2 * k - 1], axis=1), p)
+    if coords is None:
+        raise InternalCheckError("a power of x left the span of the lower powers")
+    mul = coords.T[np.add.outer(np.arange(k), np.arange(k))]
+    return Algebra(alg.field, mul, linalg.identity(k)[0], _validate=False), basis
 
 
-def _eval_poly(alg: Algebra, f, x: Mat) -> Mat:
-    out = linalg.zeros(alg.dim, 1).reshape(-1)
-    xpow = alg.unit.copy()
-    for c in f:
-        out = (out + c * xpow) % alg.p
-        xpow = alg.multiply(xpow, x)
-    return out
+def _split_commutative(bar: Algebra, rng) -> Mat | None:
+    """A nontrivial idempotent of a commutative semisimple algebra, or None
+    when it is a field, by the fixed-space rule of the module docstring.
 
-
-def _is_scalar(alg: Algebra, x: Mat) -> bool:
-    stack = np.stack([alg.unit, x], axis=1)
-    return linalg.rank(stack, alg.p) < 2
-
-
-def _idem_from_element(bar: Algebra, x: Mat, rng) -> Mat | None:
-    """Try to manufacture a nontrivial idempotent from F_p[x] inside bar."""
-    p = bar.p
-    if _is_scalar(bar, x):
+    A draw fails when a is a nonzero square on every factor or on none,
+    with probability at most 5/9 (two factors, p = 3).
+    """
+    p, q = bar.p, bar.dim
+    frob = linalg.zeros(q, q)
+    for i in range(q):
+        frob[:, i] = bar.power(np.eye(q, dtype=np.int64)[i], p)
+    fix = linalg.nullspace((frob - linalg.identity(q)) % p, p)
+    if fix.shape[1] == 1:
         return None
-    m = _minpoly(bar, x)
-    factors = _factor_poly(m, p, rng)
-    if len(factors) >= 2:
-        a = [1]
-        f0, mult0 = factors[0]
-        for _ in range(mult0):
-            a = _pmul(a, f0, p)
-        b = _pdivmod(m, a, p)[0]
-        _, u, _ = _pxgcd(a, b, p)
-        e_poly = _pdivmod(_pmul(u, a, p), m, p)[1]
-        e = _eval_poly(bar, e_poly, x)
-        if not e.any() or np.array_equal(e, bar.unit):
-            raise InternalCheckError("CRT idempotent degenerated")
-        return e
-    f0, mult0 = factors[0]
-    if mult0 >= 2:
-        # z = f0(x) is a nonzero nilpotent: its left ideal has a right
-        # identity in a semisimple algebra, and that identity is a proper
-        # idempotent because z is a zero divisor.
-        z = _eval_poly(bar, f0, x)
-        if not z.any():
-            return None
-        n = bar.dim
-        # A z is spanned by the e_i z, the columns of x -> x z
-        ideal = linalg.column_space_basis(bar.right_mult_matrix(z), p)
-        r = ideal.shape[1]
-        # e = ideal sol with y_j e = y_j for every column y_j of ideal
-        ys = linalg.combine(ideal, bar.left_mult, p)
-        system = linalg.matmul(ys.reshape(r * n, n), ideal, p)
-        sol = linalg.solve_right(system, ideal.T.reshape(-1), p)
-        if sol is None:
-            raise InternalCheckError("left ideal of a semisimple quotient has no right identity")
-        e = linalg.matmul(ideal, sol.reshape(-1, 1), p).reshape(-1)
-        if not e.any() or np.array_equal(e, bar.unit):
-            return None
-        return e
-    return None
+    half = (p + 1) // 2
+    for _ in range(64):
+        c = np.array([[rng.randrange(p)] for _ in range(fix.shape[1])], dtype=np.int64)
+        b = bar.power(linalg.matmul(fix, c, p).reshape(-1), (p - 1) // 2)
+        e = (bar.multiply(b, b) + b) % p * half % p
+        if e.any() and not np.array_equal(e, bar.unit):
+            return e
+    raise InternalCheckError("64 draws from the Frobenius fixed space gave no idempotent")
 
 
 def find_idempotent(e_alg: Algebra, seed: int = 0):
@@ -348,8 +146,11 @@ def find_idempotent(e_alg: Algebra, seed: int = 0):
 
     None answers are certain: they arise only when E/rad(E) is F_p or a
     finite field (Frobenius fixed space of dimension 1).  Randomness is
-    used only to find idempotents that provably exist.  The idempotent is
-    read-only, and within a memo scope equal inputs share it.
+    used only to find idempotents that provably exist: a random element a
+    of the fixed space gives the idempotent (b^2 + b)/2 with
+    b = a^((p-1)/2), at most 64 draws; a noncommutative quotient is split
+    through the commutative subalgebra F_p[x] of a candidate x.  The
+    idempotent is read-only, and within a memo scope equal inputs share it.
     """
     return memo.cached("find_idempotent", _find_idempotent, e_alg, seed)
 
@@ -364,42 +165,14 @@ def _find_idempotent(e_alg: Algebra, seed: int):
     if q == 1:
         return None
     bar = _quotient_algebra(e_alg, proj, sect)
-    commutative = np.array_equal(bar.mul, bar.mul.transpose(1, 0, 2))
-    ebar = None
-    if commutative:
-        frob = linalg.zeros(q, q)
-        for i in range(q):
-            frob[:, i] = bar.power(np.eye(q, dtype=np.int64)[i], p)
-        fix = linalg.nullspace((frob - linalg.identity(q)) % p, p)
-        if fix.shape[1] == 1:
+    if np.array_equal(bar.mul, bar.mul.transpose(1, 0, 2)):
+        ebar = _split_commutative(bar, rng)
+        if ebar is None:
             return None  # a single field factor: E is local, certainly
-        xbar = None
-        for t in range(fix.shape[1]):
-            if not _is_scalar(bar, fix[:, t]):
-                xbar = fix[:, t]
-                break
-        if xbar is None:
-            raise InternalCheckError("Frobenius fixed space of dim >= 2 is scalar")
-        m = _minpoly(bar, xbar)
-        # m splits into distinct linear factors iff it divides t^p - t; only
-        # then may _edf run, since it never ends on a factor of higher degree
-        t = _pdivmod([0, 1], m, p)[1]
-        roots = []
-        if _ppowmod(t, p, m, p) == t:
-            roots = sorted(-g[0] % p for g in _edf(m, 1, p, rng))
-        if len(roots) != _pdeg(m) or len(roots) < 2 or any(_eval_poly_scalar(m, c, p) for c in roots):
-            raise InternalCheckError("fixed-space element has a non-split minimal polynomial")
-        c0 = roots[0]
-        e_poly = [1]
-        denom = 1
-        for c in roots[1:]:
-            e_poly = _pmul(e_poly, [(-c) % p, 1], p)
-            denom = denom * (c0 - c) % p
-        e_poly = [cc * pow(denom, p - 2, p) % p for cc in e_poly]
-        ebar = _eval_poly(bar, e_poly, xbar)
     else:
-        # an idempotent certainly exists; sweep deterministic candidates,
-        # then seeded random elements
+        # an idempotent certainly exists, and F_p[e] = F_p x F_p holds one;
+        # sweep deterministic candidates x, then seeded random ones, for an
+        # x whose commutative F_p[x] splits
         def candidates():
             eye = np.eye(q, dtype=np.int64)
             for i in range(q):
@@ -414,10 +187,12 @@ def _find_idempotent(e_alg: Algebra, seed: int):
                 yield np.array([rng.randrange(p) for _ in range(q)], dtype=np.int64)
 
         for x in candidates():
-            ebar = _idem_from_element(bar, x, rng)
-            if ebar is not None:
+            sub, basis = _generated_subalgebra(bar, x)
+            esub = find_idempotent(sub, rng.randrange(2**30))
+            if esub is not None:
+                ebar = linalg.matmul(basis, esub.reshape(-1, 1), p).reshape(-1)
                 break
-        if ebar is None:
+        else:
             raise InternalCheckError("noncommutative semisimple quotient: idempotent search exhausted")
     # sanity in the quotient, then lift through the radical
     if not np.array_equal(bar.multiply(ebar, ebar), ebar):
@@ -434,13 +209,6 @@ def _find_idempotent(e_alg: Algebra, seed: int):
         raise InternalCheckError("idempotent lift degenerated to 0 or 1")
     memo.readonly(e)
     return e
-
-
-def _eval_poly_scalar(f, c, p):
-    out = 0
-    for coeff in reversed(f):
-        out = (out * c + coeff) % p
-    return out
 
 
 # ---------------------------------------------------------------------------

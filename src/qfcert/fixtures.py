@@ -23,6 +23,7 @@ found; the battery never assumes one.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -180,14 +181,9 @@ class Fixture:
         self.depth = depth
 
 
-_corpus_cache = None
-
-
+@functools.lru_cache(maxsize=None)
 def corpus():
     """The full fixture list (built once, then cached)."""
-    global _corpus_cache
-    if _corpus_cache is not None:
-        return _corpus_cache
     fx = []
 
     def add(name, command, docs, expected, oracle, depth=1):
@@ -374,7 +370,6 @@ def corpus():
         "emitted document re-validated by the schema and coring constructors",
     )
 
-    _corpus_cache = fx
     return fx
 
 

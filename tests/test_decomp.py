@@ -1,7 +1,10 @@
 """Decomposition machinery against hand-derived and enumerated oracles."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     LARGEST_PRIME,
@@ -12,18 +15,17 @@ from helpers import (
     group_alg,
     mat_units_algebra,
     prod_fields,
+    rebased,
     simple_modules_prod,
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import linalg, verify
-from qfcert.algebra import make_algebra
+from qfcert import decomp, linalg, verify
+from qfcert.algebra import field_algebra, make_algebra
 from qfcert.decomp import (
     Decomposition,
     Summand,
-    _factor_poly,
-    _idem_from_element,
-    _minpoly,
+    _generated_subalgebra,
     decompose,
     decomposition_payload,
     end_ring,
@@ -34,17 +36,36 @@ from qfcert.decomp import (
 from qfcert.errors import CharTooSmall, InternalCheckError
 from qfcert.modrep import LeftModule, direct_sum, regular_left
 
-import random
 
-
-def f25(p=5):
-    """F_25 = F_5[t]/(t^2 - 3), a field (3 is a non-square mod 5)."""
+def quadratic_field(p):
+    """F_(p^2) = F_p[t]/(t^2 - c) for the least non-square c (F_25 uses 2)."""
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     mul = np.zeros((2, 2, 2), dtype=np.int64)
     mul[0, 0, 0] = 1
     mul[0, 1, 1] = 1
     mul[1, 0, 1] = 1
-    mul[1, 1, 0] = 3
+    mul[1, 1, 0] = c
     return make_algebra(p, mul, [1, 0])
+
+
+def direct_product(*algs):
+    """The product algebra, with the factors' bases side by side."""
+    n = sum(a.dim for a in algs)
+    mul = np.zeros((n, n, n), dtype=np.int64)
+    unit = np.zeros(n, dtype=np.int64)
+    o = 0
+    for a in algs:
+        block = slice(o, o + a.dim)
+        mul[block, block, block] = a.mul
+        unit[block] = a.unit
+        o += a.dim
+    return make_algebra(algs[0].p, mul, unit)
+
+
+def assert_nontrivial_idempotent(a, e):
+    assert e is not None
+    assert np.array_equal(a.multiply(e, e), e)
+    assert e.any() and not np.array_equal(e, a.unit)
 
 
 def test_end_ring_dims():
@@ -68,7 +89,7 @@ def test_radical_hand_oracle_dual_numbers():
 
 def test_radical_semisimple_is_zero():
     p = 5
-    for a in (mat_units_algebra(p, 2), prod_fields(p), group_alg(p, 2), f25()):
+    for a in (mat_units_algebra(p, 2), prod_fields(p), group_alg(p, 2), quadratic_field(5)):
         assert radical(a).shape[1] == 0
 
 
@@ -79,7 +100,7 @@ def test_radical_char_guard():
 
 
 def test_find_idempotent_field_certain_none():
-    assert find_idempotent(f25()) is None
+    assert find_idempotent(quadratic_field(5)) is None
     # F_5 itself (via the 1-dim end ring of the column module)
     assert find_idempotent(end_ring(column_module(5))) is None
 
@@ -108,18 +129,84 @@ def test_find_idempotent_matrix_algebra():
     assert e.any() and not np.array_equal(e, a.unit)
 
 
-def test_nilpotent_element_gives_the_right_identity_of_its_left_ideal():
-    # E12 has minimal polynomial t^2, so z = E12 itself and A z = span(E12, E22)
+def test_find_idempotent_three_field_factors():
+    # F_5^3: the nontrivial idempotents are the 0/1 vectors other than 0, 1
+    a = direct_product(*[field_algebra(5)] * 3)
+    for seed in range(6):
+        e = find_idempotent(a, seed=seed)
+        assert_nontrivial_idempotent(a, e)
+        assert set(e.tolist()) <= {0, 1}
+
+
+def test_find_idempotent_fixed_space_smaller_than_the_algebra():
+    # F_5 x F_25 has dimension 3 and a Frobenius fixed space F_5 x F_5:
+    # its nontrivial idempotents are (1, 0) and (0, 1), here (1, 0, 0) and
+    # (0, 1, 0)
+    a = direct_product(field_algebra(5), quadratic_field(5))
+    for seed in range(6):
+        e = find_idempotent(a, seed=seed)
+        assert_nontrivial_idempotent(a, e)
+        assert e.tolist() in ([1, 0, 0], [0, 1, 0])
+
+
+def test_generated_subalgebra_of_matrix_units():
     p = 5
-    a = mat_units_algebra(p, 2)
-    x = np.array([0, 1, 0, 0], dtype=np.int64)
-    e = _idem_from_element(a, x, random.Random(0))
-    assert e is not None
-    assert np.array_equal(a.multiply(e, e), e)
-    assert e.any() and not np.array_equal(e, a.unit)
-    # a right identity of A z: e lies in A z (no E11 or E21 part) and z e = z
-    assert e[0] == e[2] == 0
-    assert np.array_equal(a.multiply(x, e), x)
+    a = mat_units_algebra(p, 2)  # basis E11, E12, E21, E22
+    # E12 squares to 0: F_5[E12] is the local F_5[t]/(t^2)
+    sub, basis = _generated_subalgebra(a, np.array([0, 1, 0, 0]))
+    assert np.array_equal(sub.mul, dual_numbers(p).mul)
+    assert sub.unit.tolist() == [1, 0]
+    assert basis.T.tolist() == [[1, 0, 0, 1], [0, 1, 0, 0]]
+    assert find_idempotent(sub) is None
+    # E11 is idempotent: F_5[E11] = F_5 x F_5 splits, into E11 or E22
+    sub, basis = _generated_subalgebra(a, np.array([1, 0, 0, 0]))
+    assert sub.dim == 2
+    assert sub.multiply([0, 1], [0, 1]).tolist() == [0, 1]
+    e = find_idempotent(sub)
+    assert_nontrivial_idempotent(sub, e)
+    assert linalg.matmul(basis, e.reshape(-1, 1), p).reshape(-1).tolist() in ([1, 0, 0, 0], [0, 0, 0, 1])
+
+
+def test_split_gives_up_after_64_draws(monkeypatch):
+    # a generator that only draws 0 gives a = 0, hence e = 0, every time
+    calls = []
+
+    class Zeros(random.Random):
+        def randrange(self, *args):
+            calls.append(args)
+            return 0
+
+    monkeypatch.setattr(decomp.random, "Random", Zeros)
+    with pytest.raises(InternalCheckError, match="64 draws"):
+        find_idempotent(prod_fields(5))
+    assert len(calls) == 64 * 2  # two coordinates of the fixed space a draw
+
+
+BLOCKS = {
+    "F": (field_algebra, [(1, 1)]),
+    "F2": (quadratic_field, [(2, 1)]),
+    "M2": (lambda p: mat_units_algebra(p, 2), [(2, 2)]),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([5, 20011, LARGEST_PRIME]),
+    st.lists(st.sampled_from(sorted(BLOCKS)), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_products_of_simple_algebras_split_by_their_blocks(p, names, seed):
+    plain = direct_product(*(BLOCKS[name][0](p) for name in names))
+    assume(plain.dim < p)  # End(A) = A^op has dimension dim A, below p
+    t, t_inv = dense_basis_change(plain.dim, p, np.random.RandomState(seed))
+    a = make_algebra(p, *rebased(plain, t, t_inv))
+    e = find_idempotent(a, seed=seed)
+    if names in (["F"], ["F2"]):
+        assert e is None
+    else:
+        assert_nontrivial_idempotent(a, e)
+    expected = sorted(sig for name in names for sig in BLOCKS[name][1])
+    assert decompose(regular_left(a), seed=seed).class_signature() == expected
 
 
 def test_find_idempotent_group_algebra_c2():
@@ -131,21 +218,6 @@ def test_find_idempotent_group_algebra_c2():
     # oracle: (1 +- g)/2 are the only nontrivial idempotents
     inv2 = pow(2, p - 2, p)
     assert e.tolist() in ([inv2, inv2], [inv2, (p - 1) * inv2 % p])
-
-
-def test_minpoly_and_factor():
-    p = 5
-    a = group_alg(p, 2)
-    g = np.array([0, 1])
-    m = _minpoly(a, g)
-    assert m == [4, 0, 1]  # t^2 - 1
-    rng = random.Random(0)
-    f = _factor_poly(m, p, rng)
-    assert sorted(fac for fac, mult in f) == [[1, 1], [4, 1]]  # (t+1)(t-1)
-    assert all(mult == 1 for _, mult in f)
-    # a squarefull case: t^2
-    f2 = _factor_poly([0, 0, 1], p, rng)
-    assert f2 == [([0, 1], 2)]
 
 
 def test_decompose_regular_m2():
@@ -166,7 +238,7 @@ def test_decompose_regular_group_algebras():
 
 def test_decompose_group_algebra_at_a_large_prime():
     # p = 2^31 - 1 = 1 mod 3: F_p[C_3] is F_p^3, whose idempotents come from
-    # the roots of a split minimal polynomial, found without scanning F_p
+    # powering in the Frobenius fixed space, with no scan of F_p
     p = 2**31 - 1
     d = decompose(regular_left(group_alg(p, 3)))
     assert d.class_signature() == [(1, 1)] * 3

@@ -14,6 +14,7 @@ ALLOWED = {"yes", "no", "valid", "vacuous"}
 
 def test_corpus_structure():
     fx = corpus()
+    assert corpus() is fx  # built once
     names = [f.name for f in fx]
     assert len(names) == len(set(names))
     assert all(f.expected in ALLOWED for f in fx)
