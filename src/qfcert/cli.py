@@ -71,8 +71,9 @@ def run_documents(command, docs, seed=0, depth=1):
     (two for similar/divides, one otherwise).  Returns an Outcome; the
     sweedler outcome carries the emitted coring document in
     ``outcome.document``.  The call is one memo scope: equal hom spaces,
-    decompositions, idempotents, generators and envelopes are computed once
-    per call and freed when it returns.
+    presentations, generators and envelopes are computed once per call and
+    freed when it returns.  Only ``decompose`` reads ``seed``; the decisions
+    draw nothing.
     """
     with memo.scope():
         return _run(command, docs, seed, depth)
@@ -80,13 +81,13 @@ def run_documents(command, docs, seed=0, depth=1):
 
 def _run(command, docs, seed, depth):
     if command == "check-bimodule":
-        return is_qf_bimodule(_bimodule_from(docs[0]), seed=seed)
+        return is_qf_bimodule(_bimodule_from(docs[0]))
     if command == "check-extension":
-        return is_qf_extension(schema.build_extension(docs[0]), seed=seed)
+        return is_qf_extension(schema.build_extension(docs[0]))
     if command == "check-coring":
-        return is_qf_coring(schema.expect(docs[0], "coring"), seed=seed)
+        return is_qf_coring(schema.expect(docs[0], "coring"))
     if command == "check-graded":
-        return is_qf_restriction(schema.expect(docs[0], "graded"), seed=seed)
+        return is_qf_restriction(schema.expect(docs[0], "graded"))
     if command == "decompose":
         kind, obj = schema.build(docs[0])
         if kind == "module":
@@ -111,10 +112,10 @@ def _run(command, docs, seed, depth):
         m = _bimodule_from(docs[0])
         n = _bimodule_from(docs[1])
         if command == "similar":
-            cert = similar(m, n, seed=seed)
+            cert = similar(m, n)
             name, cond = "mutual division", "divides-each-other-in-finite-powers"
         else:
-            cert = divides(m, n, seed=seed)
+            cert = divides(m, n)
             name, cond = "division", "summand-of-a-finite-power"
         out = report.Outcome(report.YES)
         out.decide(name, cond, None if cert is None else cert.payload(), "no split factorization exists")

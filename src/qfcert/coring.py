@@ -255,7 +255,7 @@ def carrier_over_right_dual(c: Coring, dr: DualRing) -> Bimodule:
 
 
 @memo.scoped
-def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
+def is_qf_coring(c: Coring) -> report.Outcome:
     """Five equivalent quasi-Frobenius tests; they must agree."""
     out = report.Outcome(report.YES)
     dl = left_dual_ring(c)
@@ -277,7 +277,7 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
     ):
         cert, reason = None, not_projective.format(side)
         if w is not None:
-            sim = similar(carrier_bim, ring_bim, seed=seed)
+            sim = similar(carrier_bim, ring_bim)
             reason = f"carrier and {side} dual ring are not similar bimodules"
             if sim is not None:
                 cert = {
@@ -294,17 +294,17 @@ def is_qf_coring(c: Coring, seed: int = 0) -> report.Outcome:
         )
     # the left dual ring as a bimodule over itself and the base is the
     # (S, R) unit-bimodule route of the embedding extension test below
-    star_out = is_qf_bimodule(dl.bimodule_sr, seed=seed)
+    star_out = is_qf_bimodule(dl.bimodule_sr)
     # the base embedding into the left dual ring is a quasi-Frobenius extension
     name, condition = "embedding extension test", "left-projective-and-embedding-into-left-dual-ring-qf"
     if wl is None:
         out.decide(name, condition, None, not_projective.format("left"))
     else:
-        ext_out = merge_unit_routes(is_qf_bimodule(dl.bimodule_rs, seed=seed), star_out)
+        ext_out = merge_unit_routes(is_qf_bimodule(dl.bimodule_rs), star_out)
         reason = None if ext_out.verdict == report.YES else "embedding into the left dual ring is not quasi-Frobenius"
         out.add(report.Check(name, condition, ext_out.verdict, outcome_certificate(ext_out), reason))
     # carrier as a bimodule between base and left dual ring
-    bim_out = is_qf_bimodule(c_left_bim, seed=seed)
+    bim_out = is_qf_bimodule(c_left_bim)
     for name, condition, sub in (
         ("carrier bimodule test", "carrier-qf-bimodule-over-base-and-left-dual-ring", bim_out),
         ("left dual ring bimodule test", "left-dual-ring-qf-bimodule-over-itself-and-base", star_out),

@@ -24,7 +24,7 @@ import random
 
 import numpy as np
 
-from . import linalg, memo, report
+from . import linalg, report
 from .algebra import Algebra, equal_algebras
 from .errors import CharTooSmall, InternalCheckError, UsageError
 from .linalg import Mat
@@ -149,13 +149,8 @@ def find_idempotent(e_alg: Algebra, seed: int = 0):
     used only to find idempotents that provably exist: a random element a
     of the fixed space gives the idempotent (b^2 + b)/2 with
     b = a^((p-1)/2), at most 64 draws; a noncommutative quotient is split
-    through the commutative subalgebra F_p[x] of a candidate x.  The
-    idempotent is read-only, and within a memo scope equal inputs share it.
+    through the commutative subalgebra F_p[x] of a candidate x.
     """
-    return memo.cached("find_idempotent", _find_idempotent, e_alg, seed)
-
-
-def _find_idempotent(e_alg: Algebra, seed: int):
     rng = random.Random(seed)
     p = e_alg.p
     n = e_alg.dim
@@ -207,7 +202,6 @@ def _find_idempotent(e_alg: Algebra, seed: int):
         raise InternalCheckError("idempotent lift failed to converge")
     if not e.any() or np.array_equal(e, e_alg.unit):
         raise InternalCheckError("idempotent lift degenerated to 0 or 1")
-    memo.readonly(e)
     return e
 
 
@@ -351,15 +345,7 @@ def match_classes(dm: Decomposition, dn: Decomposition, rng):
 
 
 def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
-    """Indecomposable decomposition with verified inclusion/projection data.
-
-    Its arrays are read-only, and within a memo scope equal inputs share
-    one decomposition.
-    """
-    return memo.cached("decompose", _decompose, m, seed)
-
-
-def _decompose(m: LeftModule, seed: int) -> Decomposition:
+    """Indecomposable decomposition with verified inclusion/projection data."""
     rng = random.Random(seed)
     p = m.p
     leaves = []
@@ -402,8 +388,6 @@ def _decompose(m: LeftModule, seed: int) -> Decomposition:
         Summand(rep, [ij for ij, _ in members], [pr for _, pr in members])
         for rep, members in classes
     ]
-    for s in summands:
-        memo.readonly(s.module.action, *s.injections, *s.projections)
     return Decomposition(m, summands)
 
 

@@ -471,7 +471,7 @@ def search_nakayama_candidates(p, max_dim=4, seed=0, limit=None):
                 if limit is not None and tested > limit:
                     return found
                 m = regular_bimodule(alg)
-                qf = is_qf_bimodule(m, seed=seed)
+                qf = is_qf_bimodule(m)
                 fro = is_frobenius_bimodule(m, seed=seed)
                 if qf.verdict == report.YES and fro.verdict == report.NO:
                     found.append({"n": n, "s": s, "c": c, "p": p})

@@ -307,7 +307,7 @@ def restriction_bimodules(ring: GradedRing):
 
 
 @memo.scoped
-def is_qf_restriction(ring: GradedRing, seed: int = 0) -> report.Outcome:
+def is_qf_restriction(ring: GradedRing) -> report.Outcome:
     """Decide whether restriction to the identity component preserves QF.
 
     Two stages, both certified: every component R_x must be finitely
@@ -331,7 +331,7 @@ def is_qf_restriction(ring: GradedRing, seed: int = 0) -> report.Outcome:
         for x in range(ring.order)
     ]
     if projective_prelude(out, components, name, condition, "some component is not projective over the identity part"):
-        sim = similar(*restriction_bimodules(ring), seed=seed)
+        sim = similar(*restriction_bimodules(ring))
         out.decide(
             name, condition, None if sim is None else sim.payload(),
             "the ring and the coinduced module are not similar as bimodules",

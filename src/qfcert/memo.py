@@ -8,10 +8,10 @@ one for their own call, so a library caller shares results the same way.
 Outside a scope ``cached`` just calls the function: nothing is kept.
 
 Keys are exact.  ``array_key`` holds the dtype, shape and bytes of each
-array and marks the array read-only, so a key cannot go stale; algebras
-and modules build theirs once, on first use (``Algebra.memo_key``,
-``LeftModule.memo_key``).  Memoized bodies return read-only arrays, so a
-caller cannot corrupt a later hit by writing into one.
+array and marks the array read-only, so a key cannot go stale; an
+algebra builds its key once, on first use (``Algebra.memo_key``).
+Memoized bodies return read-only arrays, so a caller cannot corrupt a
+later hit by writing into one.
 
 Each scope counts hits and misses per memoized function (``counts``).
 """

@@ -3,10 +3,12 @@
 A left module over an n-dimensional algebra is an action tensor of shape
 (n, d, d): ``action[i]`` is the matrix of the action of the i-th basis
 element, acting on coordinate columns.  A bimodule over (R, S) stores its
-two one-sided action families and nothing else.  Only the decisions that
-decompose or compare a bimodule as one module read it over the enveloping
-algebra R (x) S^op, through ``envelope_module`` (basis pair (i, j) at index
-i*dim(S)+j acts by ``left[i] @ right[j]``).
+two one-sided action families and nothing else.  Its bimodule maps are the
+module maps over R (x) S^op, so ``bimodule_homs`` solves for them on the
+action tensor ``_pair_products`` (basis pair (i, j) at index i*dim(S)+j acts
+by ``left[i] @ right[j]``) with no algebra built; only ``decompose`` and
+``iso`` read a bimodule over the enveloping algebra itself, through
+``envelope_module``.
 
 One presentation serves Hom, (x) and projectivity: ``_presentation``
 presents a module M as A^k -> M -> 0, with its relations and a linear
@@ -84,20 +86,12 @@ class LeftModule:
                 f"action tensor must be ({algebra.dim}, d, d), got {self.action.shape}"
             )
         self.dim = self.action.shape[1]
-        self._memo_key = None
         if _validate:
             _validate_action(algebra, self.action)
 
     @property
     def p(self) -> int:
         return self.algebra.p
-
-    def memo_key(self) -> tuple:
-        """Exact memo key: the algebra's key and the action, which becomes
-        read-only; built once, on first use."""
-        if self._memo_key is None:
-            self._memo_key = (self.algebra.memo_key(),) + memo.array_key(self.action)
-        return self._memo_key
 
     def act(self, x) -> Mat:
         """Matrix of the action of an algebra element given by coordinates."""
@@ -203,17 +197,18 @@ def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
     element (unit vectors at its free columns, completed on the pivots);
     its free columns are the pivots of the maps reduced in reversed column
     order, so one rref of the reversed maps recovers it whatever generators
-    are taken, as in ``tensor_over``.  The basis is read-only, and within a
-    memo scope equal inputs share it.
+    are taken, as in ``tensor_over``.  The basis depends on p and the two
+    action tensors alone; it is read-only, and within a memo scope equal
+    action tensors share it.
     """
     if not equal_algebras(source.algebra, target.algebra):
         raise UsageError("hom_space endpoints live over different algebras")
-    return HomSpace(source, target, memo.cached("hom_space", _hom_basis, source, target))
+    return HomSpace(source, target, memo.cached("hom_space", _hom_basis, source.p, source.action, target.action))
 
 
-def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
-    p, dm, dn = source.p, source.dim, target.dim
-    gens, ker, sigma = _presentation(p, source.action)
+def _hom_basis(p, source_acts: Mat, target_acts: Mat) -> Mat:
+    dm, dn = source_acts.shape[1], target_acts.shape[1]
+    gens, ker, sigma = _presentation(p, source_acts)
     k = gens.shape[1]
     cols, budget = k * dn, (dm * dn) ** 2
     # row (c, y) is component y of sum_(i,t) ker[(i,t), c] e_t . n_i
@@ -222,14 +217,14 @@ def _hom_basis(source: LeftModule, target: LeftModule) -> Mat:
     while done < total and len(pivots) < cols:
         take = min(total - done, budget // cols - len(pivots))
         c0, c1 = done // dn, -(-(done + take) // dn)
-        rows = _push(p, target.action, ker[:, c0:c1], k).transpose(3, 0, 2, 1).reshape(-1, cols)
+        rows = _push(p, target_acts, ker[:, c0:c1], k).transpose(3, 0, 2, 1).reshape(-1, cols)
         block = rows[done - c0 * dn : done - c0 * dn + take]
         kept, pivots, r = linalg.rref(np.concatenate([kept, block]), p)
         kept = kept[:r]
         done += take
     sols = linalg.rref_nullspace(kept, pivots, p)[0]
     # f[y, x] = sum_(i,j) (sum_t N(e_t)[y, j] sigma[(i,t), x]) n_i[j]
-    lift = _push(p, target.action, sigma, k).transpose(0, 3, 2, 1).reshape(dn * dm, cols)
+    lift = _push(p, target_acts, sigma, k).transpose(0, 3, 2, 1).reshape(dn * dm, cols)
     maps = linalg.matmul(lift, sols, p).T
     red, _, w = linalg.rref(maps[:, ::-1], p)
     if w != maps.shape[0]:
@@ -279,13 +274,24 @@ class Bimodule:
         )
 
 
-def envelope_module(m: Bimodule) -> LeftModule:
-    """M as a left module over R (x) S^op: basis pair (i, j), at index
-    i*dim(S)+j, acts by ``left[i] @ right[j]``.  Its module laws follow from
-    the bimodule's, so it is not re-validated."""
+def _pair_products(m: Bimodule) -> Mat:
+    """M's action tensor over R (x) S^op: basis pair (i, j), at index
+    i*dim(S)+j, acts by ``left[i] @ right[j]``."""
     d, nl, nr = m.dim, m.left_alg.dim, m.right_alg.dim
-    action = linalg.matmul_pairs(m.left_acts, m.right_acts, m.p).reshape(nl * nr, d, d)
-    return LeftModule(enveloping(m.left_alg, m.right_alg), action, _validate=False)
+    return linalg.matmul_pairs(m.left_acts, m.right_acts, m.p).reshape(nl * nr, d, d)
+
+
+def envelope_module(m: Bimodule) -> LeftModule:
+    """M as a left module over R (x) S^op, acting through ``_pair_products``.
+    Its module laws follow from the bimodule's, so it is not re-validated."""
+    return LeftModule(enveloping(m.left_alg, m.right_alg), _pair_products(m), _validate=False)
+
+
+def bimodule_homs(m: Bimodule, n: Bimodule):
+    """Bases of the bimodule maps M -> N and N -> M, stacked as in
+    ``hom_space``: its solve and memo on each bimodule's ``_pair_products``."""
+    p, pm, pn = m.p, _pair_products(m), _pair_products(n)
+    return memo.cached("hom_space", _hom_basis, p, pm, pn), memo.cached("hom_space", _hom_basis, p, pn, pm)
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:

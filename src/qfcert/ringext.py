@@ -78,9 +78,9 @@ def merge_unit_routes(primary: report.Outcome, cross: report.Outcome) -> report.
 
 
 @memo.scoped
-def is_qf_extension(ext: Extension, seed: int = 0) -> report.Outcome:
+def is_qf_extension(ext: Extension) -> report.Outcome:
     """QF test via the (R,S) unit bimodule, cross-checked on the (S,R) one."""
-    return merge_unit_routes(is_qf_bimodule(ext.bimodule_rs, seed=seed), is_qf_bimodule(ext.bimodule_sr, seed=seed))
+    return merge_unit_routes(is_qf_bimodule(ext.bimodule_rs), is_qf_bimodule(ext.bimodule_sr))
 
 
 @memo.scoped
@@ -99,12 +99,12 @@ def is_frobenius_extension(ext: Extension, seed: int = 0) -> report.Outcome:
 
 
 @memo.scoped
-def compose_check(alpha: Extension, beta: Extension, seed: int = 0) -> report.Outcome:
+def compose_check(alpha: Extension, beta: Extension) -> report.Outcome:
     """With beta QF, alpha is QF iff beta . alpha is; vacuous otherwise."""
     if not equal_algebras(alpha.target, beta.source):
         raise UsageError("extensions are not composable")
     out = report.Outcome(report.YES)
-    beta_out = is_qf_extension(beta, seed=seed)
+    beta_out = is_qf_extension(beta)
     out.add(report.Check("outer extension", "outer-extension-qf", beta_out.verdict))
     if beta_out.verdict == report.INCONSISTENT:
         out.verdict = report.INCONSISTENT
@@ -113,8 +113,8 @@ def compose_check(alpha: Extension, beta: Extension, seed: int = 0) -> report.Ou
         out.verdict = report.VACUOUS
         out.notes.append("precondition failed: the outer extension is not quasi-Frobenius")
         return out
-    alpha_out = is_qf_extension(alpha, seed=seed)
-    comp_out = is_qf_extension(Extension(beta.hom.compose(alpha.hom)), seed=seed)
+    alpha_out = is_qf_extension(alpha)
+    comp_out = is_qf_extension(Extension(beta.hom.compose(alpha.hom)))
     out.add(report.Check("inner extension", "inner-extension-qf", alpha_out.verdict))
     out.add(report.Check("composite extension", "composite-extension-qf", comp_out.verdict))
     if report.INCONSISTENT in (alpha_out.verdict, comp_out.verdict):
@@ -130,7 +130,7 @@ def compose_check(alpha: Extension, beta: Extension, seed: int = 0) -> report.Ou
 
 
 @memo.scoped
-def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.Outcome:
+def qf_pair_witness(ext: Extension, x_mod: LeftModule) -> report.Outcome:
     """Split pair alpha: S(x)_R X -> Hom_R(S,X)^m, alphabar back, at X.
 
     Requires the extension to be quasi-Frobenius (vacuous otherwise).
@@ -149,7 +149,7 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule, seed: int = 0) -> report.
             notes=["precondition failed: the target is not projective over the source"],
         )
     d_bim = left_dual(ext.bimodule_rs)  # Hom_R(S, R) as an (S, R)-bimodule
-    cert = divides(ext.bimodule_sr, d_bim, seed=seed)
+    cert = divides(ext.bimodule_sr, d_bim)
     if cert is None:
         return report.Outcome(
             report.VACUOUS,

@@ -1,9 +1,20 @@
 """Divisibility and similarity of bimodules, with checkable certificates.
 
-M divides N (here: M | N^n for the minimal feasible n) when M is a direct
-summand of a finite power of N; the certificate is the pair of bimodule
-maps phi: M -> N^n and psi: N^n -> M with psi . phi = id_M.  Similarity
-means mutual division, i.e. M and N have the same indecomposable support.
+M divides N (here: M | N^n for some n) when M is a direct summand of a
+finite power of N; the certificate is the pair of bimodule maps
+phi: M -> N^n and psi: N^n -> M with psi . phi = id_M.  Similarity means
+mutual division, i.e. M and N have the same indecomposable support.
+
+Division is one linear solve.  M | N^n for some n exactly when id_M lies in
+the trace ideal span{g . f : f in Hom(M, N), g in Hom(N, M)} (Auslander,
+Reiten and Smalo, Representation Theory of Artin Algebras, 1995), so with
+bases f_i and g_j of the two hom spaces (``modrep.bimodule_homs``) a
+solution of sum c_ji g_j f_i = id_M is a split pair: h_j = sum_i c_ji f_i,
+phi stacks the nonzero h_j and psi sets the matching g_j side by side.  So
+n is at most dim Hom(N, M), not the smallest feasible power, which would
+need multiplicities and so a decomposition.  No decision reads the
+enveloping algebra or a decomposition; only ``bimodule_iso_payload`` (the
+Frobenius test) does.
 
 The quasi-Frobenius predicate for an (R, S)-bimodule M: both one-sided
 restrictions are finitely generated projective and the left dual
@@ -18,18 +29,17 @@ comparison itself is then one ``Outcome.decide``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import linalg, memo, report
 from .algebra import equal_algebras
-from .decomp import decompose, iso, match_classes
+from .decomp import iso
 from .errors import InternalCheckError, NotProjectiveAtStage, UsageError
 from .linalg import Mat
 from .modrep import (
     Bimodule,
     SplitWitness,
+    bimodule_homs,
     envelope_module,
     is_fg_projective,
     left_dual,
@@ -37,8 +47,6 @@ from .modrep import (
     right_dual,
     tensor_over,
 )
-
-import random
 
 
 def _module_payload(m: Bimodule):
@@ -84,7 +92,7 @@ class DividesCert:
             "target": _module_payload(self.target),
             "phi": report.payload_array(self.phi),
             "psi": report.payload_array(self.psi),
-            "note": "n is the smallest feasible power",
+            "note": "n is at most dim Hom(N, M)",
         }
 
 
@@ -128,30 +136,28 @@ def _require_same_sides(m: Bimodule, n: Bimodule):
         raise UsageError("bimodules do not share their algebra pair")
 
 
-def _divides(m: Bimodule, n: Bimodule, dm, dn, seed: int):
-    """DividesCert for M | N^n (minimal n) from decompositions of both envelope modules, or None."""
-    p = m.p
-    matches = match_classes(dm, dn, random.Random(seed))
-    if matches is None:
+def _divides(m: Bimodule, n: Bimodule, f: Mat, g: Mat):
+    """DividesCert for M | N^n from bases ``f`` of Hom(M, N) and ``g`` of
+    Hom(N, M), or None: one solve for id_M among the g_j f_i."""
+    p, dm, dn = m.p, m.dim, n.dim
+    if dm == 0:  # the zero module divides N^1
+        return DividesCert(m, n, 1, linalg.zeros(dn, 0), linalg.zeros(0, dn))
+    # column j*len(f) + i is vec(g_j f_i)
+    prods = linalg.matmul_pairs(g, f, p).reshape(len(g) * len(f), dm * dm).T
+    c = linalg.solve_right(prods, linalg.vec(linalg.identity(dm)), p)
+    if c is None:
         return None
-    # the zero module has no classes and divides N^1
-    power = max((math.ceil(sm.multiplicity / sn.multiplicity) for sm, sn, _ in matches), default=1)
-    phi = linalg.zeros(power * n.dim, m.dim)
-    psi = linalg.zeros(m.dim, power * n.dim)
-    for sm, sn, g in matches:
-        ginv = linalg.invert(g, p)
-        for t in range(sm.multiplicity):
-            c, j = divmod(t, sn.multiplicity)
-            block = slice(c * n.dim, (c + 1) * n.dim)
-            phi[block] = (phi[block] + linalg.matmul_chain(p, sn.injections[j], g, sm.projections[t])) % p
-            psi[:, block] = (psi[:, block] + linalg.matmul_chain(p, sm.injections[t], ginv, sn.projections[j])) % p
-    return DividesCert(m, n, power, phi, psi)
+    h = linalg.matmul(c.reshape(len(g), len(f)), f.reshape(len(f), dn * dm), p)
+    kept = np.flatnonzero(h.any(axis=1))
+    phi = h[kept].reshape(len(kept) * dn, dm)
+    psi = g[kept].transpose(1, 0, 2).reshape(dm, len(kept) * dn)
+    return DividesCert(m, n, len(kept), phi, psi)
 
 
-def divides(m: Bimodule, n: Bimodule, seed: int = 0):
-    """DividesCert for M | N^n (minimal n), or None."""
+def divides(m: Bimodule, n: Bimodule):
+    """DividesCert for M | N^n with n <= dim Hom(N, M), or None."""
     _require_same_sides(m, n)
-    return _divides(m, n, decompose(envelope_module(m), seed=seed), decompose(envelope_module(n), seed=seed), seed)
+    return _divides(m, n, *bimodule_homs(m, n))
 
 
 class SimilarityCert:
@@ -167,20 +173,18 @@ class SimilarityCert:
         }
 
 
-def similar(m: Bimodule, n: Bimodule, seed: int = 0):
+def similar(m: Bimodule, n: Bimodule):
     """SimilarityCert (mutual division), or None.
 
-    Each envelope module is decomposed once; both divisions are read off the same
-    two decompositions, and the backward one runs only if the forward one
-    holds.
+    The two hom spaces are computed once and serve both divisions; the
+    backward one runs only if the forward one holds.
     """
     _require_same_sides(m, n)
-    dm = decompose(envelope_module(m), seed=seed)
-    dn = decompose(envelope_module(n), seed=seed)
-    fwd = _divides(m, n, dm, dn, seed)
+    f, g = bimodule_homs(m, n)
+    fwd = _divides(m, n, f, g)
     if fwd is None:
         return None
-    bwd = _divides(n, m, dn, dm, seed)
+    bwd = _divides(n, m, g, f)
     return None if bwd is None else SimilarityCert(fwd, bwd)
 
 
@@ -234,12 +238,12 @@ def bimodule_iso_payload(source: Bimodule, target: Bimodule, seed: int = 0):
 
 
 @memo.scoped
-def is_qf_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
+def is_qf_bimodule(m: Bimodule) -> report.Outcome:
     """Quasi-Frobenius test for an (R, S)-bimodule."""
     out = report.Outcome(report.YES)
     name, condition = "dual similarity", "left-dual-similar-to-right-dual"
     if _projective_restrictions(m, out, name, condition):
-        sim = similar(left_dual(m), right_dual(m), seed=seed)
+        sim = similar(left_dual(m), right_dual(m))
         out.decide(
             name, condition, None if sim is None else sim.payload(),
             "left and right duals have different indecomposable support",
@@ -282,12 +286,12 @@ def dual_sequence(m: Bimodule, depth: int):
 
 
 @memo.scoped
-def qf_tensor_check(m: Bimodule, n: Bimodule, seed: int = 0) -> report.Outcome:
+def qf_tensor_check(m: Bimodule, n: Bimodule) -> report.Outcome:
     """QF (x) QF should be QF; reports agreement (expected: yes)."""
     if not equal_algebras(m.right_alg, n.left_alg):
         raise UsageError("tensor factors do not share the middle algebra")
-    out_m = is_qf_bimodule(m, seed=seed)
-    out_n = is_qf_bimodule(n, seed=seed)
+    out_m = is_qf_bimodule(m)
+    out_n = is_qf_bimodule(n)
     out = report.Outcome(report.YES)
     out.add(report.Check("left factor", "first-factor-qf", out_m.verdict))
     out.add(report.Check("right factor", "second-factor-qf", out_n.verdict))
@@ -296,7 +300,7 @@ def qf_tensor_check(m: Bimodule, n: Bimodule, seed: int = 0) -> report.Outcome:
         out.notes.append("precondition failed: both factors must be quasi-Frobenius")
         return out
     t = tensor_over(m.right_alg, m, n)
-    out_t = is_qf_bimodule(t, seed=seed)
+    out_t = is_qf_bimodule(t)
     for c in out_t.checks:
         out.add(c)
     if out_t.verdict == report.YES:

@@ -6,11 +6,13 @@ so tests cross-check the package against independent constructions.
 """
 
 import itertools
+import json
 import sys
 
 import numpy as np
+import pytest
 
-from qfcert import linalg
+from qfcert import linalg, report, verify
 from qfcert.algebra import field_algebra, group_algebra, make_algebra
 from qfcert.modrep import Bimodule, LeftModule, SplitWitness, hom_space, regular_left, tensor_over
 
@@ -314,6 +316,26 @@ def record_calls(monkeypatch, func):
 
     _rebind(monkeypatch, func, recorded)
     return calls
+
+
+def forbid_calls(monkeypatch, func, owner=None):
+    """Fail the test on any call of ``func``, wherever a loaded qfcert module
+    binds it, or as the attribute of the class ``owner``."""
+
+    def forbidden(*args, **kwargs):
+        pytest.fail(f"{func.__qualname__} was called")
+
+    if owner is None:
+        _rebind(monkeypatch, func, forbidden)
+    else:
+        monkeypatch.setattr(owner, func.__name__, forbidden)
+
+
+def report_verifies(out, command="check") -> bool:
+    """Whether the canonical report of ``out``, read back from its JSON,
+    passes ``verify_report``."""
+    rep = report.build_report(out, 0, "0" * 64, command)
+    return verify.verify_report(json.loads(report.canonical_json(rep)))[0]
 
 
 def outcome_rows(out):

@@ -7,7 +7,6 @@ from qfcert import cli, decomp, fixtures, linalg, report, schema, simdiv
 from qfcert.algebra import (
     Algebra,
     AlgebraHom,
-    EnvelopingAlgebra,
     equal_algebras,
     field_algebra,
     identity_hom,
@@ -443,20 +442,23 @@ def test_is_qf_coring_glued_no(glued):
     assert all(ch.verdict == report.NO for ch in out.checks)
 
 
-def test_check_coring_runs_each_decomposition_and_route_once(monkeypatch):
+def test_check_coring_runs_each_similarity_and_route_once(monkeypatch):
     # five conditions: one similarity each for conditions 1, 2 and 4 and for
     # the two unit-bimodule routes of condition 3, the second of which is
-    # condition 5 and is reported there without being run again
+    # condition 5 and is reported there without being run again; none of
+    # them decomposes
     doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
     decompositions = count_calls(monkeypatch, decomp.decompose)
+    similarities = count_calls(monkeypatch, simdiv.similar)
     qf_bimodule_runs = count_calls(monkeypatch, simdiv.is_qf_bimodule)
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
-    assert (decompositions, qf_bimodule_runs) == ([10], [3])
+    assert (decompositions, similarities, qf_bimodule_runs) == ([0], [5], [3])
 
 
 def test_check_coring_runs_no_closure_on_an_envelope(monkeypatch):
-    # envelope hom spaces take generators from the factors' closures
+    # no decision decomposes, so no generating set is closed, on an
+    # envelope or on any other algebra
     doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
     closures = []
     original = Algebra.generating_indices
@@ -468,7 +470,7 @@ def test_check_coring_runs_no_closure_on_an_envelope(monkeypatch):
     monkeypatch.setattr(Algebra, "generating_indices", recorded)
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
-    assert closures and EnvelopingAlgebra not in closures
+    assert closures == []
 
 
 # ---------------------------------------------------------------------------

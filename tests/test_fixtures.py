@@ -2,12 +2,16 @@
 
 import json
 
-from qfcert import cli, report, schema
+import pytest
+
+from qfcert import algebra, cli, decomp, report, schema
 from qfcert.fixtures import (
     corpus,
     search_nakayama_candidates,
     write_corpus,
 )
+
+from helpers import forbid_calls, report_verifies
 
 ALLOWED = {"yes", "no", "valid", "vacuous"}
 
@@ -70,6 +74,35 @@ def test_fixture_reports_are_seed_deterministic():
         outs = [cli.run_documents(f.command, f.docs, seed=3) for _ in range(2)]
         reps = [report.build_report(o, 3, "0" * 64, f.command) for o in outs]
         assert reps[0] == reps[1]
+
+
+def _decisions():
+    return [f for f in corpus() if f.command.startswith("check-") or f.command in ("similar", "divides")]
+
+
+def test_decision_reports_differ_across_seeds_only_in_the_seed_field():
+    # the decisions draw nothing, so the seed reaches their reports only as a field
+    for f in _decisions():
+        reps = [
+            report.build_report(cli.run_documents(f.command, f.docs, seed=s), s, "0" * 64, f.command)
+            for s in (0, 1)
+        ]
+        assert reps[1] == dict(reps[0], seed=1), f.name
+
+
+def test_no_decision_decomposes_or_builds_an_envelope(monkeypatch):
+    forbid_calls(monkeypatch, decomp.decompose)
+    forbid_calls(monkeypatch, decomp.end_ring)
+    forbid_calls(monkeypatch, algebra.EnvelopingAlgebra.__init__, owner=algebra.EnvelopingAlgebra)
+    with pytest.raises(pytest.fail.Exception):
+        algebra.enveloping(algebra.field_algebra(5), algebra.field_algebra(5))
+    fixtures = _decisions()
+    assert {f.command for f in fixtures} == {
+        "check-bimodule", "check-extension", "check-coring", "check-graded", "similar", "divides"}
+    for f in fixtures:
+        out = cli.run_documents(f.command, f.docs, seed=0, depth=f.depth)
+        assert out.verdict == f.expected, f.name
+        assert report_verifies(out, f.command), f.name
 
 
 def test_search_utility_runs_and_stays_honest():

@@ -257,7 +257,7 @@ def test_f5c2_restriction_qf_with_verified_certs():
     assert out.checks[0].certificate["kind"] == "split-witness"
     assert out.checks[-1].certificate["kind"] == "similarity"
     br, bc = graded.restriction_bimodules(r)
-    sim = similar(br, bc, seed=0)
+    sim = similar(br, bc)
     assert sim is not None
     ok_f, reasons_f = verify_cert(sim.forward, br, bc)
     ok_b, reasons_b = verify_cert(sim.backward, bc, br)

@@ -8,7 +8,6 @@ import pytest
 
 from qfcert import cli, memo, modrep, report, schema
 from qfcert.coring import sweedler
-from qfcert.decomp import decompose, find_idempotent
 from qfcert.errors import UsageError
 from qfcert.fixtures import unit_extension
 from qfcert.modrep import LeftModule, hom_space, regular_left
@@ -47,14 +46,12 @@ def test_check_coring_memo_counts(scopes):
     doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
+    # no decision decomposes or builds an envelope, so hom spaces and
+    # presentations are all the memo holds
     assert scopes[0].counts() == {
-        "decompose": (5, 5),
-        "enveloping": (8, 2),
-        "find_idempotent": (12, 3),
-        "generating_indices": (8, 2),
         # each of the 8 projectivity tests reads a presentation, not a hom space
-        "hom_space": (44, 34),
-        "presentation": (26, 18),
+        "hom_space": (5, 13),
+        "presentation": (13, 10),
     }
 
 
@@ -72,24 +69,24 @@ def test_no_entry_survives_run_documents(scopes):
         cli.run_documents("decompose", [doc], seed=0)
         assert memo._SCOPE.get() is outer
     inner = scopes[1]
-    assert inner is not outer and inner.counts()["decompose"] == (0, 1)
+    assert inner is not outer and inner.counts()["hom_space"] == (3, 2)
     assert inner.entries == {} and outer.entries == {}
     assert memo._SCOPE.get() is None
 
 
 def test_a_decision_opens_a_scope_only_when_none_is_open(monkeypatch):
-    # qf_pair_witness on the F_5[C2] unit extension needs 5 distinct hom
+    # qf_pair_witness on the F_5[C2] unit extension needs 2 distinct hom
     # spaces, and the scope it opens solves each of them once
     solves = count_calls(monkeypatch, modrep._hom_basis)
     ext = unit_extension(group_alg(P, 2))
     x = LeftModule(ext.source, np.ones((1, 1, 1), dtype=np.int64))
     assert qf_pair_witness(ext, x).verdict == report.YES
-    assert solves == [5] and memo._SCOPE.get() is None
+    assert solves == [2] and memo._SCOPE.get() is None
     # an open scope is joined: the second call solves nothing
     with memo.scope():
         qf_pair_witness(ext, x)
         qf_pair_witness(ext, x)
-    assert solves == [10]
+    assert solves == [4]
 
 
 def test_memoized_hom_basis_is_read_only():
@@ -99,12 +96,6 @@ def test_memoized_hom_basis_is_read_only():
         with pytest.raises(ValueError):
             h.basis[0, 0, 0] = 1
         assert np.array_equal(hom_space(m, m).basis, h.basis)
-    e = find_idempotent(mat_units_algebra(P, 2))
-    with pytest.raises(ValueError):
-        e[0] = 1
-    for s in decompose(m).summands:
-        with pytest.raises(ValueError):
-            s.injections[0][0, 0] = 1
 
 
 def test_equal_modules_share_one_entry():
@@ -116,9 +107,7 @@ def test_equal_modules_share_one_entry():
         assert (ha.source, hb.source) == (a, b)
         assert s.counts()["hom_space"] == (1, 1)
         # keying froze the inputs, so the key cannot go stale
-        assert not a.action.flags.writeable and not b.algebra.mul.flags.writeable
-        assert decompose(a) is decompose(b, seed=0)
-        assert decompose(a, seed=1) is not decompose(a)
+        assert not a.action.flags.writeable
 
 
 def test_nothing_is_cached_outside_a_scope():

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import dual_numbers, group_alg, mat_units_algebra, outcome_rows, prod_fields, upper_triangular2
+from helpers import (
+    dual_numbers,
+    group_alg,
+    mat_units_algebra,
+    outcome_rows,
+    prod_fields,
+    report_verifies,
+    upper_triangular2,
+)
 from qfcert import report
 from qfcert.algebra import AlgebraHom, field_algebra, tensor_algebra
 from qfcert.errors import UsageError
@@ -62,6 +70,14 @@ def test_group_algebra_extension_is_frobenius():
     assert out.verdict == report.YES
     certs = out.certificates()
     assert any(c["kind"] == "bimodule-iso" for c in certs)
+
+
+@pytest.mark.parametrize("target", [group_alg(3, 3), mat_units_algebra(3, 2)], ids=["f3-c3", "f3-m2"])
+def test_unit_extensions_at_a_prime_below_the_endomorphism_dimension_are_qf(target):
+    # p = 3 does not exceed dim End, which a decomposition would need
+    out = is_qf_extension(unit_extension(target))
+    assert out.verdict == report.YES
+    assert report_verifies(out)
 
 
 def test_quotient_to_field_is_not_qf():

@@ -1,26 +1,34 @@
 """Divisibility/similarity tests, cross-checked against the span oracle."""
 
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    count_calls,
     dual_numbers,
     group_alg,
     mat_units_algebra,
     outcome_rows,
     prod_fields,
+    report_verifies,
     simple_modules_prod,
     trivial_module_dualnum,
     unit_bimodule_rs,
 )
 from oracles import divides_enumeration_oracle, divides_oracle, similar_oracle
-from qfcert import decomp, linalg, report
-from qfcert.algebra import field_algebra
+from qfcert import decomp, memo, report, verify
+from qfcert.algebra import field_algebra, make_algebra
 from qfcert.errors import NotProjectiveAtStage
 from qfcert.modrep import (
+    Bimodule,
     as_bimodule,
+    bimodule_homs,
     direct_sum,
+    envelope_module,
+    power_bimodule,
     regular_bimodule,
     regular_left,
 )
@@ -62,31 +70,88 @@ def test_divides_simple_in_sum_but_not_conversely():
     assert divides_oracle(b12, b1) is False
 
 
-def test_divides_minimal_power():
-    # p = 7: End(S1 + 2 S2) is 5-dimensional and the radical guard needs p > 5
+def test_divides_power_is_at_most_dim_hom():
+    # one solve in the trace ideal: the power is the number of hom basis
+    # maps N -> M used, at most dim Hom(N, M), not the smallest feasible one
     p = 7
     s1, s2 = simple_modules_prod(p)
     m = sum_module(s1, s2, s2)  # S1 + 2 S2
     n = sum_module(s1, s2)
+    hom_mn, hom_nm = bimodule_homs(m, n)
+    assert (len(hom_mn), len(hom_nm)) == (3, 3)
     c = divides(m, n)
-    assert c is not None and c.n == 2
+    assert c is not None and c.n == 3
     back = divides(n, m)
-    assert back is not None and back.n == 1
+    assert back is not None and back.n == 2
     sim = similar(m, n)
     assert sim is not None
 
 
-def test_similar_decomposes_each_carrier_once(monkeypatch):
+def test_similar_solves_each_hom_space_once():
     p = 7
     s1, s2 = simple_modules_prod(p)
     m = sum_module(s1, s2, s2)
     n = sum_module(s1, s2)
     apart = {"forward": divides(m, n).payload(), "backward": divides(n, m).payload()}
-    decompositions = count_calls(monkeypatch, decomp.decompose)
-    sim = similar(m, n)
-    assert decompositions == [2]
+    with memo.scope() as s:
+        sim = similar(m, n)
+    # Hom(M, N) and Hom(N, M), one solve each
+    assert s.counts()["hom_space"] == (0, 2)
     # the same certificates as the two divisions computed on their own
     assert report.canonical_json(sim.payload()) == report.canonical_json(dict(kind="similarity", **apart))
+
+
+def test_zero_module_divides_the_first_power():
+    m = sum_module(*simple_modules_prod(5))
+    zero = Bimodule(m.left_alg, m.right_alg, np.zeros((2, 0, 0), dtype=np.int64), np.ones((1, 0, 0), dtype=np.int64))
+    c = divides(zero, m)
+    assert c is not None and c.n == 1 and c.phi.shape == (2, 0) and c.psi.shape == (0, 2)
+    assert divides(m, zero) is None
+
+
+def semisimple_sum(p, mults):
+    """The (F_p^3, F_p)-bimodule S_0^a + S_1^b + S_2^c for mults (a, b, c):
+    the i-th basis idempotent of F_p^3 projects onto the S_i coordinates."""
+    k = len(mults)
+    mul = np.zeros((k, k, k), dtype=np.int64)
+    mul[range(k), range(k), range(k)] = 1
+    kinds = np.repeat(np.arange(k), mults)
+    d = len(kinds)
+    left = np.stack([np.diag((kinds == i).astype(np.int64)) for i in range(k)]).reshape(k, d, d)
+    return Bimodule(make_algebra(p, mul, [1] * k), field_algebra(p), left, np.eye(d, dtype=np.int64).reshape(1, d, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+def test_divides_on_semisimple_sums_agrees_with_the_oracle_and_krull_schmidt(p, mults_m, mults_n):
+    m, n = semisimple_sum(p, mults_m), semisimple_sum(p, mults_n)
+    cert = divides(m, n)
+    assert (cert is not None) == divides_oracle(m, n)
+    # a test-side Krull-Schmidt check, where the decomposition's p > dim End holds
+    matches = None
+    if p > max(sum(a * a for a in mults_m), sum(b * b for b in mults_n)):
+        dm, dn = decomp.decompose(envelope_module(m)), decomp.decompose(envelope_module(n))
+        matches = decomp.match_classes(dm, dn, random.Random(0))
+        assert (matches is not None) == (cert is not None)
+    if cert is None:
+        return
+    assert verify.verify_payload(cert.payload())[0]
+    # M | N^n needs every multiplicity of M within n times that of N
+    assert cert.n >= max([math.ceil(a / b) for a, b in zip(mults_m, mults_n) if a], default=1)
+    if matches is not None:
+        assert cert.n >= max([math.ceil(sm.multiplicity / sn.multiplicity) for sm, sn, _ in matches], default=1)
+
+
+@pytest.mark.parametrize("order, power", [(2, 3), (3, 2)], ids=["f5-c2-cubed", "f5-c3-squared"])
+def test_powers_of_regular_bimodules_at_a_prime_below_the_endomorphism_dimension_are_qf(order, power):
+    # a decomposition would need p > dim End, which is 18 and 12 here
+    out = is_qf_bimodule(power_bimodule(regular_bimodule(group_alg(5, order)), power))
+    assert out.verdict == report.YES
+    assert report_verifies(out)
 
 
 def test_similarity_matches_oracle_on_small_corpus():
@@ -154,8 +219,6 @@ def test_qf_bimodule_trivial_module_fails_on_projectivity():
     # F5 as a (dualnum, F5)-bimodule: left via the quotient, right regular
     la = np.zeros((2, 1, 1), dtype=np.int64)
     la[0, 0, 0] = 1
-    from qfcert.modrep import Bimodule
-
     b = Bimodule(dn, k, la, np.ones((1, 1, 1), dtype=np.int64))
     out = is_qf_bimodule(b)
     assert out.verdict == report.NO
@@ -188,8 +251,6 @@ def test_dual_sequence_stops_on_nonprojective():
     k = field_algebra(p)
     la = np.zeros((2, 1, 1), dtype=np.int64)
     la[0, 0, 0] = 1
-    from qfcert.modrep import Bimodule
-
     b = Bimodule(dn, k, la, np.ones((1, 1, 1), dtype=np.int64))
     with pytest.raises(NotProjectiveAtStage) as exc:
         dual_sequence(b, 1)
@@ -210,8 +271,6 @@ def test_qf_tensor_check_vacuous():
     k = field_algebra(p)
     la = np.zeros((2, 1, 1), dtype=np.int64)
     la[0, 0, 0] = 1
-    from qfcert.modrep import Bimodule
-
     bad = Bimodule(dn, k, la, np.ones((1, 1, 1), dtype=np.int64))
     good = regular_bimodule(dn)
     out = qf_tensor_check(good, bad)
@@ -224,9 +283,9 @@ def test_verify_cert_names_each_failing_block():
     m = sum_module(s1, s2, s2)
     n = sum_module(s1, s2)
     c = divides(m, n)
-    assert c.n == 2
+    assert c.n == 3
     # all-ones blocks are not module maps; the trivial right actions still commute
-    c.phi[n.dim :] = 1
+    c.phi[n.dim : 2 * n.dim] = 1
     c.psi[:, : n.dim] = 1
     ok, reasons = verify_cert(c, m, n)
     assert not ok
