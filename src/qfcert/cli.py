@@ -13,9 +13,10 @@ Subcommands, one per decision procedure::
     sweedler FILE             emit the coring attached to an extension
     verify FILE               re-check a previously written report
 
-``--seed N`` fixes all randomized choices, ``--report PATH`` writes the
-canonical JSON report, and ``--battery`` (no subcommand) runs the
-bundled fixture corpus.  Exit codes: 0 = yes/valid/vacuous, 1 = no,
+``--seed N`` seeds the random splitting of ``decompose`` (the decisions
+draw nothing) and is recorded in the report, ``--report PATH`` writes the
+canonical JSON report, and ``--battery`` (no subcommand) runs the bundled
+fixture corpus.  Exit codes: 0 = yes/valid/vacuous, 1 = no,
 2 = input or schema error, 3 = internal inconsistency.  Identical input
 bytes and seed give byte-identical reports.
 """
@@ -245,7 +246,7 @@ def _add_common(parser, suppress):
     # on subparsers the flags must not clobber values already parsed from
     # the main parser, hence SUPPRESS defaults there
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS if suppress else 0,
-                        help="seed for all randomized choices (default 0)")
+                        help="seed for decompose, recorded in the report (default 0)")
     parser.add_argument("--report", metavar="PATH", default=argparse.SUPPRESS if suppress else None,
                         help="write the canonical JSON report here")
 

@@ -13,12 +13,6 @@ The corpus spans base fields F_5, F_7, F_11 and the algebra zoo
 triangular T_2}: semisimple, local non-semisimple, and
 non-self-injective behavior are all represented, with every enveloping
 dimension at most 64.
-
-A deliberate gap: no fixture asserts a self-dual instance that fails
-the stronger one-sided comparison (the classical separation needs
-larger staircase algebras).  ``search_nakayama_candidates`` scans small
-staircase families so such an instance can be hunted and promoted once
-found; the battery never assumes one.
 """
 
 from __future__ import annotations
@@ -428,51 +422,3 @@ def write_corpus(dest):
     with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(report.canonical_json(manifest))
     return root
-
-
-# ------------------------------------------------- search utility
-
-
-def search_nakayama_candidates(p, max_dim=4, seed=0, limit=None):
-    """Scan small staircase (serial) algebras for a self-dual instance that
-    is not rigidly self-dual: the regular bimodule must be similar to its
-    dual without being isomorphic to it.
-
-    Returns the list of descriptions found (possibly empty — the scan is
-    honest and small instances are not expected to separate the notions).
-    """
-    from .simdiv import is_frobenius_bimodule, is_qf_bimodule
-
-    found = []
-    tested = 0
-    for n in range(2, max_dim + 1):
-        # serial staircase: basis e_0..e_{n-1} of a cyclic Nakayama-type
-        # quotient x^n = c * x^s with c in F_p (c = 0 is the truncated case)
-        for s in range(0, n):
-            for c in range(p):
-                if c == 0 and s != 0:
-                    continue
-                mul = np.zeros((n, n, n), dtype=np.int64)
-                for i in range(n):
-                    for j in range(n):
-                        k = i + j
-                        if k < n:
-                            mul[i, j, k] = 1
-                        else:
-                            # fold back through x^n = c x^s when possible
-                            k2 = k - n + s
-                            if c and k2 < n:
-                                mul[i, j, k2] = c
-                try:
-                    alg = make_algebra(p, mul, [1] + [0] * (n - 1))
-                except ValidationError:
-                    continue
-                tested += 1
-                if limit is not None and tested > limit:
-                    return found
-                m = regular_bimodule(alg)
-                qf = is_qf_bimodule(m)
-                fro = is_frobenius_bimodule(m, seed=seed)
-                if qf.verdict == report.YES and fro.verdict == report.NO:
-                    found.append({"n": n, "s": s, "c": c, "p": p})
-    return found

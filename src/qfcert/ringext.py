@@ -10,7 +10,9 @@ inconsistency, never a verdict.
 S (x)_R -  and  Hom_R(S, -)  at a concrete test module X: it tensors the
 division certificate S | Hom_R(S,R)^m by X and transports along the
 canonical isomorphism  Hom_R(S,R) (x)_R X  ->  Hom_R(S, X), producing an
-exactly split pair of S-module maps.
+exactly split pair of S-module maps.  It and ``compose_check`` test two of
+the paper's theorems against ``is_qf_extension``, the one extension
+decision the CLI runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .modrep import (
     restrict_bimodule,
     tensor_over,
 )
-from .simdiv import NOT_SPLIT, bimodule_iso_payload, divides, is_qf_bimodule, projective_prelude
+from .simdiv import divides, is_qf_bimodule
 
 
 class Extension:
@@ -81,21 +83,6 @@ def merge_unit_routes(primary: report.Outcome, cross: report.Outcome) -> report.
 def is_qf_extension(ext: Extension) -> report.Outcome:
     """QF test via the (R,S) unit bimodule, cross-checked on the (S,R) one."""
     return merge_unit_routes(is_qf_bimodule(ext.bimodule_rs), is_qf_bimodule(ext.bimodule_sr))
-
-
-@memo.scoped
-def is_frobenius_extension(ext: Extension, seed: int = 0) -> report.Outcome:
-    """Frobenius: _R S projective f.g. and S ~ Hom_R(S, R) as (S,R)-bimodules."""
-    out = report.Outcome(report.YES)
-    name, condition = "dual comparison", "target-isomorphic-to-its-source-dual"
-    over_source = restrict_bimodule(ext.bimodule_rs, "left")
-    prelude = [("source-side projectivity", "target-projective-over-source", over_source, NOT_SPLIT)]
-    if projective_prelude(out, prelude, name, condition, "projectivity failed"):
-        out.decide(
-            name, condition, bimodule_iso_payload(ext.bimodule_sr, left_dual(ext.bimodule_rs), seed=seed),
-            "the target and its source-dual are not isomorphic bimodules",
-        )
-    return out
 
 
 @memo.scoped

@@ -12,19 +12,18 @@ bases f_i and g_j of the two hom spaces (``modrep.bimodule_homs``) a
 solution of sum c_ji g_j f_i = id_M is a split pair: h_j = sum_i c_ji f_i,
 phi stacks the nonzero h_j and psi sets the matching g_j side by side.  So
 n is at most dim Hom(N, M), not the smallest feasible power, which would
-need multiplicities and so a decomposition.  No decision reads the
-enveloping algebra or a decomposition; only ``bimodule_iso_payload`` (the
-Frobenius test) does.
+need multiplicities and so a decomposition.  No decision here reads the
+enveloping algebra or a decomposition.
 
 The quasi-Frobenius predicate for an (R, S)-bimodule M: both one-sided
 restrictions are finitely generated projective and the left dual
 Hom_R(M, R) is similar to the right dual Hom_S(M, S) as (S, R)-bimodules.
 
-Every "projective, then compare" decision (these bimodule predicates,
-the Frobenius extension test and the graded restriction test) opens with
-``projective_prelude``: one split-witness check per module that must be
-projective, and the comparison marked skipped if any is not.  The
-comparison itself is then one ``Outcome.decide``.
+Every "projective, then compare" decision (the bimodule predicate and the
+graded restriction test) opens with ``projective_prelude``: one
+split-witness check per module that must be projective, and the
+comparison marked skipped if any is not.  The comparison itself is then
+one ``Outcome.decide``.
 """
 
 from __future__ import annotations
@@ -33,14 +32,12 @@ import numpy as np
 
 from . import linalg, memo, report
 from .algebra import equal_algebras
-from .decomp import iso
 from .errors import InternalCheckError, NotProjectiveAtStage, UsageError
 from .linalg import Mat
 from .modrep import (
     Bimodule,
     SplitWitness,
     bimodule_homs,
-    envelope_module,
     is_fg_projective,
     left_dual,
     restrict_bimodule,
@@ -192,9 +189,6 @@ def similar(m: Bimodule, n: Bimodule):
 # quasi-Frobenius predicates
 
 
-NOT_SPLIT = "no split section onto a free cover exists"
-
-
 def projective_prelude(out: report.Outcome, modules, name, condition, skip_reason) -> bool:
     """Shared prelude of every "projective, then compare" decision.
 
@@ -214,52 +208,21 @@ def projective_prelude(out: report.Outcome, modules, name, condition, skip_reaso
     return projective
 
 
-def _projective_restrictions(m: Bimodule, out: report.Outcome, name, condition) -> bool:
-    """The prelude of the bimodule predicates: both restrictions projective."""
-    sides = [
-        (f"{side} restriction projective", f"{side}-restriction-fg-projective", restrict_bimodule(m, side), NOT_SPLIT)
-        for side in ("left", "right")
-    ]
-    return projective_prelude(out, sides, name, condition, "restrictions are not both projective")
-
-
-def bimodule_iso_payload(source: Bimodule, target: Bimodule, seed: int = 0):
-    """Certificate for an isomorphism of bimodules source -> target, or None."""
-    f = iso(envelope_module(source), envelope_module(target), seed=seed)
-    if f is None:
-        return None
-    return {
-        "kind": "bimodule-iso",
-        "p": source.p,
-        "source": _module_payload(source),
-        "target": _module_payload(target),
-        "matrix": report.payload_array(f),
-    }
-
-
 @memo.scoped
 def is_qf_bimodule(m: Bimodule) -> report.Outcome:
     """Quasi-Frobenius test for an (R, S)-bimodule."""
     out = report.Outcome(report.YES)
+    sides = [
+        (f"{side} restriction projective", f"{side}-restriction-fg-projective",
+         restrict_bimodule(m, side), "no split section onto a free cover exists")
+        for side in ("left", "right")
+    ]
     name, condition = "dual similarity", "left-dual-similar-to-right-dual"
-    if _projective_restrictions(m, out, name, condition):
+    if projective_prelude(out, sides, name, condition, "restrictions are not both projective"):
         sim = similar(left_dual(m), right_dual(m))
         out.decide(
             name, condition, None if sim is None else sim.payload(),
             "left and right duals have different indecomposable support",
-        )
-    return out
-
-
-@memo.scoped
-def is_frobenius_bimodule(m: Bimodule, seed: int = 0) -> report.Outcome:
-    """Frobenius = projective restrictions + duals actually isomorphic."""
-    out = report.Outcome(report.YES)
-    name, condition = "dual isomorphism", "left-dual-isomorphic-to-right-dual"
-    if _projective_restrictions(m, out, name, condition):
-        out.decide(
-            name, condition, bimodule_iso_payload(left_dual(m), right_dual(m), seed=seed),
-            "duals are not isomorphic as bimodules",
         )
     return out
 

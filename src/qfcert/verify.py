@@ -4,9 +4,12 @@ Everything here is re-derived from the payload's own embedded data using
 exact matrix arithmetic only — no prover module is imported, so a bug in
 a prover cannot hide itself in its own verifier.  That includes the F_p
 kernel: products here are int64 with the inner dimension cut into chunks
-(no float BLAS), and invertibility is checked by elimination on Python
-integers.  Each certificate kind states concrete matrix identities; this
-module recomputes them.
+(no float BLAS).
+
+Every leaf certificate is a split pair, checked by ``_split_pair``: maps
+into copies of some module and back whose composites sum to the identity,
+every block a module map.  ``similarity``, ``projective-and-similar`` and
+``outcome`` only contain other certificates.
 
 Entry points: ``verify_payload`` for one certificate dict,
 ``verify_report`` for a full report (every certificate attached to a
@@ -76,30 +79,37 @@ def _mul(a, b, p):
     return out
 
 
-def _eye(n):
-    return np.eye(n, dtype=np.int64)
-
-
-def _invertible(f, p):
-    """Whether the square matrix f is invertible mod p (Gaussian elimination)."""
-    rows = [[int(x) % p for x in row] for row in f]
-    n = len(rows)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return False
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = pow(rows[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            k = rows[i][c] * inv % p
-            if k:
-                rows[i] = [(x - k * y) % p for x, y in zip(rows[i], rows[c])]
-    return True
-
-
 def _intertwines(f, source_acts, target_acts, p):
     """f . a_source == a_target . f for every action index."""
     return np.array_equal(_mul(f, source_acts, p), _mul(target_acts, f, p))
+
+
+def _split_pair(reasons, prefix, p, d, copies, families, names):
+    """Whether sum_c back_c . into_c = id_M and both maps of every copy
+    intertwine every action family, for a d-dimensional M.  ``copies``
+    lists (into: M -> X_c, back: X_c -> M, the stacks of X_c, one per
+    family), ``families`` lists (label, stack on M) and ``names`` the
+    (into, back) names the reasons quote."""
+    into_name, back_name = names
+    ok = True
+    for c, (into, back, targets) in enumerate(copies):
+        for (label, acts), target in zip(families, targets):
+            if not _intertwines(into, acts, target, p):
+                ok = _fail(reasons, prefix, f"{into_name} block {c} is not {label}-equivariant")
+            if not _intertwines(back, target, acts, p):
+                ok = _fail(reasons, prefix, f"{back_name} block {c} is not {label}-equivariant")
+    # the sum as one product: the back maps side by side times the into maps stacked
+    intos, backs = _stacked(d, copies)
+    if not np.array_equal(_mul(backs, intos, p), np.eye(d, dtype=np.int64)):
+        ok = _fail(reasons, prefix, f"sum of {back_name} . {into_name} is not the identity")
+    return ok
+
+
+def _stacked(d, copies):
+    """The into maps of ``copies`` stacked and their back maps side by side."""
+    intos = np.concatenate([np.zeros((0, d), dtype=np.int64)] + [c[0] for c in copies])
+    backs = np.concatenate([np.zeros((d, 0), dtype=np.int64)] + [c[1] for c in copies], axis=1)
+    return intos, backs
 
 
 def _verify_divides(cert, reasons, prefix):
@@ -112,18 +122,8 @@ def _verify_divides(cert, reasons, prefix):
         psi = _arr(cert["psi"], p).reshape(dm, n * dn)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(reasons, prefix, f"malformed divides payload ({exc})")
-    ok = True
-    if not np.array_equal(_mul(psi, phi, p), _eye(dm)):
-        ok = _fail(reasons, prefix, "psi . phi is not the identity")
-    for c in range(n):
-        phic = phi[c * dn : (c + 1) * dn]
-        psic = psi[:, c * dn : (c + 1) * dn]
-        for acts_m, acts_n, label in ((sl, tl, "left"), (sr, tr, "right")):
-            if not _intertwines(phic, acts_m, acts_n, p):
-                ok = _fail(reasons, prefix, f"phi block {c} is not {label}-equivariant")
-            if not _intertwines(psic, acts_n, acts_m, p):
-                ok = _fail(reasons, prefix, f"psi block {c} is not {label}-equivariant")
-    return ok
+    blocks = [(phi[c * dn : (c + 1) * dn], psi[:, c * dn : (c + 1) * dn], (tl, tr)) for c in range(n)]
+    return _split_pair(reasons, prefix, p, dm, blocks, [("left", sl), ("right", sr)], ("phi", "psi"))
 
 
 def _verify_similarity(cert, reasons, prefix):
@@ -152,36 +152,10 @@ def _verify_split_witness(cert, reasons, prefix):
         sigma = _arr(cert["sigma_blocks"], p).reshape(r, n, d)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return _fail(reasons, prefix, f"malformed split witness ({exc})")
+    # each block splits M off the regular module A, whose actions are left multiplications
     left_mult = mul.transpose(0, 2, 1)
-    total = np.zeros((d, d), dtype=np.int64)
-    ok = True
-    for b in range(r):
-        total = (total + _mul(pi[b], sigma[b], p)) % p
-        if not _intertwines(sigma[b], action, left_mult, p):
-            ok = _fail(reasons, prefix, f"sigma block {b} is not a module map")
-        if not _intertwines(pi[b], left_mult, action, p):
-            ok = _fail(reasons, prefix, f"pi block {b} is not a module map")
-    if not np.array_equal(total, _eye(d)):
-        ok = _fail(reasons, prefix, "sum of pi . sigma is not the identity")
-    return ok
-
-
-def _verify_bimodule_iso(cert, reasons, prefix):
-    try:
-        p = int(cert["p"])
-        sl, sr, dm = _module_payload(cert["source"], p)
-        tl, tr, dn = _module_payload(cert["target"], p)
-        f = _arr(cert["matrix"], p).reshape(dn, dm)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _fail(reasons, prefix, f"malformed bimodule-iso payload ({exc})")
-    if dm != dn:
-        return _fail(reasons, prefix, f"source and target dimensions differ ({dm} vs {dn})")
-    ok = True
-    if not _invertible(f, p):
-        ok = _fail(reasons, prefix, "matrix is not invertible")
-    if not _intertwines(f, sl, tl, p) or not _intertwines(f, sr, tr, p):
-        ok = _fail(reasons, prefix, "matrix does not intertwine the actions")
-    return ok
+    blocks = [(sigma[b], pi[b], (left_mult,)) for b in range(r)]
+    return _split_pair(reasons, prefix, p, d, blocks, [("A", action)], ("sigma", "pi"))
 
 
 def _verify_pair_witness(cert, reasons, prefix):
@@ -197,17 +171,8 @@ def _verify_pair_witness(cert, reasons, prefix):
         alphabar = _arr(cert["alphabar"], p).reshape(d, m * k)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return _fail(reasons, prefix, f"malformed pair witness ({exc})")
-    ok = True
-    if not np.array_equal(_mul(alphabar, alpha, p), _eye(d)):
-        ok = _fail(reasons, prefix, "composite alphabar . alpha is not the identity")
-    for c in range(m):
-        ablk = alpha[c * k : (c + 1) * k]
-        bblk = alphabar[:, c * k : (c + 1) * k]
-        if not _intertwines(ablk, tacts, hacts, p):
-            ok = _fail(reasons, prefix, f"alpha block {c} is not equivariant")
-        if not _intertwines(bblk, hacts, tacts, p):
-            ok = _fail(reasons, prefix, f"alphabar block {c} is not equivariant")
-    return ok
+    blocks = [(alpha[c * k : (c + 1) * k], alphabar[:, c * k : (c + 1) * k], (hacts,)) for c in range(m)]
+    return _split_pair(reasons, prefix, p, d, blocks, [("S", tacts)], ("alpha", "alphabar"))
 
 
 def _verify_projective_and_similar(cert, reasons, prefix):
@@ -229,9 +194,7 @@ def _verify_decomposition(cert, reasons, prefix):
         classes = cert["classes"]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         return _fail(reasons, prefix, f"malformed decomposition payload ({exc})")
-    ok = True
-    pairs = []
-    total = np.zeros((d, d), dtype=np.int64)
+    blocks = []
     for i, cls in enumerate(classes):
         try:
             dk = int(cls["dim"])
@@ -242,20 +205,12 @@ def _verify_decomposition(cert, reasons, prefix):
             return _fail(reasons, prefix, f"malformed class {i} ({exc})")
         if len(injs) != len(projs):
             return _fail(reasons, prefix, f"class {i} has inconsistent shapes")
-        for j, (inj, proj) in enumerate(zip(injs, projs)):
-            if not _intertwines(inj, cact, action, p):
-                ok = _fail(reasons, prefix, f"class {i} copy {j} injection is not a module map")
-            if not _intertwines(proj, action, cact, p):
-                ok = _fail(reasons, prefix, f"class {i} copy {j} projection is not a module map")
-            total = (total + _mul(inj, proj, p)) % p
-            pairs.append((inj, proj, dk))
-    if not np.array_equal(total, _eye(d)):
-        ok = _fail(reasons, prefix, "sum of injection . projection is not the identity")
-    for a, (inja, proja, da) in enumerate(pairs):
-        for b, (injb, projb, db) in enumerate(pairs):
-            want = _eye(da) if a == b else np.zeros((da, db), dtype=np.int64)
-            if not np.array_equal(_mul(proja, injb, p), want):
-                ok = _fail(reasons, prefix, f"copies {a} and {b} are not orthogonal idempotents")
+        blocks += [(proj, inj, (cact,)) for inj, proj in zip(injs, projs)]
+    ok = _split_pair(reasons, prefix, p, d, blocks, [("A", action)], ("projection", "injection"))
+    # orthogonal idempotents: every projection kills every other copy and splits its own
+    projs, injs = _stacked(d, blocks)
+    if not np.array_equal(_mul(projs, injs, p), np.eye(len(projs), dtype=np.int64)):
+        ok = _fail(reasons, prefix, "stacked projections times injections side by side are not the identity")
     return ok
 
 
@@ -277,7 +232,6 @@ _KINDS = {
     "divides": _verify_divides,
     "similarity": _verify_similarity,
     "split-witness": _verify_split_witness,
-    "bimodule-iso": _verify_bimodule_iso,
     "pair-witness": _verify_pair_witness,
     "projective-and-similar": _verify_projective_and_similar,
     "decomposition": _verify_decomposition,

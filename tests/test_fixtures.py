@@ -1,15 +1,11 @@
-"""Corpus structure, on-disk form, and the search utility."""
+"""Corpus structure, on-disk form and the decisions' routes."""
 
 import json
 
 import pytest
 
 from qfcert import algebra, cli, decomp, report, schema
-from qfcert.fixtures import (
-    corpus,
-    search_nakayama_candidates,
-    write_corpus,
-)
+from qfcert.fixtures import corpus, write_corpus
 
 from helpers import forbid_calls, report_verifies
 
@@ -103,10 +99,3 @@ def test_no_decision_decomposes_or_builds_an_envelope(monkeypatch):
         out = cli.run_documents(f.command, f.docs, seed=0, depth=f.depth)
         assert out.verdict == f.expected, f.name
         assert report_verifies(out, f.command), f.name
-
-
-def test_search_utility_runs_and_stays_honest():
-    found = search_nakayama_candidates(5, max_dim=3, limit=30)
-    assert isinstance(found, list)
-    for entry in found:
-        assert set(entry) == {"n", "s", "c", "p"}

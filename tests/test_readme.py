@@ -1,0 +1,13 @@
+"""The README's Python example runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_python_api_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

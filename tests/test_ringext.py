@@ -7,7 +7,6 @@ from helpers import (
     dual_numbers,
     group_alg,
     mat_units_algebra,
-    outcome_rows,
     prod_fields,
     report_verifies,
     upper_triangular2,
@@ -19,7 +18,6 @@ from qfcert.modrep import LeftModule
 from qfcert.ringext import (
     Extension,
     compose_check,
-    is_frobenius_extension,
     is_qf_extension,
     qf_pair_witness,
 )
@@ -58,18 +56,9 @@ def test_unit_embedding_group_algebra_is_qf():
     assert any(n.startswith("target over (target,source)") for n in names)
 
 
-def test_unit_embedding_matrix_algebra_is_qf_and_frobenius():
+def test_unit_embedding_matrix_algebra_is_qf():
     ext = unit_extension(mat_units_algebra(5, 2))
     assert is_qf_extension(ext).verdict == report.YES
-    assert is_frobenius_extension(ext).verdict == report.YES
-
-
-def test_group_algebra_extension_is_frobenius():
-    ext = unit_extension(group_alg(5, 3))
-    out = is_frobenius_extension(ext)
-    assert out.verdict == report.YES
-    certs = out.certificates()
-    assert any(c["kind"] == "bimodule-iso" for c in certs)
 
 
 @pytest.mark.parametrize("target", [group_alg(3, 3), mat_units_algebra(3, 2)], ids=["f3-c3", "f3-m2"])
@@ -88,21 +77,9 @@ def test_quotient_to_field_is_not_qf():
     assert any(c.condition == "left-restriction-fg-projective" for c in failing)
 
 
-def test_quotient_to_field_is_not_frobenius():
-    out = is_frobenius_extension(quotient_to_field_extension(5))
-    assert out.verdict == report.NO
-
-
 def test_triangular_algebra_extension_is_not_qf():
     out = is_qf_extension(unit_extension(upper_triangular2(5)))
     assert out.verdict == report.NO
-
-
-def test_triangular_algebra_extension_is_not_frobenius():
-    out = is_frobenius_extension(unit_extension(upper_triangular2(5)))
-    assert out.verdict == report.NO
-    failing = [c for c in out.checks if c.verdict == report.NO]
-    assert any(c.condition == "target-isomorphic-to-its-source-dual" for c in failing)
 
 
 def test_diagonal_extension_is_qf():
@@ -203,22 +180,3 @@ def test_pair_witness_rejects_module_over_wrong_algebra():
     wrong = LeftModule(field_algebra(5), np.array([[[1]]], dtype=np.int64))
     with pytest.raises(UsageError):
         qf_pair_witness(ext, wrong)
-
-
-def test_quotient_to_field_frobenius_outcome_is_pinned():
-    # the augmentation F_5[x]/(x^2) ->> F_5: F_5 is not projective over the
-    # dual numbers, so the dual comparison is skipped
-    assert outcome_rows(is_frobenius_extension(quotient_to_field_extension(5))) == (
-        report.NO,
-        [],
-        [
-            (
-                "source-side projectivity",
-                "target-projective-over-source",
-                report.NO,
-                "no split section onto a free cover exists",
-                None,
-            ),
-            ("dual comparison", "target-isomorphic-to-its-source-dual", report.SKIPPED, "projectivity failed", None),
-        ],
-    )

@@ -11,7 +11,6 @@ from helpers import (
     dual_numbers,
     group_alg,
     mat_units_algebra,
-    outcome_rows,
     prod_fields,
     report_verifies,
     simple_modules_prod,
@@ -36,7 +35,6 @@ from qfcert.simdiv import (
     DividesCert,
     divides,
     dual_sequence,
-    is_frobenius_bimodule,
     is_qf_bimodule,
     qf_tensor_check,
     similar,
@@ -208,8 +206,6 @@ def test_qf_bimodule_regular_always_yes():
     for alg in (group_alg(p, 2), dual_numbers(p), upper_triangular2(p)):
         out = is_qf_bimodule(regular_bimodule(alg))
         assert out.verdict == report.YES
-        frob = is_frobenius_bimodule(regular_bimodule(alg))
-        assert frob.verdict == report.YES
 
 
 def test_qf_bimodule_trivial_module_fails_on_projectivity():
@@ -293,29 +289,3 @@ def test_verify_cert_names_each_failing_block():
         "psi block 0 does not intertwine the left actions",
         "phi block 1 does not intertwine the left actions",
     ]
-
-
-def test_frobenius_bimodule_outcome_on_the_socle_module_is_pinned():
-    # F_5 over (F_5[x]/(x^2), F_5): free on the right, not projective on the left
-    out = is_frobenius_bimodule(as_bimodule(trivial_module_dualnum(5)))
-    assert outcome_rows(out) == (
-        report.NO,
-        [],
-        [
-            (
-                "left restriction projective",
-                "left-restriction-fg-projective",
-                report.NO,
-                "no split section onto a free cover exists",
-                None,
-            ),
-            ("right restriction projective", "right-restriction-fg-projective", report.YES, None, "split-witness"),
-            (
-                "dual isomorphism",
-                "left-dual-isomorphic-to-right-dual",
-                report.SKIPPED,
-                "restrictions are not both projective",
-                None,
-            ),
-        ],
-    )
