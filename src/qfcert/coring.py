@@ -222,9 +222,7 @@ def _convolution_ring(c: Coring, side: str) -> DualRing:
     # the image of e_t is eps(.) e_t on the left side, e_t eps(.) on the right
     mult = base.right_mult if side == "left" else base.left_mult
     images = linalg.matmul(mult.reshape(da * da, da), c.eps, p).reshape(da, da * dc)
-    embed_mat = linalg.solve_right(h.matrix(), images.T, p)
-    if embed_mat is None:
-        raise InternalCheckError("base embedding image escapes the dual hom space")
+    embed_mat = h.coords_batch(images.reshape(da, da, dc))
     try:
         embed = AlgebraHom(base, alg, embed_mat)
     except ValidationError as exc:

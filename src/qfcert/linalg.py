@@ -30,6 +30,10 @@ outweighs their arithmetic.  Both switches depend on size alone:
 - ``rref`` on at most ``_RREF_SMALL`` entries runs Gauss-Jordan on rows
   of Python integers, which are exact at every p.  It finds the same
   unique reduced form as the int64 kernel.
+
+``rref`` reduces only what carries rank: the reduced form depends on the
+row space alone, so a larger system is compacted to its distinct nonzero
+rows on its nonzero columns, which take the path their own size picks.
 """
 
 from __future__ import annotations
@@ -228,22 +232,37 @@ def rref(a, p: int):
     column indices in increasing order, and ``rank == len(pivots)``.
 
     Systems of at most ``_RREF_SMALL`` entries go to ``_rref_small``.
-    Larger ones run eager Gauss-Jordan on int64 residues: each pivot row,
-    scaled to a leading 1, is subtracted from every row with a nonzero
-    entry in its column, on the columns from the pivot on, and the result
-    is reduced mod p at once.  The pivot search tests the next
-    ``_RREF_SCAN`` columns below row r in one step: a column zero there
-    stays zero below every later pivot row, so it is passed over for good.
+    Larger ones are compacted to their distinct nonzero rows on their
+    nonzero columns, which go to ``_rref_small`` or ``_rref_eager`` by
+    their own size; the answer is scattered back into an (m, n) array.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise UsageError("rref expects a 2-D array")
     m, n = a.shape
     if a.size <= _RREF_SMALL:
-        rows = (a % p).tolist()
-        pivots = _rref_small(rows, p)
-        return np.array(rows, dtype=np.int64).reshape(m, n), pivots, len(pivots)
-    work = a % p
+        return _rref_small(a % p, p)
+    rows, cols = np.flatnonzero(a.any(axis=1)), np.flatnonzero(a.any(axis=0))
+    work = a[np.ix_(rows, cols)] % p
+    # distinct rows by their bytes, in first-occurrence order
+    first = np.unique(work.view(np.dtype((np.void, 8 * cols.size))).ravel(), return_index=True)[1]
+    if first.size < rows.size:
+        work = work[np.sort(first)]
+    red, pivots, r = (_rref_small if work.size <= _RREF_SMALL else _rref_eager)(work, p)
+    out = zeros(m, n)
+    out[:r, cols] = red[:r]
+    return out, cols[pivots].tolist(), r
+
+
+def _rref_eager(work, p: int):
+    """``rref`` of residues in place, by eager Gauss-Jordan on int64: each
+    pivot row, scaled to a leading 1 unless it has one, is subtracted from
+    every other row with a nonzero entry in its column, on the columns
+    from the pivot on, and the result is reduced mod p at once.  The pivot
+    search tests the next ``_RREF_SCAN`` columns below row r in one step:
+    a column zero there stays zero below every later pivot row, so it is
+    passed over for good."""
+    m, n = work.shape
     pivots = []
     r = col = 0
     while r < m and col < n:
@@ -255,28 +274,32 @@ def rref(a, p: int):
         i = r + int(np.flatnonzero(work[r:, col])[0])
         if i != r:
             work[[r, i]] = work[[i, r]]
-        row = work[r, col:] * pow(int(work[r, col]), -1, p) % p
-        work[r, col:] = row
-        mult = work[:, col].copy()
-        mult[r] = 0
-        nz = np.flatnonzero(mult)
+        row = work[r, col:]
+        lead = int(row[0])
+        if lead != 1:
+            row *= pow(lead, -1, p)
+            row %= p
+        nz = np.flatnonzero(work[:, col])
+        nz = nz[nz != r]
         if nz.size:
-            work[nz, col:] = (work[nz, col:] - np.outer(mult[nz], row)) % p
+            rest = work[nz, col:]
+            rest -= np.outer(rest[:, 0], row)
+            rest %= p
+            work[nz, col:] = rest
         pivots.append(col)
         r += 1
         col += 1
     return work, pivots, r
 
 
-def _rref_small(rows, p: int):
-    """Gauss-Jordan on ``rows``, a list of rows of residues as Python
-    integers, in place: ``rref`` for small systems.  Returns the pivot
-    columns.  Python integers are exact at every p, and on a few dozen
-    entries one list comprehension per row update costs less than the
-    numpy calls a pivot would take."""
-    m = len(rows)
+def _rref_small(work, p: int):
+    """``rref`` of residues by Gauss-Jordan on rows of Python integers.
+    Python integers are exact at every p, and on a few dozen entries one
+    list comprehension per row update costs less than the numpy calls a
+    pivot would take."""
+    rows, (m, n) = work.tolist(), work.shape
     pivots = []
-    for col in range(len(rows[0]) if m else 0):
+    for col in range(n):
         r = len(pivots)
         if r == m:
             break
@@ -297,7 +320,7 @@ def _rref_small(rows, p: int):
             if c and s != r:
                 rows[s] = [(x - c * y) % p for x, y in zip(row, piv)]
         pivots.append(col)
-    return pivots
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots, len(pivots)
 
 
 def rank(a, p: int) -> int:

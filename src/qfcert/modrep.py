@@ -13,9 +13,10 @@ by ``left[i] @ right[j]``) with no algebra built; only ``decompose`` and
 One presentation serves Hom, (x) and projectivity: ``_presentation``
 presents a module M as A^k -> M -> 0, with its relations and a linear
 section, on k generators found by seeded spinning (random vectors drawn
-with a fixed seed, then the basis vectors, each kept when it enlarges the
-submodule spanned so far); a free module can still get relations
-(``_presentation``).  Presentations are memoized on the action tensor.
+with a fixed seed, then, only if those do not span, the basis vectors,
+each kept when it enlarges the submodule spanned so far); a free module
+can still get relations (``_presentation``).  Presentations are memoized
+on the action tensor.
 ``is_fg_projective`` splits that cover A^k -> M.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
@@ -31,9 +32,10 @@ quotient.  Triple products (M (x) M') (x) N go through the same routine
 (``triple_projection``), applied to the columns to be projected: that
 projection is never built.
 
-Maps moved by an action come back to hom coordinates through one solve
-(``HomSpace.action``), and a module-map law f X_a = Y_a f is checked for
-every a at once by ``linalg.intertwines``.
+Maps moved by an action come back to hom coordinates with no solve
+(``HomSpace.action``): the hom basis is reduced, so a map's coordinates
+are its entries at the basis' leads, checked by one product.  A module-map
+law f X_a = Y_a f is checked for every a at once by ``linalg.intertwines``.
 """
 
 from __future__ import annotations
@@ -144,27 +146,36 @@ class HomSpace:
         self.target = target
         self.basis = basis  # (k, dim N, dim M)
         self.k = basis.shape[0]
+        # a reduced basis: each map is 1 at its last nonzero entry, its lead,
+        # and the only basis map nonzero there
+        flat = basis.reshape(self.k, target.dim * source.dim)
+        self._leads = np.where(flat != 0, np.arange(flat.shape[1]), -1).max(axis=1, initial=-1)
 
     def matrix(self) -> Mat:
         """Basis as columns of a (dimN*dimM, k) matrix of flattened maps."""
         return self.basis.reshape(self.k, self.target.dim * self.source.dim).T
 
     def coords(self, f: Mat):
-        return linalg.solve_right(self.matrix(), linalg.vec(f), self.source.p)
+        try:
+            return self.coords_batch(f[None])[:, 0]
+        except InternalCheckError:
+            return None
 
     def coords_batch(self, fs: Mat) -> Mat:
-        """Coordinates of a stack (m, dN, dM); columns of the result."""
-        targets = fs.reshape(fs.shape[0], self.target.dim * self.source.dim).T
-        sol = linalg.solve_right(self.matrix(), targets, self.source.p)
-        if sol is None:
+        """Coordinates of a stack (m, dN, dM), as the columns of the result:
+        read at the basis' leads, then checked by one product."""
+        p, size = self.source.p, self.target.dim * self.source.dim
+        flat = linalg.asmat(fs, p).reshape(fs.shape[0], size)
+        c = flat[:, self._leads]
+        if not np.array_equal(linalg.matmul(c, self.basis.reshape(self.k, size), p), flat):
             raise InternalCheckError("map expected to lie in hom space does not")
-        return sol
+        return c.T
 
     def action(self, moved: Mat) -> Mat:
         """The (n, k, m) tensor whose a-th matrix has column t the
         coordinates of ``moved[a, t]``, for an (n, m, dN, dM) stack of maps
-        in this space (for m = k, the moved basis maps of an action), from
-        one solve."""
+        in this space (for m = k, the moved basis maps of an action), read
+        by ``coords_batch``."""
         n, m = moved.shape[:2]
         flat = moved.reshape(n * m, self.target.dim, self.source.dim)
         return self.coords_batch(flat).reshape(self.k, n, m).transpose(1, 0, 2)
@@ -366,10 +377,13 @@ def _presentation(p, left_acts):
     spinning guarantees.  A free module can get relations: when the first
     draw is a zero divisor a second one is kept too, so the regular F_5[C2]
     and M2(F_5) modules get 2 generators, with 2 and 4 relations.  One
-    rref of the blocks [A r_0 | ... | A e_0 | ... | I] finds them all,
-    since a candidate is kept exactly when its block holds a pivot;
-    restricted to the kept blocks it is the presentation's rref, and its
-    last columns invert the presentation on the pivots, which gives sigma.  Within a memo scope equal action tensors share one presentation.
+    rref of the blocks [A r_0 | ... | I] finds them, since a candidate is
+    kept exactly when its block holds a pivot; only when the drawn ones do
+    not span M (a pivot falls in I) is [A r_0 | ... | A e_0 | ... | I]
+    reduced instead.  Restricted to the kept blocks it is the
+    presentation's rref, and its last columns invert the presentation on
+    the pivots, which gives sigma.  Within a memo scope equal action
+    tensors share one presentation.
     """
     return memo.cached("presentation", _spin, p, left_acts)
 
@@ -379,13 +393,16 @@ def _spin(p, left_acts):
     rng = random.Random(_SPIN_SEED)
     drawn = -(-d // da) + 2
     draws = np.array([rng.randrange(p) for _ in range(d * drawn)], dtype=np.int64).reshape(d, drawn)
-    candidates = np.concatenate([draws, linalg.identity(d)], axis=1)
-    n = candidates.shape[1]
-    # column v*da + t is e_t . c_v for the v-th candidate c_v
-    blocks = linalg.matmul(left_acts.reshape(da * d, d), candidates, p)
-    blocks = blocks.reshape(da, d, n).transpose(1, 2, 0).reshape(d, n * da)
-    red, pivots, _ = linalg.rref(np.concatenate([blocks, linalg.identity(d)], axis=1), p)
-    if pivots and pivots[-1] >= n * da:
+    # the basis vectors join the candidates only when the drawn ones do not span M
+    for candidates in (draws, np.concatenate([draws, linalg.identity(d)], axis=1)):
+        n = candidates.shape[1]
+        # column v*da + t is e_t . c_v for the v-th candidate c_v
+        blocks = linalg.matmul(left_acts.reshape(da * d, d), candidates, p)
+        blocks = blocks.reshape(da, d, n).transpose(1, 2, 0).reshape(d, n * da)
+        red, pivots, _ = linalg.rref(np.concatenate([blocks, linalg.identity(d)], axis=1), p)
+        if not pivots or pivots[-1] < n * da:
+            break
+    else:
         raise InternalCheckError("module generators do not span the module")
     picked = list(dict.fromkeys(c // da for c in pivots))
     slot = {g: i for i, g in enumerate(picked)}

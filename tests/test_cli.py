@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (

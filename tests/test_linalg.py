@@ -320,6 +320,50 @@ def test_rref_matches_panel_kernel(system):
     assert np.array_equal(a, before)
 
 
+@st.composite
+def redundant_systems(draw):
+    """Systems that compaction shrinks: a few distinct rows repeated in a
+    tall or wide shape, just at or below ``_RREF_SMALL`` entries or above
+    it, with zero rows, zero columns and, sometimes, entries outside
+    [0, p); also all-zero and zero-size systems."""
+    p = draw(st.sampled_from([5, 20011, P_LARGEST]))
+    kind = draw(st.sampled_from(["tall", "wide", "tall", "wide", "all-zero", "zero-size"]))
+    cut = linalg._RREF_SMALL
+    short = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        long = cut // short - draw(st.integers(0, 2))
+    else:
+        long = draw(st.integers(cut // short + 1, 4 * cut // short))
+    m, n = (long, short) if kind in ("tall", "all-zero") else (short, long)
+    if kind == "zero-size":
+        m, n = draw(st.sampled_from([(0, 0), (0, 2 * cut), (2 * cut, 0)]))
+    a = np.zeros((m, n), dtype=np.int64)
+    if kind in ("tall", "wide"):
+        rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+        distinct = rng.randint(0, p, size=(draw(st.integers(1, min(m, 12))), n)).astype(np.int64)
+        distinct[:, rng.rand(n) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+        a = distinct[rng.randint(0, len(distinct), size=m)]
+        a[rng.rand(m) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0
+        if draw(st.booleans()):
+            a = a - p * rng.randint(-2, 3, size=(m, n))
+    return a, p
+
+
+# the distinct nonzero rows on the nonzero columns are what ``rref`` reduces;
+# the answer, scattered back, is the reduced form of the whole system
+@settings(max_examples=200, deadline=None)
+@given(redundant_systems())
+def test_compacted_rref_matches_the_panel_reference(system):
+    a, p = system
+    before = a.copy()
+    red, pivots, rank = linalg.rref(a, p)
+    ref, ref_pivots, ref_rank = panel_rref(a, p)
+    assert np.array_equal(red, ref)
+    assert pivots == ref_pivots and rank == ref_rank == len(pivots)
+    _fresh_int64(red, a.shape)
+    assert np.array_equal(a, before)
+
+
 def _check_large_rref(a, p):
     """``rref`` of a system above ``_RREF_SMALL`` equals the panel
     reference, in a fresh int64 array, and leaves ``a`` as it was."""

@@ -1,6 +1,7 @@
 """Module/bimodule layer tests against hand-computed and enumerated oracles."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from helpers import (
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import cli, fixtures, linalg, memo, modrep, verify
+from qfcert import cli, fixtures, graded, linalg, memo, modrep, verify
 from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, group_algebra, make_algebra, opposite
 from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
@@ -438,8 +439,8 @@ def hom_pairs(p):
 @pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])
 def test_hom_space_matches_the_reference(p, monkeypatch):
     # the generator-image basis is the incremental route's; the first system
-    # is the source's presentation on its drawn and basis candidates, and
-    # every later one stays within (dim M * dim N)^2 entries
+    # is the source's presentation on its drawn candidates alone, and every
+    # later one stays within (dim M * dim N)^2 entries
     sizes = []
     rref = linalg.rref
 
@@ -456,8 +457,65 @@ def test_hom_space_matches_the_reference(p, monkeypatch):
         assert np.array_equal(basis, reference_hom_basis(source, target))
         dm, dn, da = source.dim, target.dim, source.algebra.dim
         drawn = -(-dm // da) + 2
-        assert calls[0] == (dm, (drawn + dm) * da + dm)
+        assert calls[0] == (dm, drawn * da + dm)
         assert all(r * c <= (dm * dn) ** 2 for r, c in calls[1:])
+
+
+def assert_coords_are_the_solved_ones(h, rng):
+    """``coords``, ``coords_batch`` and ``action`` of maps in ``h``, read at
+    the basis' leads, equal the coordinates one ``solve_right`` finds."""
+    p, dn, dm = h.source.p, h.target.dim, h.source.dim
+    fs = linalg.combine(rng.randint(0, p, size=(h.k, 6)).astype(np.int64), h.basis, p)
+    solved = linalg.solve_right(h.matrix(), fs.reshape(6, dn * dm).T, p)
+    assert solved is not None and np.array_equal(h.coords_batch(fs), solved)
+    for t in range(6):
+        assert np.array_equal(h.coords(fs[t]), solved[:, t])
+    assert np.array_equal(h.action(fs.reshape(2, 3, dn, dm)), solved.reshape(h.k, 2, 3).transpose(1, 0, 2))
+
+
+def assert_maps_outside_are_refused(h):
+    """A map outside the span: ``coords`` gives None and ``coords_batch``
+    raises, alone or in a stack with maps inside."""
+    p, size = h.source.p, h.target.dim * h.source.dim
+    for j in range(size):
+        f = np.zeros(size, dtype=np.int64)
+        f[j] = 1
+        if linalg.solve_right(h.matrix(), f, p) is None:
+            break
+    else:
+        assert h.k == size
+        return
+    f = f.reshape(h.target.dim, h.source.dim)
+    assert h.coords(f) is None
+    for stack in (f[None], np.stack([h.basis[0] if h.k else f, f])):
+        with pytest.raises(InternalCheckError):
+            h.coords_batch(stack)
+
+
+@pytest.mark.parametrize("p", [5, 20011, LARGEST_PRIME])
+def test_hom_coordinates_read_at_the_leads_are_the_solved_ones(p):
+    rng = np.random.RandomState(2)
+    spaces = [hom_space(source, target) for source, target in hom_pairs(p)]
+    # coinduce reorders the hom basis by degree, and the leads move with it
+    made = []
+
+    class Recorded(modrep.HomSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    ring = fixtures.graded_c2_triangular(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graded, "HomSpace", Recorded)
+        graded.coinduce(ring, regular_left(ring.r_e))
+    (reordered,) = made
+    assert not np.array_equal(reordered.basis, hom_space(reordered.source, reordered.target).basis)
+    # zero-dimensional hom spaces, between zero modules and between nonzero ones
+    sizes = [h.source.dim * h.target.dim for h in spaces if h.k == 0]
+    assert 0 in sizes and any(sizes)
+    for h in spaces + [reordered]:
+        assert_coords_are_the_solved_ones(h, rng)
+        assert_maps_outside_are_refused(h)
 
 
 def test_hom_space_exact_at_the_largest_prime():
@@ -529,6 +587,41 @@ def test_presentation_falls_back_on_the_basis_vectors():
     m = direct_sum(*[trivial_module_dualnum(5)] * 6)[0]
     gens = _presentation(5, m.action)[0]
     assert gens.shape == (6, 6) and linalg.rank(gens, 5) == 6
+
+
+def reference_presentation(p, acts):
+    """``(gens, ker, sigma)`` from one rref of the blocks of every candidate,
+    the drawn vectors and then the basis vectors: a candidate is kept when
+    its block holds a pivot, and the rref restricted to the kept blocks
+    gives the relations and, on its last columns, the section."""
+    da, d = acts.shape[0], acts.shape[1]
+    rng = random.Random(modrep._SPIN_SEED)
+    drawn = -(-d // da) + 2
+    draws = np.array([rng.randrange(p) for _ in range(d * drawn)], dtype=np.int64).reshape(d, drawn)
+    candidates = np.concatenate([draws, np.eye(d, dtype=np.int64)], axis=1)
+    n = candidates.shape[1]
+    blocks = presentation_map(acts, candidates, p)
+    red, pivots, _ = linalg.rref(np.concatenate([blocks, np.eye(d, dtype=np.int64)], axis=1), p)
+    picked = sorted({c // da for c in pivots})
+    kept = [g * da + t for g in picked for t in range(da)]
+    local = [kept.index(c) for c in pivots]
+    sigma = np.zeros((len(kept), d), dtype=np.int64)
+    sigma[local] = red[:, n * da :]
+    return candidates[:, picked], linalg.rref_nullspace(red[:, kept], local, p)[0], sigma
+
+
+@pytest.mark.parametrize("p", [5, 20011, LARGEST_PRIME])
+def test_presentation_equals_the_one_rref_of_every_candidate(p, monkeypatch):
+    # six 1-dim copies of a simple of F_p x F_p get five draws, which cannot
+    # span them, so the basis vectors are reduced too, in a second system
+    copies = direct_sum(*[simple_modules_prod(p)[0]] * 6)[0]
+    calls = record_calls(monkeypatch, linalg.rref)
+    with memo.scope():
+        _presentation(p, copies.action)
+    assert [np.shape(a) for a, _ in calls] == [(6, 5 * 2 + 6), (6, (5 + 6) * 2 + 6)]
+    for m in [copies] + presented_modules(p):
+        got, want = _presentation(p, m.action), reference_presentation(p, m.action)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 @pytest.mark.parametrize("p", [5, 20011, 47_453_149, LARGEST_PRIME])

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     dual_numbers,
     group_alg,
-    mat_units_algebra,
-    prod_fields,
     report_verifies,
     simple_modules_prod,
     trivial_module_dualnum,
@@ -32,7 +30,6 @@ from qfcert.modrep import (
     regular_left,
 )
 from qfcert.simdiv import (
-    DividesCert,
     divides,
     dual_sequence,
     is_qf_bimodule,

@@ -1,4 +1,4 @@
-"""A guard on dead imports inside ``qfcert``.
+"""A guard on dead imports inside ``qfcert`` and its tests.
 
 Every name a module imports must be read somewhere in that module: a
 helper that moved away or a constructor that lost its last caller leaves
@@ -9,7 +9,7 @@ annotations`` is exempt, since it changes how the module is compiled.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qfcert"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def unused_imports(tree, module) -> list:
@@ -26,7 +26,7 @@ def unused_imports(tree, module) -> list:
 
 def test_no_module_imports_a_name_it_never_uses():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(ROOT.glob("src/qfcert/*.py")) + sorted(ROOT.glob("tests/*.py")):
         found += unused_imports(ast.parse(path.read_text()), path.stem)
     assert found == []
 
