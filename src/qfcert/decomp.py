@@ -28,7 +28,7 @@ from . import linalg, report
 from .algebra import Algebra, equal_algebras
 from .errors import CharTooSmall, InternalCheckError, UsageError
 from .linalg import Mat
-from .modrep import LeftModule, hom_space
+from .modrep import LeftModule, hom_space, split_pair_reasons, trace_split
 
 # ---------------------------------------------------------------------------
 # endomorphism rings
@@ -231,38 +231,25 @@ class Decomposition:
     def _verify(self):
         """Check the copies split the module, as ``verify`` will.
 
-        With the injections side by side in I and the projections stacked
-        in P: I P = id, P I = id, and a I = I D(a) for every generator a of
-        the algebra, where D(a) is block diagonal with each copy's class
-        action.  So every injection is a module map, and every projection
-        too, since P = I^-1 gives D(a) P = P a.  Raises InternalCheckError.
+        The injections and projections of every copy are a split pair
+        (``split_pair_reasons``, on the algebra's generators), and the
+        projections stacked times the injections side by side are the
+        identity, so the copies are orthogonal.  Raises InternalCheckError.
         """
-        mod = self.module
-        p, d = mod.p, mod.dim
-        gens = mod.algebra.generators()
-        g = gens.shape[0]
-
-        def on_gens(m):
-            return linalg.combine(gens.T, m.action, p)
-
+        mod, p, d = self.module, self.module.p, self.module.dim
+        gens = mod.algebra.generators().T
+        classes = [
+            (np.stack(s.projections), np.stack(s.injections), (linalg.combine(gens, s.module.action, p),))
+            for s in self.summands
+        ]
+        family = ("A", linalg.combine(gens, mod.action, p))
+        reasons = split_pair_reasons(p, d, classes, [family], ("projection", "injection"))
+        if reasons:
+            raise InternalCheckError("decomposition: " + "; ".join(reasons))
         inj = np.concatenate([linalg.zeros(d, 0)] + [i for s in self.summands for i in s.injections], axis=1)
         proj = np.concatenate([linalg.zeros(0, d)] + [q for s in self.summands for q in s.projections], axis=0)
-        if inj.shape != (d, d):
-            raise InternalCheckError("decomposition: copy dimensions do not add up")
-        ident = linalg.identity(d)
-        if not np.array_equal(linalg.matmul(inj, proj, p), ident):
-            raise InternalCheckError("decomposition: sum of inj.proj is not the identity")
-        if not np.array_equal(linalg.matmul(proj, inj, p), ident):
+        if not np.array_equal(linalg.matmul(proj, inj, p), linalg.identity(inj.shape[1])):
             raise InternalCheckError("decomposition: copies are not orthogonal")
-        diag = linalg.zeros(g * d, d).reshape(g, d, d)
-        o = 0
-        for s in self.summands:
-            k, acts = s.module.dim, on_gens(s.module)
-            for _ in range(s.multiplicity):
-                diag[:, o : o + k, o : o + k] = acts
-                o += k
-        if not linalg.intertwines(inj, diag, on_gens(mod), p):
-            raise InternalCheckError("decomposition: an injection is not a module map")
 
     def class_signature(self):
         """Multiset of (dim, multiplicity), sorted."""
@@ -296,35 +283,28 @@ def _submodule(mod: LeftModule, basis_cols: Mat, proj_rows: Mat) -> LeftModule:
     return LeftModule(mod.algebra, act.reshape(proj_rows.shape[0], n, k).transpose(1, 0, 2), _validate=False)
 
 
-def _iso_indecomposable(a: LeftModule, b: LeftModule, rng) -> Mat | None:
-    """Iso between modules with local endomorphism rings, or None (exact)."""
+def _iso_indecomposable(a: LeftModule, b: LeftModule) -> Mat | None:
+    """Iso a -> b between modules with local endomorphism rings, or None (exact).
+
+    One ``trace_split`` on bases of Hom(a, b) and Hom(b, a): no solution
+    means a is no summand of a power of b, so not isomorphic to b.  A
+    solution sum_j g_j h_j = id_a has some g_j h_j invertible, since the
+    non-units of the local ring End(a) form an ideal; then h_j is split
+    injective, and with dim a = dim b an isomorphism.
+    """
     if a.dim != b.dim:
         return None
-    p = a.p
-    hab = hom_space(a, b)
-    if hab.k == 0:
+    f = hom_space(a, b).basis
+    split = trace_split(a.p, f, hom_space(b, a).basis) if len(f) else None
+    if split is None:
         return None
-    hba = hom_space(b, a)
-    if hba.k == 0:
-        return None
-    for _ in range(12):
-        f = hab.element([rng.randrange(p) for _ in range(hab.k)])
-        if linalg.invert(f, p) is not None:
-            return f
-    # complete deterministic fallback: some g_j f_i is invertible iff a ~ b
-    # (non-units in the local ring End(a) form an ideal)
-    for i in range(hab.k):
-        for j in range(hba.k):
-            prod = linalg.matmul(hba.basis[j], hab.basis[i], p)
-            if linalg.invert(prod, p) is not None:
-                f = hab.basis[i]
-                if linalg.invert(f, p) is None:
-                    raise InternalCheckError("split injection between equal dims not invertible")
-                return f
-    return None
+    for h in split[1]:
+        if linalg.invert(h, a.p) is not None:
+            return h
+    raise InternalCheckError("no copy of a split pair between local modules is an isomorphism")
 
 
-def match_classes(dm: Decomposition, dn: Decomposition, rng):
+def match_classes(dm: Decomposition, dn: Decomposition):
     """Pair each class of ``dm`` with its isomorphic class in ``dn``.
 
     Returns a list of (summand of dm, summand of dn, isomorphism from the
@@ -335,7 +315,7 @@ def match_classes(dm: Decomposition, dn: Decomposition, rng):
     matches = []
     for sm in dm.summands:
         for sn in dn.summands:
-            g = _iso_indecomposable(sm.module, sn.module, rng)
+            g = _iso_indecomposable(sm.module, sn.module)
             if g is not None:
                 matches.append((sm, sn, g))
                 break
@@ -376,7 +356,7 @@ def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
     for mod, inj, proj in leaves:
         placed = False
         for rep, members in classes:
-            g = _iso_indecomposable(mod, rep, rng)
+            g = _iso_indecomposable(mod, rep)
             if g is not None:
                 ginv = linalg.invert(g, p)
                 members.append((linalg.matmul(inj, ginv, p), linalg.matmul(g, proj, p)))
@@ -409,7 +389,7 @@ def iso(m: LeftModule, n: LeftModule, seed: int = 0):
         if linalg.invert(f, p) is not None:
             return f
     dm, dn = decompose(m, seed=seed), decompose(n, seed=seed)
-    matches = match_classes(dm, dn, rng)
+    matches = match_classes(dm, dn)
     # M ~ N iff the class matching is a bijection preserving multiplicities
     if matches is None or len(matches) != len(dn.summands):
         return None

@@ -17,7 +17,10 @@ with a fixed seed, then, only if those do not span, the basis vectors,
 each kept when it enlarges the submodule spanned so far); a free module
 can still get relations (``_presentation``).  Presentations are memoized
 on the action tensor.
-``is_fg_projective`` splits that cover A^k -> M.
+``is_fg_projective`` splits that cover A^k -> M.  Every split pair the
+provers build comes from one solve, ``trace_split`` (division,
+projectivity, isomorphism of indecomposables), and passes one check,
+``split_pair_reasons``, which names failures as the verifier does.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
 from ``_presented_projection``: with a presentation of the right factor,
@@ -150,10 +153,6 @@ class HomSpace:
         # and the only basis map nonzero there
         flat = basis.reshape(self.k, target.dim * source.dim)
         self._leads = np.where(flat != 0, np.arange(flat.shape[1]), -1).max(axis=1, initial=-1)
-
-    def matrix(self) -> Mat:
-        """Basis as columns of a (dimN*dimM, k) matrix of flattened maps."""
-        return self.basis.reshape(self.k, self.target.dim * self.source.dim).T
 
     def coords(self, f: Mat):
         try:
@@ -559,6 +558,72 @@ def right_dual(m: Bimodule) -> Bimodule:
     return _dual(h, s_alg, r_alg, linalg.matmul_pairs(s_alg.left_mult, h.basis, p), g_r)
 
 
+def trace_split(p, f: Mat, g: Mat):
+    """A split pair through copies of X, from one solve in the trace ideal.
+
+    For maps f_i: M -> X and g_j: X -> M, stacked (a, dim X, dim M) and
+    (b, dim M, dim X), one solve of sum c_ji g_j f_i = id_M gives
+    h_j = sum_i c_ji f_i with sum_j g_j h_j = id_M.  Returns ``(kept, h)``:
+    the indices j whose composite g_j h_j is nonzero and their h_j stacked,
+    so no copy adds nothing to the sum; or None when there is no solution.
+    When the f_i span Hom(M, X) and the g_j are module maps, None proves
+    that M is no summand of a power of X (Auslander, Reiten and Smalo,
+    Representation Theory of Artin Algebras, 1995, on trace ideals).
+    """
+    a, b, dx, dm = len(f), len(g), f.shape[1], f.shape[2]
+    # column j*a + i is vec(g_j f_i)
+    prods = linalg.matmul_pairs(g, f, p).reshape(b * a, dm * dm).T
+    c = linalg.solve_right(prods, linalg.vec(linalg.identity(dm)), p)
+    if c is None:
+        return None
+    # the solution is nonzero only at pivot columns, which are independent,
+    # so g_j h_j = sum_i c_ji g_j f_i is nonzero exactly when some c_ji is
+    kept = np.flatnonzero(c.reshape(b, a).any(axis=1))
+    h = linalg.matmul(c.reshape(b, a)[kept], f.reshape(a, dx * dm), p)
+    return kept, h.reshape(len(kept), dx, dm)
+
+
+def split_pair_reasons(p, d, classes, families, names) -> list:
+    """Why copies fail to split a d-dimensional M, or [] when they do: the
+    verifier's reasons, with its copy numbering, for sum_c back_c . into_c
+    = id_M and both maps of every copy intertwining every action family.
+
+    ``classes`` lists (intos, backs, targets): an (m, dim X, d) stack of
+    maps into m copies of one X, the (m, d, dim X) stack of maps back, and
+    the stacks of X, one per family; ``families`` lists (label, stack on
+    M) and ``names`` the (into, back) names the reasons quote.  One
+    ``linalg.intertwines`` per class, family and direction; the reasons
+    are written only on a failure.
+    """
+    answers, shares = [], []
+    for intos, backs, targets in classes:
+        # per family, one answer per copy for the into maps, then for the back maps
+        for (_, acts), t in zip(families, targets):
+            answers += linalg.intertwines(intos, acts, t, p), linalg.intertwines(backs, t, acts, p)
+        # the class's share of the sum: its back maps side by side times its into maps stacked
+        m, dx = intos.shape[0], intos.shape[1]
+        shares.append(linalg.matmul(backs.transpose(1, 0, 2).reshape(d, m * dx), intos.reshape(m * dx, d), p))
+    total = shares[0] if len(shares) == 1 else sum(shares, linalg.zeros(d, d)) % p
+    summed = (total == linalg.identity(d)).all()
+    # builtin all: a few copies are read faster one by one than by a numpy reduction
+    if summed and all(map(all, answers)):
+        return []
+    into_name, back_name = names
+    reasons, n, found = [], 0, iter(answers)
+    for intos, _, _ in classes:
+        checks = [(label, next(found), next(found)) for label, _ in families]
+        for c in range(len(intos)):
+            for label, into_ok, back_ok in checks:
+                if not into_ok[c]:
+                    reasons.append(f"{into_name} block {n} is not {label}-equivariant")
+                if not back_ok[c]:
+                    reasons.append(f"{back_name} block {n} is not {label}-equivariant")
+            n += 1
+    if not summed:
+        reasons.append(f"sum of {back_name} . {into_name} is not the identity")
+    return reasons
+
+
 class SplitWitness:
     """Certificate that M is a direct summand of a finite free module A^k.
 
@@ -566,7 +631,7 @@ class SplitWitness:
     (dim M, dim A) matrix, sending a |-> a . g_b for the b-th generator);
     ``sigma_blocks[b]`` is the b-th block of an A-linear section.  The
     defining identities, the full pi . sigma = id and both module-map laws,
-    are re-checked on construction.
+    are re-checked on construction by ``split_pair_reasons``.
     """
 
     def __init__(self, module: LeftModule, pi_blocks: Mat, sigma_blocks: Mat):
@@ -574,52 +639,33 @@ class SplitWitness:
         self.pi_blocks = pi_blocks
         self.sigma_blocks = sigma_blocks
         self.free_rank = pi_blocks.shape[0]
-        p, d, n = module.p, module.dim, self.free_rank * module.algebra.dim
-        acts, left_mult = module.action, module.algebra.left_mult
-        total = linalg.matmul(pi_blocks.transpose(1, 0, 2).reshape(d, n), sigma_blocks.reshape(n, d), p)
-        if not np.array_equal(total, linalg.identity(d)):
-            raise InternalCheckError("split witness: pi . sigma is not the identity")
-        # sigma_b a = a sigma_b and pi_b a = a pi_b for every block b and basis element a
-        if not linalg.intertwines(sigma_blocks, acts, left_mult, p).all():
-            raise InternalCheckError("split witness: sigma is not a module map")
-        if not linalg.intertwines(pi_blocks, left_mult, acts, p).all():
-            raise InternalCheckError("split witness: pi is not a module map")
+        reasons = split_pair_reasons(
+            module.p, module.dim, [(sigma_blocks, pi_blocks, (module.algebra.left_mult,))],
+            [("A", module.action)], ("sigma", "pi"),
+        )
+        if reasons:
+            raise InternalCheckError("split witness: " + "; ".join(reasons))
 
 
 def is_fg_projective(m: LeftModule):
     """Split witness exhibiting M as a summand of A^k, or None.
 
-    The cover is P: A^k -> M on the k spun generators g_1..g_k of
-    ``_presentation``, a |-> a . g_b on the b-th summand.  By the dual
-    basis lemma M is projective exactly when P splits, so a None answer is
-    a proof of non-projectivity.  P splits exactly when some module map
-    rho: A^k -> K onto its kernel fixes K.  Such a rho is fixed by the
-    images ker z_i of the k unit vectors, so one exact solve in
-    k * dim K unknowns finds one or proves there is none; then
-    (1 - rho) sigma, for the presentation's linear section sigma, is a
-    section that is a module map.  A cover without relations is an
-    isomorphism, inverted by sigma: no system at all.
+    The cover is P: A^k -> M on the k spun generators g_b of
+    ``_presentation``, pi_b: a |-> a . g_b.  By the dual basis lemma M is
+    projective exactly when P splits, so None proves non-projectivity.  A
+    section is a tuple sigma_b in Hom(M, A) with sum_b pi_b sigma_b = id_M,
+    so one ``trace_split`` on a basis of Hom(M, A), the hom space the dual
+    is built on, finds one or proves there is none, with at most one block
+    per generator.  A cover without relations is an isomorphism, inverted
+    by the presentation's section: no system at all.
     """
     alg, p, d, n = m.algebra, m.p, m.dim, m.algebra.dim
     gens, ker, sigma = _presentation(p, m.action)
-    k, c = gens.shape[1], ker.shape[1]
+    k = gens.shape[1]
     # pi_blocks[b][:, t] = e_t . g_b
     pi_blocks = linalg.matmul(m.action.reshape(n * d, d), gens, p).reshape(n, d, k).transpose(2, 1, 0)
-    if c:
-        relations = ker.reshape(k, n, c)
-        # w[t, b, s, l]: coordinate s in slot b of e_t . kappa_l, for the relations kappa_l
-        w = linalg.matmul_pairs(alg.left_mult, relations, p)
-        # rho(e_t e_i) = e_t . ker z_i and rho(kappa_j) = kappa_j:
-        # row (b, s, j), column (i, l) is sum_t w[t, b, s, l] kappa_j[(i, t)]
-        system = linalg.matmul(
-            w.transpose(1, 2, 3, 0).reshape(k * n * c, n), relations.transpose(1, 0, 2).reshape(n, k * c), p
-        )
-        system = system.reshape(k, n, c, k, c).transpose(0, 1, 4, 3, 2).reshape(k * n * c, k * c)
-        z = linalg.solve_right(system, linalg.vec(ker), p)
-        if z is None:
-            return None
-        # rho[(b, s), (i, t)] = sum_l w[t, b, s, l] z[(i, l)]
-        rho = linalg.matmul(w.reshape(n * k * n, c), z.reshape(k, c).T, p)
-        rho = rho.reshape(n, k * n, k).transpose(1, 2, 0).reshape(k * n, k * n)
-        sigma = (sigma - linalg.matmul(rho, sigma, p)) % p
-    return SplitWitness(m, pi_blocks, sigma.reshape(k, n, d))
+    if not ker.shape[1]:
+        return SplitWitness(m, pi_blocks, sigma.reshape(k, n, d))
+    # Hom(M, A) on the key ``hom_space`` gives it, so the dual built next reads it
+    split = trace_split(p, memo.cached("hom_space", _hom_basis, p, m.action, alg.left_mult), pi_blocks)
+    return None if split is None else SplitWitness(m, pi_blocks[split[0]], split[1])

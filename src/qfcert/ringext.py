@@ -17,8 +17,6 @@ decision the CLI runs.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import linalg, memo, report
 from .algebra import Algebra, AlgebraHom, equal_algebras
 from .errors import InternalCheckError, UsageError
@@ -31,6 +29,7 @@ from .modrep import (
     left_dual,
     regular_left,
     restrict_bimodule,
+    split_pair_reasons,
     tensor_over,
 )
 from .simdiv import divides, is_qf_bimodule
@@ -122,8 +121,9 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule) -> report.Outcome:
 
     Requires the extension to be quasi-Frobenius (vacuous otherwise).
     The returned certificate contains both matrices, the S-actions on
-    both sides, and m; the composite alphabar . alpha is checked to be
-    the identity exactly, and both maps are checked to be S-linear.
+    both sides, and m; ``split_pair_reasons`` checks that the composite
+    alphabar . alpha is the identity exactly and that both maps are
+    S-linear, blockwise.
     """
     if not equal_algebras(x_mod.algebra, ext.source):
         raise UsageError("test module must be a left module over the extension source")
@@ -174,14 +174,12 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule) -> report.Outcome:
     alpha = linalg.kron_apply(p, to_hom, linalg.kron_apply(p, cert.phi, lx.sect, dx, False), m, True)
     from_hom = linalg.matmul(dx_t.sect, theta_inv, p).T
     alphabar = linalg.kron_apply(p, from_hom, linalg.kron_apply(p, cert.psi.T, lx.proj.T, dx, False), m, True).T
-    composite = linalg.matmul(alphabar, alpha, p)
-    identity_ok = np.array_equal(composite, linalg.identity(dl))
-    # S-linearity of both maps, blockwise
-    linear_ok = bool(
-        linalg.intertwines(alpha.reshape(m, gk, dl), lx.left_acts, g_acts, p).all()
-        and linalg.intertwines(alphabar.reshape(dl, m, gk).transpose(1, 0, 2), g_acts, lx.left_acts, p).all()
-    )
-    verdict = report.YES if (identity_ok and linear_ok) else report.INCONSISTENT
+    # a split pair of S-modules: alphabar . alpha = id and both maps S-linear, blockwise
+    copies = (alpha.reshape(m, gk, dl), alphabar.reshape(dl, m, gk).transpose(1, 0, 2), (g_acts,))
+    reasons = split_pair_reasons(p, dl, [copies], [("S", lx.left_acts)], ("alpha", "alphabar"))
+    identity_ok = not reasons or "identity" not in reasons[-1]
+    linear_ok = len(reasons) == (0 if identity_ok else 1)
+    verdict = report.YES if not reasons else report.INCONSISTENT
     payload = {
         "kind": "pair-witness",
         "p": p,
@@ -203,5 +201,5 @@ def qf_pair_witness(ext: Extension, x_mod: LeftModule) -> report.Outcome:
         )
     )
     if verdict == report.INCONSISTENT:
-        out.notes.append("witness failed exact verification; this contradicts the certificate")
+        out.notes.append("witness failed exact verification; this contradicts the certificate: " + "; ".join(reasons))
     return out

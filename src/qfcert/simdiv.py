@@ -10,10 +10,14 @@ the trace ideal span{g . f : f in Hom(M, N), g in Hom(N, M)} (Auslander,
 Reiten and Smalo, Representation Theory of Artin Algebras, 1995), so with
 bases f_i and g_j of the two hom spaces (``modrep.bimodule_homs``) a
 solution of sum c_ji g_j f_i = id_M is a split pair: h_j = sum_i c_ji f_i,
-phi stacks the nonzero h_j and psi sets the matching g_j side by side.  So
-n is at most dim Hom(N, M), not the smallest feasible power, which would
-need multiplicities and so a decomposition.  No decision here reads the
-enveloping algebra or a decomposition.
+phi stacks the h_j whose composite g_j h_j is nonzero and psi sets the
+matching g_j side by side.  That solve is ``modrep.trace_split``, the one
+projectivity and the isomorphism of indecomposables take too, and the
+certificate is re-checked by ``modrep.split_pair_reasons``, the one check
+of every split pair the provers build.  So n is at most dim Hom(N, M), not
+the smallest feasible power, which would need multiplicities and so a
+decomposition.  No decision here reads the enveloping algebra or a
+decomposition.
 
 The quasi-Frobenius predicate for an (R, S)-bimodule M: both one-sided
 restrictions are finitely generated projective and the left dual
@@ -28,8 +32,6 @@ one ``Outcome.decide``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import linalg, memo, report
 from .algebra import equal_algebras
 from .errors import InternalCheckError, NotProjectiveAtStage, UsageError
@@ -42,7 +44,9 @@ from .modrep import (
     left_dual,
     restrict_bimodule,
     right_dual,
+    split_pair_reasons,
     tensor_over,
+    trace_split,
 )
 
 
@@ -68,7 +72,8 @@ def split_witness_payload(w: SplitWitness) -> dict:
 
 
 class DividesCert:
-    """Certificate for M | N^n; all identities re-checked on construction."""
+    """Certificate for M | N^n; all identities re-checked on construction
+    by ``modrep.split_pair_reasons``."""
 
     def __init__(self, source: Bimodule, target: Bimodule, n: int, phi: Mat, psi: Mat):
         self.source = source
@@ -76,8 +81,12 @@ class DividesCert:
         self.n = n
         self.phi = phi
         self.psi = psi
-        ok, reasons = verify_cert(self, source, target)
-        if not ok:
+        dm, dn = source.dim, target.dim
+        targets = target.left_acts, target.right_acts
+        copies = phi.reshape(n, dn, dm), psi.reshape(dm, n, dn).transpose(1, 0, 2), targets
+        families = [("left", source.left_acts), ("right", source.right_acts)]
+        reasons = split_pair_reasons(source.p, dm, [copies], families, ("phi", "psi"))
+        if reasons:
             raise InternalCheckError("constructed divides certificate is invalid: " + "; ".join(reasons))
 
     def payload(self) -> dict:
@@ -93,41 +102,6 @@ class DividesCert:
         }
 
 
-def verify_cert(cert: DividesCert, source: Bimodule, target: Bimodule):
-    """Re-check a divides certificate against the given bimodules.
-
-    Independent of how the certificate was produced: verifies shapes,
-    psi . phi = id, and blockwise intertwining with both action families.
-    """
-    p = source.p
-    dm, dn, n = source.dim, target.dim, cert.n
-    reasons = []
-    if cert.phi.shape != (n * dn, dm):
-        reasons.append(f"phi has shape {cert.phi.shape}, expected {(n * dn, dm)}")
-    if cert.psi.shape != (dm, n * dn):
-        reasons.append(f"psi has shape {cert.psi.shape}, expected {(dm, n * dn)}")
-    if reasons:
-        return False, reasons
-    if not np.array_equal(linalg.matmul(cert.psi, cert.phi, p), linalg.identity(dm)):
-        reasons.append("psi . phi is not the identity")
-    # one answer per block c, for each map and side
-    phis = cert.phi.reshape(n, dn, dm)
-    psis = cert.psi.reshape(dm, n, dn).transpose(1, 0, 2)
-    ok = {}
-    for label, acts_m, acts_n in (
-        ("left", source.left_acts, target.left_acts),
-        ("right", source.right_acts, target.right_acts),
-    ):
-        ok["phi", label] = linalg.intertwines(phis, acts_m, acts_n, p)
-        ok["psi", label] = linalg.intertwines(psis, acts_n, acts_m, p)
-    for c in range(n):
-        for label in ("left", "right"):
-            for name in ("phi", "psi"):
-                if not ok[name, label][c]:
-                    reasons.append(f"{name} block {c} does not intertwine the {label} actions")
-    return (not reasons), reasons
-
-
 def _require_same_sides(m: Bimodule, n: Bimodule):
     if not (equal_algebras(m.left_alg, n.left_alg) and equal_algebras(m.right_alg, n.right_alg)):
         raise UsageError("bimodules do not share their algebra pair")
@@ -135,20 +109,16 @@ def _require_same_sides(m: Bimodule, n: Bimodule):
 
 def _divides(m: Bimodule, n: Bimodule, f: Mat, g: Mat):
     """DividesCert for M | N^n from bases ``f`` of Hom(M, N) and ``g`` of
-    Hom(N, M), or None: one solve for id_M among the g_j f_i."""
-    p, dm, dn = m.p, m.dim, n.dim
+    Hom(N, M), or None: one ``trace_split``."""
+    dm, dn = m.dim, n.dim
     if dm == 0:  # the zero module divides N^1
         return DividesCert(m, n, 1, linalg.zeros(dn, 0), linalg.zeros(0, dn))
-    # column j*len(f) + i is vec(g_j f_i)
-    prods = linalg.matmul_pairs(g, f, p).reshape(len(g) * len(f), dm * dm).T
-    c = linalg.solve_right(prods, linalg.vec(linalg.identity(dm)), p)
-    if c is None:
+    split = trace_split(m.p, f, g)
+    if split is None:
         return None
-    h = linalg.matmul(c.reshape(len(g), len(f)), f.reshape(len(f), dn * dm), p)
-    kept = np.flatnonzero(h.any(axis=1))
-    phi = h[kept].reshape(len(kept) * dn, dm)
+    kept, h = split
     psi = g[kept].transpose(1, 0, 2).reshape(dm, len(kept) * dn)
-    return DividesCert(m, n, len(kept), phi, psi)
+    return DividesCert(m, n, len(kept), h.reshape(len(kept) * dn, dm), psi)
 
 
 def divides(m: Bimodule, n: Bimodule):
@@ -227,13 +197,16 @@ def is_qf_bimodule(m: Bimodule) -> report.Outcome:
     return out
 
 
+@memo.scoped
 def dual_sequence(m: Bimodule, depth: int):
     """Iterated duals: positions -depth..depth, 0 = M itself.
 
     Positive positions iterate the left dual, negative ones the right
     dual.  Before each dualization the side being dualized must be
     finitely generated projective; otherwise NotProjectiveAtStage(k)
-    fires with the 1-based stage count and direction.
+    fires with the 1-based stage count and direction.  Each check solves
+    on the hom space the dualization then reads, and the whole sequence
+    runs in one memo scope, so the dualization finds it there.
     """
     if depth < 0:
         raise UsageError("depth must be >= 0")

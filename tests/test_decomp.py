@@ -294,7 +294,7 @@ def test_decomposition_rejects_copies_that_are_not_module_maps():
     trivial = trivial_module_dualnum(p)
     eye = linalg.identity(2)
     summand = Summand(trivial, [eye[:, :1], eye[:, 1:]], [eye[:1], eye[1:]])
-    with pytest.raises(InternalCheckError, match="injection is not a module map"):
+    with pytest.raises(InternalCheckError, match="injection block 0 is not A-equivariant"):
         Decomposition(d, [summand])
     # the same copies of D itself pass
     Decomposition(d, [Summand(d, [eye], [eye])])

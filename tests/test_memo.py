@@ -10,8 +10,9 @@ from qfcert import cli, memo, modrep, report, schema
 from qfcert.coring import sweedler
 from qfcert.errors import UsageError
 from qfcert.fixtures import unit_extension
-from qfcert.modrep import LeftModule, hom_space, regular_left
+from qfcert.modrep import LeftModule, hom_space, regular_bimodule, regular_left
 from qfcert.ringext import qf_pair_witness
+from qfcert.simdiv import dual_sequence
 
 from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
 
@@ -49,10 +50,24 @@ def test_check_coring_memo_counts(scopes):
     # no decision decomposes or builds an envelope, so hom spaces and
     # presentations are all the memo holds
     assert scopes[0].counts() == {
-        # each of the 8 projectivity tests reads a presentation, not a hom space
-        "hom_space": (5, 13),
+        # each of the 8 projectivity tests reads a presentation; the 6 whose
+        # cover has relations solve on Hom(C, A), which the dual rings solve
+        # for too, so they add hits and no misses
+        "hom_space": (11, 13),
         "presentation": (13, 10),
     }
+
+
+def test_dual_sequence_reuses_each_dual_hom_space(scopes):
+    # the regular M2(F_5) bimodule: both restrictions are presented with
+    # relations, so each projectivity check solves on Hom(M, A), the hom
+    # space the dual it guards is built on, and one scope holds both
+    m = regular_bimodule(mat_units_algebra(P, 2))
+    assert all(modrep._presentation(P, acts)[1].shape[1] for acts in (m.left_acts, m.right_acts))
+    assert [k for k, _ in dual_sequence(m, 1)] == [-1, 0, 1]
+    # the scope dual_sequence opens: two checks, each a miss for the hom
+    # space its dual then hits
+    assert len(scopes) == 1 and scopes[0].counts()["hom_space"] == (2, 2)
 
 
 def test_sweedler_builds_no_envelope():

@@ -1,7 +1,6 @@
 """Divisibility/similarity tests, cross-checked against the span oracle."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from helpers import (
 from oracles import divides_enumeration_oracle, divides_oracle, similar_oracle
 from qfcert import decomp, memo, report, verify
 from qfcert.algebra import field_algebra, make_algebra
-from qfcert.errors import NotProjectiveAtStage
+from qfcert.errors import InternalCheckError, NotProjectiveAtStage
 from qfcert.modrep import (
     Bimodule,
     as_bimodule,
@@ -30,12 +29,12 @@ from qfcert.modrep import (
     regular_left,
 )
 from qfcert.simdiv import (
+    DividesCert,
     divides,
     dual_sequence,
     is_qf_bimodule,
     qf_tensor_check,
     similar,
-    verify_cert,
 )
 
 
@@ -49,8 +48,7 @@ def test_divides_self_trivial():
     m = regular_bimodule(group_alg(p, 2))
     c = divides(m, m)
     assert c is not None and c.n == 1
-    ok, reasons = verify_cert(c, m, m)
-    assert ok, reasons
+    assert verify.verify_payload(c.payload()) == (True, [])
 
 
 def test_divides_simple_in_sum_but_not_conversely():
@@ -130,7 +128,7 @@ def test_divides_on_semisimple_sums_agrees_with_the_oracle_and_krull_schmidt(p, 
     matches = None
     if p > max(sum(a * a for a in mults_m), sum(b * b for b in mults_n)):
         dm, dn = decomp.decompose(envelope_module(m)), decomp.decompose(envelope_module(n))
-        matches = decomp.match_classes(dm, dn, random.Random(0))
+        matches = decomp.match_classes(dm, dn)
         assert (matches is not None) == (cert is not None)
     if cert is None:
         return
@@ -185,13 +183,12 @@ def test_span_oracle_agrees_with_literal_enumeration():
         assert divides_oracle(a, b) == divides_enumeration_oracle(a, b)
 
 
-def test_verify_cert_rejects_tampering():
+def test_divides_cert_rejects_tampering():
     p = 5
     m = regular_bimodule(group_alg(p, 2))
     c = divides(m, m)
-    c.phi = (c.phi + 1) % p
-    ok, reasons = verify_cert(c, m, m)
-    assert not ok and reasons
+    with pytest.raises(InternalCheckError, match="constructed divides certificate is invalid"):
+        DividesCert(m, m, c.n, (c.phi + 1) % p, c.psi)
 
 
 def test_qf_bimodule_regular_always_yes():
@@ -270,7 +267,7 @@ def test_qf_tensor_check_vacuous():
     assert out.verdict == report.VACUOUS
 
 
-def test_verify_cert_names_each_failing_block():
+def test_divides_cert_names_each_failing_block():
     p = 7
     s1, s2 = simple_modules_prod(p)
     m = sum_module(s1, s2, s2)
@@ -278,11 +275,17 @@ def test_verify_cert_names_each_failing_block():
     c = divides(m, n)
     assert c.n == 3
     # all-ones blocks are not module maps; the trivial right actions still commute
-    c.phi[n.dim : 2 * n.dim] = 1
-    c.psi[:, : n.dim] = 1
-    ok, reasons = verify_cert(c, m, n)
-    assert not ok
+    phi, psi = c.phi.copy(), c.psi.copy()
+    phi[n.dim : 2 * n.dim] = 1
+    psi[:, : n.dim] = 1
+    with pytest.raises(InternalCheckError) as info:
+        DividesCert(m, n, c.n, phi, psi)
+    reasons = str(info.value).split(": ", 1)[1].split("; ")
     assert [r for r in reasons if "block" in r] == [
-        "psi block 0 does not intertwine the left actions",
-        "phi block 1 does not intertwine the left actions",
+        "psi block 0 is not left-equivariant",
+        "phi block 1 is not left-equivariant",
     ]
+    # the verifier names the same blocks
+    bad = dict(c.payload(), phi=phi.tolist(), psi=psi.tolist())
+    named = [r for r in verify.verify_payload(bad)[1] if "block" in r]
+    assert named == [f"certificate: {r}" for r in reasons if "block" in r]
