@@ -83,10 +83,16 @@ class Algebra:
         return self.field.p
 
     def multiply(self, x, y) -> Mat:
-        # two exact products: sum_i x_i mul[i] first, then y against it
+        """x y, or the row-wise products of two (k, n) stacks."""
+        # two exact products: sum_i x_i mul[i] for every row first, then
+        # each row of y against its own matrix, as a block-diagonal factor
         n, p = self.dim, self.p
-        xm = linalg.matmul(linalg.asmat(x, p).reshape(1, n), self.mul.reshape(n, n * n), p)
-        return linalg.matmul(linalg.asmat(y, p).reshape(1, n), xm.reshape(n, n), p).reshape(-1)
+        x, y = linalg.asmat(x, p), linalg.asmat(y, p)
+        k = x.size // n
+        xm = linalg.matmul(x.reshape(k, n), self.mul.reshape(n, n * n), p)
+        if k > 1:
+            y = np.eye(k, dtype=np.int64)[:, :, None] * y.reshape(k, 1, n)
+        return linalg.matmul(y.reshape(k, k * n), xm.reshape(k * n, n), p).reshape(x.shape)
 
     def left_mult_matrix(self, x) -> Mat:
         return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.left_mult, self.p)[0]
@@ -95,8 +101,9 @@ class Algebra:
         return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.right_mult, self.p)[0]
 
     def power(self, x, k: int) -> Mat:
-        out = self.unit.copy()
-        base = linalg.asmat(x, self.p).reshape(-1)
+        """x^k, or the row-wise powers of a (r, n) stack."""
+        base = linalg.asmat(x, self.p)
+        out = np.broadcast_to(self.unit, base.shape).copy()
         while k:
             if k & 1:
                 out = self.multiply(out, base)

@@ -31,7 +31,6 @@ from . import verify as verify_mod
 from .coring import is_qf_coring, sweedler
 from .decomp import decompose, decomposition_payload
 from .errors import (
-    CharTooSmall,
     InternalCheckError,
     NotProjectiveAtStage,
     SchemaError,
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"input error at {exc.pointer or '<document>'}: {exc.message}", file=sys.stderr)
         return 2
-    except (UsageError, ValidationError, CharTooSmall, NotProjectiveAtStage) as exc:
+    except (UsageError, ValidationError, NotProjectiveAtStage) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

@@ -1,21 +1,23 @@
 """Indecomposable decompositions of modules over F_p-algebras.
 
 Strategy: compute End(M) by structure constants, split off idempotents,
-recurse.  The radical of the endomorphism ring comes from the trace form
-(valid for p > dim End, hence the CharTooSmall guard).  Idempotents of the
-semisimple quotient B come from linear algebra and powering alone:
+recurse.  Every step is exact at every odd p, from commutators and the
+Frobenius map y -> y^p alone:
 
-* commutative B: the Frobenius fixed space {x : x^p = x} is F_p^s, one
-  coordinate per field factor, so s = 1 answers "no idempotent" with
-  certainty (never randomized).  Otherwise, for a seeded random a in it,
-  b = a^((p-1)/2) is 0 or +-1 on each factor, and (b^2 + b)/2 is the
-  idempotent that is 1 where a is a nonzero square; at most 64 draws;
-* noncommutative B: an idempotent always exists.  Candidates x (basis
-  vectors, their sums and products, then seeded random elements) are
-  tried until the commutative subalgebra F_p[x] splits, by the rule above.
-
-Idempotents lift through the nilpotent radical by Newton iteration
-(e <- 3e^2 - 2e^3) and every lift is re-verified exactly.
+* ``radical``: the commutators of E generate a two-sided ideal I.  If I is
+  not nilpotent, some commutator lies outside rad E, so E/rad E is not
+  commutative and E is certainly not local.  Otherwise E/I is
+  commutative, y -> y^p is F_p-linear on it, and rad E is I plus the
+  preimage of the kernel of y -> y^(p^k), p^k >= dim E/I;
+* in a commutative algebra the Frobenius fixed space {x : x^p = x} is
+  spanned by the primitive idempotents, one per local factor.  E is local
+  exactly when rad E exists and E/rad E has fixed space F_p, so that "no
+  idempotent" answer is certain (never randomized);
+* otherwise candidates x (basis vectors, their sums and products, then
+  seeded random elements) are tried until the commutative subalgebra
+  F_p[x] is not local.  For a seeded random a in its fixed space,
+  b = a^((p-1)/2) is 0 or +-1 on each local factor, and (b^2 + b)/2 is an
+  idempotent of E, computed exactly with no lift.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import linalg, report
 from .algebra import Algebra, equal_algebras
-from .errors import CharTooSmall, InternalCheckError, UsageError
+from .errors import InternalCheckError, UsageError
 from .linalg import Mat
 from .modrep import LeftModule, hom_space, split_pair_reasons, trace_split
 
@@ -60,31 +62,51 @@ def end_ring(m: LeftModule) -> EndomorphismRing:
     return EndomorphismRing(m, h.basis, mul, unit)
 
 
-def radical(e_alg: Algebra) -> Mat:
-    """Basis (as columns) of the Jacobson radical, via the trace form.
+def _products(e_alg: Algebra, mults: Mat, cols: Mat) -> Mat:
+    """Basis (as columns) of the span of every ``mults[a] @ cols[:, c]``."""
+    n, p = e_alg.dim, e_alg.p
+    prods = linalg.matmul(mults.reshape(-1, n), cols, p).reshape(len(mults), n, -1)
+    return linalg.column_space_basis(prods.transpose(1, 0, 2).reshape(n, -1), p)
 
-    Requires p > dim E; the kernel of the trace form always contains the
-    radical, and is equal to it exactly when nilpotent, which is verified
-    by explicit powering (so a returned answer is unconditionally right).
+
+def _frobenius(alg: Algebra) -> Mat:
+    """Matrix of y -> y^p: column i holds the coordinates of e_i^p."""
+    return alg.power(linalg.identity(alg.dim), alg.p).T
+
+
+def _fixed_space(alg: Algebra) -> Mat:
+    """Basis (as columns) of {x : x^p = x}; in a commutative algebra its
+    dimension is the number of local factors."""
+    return linalg.nullspace((_frobenius(alg) - linalg.identity(alg.dim)) % alg.p, alg.p)
+
+
+def radical(e_alg: Algebra) -> Mat | None:
+    """Basis (as columns) of the Jacobson radical J, or None when the
+    commutator ideal I is not nilpotent, by the rule of the module
+    docstring.
+
+    None means E/J is noncommutative, so E is certainly not local.  J is
+    exact at every p: I lies in J, and J/I is the nilradical of the
+    commutative E/I, which is the kernel of y -> y^(p^k) there.
     """
-    p = e_alg.p
-    n = e_alg.dim
-    if p <= n:
-        raise CharTooSmall(p, n)
-    tracevec = np.trace(e_alg.left_mult, axis1=1, axis2=2) % p
-    tform = linalg.matmul(e_alg.mul.reshape(n * n, n), tracevec.reshape(n, 1), p).reshape(n, n)
-    ker = linalg.nullspace(tform, p)
-    power = ker
-    for _ in range(n + 1):
-        if power.shape[1] == 0:
-            break
-        # column (a, c) is power_a ker_c
-        left_by = linalg.matmul(power.T, e_alg.left_mult.reshape(n, n * n), p)
-        prods = linalg.matmul(left_by.reshape(-1, n), ker, p).reshape(power.shape[1], n, -1)
-        power = linalg.column_space_basis(prods.transpose(1, 0, 2).reshape(n, -1), p)
-    if power.shape[1] != 0:
-        raise InternalCheckError("trace-form kernel failed the nilpotency check")
-    return ker
+    p, n = e_alg.p, e_alg.dim
+    comm = (e_alg.mul - e_alg.mul.transpose(1, 0, 2)).reshape(n * n, n).T % p
+    ideal = linalg.column_space_basis(comm, p)
+    ideal = _products(e_alg, e_alg.right_mult, _products(e_alg, e_alg.left_mult, ideal))
+    power = ideal
+    while power.shape[1]:
+        # the products of I^k with I span I^(k+1), inside I^k
+        shrunk = _products(e_alg, linalg.combine(power, e_alg.left_mult, p), ideal)
+        if shrunk.shape[1] == power.shape[1]:
+            return None
+        power = shrunk
+    proj, sect = linalg.row_space_quotient(ideal.T, n, p)
+    q = proj.shape[0]
+    frob = _frobenius(_quotient_algebra(e_alg, proj, sect))
+    step, reach = frob, p
+    while reach < q:
+        frob, reach = linalg.matmul(frob, step, p), reach * p
+    return np.concatenate([ideal, linalg.matmul(sect, linalg.nullspace(frob, p), p)], axis=1)
 
 
 def _quotient_algebra(e_alg: Algebra, proj: Mat, sect: Mat) -> Algebra:
@@ -117,26 +139,25 @@ def _generated_subalgebra(alg: Algebra, x: Mat) -> tuple[Algebra, Mat]:
     return Algebra(alg.field, mul, linalg.identity(k)[0], _validate=False), basis
 
 
-def _split_commutative(bar: Algebra, rng) -> Mat | None:
-    """A nontrivial idempotent of a commutative semisimple algebra, or None
-    when it is a field, by the fixed-space rule of the module docstring.
+def _split_commutative(alg: Algebra, rng) -> Mat | None:
+    """A nontrivial idempotent of a commutative algebra, or None when it is
+    local, by the fixed-space rule of the module docstring.
 
-    A draw fails when a is a nonzero square on every factor or on none,
-    with probability at most 5/9 (two factors, p = 3).
+    Exact with no lift: a in the fixed space is a sum of F_p multiples of
+    the primitive idempotents.  A draw fails when a is a nonzero square on
+    every local factor or on none, with probability at most 5/9 (two
+    factors, p = 3).
     """
-    p, q = bar.p, bar.dim
-    frob = linalg.zeros(q, q)
-    for i in range(q):
-        frob[:, i] = bar.power(np.eye(q, dtype=np.int64)[i], p)
-    fix = linalg.nullspace((frob - linalg.identity(q)) % p, p)
+    p = alg.p
+    fix = _fixed_space(alg)
     if fix.shape[1] == 1:
         return None
     half = (p + 1) // 2
     for _ in range(64):
         c = np.array([[rng.randrange(p)] for _ in range(fix.shape[1])], dtype=np.int64)
-        b = bar.power(linalg.matmul(fix, c, p).reshape(-1), (p - 1) // 2)
-        e = (bar.multiply(b, b) + b) % p * half % p
-        if e.any() and not np.array_equal(e, bar.unit):
+        b = alg.power(linalg.matmul(fix, c, p).reshape(-1), (p - 1) // 2)
+        e = (alg.multiply(b, b) + b) % p * half % p
+        if e.any() and not np.array_equal(e, alg.unit):
             return e
     raise InternalCheckError("64 draws from the Frobenius fixed space gave no idempotent")
 
@@ -144,65 +165,41 @@ def _split_commutative(bar: Algebra, rng) -> Mat | None:
 def find_idempotent(e_alg: Algebra, seed: int = 0):
     """A nontrivial idempotent of E (coordinates), or None meaning E is local.
 
-    None answers are certain: they arise only when E/rad(E) is F_p or a
-    finite field (Frobenius fixed space of dimension 1).  Randomness is
-    used only to find idempotents that provably exist: a random element a
-    of the fixed space gives the idempotent (b^2 + b)/2 with
-    b = a^((p-1)/2), at most 64 draws; a noncommutative quotient is split
-    through the commutative subalgebra F_p[x] of a candidate x.
+    None answers are certain: they arise only when ``radical`` gives J and
+    E/J has Frobenius fixed space F_p, so that E/J is a field.  Otherwise
+    candidates x (basis vectors, their sums and products, then seeded
+    random elements) are swept, and the first idempotent that
+    ``_split_commutative`` reads off F_p[x] inside E is returned.
     """
     rng = random.Random(seed)
     p = e_alg.p
     n = e_alg.dim
+    if n == 1:
+        return None  # E is F_p
     rad = radical(e_alg)
-    proj, sect = linalg.row_space_quotient(rad.T, n, p)
-    q = proj.shape[0]
-    if q == 1:
-        return None
-    bar = _quotient_algebra(e_alg, proj, sect)
-    if np.array_equal(bar.mul, bar.mul.transpose(1, 0, 2)):
-        ebar = _split_commutative(bar, rng)
-        if ebar is None:
-            return None  # a single field factor: E is local, certainly
-    else:
-        # an idempotent certainly exists, and F_p[e] = F_p x F_p holds one;
-        # sweep deterministic candidates x, then seeded random ones, for an
-        # x whose commutative F_p[x] splits
-        def candidates():
-            eye = np.eye(q, dtype=np.int64)
-            for i in range(q):
-                yield eye[i]
-            for i in range(q):
-                for j in range(i + 1, q):
-                    yield (eye[i] + eye[j]) % p
-            for i in range(q):
-                for j in range(q):
-                    yield bar.multiply(eye[i], eye[j])
-            for _ in range(500):
-                yield np.array([rng.randrange(p) for _ in range(q)], dtype=np.int64)
+    if rad is not None:
+        proj, sect = linalg.row_space_quotient(rad.T, n, p)
+        if proj.shape[0] == 1 or _fixed_space(_quotient_algebra(e_alg, proj, sect)).shape[1] == 1:
+            return None  # E/J is a field: E is local, certainly
 
-        for x in candidates():
-            sub, basis = _generated_subalgebra(bar, x)
-            esub = find_idempotent(sub, rng.randrange(2**30))
-            if esub is not None:
-                ebar = linalg.matmul(basis, esub.reshape(-1, 1), p).reshape(-1)
-                break
-        else:
-            raise InternalCheckError("noncommutative semisimple quotient: idempotent search exhausted")
-    # sanity in the quotient, then lift through the radical
-    if not np.array_equal(bar.multiply(ebar, ebar), ebar):
-        raise InternalCheckError("candidate is not idempotent in the quotient")
-    e = linalg.matmul(sect, ebar.reshape(-1, 1), p).reshape(-1)
-    steps = max(1, int(np.ceil(np.log2(max(2, n)))) + 1)
-    for _ in range(steps):
-        e2 = e_alg.multiply(e, e)
-        e3 = e_alg.multiply(e2, e)
-        e = (3 * e2 - 2 * e3) % p
-    if not np.array_equal(e_alg.multiply(e, e), e):
-        raise InternalCheckError("idempotent lift failed to converge")
-    if not e.any() or np.array_equal(e, e_alg.unit):
-        raise InternalCheckError("idempotent lift degenerated to 0 or 1")
-    return e
+    def candidates():
+        eye = np.eye(n, dtype=np.int64)
+        yield from eye
+        for i in range(n):
+            for j in range(i + 1, n):
+                yield (eye[i] + eye[j]) % p
+        for i in range(n):
+            for j in range(n):
+                yield e_alg.multiply(eye[i], eye[j])
+        for _ in range(500):
+            yield np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+
+    for x in candidates():
+        sub, basis = _generated_subalgebra(e_alg, x)
+        e = _split_commutative(sub, rng)
+        if e is not None:
+            return linalg.matmul(basis, e.reshape(-1, 1), p).reshape(-1)
+    raise InternalCheckError("idempotent search exhausted its candidates")
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +280,9 @@ def _submodule(mod: LeftModule, basis_cols: Mat, proj_rows: Mat) -> LeftModule:
     return LeftModule(mod.algebra, act.reshape(proj_rows.shape[0], n, k).transpose(1, 0, 2), _validate=False)
 
 
-def _iso_indecomposable(a: LeftModule, b: LeftModule) -> Mat | None:
-    """Iso a -> b between modules with local endomorphism rings, or None (exact).
+def _iso_indecomposable(a: LeftModule, b: LeftModule) -> tuple[Mat, Mat] | None:
+    """Iso a -> b and its inverse, between modules with local endomorphism
+    rings, or None (exact).
 
     One ``trace_split`` on bases of Hom(a, b) and Hom(b, a): no solution
     means a is no summand of a power of b, so not isomorphic to b.  A
@@ -299,8 +297,9 @@ def _iso_indecomposable(a: LeftModule, b: LeftModule) -> Mat | None:
     if split is None:
         return None
     for h in split[1]:
-        if linalg.invert(h, a.p) is not None:
-            return h
+        hinv = linalg.invert(h, a.p)
+        if hinv is not None:
+            return h, hinv
     raise InternalCheckError("no copy of a split pair between local modules is an isomorphism")
 
 
@@ -315,9 +314,9 @@ def match_classes(dm: Decomposition, dn: Decomposition):
     matches = []
     for sm in dm.summands:
         for sn in dn.summands:
-            g = _iso_indecomposable(sm.module, sn.module)
-            if g is not None:
-                matches.append((sm, sn, g))
+            pair = _iso_indecomposable(sm.module, sn.module)
+            if pair is not None:
+                matches.append((sm, sn, pair[0]))
                 break
         else:
             return None
@@ -356,9 +355,9 @@ def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
     for mod, inj, proj in leaves:
         placed = False
         for rep, members in classes:
-            g = _iso_indecomposable(mod, rep)
-            if g is not None:
-                ginv = linalg.invert(g, p)
+            pair = _iso_indecomposable(mod, rep)
+            if pair is not None:
+                g, ginv = pair
                 members.append((linalg.matmul(inj, ginv, p), linalg.matmul(g, proj, p)))
                 placed = True
                 break
@@ -372,7 +371,12 @@ def decompose(m: LeftModule, seed: int = 0) -> Decomposition:
 
 
 def iso(m: LeftModule, n: LeftModule, seed: int = 0):
-    """An isomorphism matrix M -> N, or None (decision is exact)."""
+    """An isomorphism matrix M -> N, or None (decision is exact).
+
+    Decomposes both modules and pairs their classes with ``match_classes``:
+    M and N are isomorphic exactly when that pairing is a bijection that
+    keeps multiplicities (Krull-Schmidt).
+    """
     if not equal_algebras(m.algebra, n.algebra):
         raise UsageError("iso between modules over different algebras")
     if m.dim != n.dim:
@@ -380,14 +384,6 @@ def iso(m: LeftModule, n: LeftModule, seed: int = 0):
     if m.dim == 0:
         return linalg.zeros(0, 0)
     p = m.p
-    h = hom_space(m, n)
-    if h.k == 0:
-        return None
-    rng = random.Random(seed)
-    for _ in range(20):
-        f = h.element([rng.randrange(p) for _ in range(h.k)])
-        if linalg.invert(f, p) is not None:
-            return f
     dm, dn = decompose(m, seed=seed), decompose(n, seed=seed)
     matches = match_classes(dm, dn)
     # M ~ N iff the class matching is a bijection preserving multiplicities

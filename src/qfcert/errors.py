@@ -2,8 +2,10 @@
 
 Three families matter for the CLI exit-code contract:
 
-* ``SchemaError`` / ``ValidationError`` / ``UsageError`` -- the input (or the
-  way the library was called) is bad: exit code 2.
+* ``SchemaError`` / ``ValidationError`` / ``UsageError`` /
+  ``NotProjectiveAtStage`` -- the input (or the way the library was
+  called) is bad, or a dual sequence stops at a stage that is not
+  projective: exit code 2.
 * ``InternalCheckError`` -- two routes that must agree disagreed, or a
   construction that is guaranteed to succeed failed: exit code 3.
 * everything that is a mathematical *verdict* is returned as data, never
@@ -96,18 +98,6 @@ class NotGraded(ValidationError):
 class NotFgpOverBase(ValidationError):
     def __init__(self, msg="carrier is not finitely generated projective over the base"):
         super().__init__(msg)
-
-
-class CharTooSmall(QfcertError):
-    """p <= dim End(M): the trace-form radical computation is unsound."""
-
-    def __init__(self, p, dim):
-        super().__init__(
-            f"need p > dim of the endomorphism ring for radical computation, "
-            f"got p={p}, dim={dim}"
-        )
-        self.p = p
-        self.dim = dim
 
 
 class NotProjectiveAtStage(QfcertError):

@@ -150,6 +150,35 @@ def python_nullspace(a, p):
     return basis
 
 
+def reference_trace_radical(alg):
+    """Kernel of the trace form (x, y) -> tr L_(xy), as basis columns on
+    Python integers: the Jacobson radical when p > dim alg (Dickson)."""
+    p, n, mul = alg.p, alg.dim, alg.mul.tolist()
+    tr = [sum(mul[k][i][i] for i in range(n)) % p for k in range(n)]
+    return python_nullspace([[sum(mul[i][j][k] * tr[k] for k in range(n)) % p for j in range(n)] for i in range(n)], p)
+
+
+def commutator_ideal_is_nilpotent(alg):
+    """Whether the two-sided ideal I that the commutators of ``alg``
+    generate is nilpotent: I^(dim + 1) = 0, with spans on Python integers."""
+    p, n, mul = alg.p, alg.dim, alg.mul.tolist()
+
+    def times(x, y):
+        return [sum(x[a] * y[b] * mul[a][b][c] for a in range(n) for b in range(n) if x[a] and y[b]) % p for c in range(n)]
+
+    def span(vectors):
+        rows, pivots = python_rref(vectors or [[0] * n], p)
+        return rows[: len(pivots)]
+
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    comm = span([[(x - y) % p for x, y in zip(times(a, b), times(b, a))] for a in eye for b in eye])
+    ideal = span([times(times(a, c), b) for a in eye for b in eye for c in comm])
+    power = ideal
+    for _ in range(n):
+        power = span([times(x, y) for x in power for y in ideal])
+    return not power
+
+
 def stacked_hom_system(source, target):
     """Rows of f a_i = a_i f over every basis element a_i of the algebra,
     on the row-major flattening of f: the system ``hom_space`` trims."""

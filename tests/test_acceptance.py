@@ -289,8 +289,8 @@ def test_criterion_08_decomposition_stability_over_seeds():
         regular_left(mat_units_algebra(p, 2)),
         regular_left(dual_numbers(7)),
         regular_left(group_algebra(p, cyclic_table(2))),
-        # endomorphism algebras of the mixed sums are 9- and 5-dimensional,
-        # so the splitting search needs p strictly above those dimensions
+        # mixed sums, whose endomorphism algebras are 9- and 5-dimensional
+        # and not local
         dsum(column_module(11), regular_left(mat_units_algebra(11, 2))),
         dsum(socle_module_dualnum(7), regular_left(dual_numbers(7))),
     ]

@@ -109,6 +109,11 @@ def test_matrix_algebra_against_matrix_mult_oracle():
         prod = a.multiply(x, y)
         xm, ym = x.reshape(2, 2), y.reshape(2, 2)
         assert np.array_equal(prod.reshape(2, 2), (xm @ ym) % p)
+    # stacks multiply and power row by row
+    xs, ys = rng.randint(0, p, size=(7, 4)), rng.randint(0, p, size=(7, 4))
+    assert np.array_equal(a.multiply(xs, ys).reshape(7, 2, 2), np.matmul(xs.reshape(7, 2, 2), ys.reshape(7, 2, 2)) % p)
+    cubes = [np.linalg.matrix_power(x.reshape(2, 2), 3).reshape(-1) % p for x in xs]
+    assert np.array_equal(a.power(xs, 3), np.stack(cubes))
 
 
 def test_opposite_of_matrix_algebra_is_transpose_iso():

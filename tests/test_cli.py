@@ -20,7 +20,6 @@ from helpers import (
 from qfcert import cli, report, schema, verify
 from qfcert.algebra import make_algebra
 from qfcert.errors import (
-    CharTooSmall,
     InternalCheckError,
     NotProjectiveAtStage,
     SchemaError,
@@ -97,6 +96,14 @@ def test_decompose_report_verifies(tmp_path):
     assert cli.main(["verify", rep_path]) == 0
     rep = json.loads(open(rep_path).read())
     assert rep["checks"][0]["certificate"]["kind"] == "decomposition"
+
+
+def test_decompose_at_a_prime_up_to_the_endomorphism_dimension_exits_0(tmp_path):
+    # End of the regular F_3[C3] module is 3-dimensional, at p = 3
+    doc = write_doc(tmp_path, "m.json", schema.module_document(regular_left(group_alg(3, 3))))
+    rep_path = str(tmp_path / "rep.json")
+    assert cli.main(["decompose", doc, "--report", rep_path]) == 0
+    assert cli.main(["verify", rep_path]) == 0
 
 
 def test_verify_rejects_tampered_report(tmp_path):
@@ -234,7 +241,7 @@ FUZZ_ALGEBRAS = {
     "M2": lambda p: mat_units_algebra(p, 2),
 }
 # the exception classes the CLI turns into exit code 2
-EXIT_2 = (SchemaError, UsageError, ValidationError, CharTooSmall, NotProjectiveAtStage)
+EXIT_2 = (SchemaError, UsageError, ValidationError, NotProjectiveAtStage)
 
 
 @st.composite

@@ -112,3 +112,18 @@ def test_the_public_guard_sees_every_form():
     reader = "from a import imported\nUsed().method()\n"
     found = dead_names({"a": ast.parse(a)}, public_definitions, [ast.parse(reader)])
     assert [name for _, _, name in found] == ["dead_method", "dead", "recursive"]
+
+
+def test_every_benchmark_span_resolves():
+    # a traced benchmark run wraps each span by name, and stops on one
+    # that a change to qfcert renamed or deleted
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, path in tracer.SPANS.values():
+        importlib.import_module(f"qfcert.{module_name}")
+        owner, attr = tracer._resolve(module_name, path)
+        assert callable(getattr(owner, attr)), (module_name, path)

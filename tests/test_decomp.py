@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     LARGEST_PRIME,
     column_module,
+    commutator_ideal_is_nilpotent,
     conjugated,
     dense_basis_change,
     dual_numbers,
@@ -16,6 +17,7 @@ from helpers import (
     mat_units_algebra,
     prod_fields,
     rebased,
+    reference_trace_radical,
     simple_modules_prod,
     trivial_module_dualnum,
     upper_triangular2,
@@ -33,7 +35,7 @@ from qfcert.decomp import (
     iso,
     radical,
 )
-from qfcert.errors import CharTooSmall, InternalCheckError
+from qfcert.errors import InternalCheckError
 from qfcert.modrep import LeftModule, direct_sum, regular_left
 
 
@@ -89,14 +91,58 @@ def test_radical_hand_oracle_dual_numbers():
 
 def test_radical_semisimple_is_zero():
     p = 5
-    for a in (mat_units_algebra(p, 2), prod_fields(p), group_alg(p, 2), quadratic_field(5)):
+    for a in (prod_fields(p), group_alg(p, 2), quadratic_field(5)):
         assert radical(a).shape[1] == 0
+    # the commutators of M2 generate all of M2, which is not nilpotent
+    assert radical(mat_units_algebra(p, 2)) is None
 
 
-def test_radical_char_guard():
-    a = mat_units_algebra(3, 2)  # dim 4 >= p = 3
-    with pytest.raises(CharTooSmall):
-        radical(a)
+def truncated_polynomials(p, k):
+    """F_p[x]/(x^k) in the basis 1, x, ..., x^(k-1)."""
+    mul = np.zeros((k, k, k), dtype=np.int64)
+    for i in range(k):
+        mul[i, range(k - i), range(i, k)] = 1
+    return make_algebra(p, mul, np.eye(k, dtype=np.int64)[0])
+
+
+def test_radical_answers_at_primes_up_to_the_dimension():
+    # F_3[C3] = F_3[x]/(x - 1)^3 has radical (g - 1, g^2 - 1); T2 has e12
+    assert radical(group_alg(3, 3)).T.tolist() == [[2, 1, 0], [2, 0, 1]]
+    assert radical(upper_triangular2(3)).T.tolist() == [[0, 0, 1]]
+    assert radical(mat_units_algebra(3, 2)) is None
+    # x^3 is not 0 in F_3[x]/(x^4), so J needs the kernel of y -> y^9, not of y -> y^3
+    assert radical(truncated_polynomials(3, 4)).T.tolist() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+RADICAL_BLOCKS = {  # name -> (constructor, radical dimension at p); M2 has none
+    "F": (field_algebra, lambda p: 0),
+    "F2": (quadratic_field, lambda p: 0),
+    "D": (dual_numbers, lambda p: 1),
+    "T2": (upper_triangular2, lambda p: 1),
+    "C3": (lambda p: group_alg(p, 3), lambda p: 2 if p == 3 else 0),
+    "X4": (lambda p: truncated_polynomials(p, 4), lambda p: 3),
+    "M2": (lambda p: mat_units_algebra(p, 2), None),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.lists(st.sampled_from(sorted(RADICAL_BLOCKS)), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_radical_of_products_agrees_with_the_blocks_and_the_trace_form(p, names, seed):
+    plain = direct_product(*(RADICAL_BLOCKS[name][0](p) for name in names))
+    t, t_inv = dense_basis_change(plain.dim, p, np.random.RandomState(seed))
+    a = make_algebra(p, *rebased(plain, t, t_inv))
+    rad = radical(a)
+    if "M2" in names:
+        assert rad is None
+        assert not commutator_ideal_is_nilpotent(a)
+        return
+    assert rad.shape[1] == sum(RADICAL_BLOCKS[name][1](p) for name in names)
+    if p > a.dim:  # E/J is commutative here, so the trace form gives J
+        assert linalg.rref(rad.T, p)[0].tolist() == linalg.rref(np.array(reference_trace_radical(a)).T, p)[0].tolist()
 
 
 def test_find_idempotent_field_certain_none():
@@ -197,7 +243,6 @@ BLOCKS = {
 )
 def test_products_of_simple_algebras_split_by_their_blocks(p, names, seed):
     plain = direct_product(*(BLOCKS[name][0](p) for name in names))
-    assume(plain.dim < p)  # End(A) = A^op has dimension dim A, below p
     t, t_inv = dense_basis_change(plain.dim, p, np.random.RandomState(seed))
     a = make_algebra(p, *rebased(plain, t, t_inv))
     e = find_idempotent(a, seed=seed)
@@ -218,6 +263,24 @@ def test_find_idempotent_group_algebra_c2():
     # oracle: (1 +- g)/2 are the only nontrivial idempotents
     inv2 = pow(2, p - 2, p)
     assert e.tolist() in ([inv2, inv2], [inv2, (p - 1) * inv2 % p])
+
+
+@pytest.mark.parametrize(
+    "make, signature",
+    [
+        (lambda: regular_left(group_alg(3, 3)), [(3, 1)]),
+        (lambda: direct_sum(*[regular_left(mat_units_algebra(5, 2))] * 2)[0], [(2, 4)]),
+        (lambda: direct_sum(*[regular_left(group_alg(5, 3))] * 2)[0], [(1, 2), (2, 2)]),
+        (lambda: direct_sum(*[regular_left(group_alg(7, 3))] * 2)[0], [(1, 2), (1, 2), (1, 2)]),
+    ],
+    ids=["f3-c3", "f5-m2-squared", "f5-c3-squared", "f7-c3-squared"],
+)
+def test_decompose_at_a_prime_up_to_the_endomorphism_dimension(make, signature):
+    # dim End is 3, 16, 12 and 12 against p = 3, 5, 5 and 7
+    d = decompose(make())
+    assert d.class_signature() == signature
+    ok, reasons = verify.verify_payload(decomposition_payload(d))
+    assert ok, reasons
 
 
 def test_decompose_regular_m2():
