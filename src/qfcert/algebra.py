@@ -313,7 +313,7 @@ class AlgebraHom:
     of the i-th source basis vector.
     """
 
-    def __init__(self, source: Algebra, target: Algebra, matrix, _validate=True):
+    def __init__(self, source: Algebra, target: Algebra, matrix):
         if source.field != target.field:
             raise UsageError("hom endpoints live over different fields")
         self.source = source
@@ -323,8 +323,7 @@ class AlgebraHom:
             raise UsageError(
                 f"hom matrix must be {(target.dim, source.dim)}, got {self.matrix.shape}"
             )
-        if _validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         p = self.source.p
@@ -344,23 +343,8 @@ class AlgebraHom:
             i, j = np.argwhere(lhs != rhs)[0][:2]
             raise NotMultiplicative(int(i), int(j))
 
-    def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
-        """self after inner."""
-        if inner.target is not self.source and not equal_algebras(inner.target, self.source):
-            raise UsageError("homs are not composable")
-        return AlgebraHom(
-            inner.source,
-            self.target,
-            linalg.matmul(self.matrix, inner.matrix, self.source.p),
-            _validate=False,
-        )
-
     def __repr__(self):
         return f"AlgebraHom({self.source!r} -> {self.target!r})"
-
-
-def identity_hom(a: Algebra) -> AlgebraHom:
-    return AlgebraHom(a, a, linalg.identity(a.dim), _validate=False)
 
 
 def field_algebra(p: int) -> Algebra:

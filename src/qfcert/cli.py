@@ -17,8 +17,10 @@ Subcommands, one per decision procedure::
 draw nothing) and is recorded in the report, ``--report PATH`` writes the
 canonical JSON report, and ``--battery`` (no subcommand) runs the bundled
 fixture corpus.  Exit codes: 0 = yes/valid/vacuous, 1 = no,
-2 = input or schema error, 3 = internal inconsistency.  Identical input
-bytes and seed give byte-identical reports.
+2 = input or schema error, or an input too large for memory (one stderr
+line names the command and quotes the allocation that failed),
+3 = internal inconsistency.  Identical input bytes and seed give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -298,6 +300,11 @@ def main(argv=None) -> int:
         return 2
     except (UsageError, ValidationError, NotProjectiveAtStage) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # running out of memory answers nothing, so it must not exit 1 ("no")
+        name = "--battery" if args.battery else args.command
+        print(f"input error: {name} ran out of memory: {str(exc) or 'no size given'}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)

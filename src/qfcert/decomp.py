@@ -11,8 +11,10 @@ Frobenius map y -> y^p alone:
   preimage of the kernel of y -> y^(p^k), p^k >= dim E/I;
 * in a commutative algebra the Frobenius fixed space {x : x^p = x} is
   spanned by the primitive idempotents, one per local factor.  E is local
-  exactly when rad E exists and E/rad E has fixed space F_p, so that "no
-  idempotent" answer is certain (never randomized);
+  exactly when I is nilpotent and E/I has fixed space F_p (E/I and
+  E/rad E have the same local factors, rad E/I being the nilradical), so
+  that "no idempotent" answer is certain (never randomized) and reads the
+  Frobenius matrix that ``radical`` builds on E/I;
 * otherwise candidates x (basis vectors, their sums and products, then
   seeded random elements) are tried until the commutative subalgebra
   F_p[x] is not local.  For a seeded random a in its fixed space,
@@ -74,20 +76,19 @@ def _frobenius(alg: Algebra) -> Mat:
     return alg.power(linalg.identity(alg.dim), alg.p).T
 
 
-def _fixed_space(alg: Algebra) -> Mat:
-    """Basis (as columns) of {x : x^p = x}; in a commutative algebra its
-    dimension is the number of local factors."""
-    return linalg.nullspace((_frobenius(alg) - linalg.identity(alg.dim)) % alg.p, alg.p)
+def _fixed_space(frob: Mat, p: int) -> Mat:
+    """Basis (as columns) of {x : x^p = x} from the Frobenius matrix; in a
+    commutative algebra its dimension is the number of local factors."""
+    return linalg.nullspace((frob - linalg.identity(len(frob))) % p, p)
 
 
-def radical(e_alg: Algebra) -> Mat | None:
-    """Basis (as columns) of the Jacobson radical J, or None when the
-    commutator ideal I is not nilpotent, by the rule of the module
-    docstring.
+def _commutative_quotient(e_alg: Algebra) -> tuple[Mat, Mat, Mat] | None:
+    """(I, section of E/I, Frobenius matrix of E/I) for the commutator
+    ideal I, with I's basis and the section as columns, or None when I is
+    not nilpotent.
 
-    None means E/J is noncommutative, so E is certainly not local.  J is
-    exact at every p: I lies in J, and J/I is the nilradical of the
-    commutative E/I, which is the kernel of y -> y^(p^k) there.
+    ``radical`` and the locality test of ``find_idempotent`` both read
+    this one quotient and its one Frobenius matrix.
     """
     p, n = e_alg.p, e_alg.dim
     comm = (e_alg.mul - e_alg.mul.transpose(1, 0, 2)).reshape(n * n, n).T % p
@@ -101,10 +102,25 @@ def radical(e_alg: Algebra) -> Mat | None:
             return None
         power = shrunk
     proj, sect = linalg.row_space_quotient(ideal.T, n, p)
-    q = proj.shape[0]
-    frob = _frobenius(_quotient_algebra(e_alg, proj, sect))
+    return ideal, sect, _frobenius(_quotient_algebra(e_alg, proj, sect))
+
+
+def radical(e_alg: Algebra) -> Mat | None:
+    """Basis (as columns) of the Jacobson radical J, or None when the
+    commutator ideal I is not nilpotent, by the rule of the module
+    docstring.
+
+    None means E/J is noncommutative, so E is certainly not local.  J is
+    exact at every p: I lies in J, and J/I is the nilradical of the
+    commutative E/I, which is the kernel of y -> y^(p^k) there.
+    """
+    quotient = _commutative_quotient(e_alg)
+    if quotient is None:
+        return None
+    ideal, sect, frob = quotient
+    p = e_alg.p
     step, reach = frob, p
-    while reach < q:
+    while reach < sect.shape[1]:
         frob, reach = linalg.matmul(frob, step, p), reach * p
     return np.concatenate([ideal, linalg.matmul(sect, linalg.nullspace(frob, p), p)], axis=1)
 
@@ -149,7 +165,7 @@ def _split_commutative(alg: Algebra, rng) -> Mat | None:
     factors, p = 3).
     """
     p = alg.p
-    fix = _fixed_space(alg)
+    fix = _fixed_space(_frobenius(alg), p)
     if fix.shape[1] == 1:
         return None
     half = (p + 1) // 2
@@ -165,8 +181,10 @@ def _split_commutative(alg: Algebra, rng) -> Mat | None:
 def find_idempotent(e_alg: Algebra, seed: int = 0):
     """A nontrivial idempotent of E (coordinates), or None meaning E is local.
 
-    None answers are certain: they arise only when ``radical`` gives J and
-    E/J has Frobenius fixed space F_p, so that E/J is a field.  Otherwise
+    None answers are certain: they arise only when the commutator ideal I
+    is nilpotent and the commutative E/I has Frobenius fixed space F_p.
+    J/I is the nilradical of E/I, and idempotents lift along it, so E/J
+    then has one local factor too and is a field.  Otherwise
     candidates x (basis vectors, their sums and products, then seeded
     random elements) are swept, and the first idempotent that
     ``_split_commutative`` reads off F_p[x] inside E is returned.
@@ -176,11 +194,9 @@ def find_idempotent(e_alg: Algebra, seed: int = 0):
     n = e_alg.dim
     if n == 1:
         return None  # E is F_p
-    rad = radical(e_alg)
-    if rad is not None:
-        proj, sect = linalg.row_space_quotient(rad.T, n, p)
-        if proj.shape[0] == 1 or _fixed_space(_quotient_algebra(e_alg, proj, sect)).shape[1] == 1:
-            return None  # E/J is a field: E is local, certainly
+    quotient = _commutative_quotient(e_alg)
+    if quotient is not None and _fixed_space(quotient[2], p).shape[1] == 1:
+        return None  # E/J is a field: E is local, certainly
 
     def candidates():
         eye = np.eye(n, dtype=np.int64)

@@ -5,8 +5,7 @@ subcommand that decides it, the expected verdict, and a note naming the
 oracle or hand argument that froze the expectation.  ``battery`` runs
 every fixture through the shared decision core, compares verdicts, and
 independently re-verifies every certificate in the produced report;
-100% pass is the release gate.  ``write_corpus`` materializes the
-documents as canonical JSON files under a versioned directory.
+100% pass is the release gate.
 
 The corpus spans base fields F_5, F_7, F_11 and the algebra zoo
 {field, C_2 and C_3 group algebras, dual numbers, M_2, F_p x F_p, upper
@@ -18,7 +17,6 @@ dimension at most 64.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .errors import UsageError, ValidationError
 from .graded import grade_by_partition
 from .modrep import Bimodule, LeftModule, regular_bimodule, regular_left
 from .ringext import Extension
-
-CORPUS_VERSION = "v1"
 
 
 # ------------------------------------------------------- small algebras
@@ -397,28 +393,3 @@ def battery(seed: int = 0):
             }
         )
     return results
-
-
-def write_corpus(dest):
-    """Materialize the corpus as canonical JSON files under dest/v1/."""
-    root = os.path.join(dest, CORPUS_VERSION)
-    os.makedirs(root, exist_ok=True)
-    manifest = {}
-    for f in corpus():
-        files = []
-        for i, doc in enumerate(f.docs):
-            fname = f"{f.name}.json" if i == 0 else f"{f.name}.{i + 1}.json"
-            with open(os.path.join(root, fname), "w", encoding="utf-8") as fh:
-                fh.write(report.canonical_json(doc))
-            files.append(fname)
-        manifest[f.name] = {
-            "command": f.command,
-            "files": files,
-            "expected": f.expected,
-            "oracle": f.oracle,
-        }
-        if f.depth != 1:
-            manifest[f.name]["depth"] = f.depth
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.canonical_json(manifest))
-    return root

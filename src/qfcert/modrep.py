@@ -110,37 +110,6 @@ def regular_left(algebra: Algebra) -> LeftModule:
     return LeftModule(algebra, algebra.left_mult, _validate=False)
 
 
-def equal_modules(m: LeftModule, n: LeftModule) -> bool:
-    return equal_algebras(m.algebra, n.algebra) and np.array_equal(m.action, n.action)
-
-
-def direct_sum(*modules: LeftModule):
-    """Direct sum plus the block injection/projection matrices."""
-    if not modules:
-        raise UsageError("direct_sum needs at least one summand")
-    alg = modules[0].algebra
-    p = alg.p
-    for m in modules[1:]:
-        if not equal_algebras(m.algebra, alg):
-            raise UsageError("direct_sum over mixed algebras")
-    total = sum(m.dim for m in modules)
-    action = linalg.zeros(alg.dim * total * total, 1).reshape(alg.dim, total, total)
-    offs = []
-    o = 0
-    for m in modules:
-        action[:, o : o + m.dim, o : o + m.dim] = m.action
-        offs.append(o)
-        o += m.dim
-    out = LeftModule(alg, action, _validate=False)
-    injs, projs = [], []
-    for m, o in zip(modules, offs):
-        inj = linalg.zeros(total, m.dim)
-        inj[o : o + m.dim] = linalg.identity(m.dim)
-        injs.append(inj)
-        projs.append(inj.T.copy())
-    return out, injs, projs
-
-
 class HomSpace:
     """A basis of the space of module maps M -> N (matrices act on columns)."""
 
@@ -322,18 +291,6 @@ def as_bimodule(m: LeftModule) -> Bimodule:
     k = field_algebra(m.p)
     ra = linalg.identity(m.dim).reshape(1, m.dim, m.dim)
     return Bimodule(m.algebra, k, m.action, ra)
-
-
-def power_bimodule(m: Bimodule, k: int) -> Bimodule:
-    """Direct sum of k copies of m."""
-    d = m.dim * k
-    la = linalg.zeros(m.left_alg.dim * d * d, 1).reshape(m.left_alg.dim, d, d)
-    ra = linalg.zeros(m.right_alg.dim * d * d, 1).reshape(m.right_alg.dim, d, d)
-    for c in range(k):
-        sl = slice(c * m.dim, (c + 1) * m.dim)
-        la[:, sl, sl] = m.left_acts
-        ra[:, sl, sl] = m.right_acts
-    return Bimodule(m.left_alg, m.right_alg, la, ra, _validate=False)
 
 
 class BalancedTensor(Bimodule):

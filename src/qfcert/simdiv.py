@@ -45,7 +45,6 @@ from .modrep import (
     restrict_bimodule,
     right_dual,
     split_pair_reasons,
-    tensor_over,
     trace_split,
 )
 
@@ -219,29 +218,3 @@ def dual_sequence(m: Bimodule, depth: int):
             cur = dual(cur)
             stages[sign * k] = cur
     return [(k, stages[k]) for k in sorted(stages)]
-
-
-@memo.scoped
-def qf_tensor_check(m: Bimodule, n: Bimodule) -> report.Outcome:
-    """QF (x) QF should be QF; reports agreement (expected: yes)."""
-    if not equal_algebras(m.right_alg, n.left_alg):
-        raise UsageError("tensor factors do not share the middle algebra")
-    out_m = is_qf_bimodule(m)
-    out_n = is_qf_bimodule(n)
-    out = report.Outcome(report.YES)
-    out.add(report.Check("left factor", "first-factor-qf", out_m.verdict))
-    out.add(report.Check("right factor", "second-factor-qf", out_n.verdict))
-    if out_m.verdict != report.YES or out_n.verdict != report.YES:
-        out.verdict = report.VACUOUS
-        out.notes.append("precondition failed: both factors must be quasi-Frobenius")
-        return out
-    t = tensor_over(m.right_alg, m, n)
-    out_t = is_qf_bimodule(t)
-    for c in out_t.checks:
-        out.add(c)
-    if out_t.verdict == report.YES:
-        out.verdict = report.YES
-    else:
-        out.verdict = report.INCONSISTENT
-        out.notes.append("tensor product of quasi-Frobenius bimodules failed the criterion")
-    return out

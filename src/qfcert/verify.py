@@ -6,10 +6,12 @@ a prover cannot hide itself in its own verifier.  That includes the F_p
 kernel: products here are int64 with the inner dimension cut into chunks
 (no float BLAS).
 
-Every leaf certificate is a split pair, checked by ``_split_pair``: maps
-into copies of some module and back whose composites sum to the identity,
+The three leaf kinds, ``split-witness``, ``divides`` and
+``decomposition``, are split pairs, checked by ``_split_pair``: maps into
+copies of some module and back whose composites sum to the identity,
 every block a module map.  ``similarity``, ``projective-and-similar`` and
-``outcome`` only contain other certificates.
+``outcome`` only contain other certificates.  Any other kind is reported
+as unknown.
 
 Entry points: ``verify_payload`` for one certificate dict,
 ``verify_report`` for a full report (every certificate attached to a
@@ -158,23 +160,6 @@ def _verify_split_witness(cert, reasons, prefix):
     return _split_pair(reasons, prefix, p, d, blocks, [("A", action)], ("sigma", "pi"))
 
 
-def _verify_pair_witness(cert, reasons, prefix):
-    try:
-        p = int(cert["p"])
-        m = int(cert["m"])
-        s = len(cert["tensor_side_action"])
-        d = len(cert["tensor_side_action"][0]) if s else 0
-        k = len(cert["hom_side_action"][0]) if s else 0
-        tacts = _arr(cert["tensor_side_action"], p).reshape(s, d, d)
-        hacts = _arr(cert["hom_side_action"], p).reshape(s, k, k)
-        alpha = _arr(cert["alpha"], p).reshape(m * k, d)
-        alphabar = _arr(cert["alphabar"], p).reshape(d, m * k)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        return _fail(reasons, prefix, f"malformed pair witness ({exc})")
-    blocks = [(alpha[c * k : (c + 1) * k], alphabar[:, c * k : (c + 1) * k], (hacts,)) for c in range(m)]
-    return _split_pair(reasons, prefix, p, d, blocks, [("S", tacts)], ("alpha", "alphabar"))
-
-
 def _verify_projective_and_similar(cert, reasons, prefix):
     try:
         proj = cert["projectivity"]
@@ -232,7 +217,6 @@ _KINDS = {
     "divides": _verify_divides,
     "similarity": _verify_similarity,
     "split-witness": _verify_split_witness,
-    "pair-witness": _verify_pair_witness,
     "projective-and-similar": _verify_projective_and_similar,
     "decomposition": _verify_decomposition,
     "outcome": _verify_outcome,

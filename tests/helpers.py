@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from qfcert import linalg, report, verify
-from qfcert.algebra import field_algebra, group_algebra, make_algebra
+from qfcert.algebra import AlgebraHom, equal_algebras, field_algebra, group_algebra, make_algebra
+from qfcert.errors import UsageError
 from qfcert.modrep import Bimodule, LeftModule, SplitWitness, hom_space, regular_left, tensor_over
 
 
@@ -311,16 +312,17 @@ def conjugated(action, t, t_inv, p):
 
 
 def _rebind(monkeypatch, func, wrapper):
-    """Put ``wrapper`` wherever a loaded qfcert module binds ``func``."""
+    """Put ``wrapper`` wherever a loaded qfcert module or the test oracles
+    bind ``func``."""
     for name, mod in list(sys.modules.items()):
-        if name == "qfcert" or name.startswith("qfcert."):
+        if name in ("qfcert", "oracles") or name.startswith("qfcert."):
             for attr, value in list(vars(mod).items()):
                 if value is func:
                     monkeypatch.setattr(mod, attr, wrapper)
 
 
 def count_calls(monkeypatch, func):
-    """Wrap ``func`` with a call counter wherever a loaded qfcert module binds it.
+    """Wrap ``func`` with a call counter wherever ``_rebind`` finds it.
 
     Returns a one-element list holding the number of calls made so far.
     """
@@ -335,8 +337,8 @@ def count_calls(monkeypatch, func):
 
 
 def record_calls(monkeypatch, func):
-    """Wrap ``func`` wherever a loaded qfcert module binds it; returns the
-    list of the positional arguments of every call made so far."""
+    """Wrap ``func`` wherever ``_rebind`` finds it; returns the list of the
+    positional arguments of every call made so far."""
     calls = []
 
     def recorded(*args, **kwargs):
@@ -348,8 +350,8 @@ def record_calls(monkeypatch, func):
 
 
 def forbid_calls(monkeypatch, func, owner=None):
-    """Fail the test on any call of ``func``, wherever a loaded qfcert module
-    binds it, or as the attribute of the class ``owner``."""
+    """Fail the test on any call of ``func``, wherever ``_rebind`` finds it,
+    or as the attribute of the class ``owner``."""
 
     def forbidden(*args, **kwargs):
         pytest.fail(f"{func.__qualname__} was called")
@@ -386,7 +388,7 @@ def reference_induce(ring, n):
     """Ind(N) assembled component by component, as ``(dims, action)``: one
     balanced tensor product R_y (x)_{R_e} N per component, and the block of
     a in R_x from R_y to R_{xy} transported through both quotients.  The
-    reference the one tensor product of ``graded.induce`` must match."""
+    reference the one tensor product of ``oracles.induce`` must match."""
     p, dn = ring.p, n.dim
     k = field_algebra(p)
     n_bim = Bimodule(ring.r_e, k, n.action, linalg.identity(dn).reshape(1, dn, dn), _validate=False)
@@ -417,7 +419,7 @@ def reference_coinduce(ring, n):
     """Coind(N) assembled component by component, as ``(dims, action,
     homs)``: one hom space Hom_{R_e}(R_{y^-1}, N) per degree y, and the
     block of a in R_x from degree y to xy from right multiplication by a.
-    The reference the one hom space of ``graded.coinduce`` must match."""
+    The reference the one hom space of ``oracles.coinduce`` must match."""
     p = ring.p
     homs = [hom_space(ring.component_module(ring.inv[y]), n) for y in range(ring.order)]
     dims = [h.k for h in homs]
@@ -448,3 +450,51 @@ def reference_coinduced_bimodule(ring):
             blk = slice(offsets[y], offsets[y + 1])
             ra[:, blk, blk] = h.action(linalg.matmul_pairs(ring.r_e.right_mult, h.basis, p))
     return Bimodule(ring.total, ring.r_e, act, ra)
+
+
+def equal_modules(m: LeftModule, n: LeftModule) -> bool:
+    return equal_algebras(m.algebra, n.algebra) and np.array_equal(m.action, n.action)
+
+
+def direct_sum(*modules: LeftModule):
+    """Direct sum plus the block injection/projection matrices."""
+    if not modules:
+        raise UsageError("direct_sum needs at least one summand")
+    alg = modules[0].algebra
+    p = alg.p
+    for m in modules[1:]:
+        if not equal_algebras(m.algebra, alg):
+            raise UsageError("direct_sum over mixed algebras")
+    total = sum(m.dim for m in modules)
+    action = linalg.zeros(alg.dim * total * total, 1).reshape(alg.dim, total, total)
+    offs = []
+    o = 0
+    for m in modules:
+        action[:, o : o + m.dim, o : o + m.dim] = m.action
+        offs.append(o)
+        o += m.dim
+    out = LeftModule(alg, action, _validate=False)
+    injs, projs = [], []
+    for m, o in zip(modules, offs):
+        inj = linalg.zeros(total, m.dim)
+        inj[o : o + m.dim] = linalg.identity(m.dim)
+        injs.append(inj)
+        projs.append(inj.T.copy())
+    return out, injs, projs
+
+
+def power_bimodule(m: Bimodule, k: int) -> Bimodule:
+    """Direct sum of k copies of m."""
+    d = m.dim * k
+    la = linalg.zeros(m.left_alg.dim * d * d, 1).reshape(m.left_alg.dim, d, d)
+    ra = linalg.zeros(m.right_alg.dim * d * d, 1).reshape(m.right_alg.dim, d, d)
+    for c in range(k):
+        sl = slice(c * m.dim, (c + 1) * m.dim)
+        la[:, sl, sl] = m.left_acts
+        ra[:, sl, sl] = m.right_acts
+    return Bimodule(m.left_alg, m.right_alg, la, ra, _validate=False)
+
+
+def identity_hom(alg):
+    """The identity of ``alg`` as a validated unital ring map."""
+    return AlgebraHom(alg, alg, linalg.identity(alg.dim))

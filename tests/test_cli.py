@@ -208,6 +208,21 @@ def test_internal_check_error_exit_3(tmp_path, monkeypatch):
     assert cli.main(["check-extension", doc]) == 3
 
 
+def test_running_out_of_memory_exits_2_not_1(tmp_path, monkeypatch, capsys):
+    # exit 1 is the "no" verdict; a construction too large for memory
+    # answers nothing
+    doc = write_doc(tmp_path, "m.json", schema.module_document(regular_left(group_alg(5, 2))))
+    size = "Unable to allocate 7.45 GiB for an array with shape (1000, 1000, 1000) and data type int64"
+
+    def too_large(*a, **k):
+        raise MemoryError(size)
+
+    monkeypatch.setattr(cli, "decompose", too_large)
+    assert cli.main(["decompose", doc]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "decompose" in err and size in err and "Traceback" not in err
+
+
 def test_battery_flag_conflicts_with_subcommand(tmp_path):
     doc = write_doc(tmp_path, "ext.json", hom_doc(unit_extension(dual_numbers(5))))
     assert cli.main(["--battery", "check-extension", doc]) == 2

@@ -9,7 +9,6 @@ from qfcert.algebra import (
     AlgebraHom,
     equal_algebras,
     field_algebra,
-    identity_hom,
     make_algebra,
 )
 from qfcert.coring import (
@@ -56,6 +55,7 @@ from helpers import (
     dense_basis_change,
     dual_numbers,
     group_alg,
+    identity_hom,
     mat_units_algebra,
     moved_dual_bimodule,
     rebased,

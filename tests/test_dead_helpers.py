@@ -5,17 +5,33 @@ underscore must be read somewhere in the package beyond its definition:
 a helper whose last caller went away stays behind unnoticed, and this
 test names it.  Every public module-level function or class, and every
 public method, must be read somewhere in the package, its tests or the
-benchmark.  A read is a name loaded (``_helper(...)``), an attribute
-taken (``linalg._helper``) or a name imported (``from .x import f``).
+benchmark.  Every public module-level function or class must be read
+by the package itself, or be a span the benchmark tracer wraps: the
+package is what a command runs, and a reference construction that only
+tests read belongs with the tests.  A read is a name loaded
+(``_helper(...)``), an attribute taken (``linalg._helper``) or a name
+imported (``from .x import f``).
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qfcert"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# The comodule layer and the coring morphism check are read only by the
+# tests until a command runs them or they are deleted (ROADMAP item 9).
+READ_BY_TESTS_ONLY = {
+    "regular_comodule",
+    "plain_comodule",
+    "comodule_to_module",
+    "cotensor_map",
+    "validate_coring_hom",
+}
 
 
 def private_definitions(tree) -> list:
@@ -27,6 +43,11 @@ def private_definitions(tree) -> list:
         and node.name.startswith("_")
         and not node.name.startswith("__")
     ]
+
+
+def module_publics(tree) -> list:
+    """Every public module-level function or class of ``tree``."""
+    return [node for node in tree.body if isinstance(node, DEFS) and not node.name.startswith("_")]
 
 
 def public_definitions(tree) -> list:
@@ -71,6 +92,14 @@ def dead_helpers(trees: dict) -> list:
     return dead_names(trees, private_definitions)
 
 
+def load_tracer():
+    """``perfbench/tracer.py``, loaded by path: it is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_every_private_helper_is_read():
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     assert dead_helpers(trees) == []
@@ -80,6 +109,17 @@ def test_every_public_name_is_read():
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     readers = [ast.parse(path.read_text()) for top in ("tests", "perfbench") for path in (ROOT / top).rglob("*.py")]
     assert dead_names(trees, public_definitions, readers) == []
+
+
+def test_every_public_module_name_is_read_by_the_package_or_a_span():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    spans = {path.split(".")[0] for _, path in load_tracer().SPANS.values()}
+    unread = [
+        (module, line, name)
+        for module, line, name in dead_names(trees, module_publics)
+        if name not in spans and name not in READ_BY_TESTS_ONLY
+    ]
+    assert unread == []
 
 
 def test_the_guard_sees_every_form():
@@ -117,12 +157,7 @@ def test_the_public_guard_sees_every_form():
 def test_every_benchmark_span_resolves():
     # a traced benchmark run wraps each span by name, and stops on one
     # that a change to qfcert renamed or deleted
-    import importlib
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     for module_name, path in tracer.SPANS.values():
         importlib.import_module(f"qfcert.{module_name}")
         owner, attr = tracer._resolve(module_name, path)

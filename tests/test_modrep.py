@@ -14,6 +14,7 @@ from helpers import (
     conjugated,
     count_calls,
     dense_basis_change,
+    direct_sum,
     dual_numbers,
     group_alg,
     mat_units_algebra,
@@ -29,7 +30,8 @@ from helpers import (
     trivial_module_dualnum,
     upper_triangular2,
 )
-from qfcert import cli, fixtures, graded, linalg, memo, modrep, verify
+import oracles
+from qfcert import cli, fixtures, linalg, memo, modrep, verify
 from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, group_algebra, make_algebra, opposite
 from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
@@ -39,7 +41,6 @@ from qfcert.modrep import (
     LeftModule,
     _presentation,
     as_bimodule,
-    direct_sum,
     envelope_module,
     hom_space,
     is_fg_projective,
@@ -540,8 +541,8 @@ def test_hom_coordinates_read_at_the_leads_are_the_solved_ones(p):
 
     ring = fixtures.graded_c2_triangular(p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graded, "HomSpace", Recorded)
-        graded.coinduce(ring, regular_left(ring.r_e))
+        mp.setattr(oracles, "HomSpace", Recorded)
+        oracles.coinduce(ring, regular_left(ring.r_e))
     (reordered,) = made
     assert not np.array_equal(reordered.basis, hom_space(reordered.source, reordered.target).basis)
     # zero-dimensional hom spaces, between zero modules and between nonzero ones

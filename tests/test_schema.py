@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import dual_numbers, group_alg, mat_units_algebra
+from oracles import equal_graded_modules, graded_regular
 from qfcert import schema
 from qfcert.algebra import AlgebraHom, equal_algebras, field_algebra
 from qfcert.coring import sweedler, trivial_coring
 from qfcert.errors import SchemaError, ValidationError
-from qfcert.graded import equal_graded_modules, grade_by_partition, graded_regular
+from qfcert.graded import grade_by_partition
 from qfcert.modrep import regular_bimodule, regular_left
 from qfcert.ringext import Extension
 

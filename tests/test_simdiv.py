@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    direct_sum,
     dual_numbers,
     group_alg,
+    power_bimodule,
     report_verifies,
     simple_modules_prod,
     trivial_module_dualnum,
@@ -22,18 +24,16 @@ from qfcert.modrep import (
     Bimodule,
     as_bimodule,
     bimodule_homs,
-    direct_sum,
     envelope_module,
-    power_bimodule,
     regular_bimodule,
     regular_left,
+    tensor_over,
 )
 from qfcert.simdiv import (
     DividesCert,
     divides,
     dual_sequence,
     is_qf_bimodule,
-    qf_tensor_check,
     similar,
 )
 
@@ -245,23 +245,15 @@ def test_dual_sequence_stops_on_nonprojective():
 
 
 def test_qf_tensor_check_regular_pair():
+    # QF (x) QF is QF, on is_qf_bimodule verdicts: the regular F_5[C2]
+    # bimodule and its tensor square over F_5[C2]
     p = 5
     a = group_alg(p, 2)
     m = regular_bimodule(a)
-    out = qf_tensor_check(m, m)
+    assert is_qf_bimodule(m).verdict == report.YES
+    out = is_qf_bimodule(tensor_over(a, m, m))
     assert out.verdict == report.YES
-
-
-def test_qf_tensor_check_vacuous():
-    p = 5
-    dn = dual_numbers(p)
-    k = field_algebra(p)
-    la = np.zeros((2, 1, 1), dtype=np.int64)
-    la[0, 0, 0] = 1
-    bad = Bimodule(dn, k, la, np.ones((1, 1, 1), dtype=np.int64))
-    good = regular_bimodule(dn)
-    out = qf_tensor_check(good, bad)
-    assert out.verdict == report.VACUOUS
+    assert report_verifies(out)
 
 
 def test_divides_cert_names_each_failing_block():

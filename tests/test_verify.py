@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from helpers import (
+    direct_sum,
     dual_numbers,
     group_alg,
     mat_units_algebra,
 )
+from oracles import check_pair_witness, qf_pair_witness
 from qfcert import cli, fixtures, report, schema, verify
 from qfcert.algebra import AlgebraHom, field_algebra
 from qfcert.coring import is_qf_coring, trivial_coring
 from qfcert.graded import grade_by_partition, is_qf_restriction
-from qfcert.modrep import LeftModule, direct_sum, is_fg_projective, regular_bimodule, regular_left, split_pair_reasons
-from qfcert.ringext import Extension, is_qf_extension, qf_pair_witness
+from qfcert.modrep import LeftModule, is_fg_projective, regular_bimodule, regular_left, split_pair_reasons
+from qfcert.ringext import Extension, is_qf_extension
 from qfcert.simdiv import similar, split_witness_payload
 
 P = 5
@@ -298,22 +300,35 @@ def split_pairs():
 
 @pytest.mark.parametrize("kind", ["split-witness", "divides", "pair-witness", "decomposition"])
 def test_tampered_split_pair_is_rejected(split_pairs, kind):
+    # no report carries a pair witness, so the test oracle checks it with
+    # the verifier's own split-pair predicate
+    check = check_pair_witness if kind == "pair-witness" else verify.verify_payload
     pay = split_pairs[kind]
-    assert_verifies(pay)
+    assert check(pay) == (True, [])
+
+    def assert_fails(bad, fragment):
+        ok, reasons = check(bad)
+        assert not ok and any(fragment in r for r in reasons), reasons
+
     blocks = set()
     for name, c, path in block_entries(pay):
         bad = copy.deepcopy(pay)
         *head, last = path
         row = functools.reduce(operator.getitem, head, bad)
         row[last] = (row[last] + 1) % P
-        assert_rejected(bad, f"{name} block {c} is not")
+        assert_fails(bad, f"{name} block {c} is not")
         blocks.add(c)
     maps = block_maps(pay)
     assert blocks == set(range(len(maps))) == {0, 1}
     # every block adds to the sum, so none can be dropped
     for c, (into, back) in enumerate(maps):
         assert (back @ into % P).any()
-        assert_rejected(without_block(pay, c), "is not the identity")
+        assert_fails(without_block(pay, c), "is not the identity")
+
+
+def test_pair_witness_is_an_unknown_kind(split_pairs):
+    ok, reasons = verify.verify_payload(split_pairs["pair-witness"])
+    assert not ok and reasons == ["certificate: unknown certificate kind 'pair-witness'"]
 
 
 def test_decomposition_copies_must_be_orthogonal(split_pairs):
