@@ -94,12 +94,6 @@ class Algebra:
             y = np.eye(k, dtype=np.int64)[:, :, None] * y.reshape(k, 1, n)
         return linalg.matmul(y.reshape(k, k * n), xm.reshape(k * n, n), p).reshape(x.shape)
 
-    def left_mult_matrix(self, x) -> Mat:
-        return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.left_mult, self.p)[0]
-
-    def right_mult_matrix(self, x) -> Mat:
-        return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.right_mult, self.p)[0]
-
     def power(self, x, k: int) -> Mat:
         """x^k, or the row-wise powers of a (r, n) stack."""
         base = linalg.asmat(x, self.p)

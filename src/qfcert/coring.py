@@ -1,21 +1,21 @@
-"""Corings over a base algebra A, their comodules, and dual convolution rings.
+"""Corings over a base algebra A and their dual convolution rings.
 
 A coring is an (A, A)-bimodule C with a comultiplication Delta: C -> C(x)_A C
 (given on raw C (x) C coordinates, as documents give it, and stored in the
 canonical quotient basis of the balanced tensor square) and a counit
 eps: C -> A, both A-bimodule maps, subject to coassociativity and the
 counit laws.  All laws are verified exactly at construction.  Every
-linearity law f X_a = Y_a f (Delta and eps, a coaction, a comodule map, a
-coring morphism) is one ``linalg.intertwines`` over the stacked actions,
-and every sum_a c_a X_a over a stack is one ``linalg.combine``.
+linearity law f X_a = Y_a f (Delta and eps) is one ``linalg.intertwines``
+over the stacked actions, and every sum_a c_a X_a over a stack is one
+``linalg.combine``.
 
-Coassociativity, the comodule laws and the cotensor equalizer are all
-compared in a triple tensor product, bracketed one way, (T (x)_A N) for a
-tensor product T already built: ``modrep.triple_projection`` projects
-the columns of raw triple coordinates onto it, from a presentation of the
-right factor N.  The projection is applied to those columns and never
-built as a matrix, and maps through kron(X, I) and kron(I, X) are applied
-by reshaping (``linalg.kron_apply``), never built either.
+Coassociativity is compared in a triple tensor product, bracketed one way,
+(T (x)_A N) for a tensor product T already built:
+``modrep.triple_projection`` projects the columns of raw triple
+coordinates onto it, from a presentation of the right factor N.  The
+projection is applied to those columns and never built as a matrix, and
+maps through kron(X, I) and kron(I, X) are applied by reshaping
+(``linalg.kron_apply``), never built either.
 
 The two convolution dual rings are built on the linear duals:
 
@@ -42,20 +42,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, memo, report
-from .algebra import Algebra, AlgebraHom, equal_algebras, field_algebra, make_algebra, opposite
+from .algebra import Algebra, AlgebraHom, equal_algebras, make_algebra, opposite
 from .errors import (
     CounitFails,
     InternalCheckError,
     NotBimoduleMap,
     NotCoassociative,
-    NotFgpOverBase,
     UsageError,
     ValidationError,
 )
 from .linalg import Mat
 from .modrep import (
     Bimodule,
-    LeftModule,
     hom_space,
     is_fg_projective,
     regular_bimodule,
@@ -64,7 +62,7 @@ from .modrep import (
     tensor_over,
     triple_projection,
 )
-from .ringext import Extension, is_qf_extension, merge_unit_routes
+from .ringext import Extension, merge_unit_routes
 from .simdiv import is_qf_bimodule, similar, split_witness_payload
 
 
@@ -115,8 +113,7 @@ class Coring:
 
         Both sides are taken in raw C (x) C (x) C coordinates, and their
         difference must lie in the span of the two balancing families,
-        which is the kernel of ``triple_projection``: the same check as the
-        regular right comodule's coassociativity.  The projection is
+        which is the kernel of ``triple_projection``.  The projection is
         applied to the difference's dim C columns and never built.
         """
         p, dc = self.p, self.dim
@@ -133,19 +130,6 @@ class Coring:
     @property
     def dim(self) -> int:
         return self.carrier.dim
-
-    def is_trivial_shape(self) -> bool:
-        """True when eps is invertible and delta matches a |-> a(x)1 under it."""
-        if self.dim != self.base.dim:
-            return False
-        j = linalg.invert(self.eps, self.p)
-        if j is None:
-            return False
-        unit_col = linalg.matmul(j, np.array(self.base.unit).reshape(-1, 1), self.p)
-        canonical = linalg.matmul_chain(
-            self.p, self.tensor_square.proj, np.kron(j, unit_col) % self.p, self.eps
-        )
-        return np.array_equal(canonical, self.delta)
 
 
 def trivial_coring(a: Algebra) -> Coring:
@@ -322,234 +306,4 @@ def is_qf_coring(c: Coring) -> report.Outcome:
     else:
         out.verdict = report.INCONSISTENT
         out.notes.append("equivalent conditions returned different verdicts")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# comodules
-
-
-class Comodule:
-    """A one-sided comodule, with the coaction stored in quotient coordinates.
-
-    The carrier is kept as a bimodule so an outer (ordinary) module action
-    can ride along; a plain comodule uses the one-dimensional field algebra
-    on the outer side.  ``rep`` is the coaction composed with the section
-    into raw tensor coordinates.
-    """
-
-    def __init__(self, coring: Coring, side: str, carrier: Bimodule, coaction):
-        if side not in ("left", "right"):
-            raise UsageError("comodule side must be 'left' or 'right'")
-        p = coring.p
-        self.coring = coring
-        self.side = side
-        self.carrier = carrier
-        base, cbim = coring.base, coring.carrier
-        if side == "right":
-            if not equal_algebras(carrier.right_alg, base):
-                raise UsageError("right comodule carrier must be a right module over the base")
-            self.tensor = tensor_over(base, carrier, cbim)
-        else:
-            if not equal_algebras(carrier.left_alg, base):
-                raise UsageError("left comodule carrier must be a left module over the base")
-            self.tensor = tensor_over(base, cbim, carrier)
-        self.coaction = linalg.asmat(coaction, p)
-        if self.coaction.shape != (self.tensor.dim, carrier.dim):
-            raise UsageError(
-                f"coaction must be {self.tensor.dim}x{carrier.dim}, got {self.coaction.shape}"
-            )
-        self.rep = linalg.matmul(self.tensor.sect, self.coaction, p)
-        self._validate()
-
-    @property
-    def dim(self) -> int:
-        return self.carrier.dim
-
-    @property
-    def p(self) -> int:
-        return self.coring.p
-
-    def _validate(self):
-        p = self.p
-        car, cbim = self.carrier, self.coring.carrier
-        dm, dc = car.dim, cbim.dim
-        right = self.side == "right"
-        acts, on_tensor = (car.right_acts, self.tensor.right_acts) if right else (car.left_acts, self.tensor.left_acts)
-        if not linalg.intertwines(self.coaction, acts, on_tensor, p):
-            raise NotBimoduleMap("coaction")
-        # right: in (M (x) C) (x) C, rho twice against Delta after rho;
-        # left: in (C (x) C) (x) M, lambda twice against Delta after lambda
-        one = linalg.kron_apply(p, self.rep, self.rep, dc, not right)
-        two = linalg.kron_apply(p, self.coring.delta_rep(), self.rep, dm, right)
-        # eps on the C leg, with eval[c] = sum_a eps[a, c] X_a
-        counit = linalg.combine(self.coring.eps, acts, p).transpose((1, 2, 0) if right else (1, 0, 2))
-        counit = counit.reshape(dm, dm * dc)
-        t, third = (self.tensor, cbim) if right else (self.coring.tensor_square, car)
-        if triple_projection(t, third, (one - two) % p).any():
-            raise NotCoassociative()
-        if not np.array_equal(linalg.matmul(counit, self.rep, p), linalg.identity(dm)):
-            raise CounitFails(self.side)
-
-
-def regular_comodule(c: Coring, side: str) -> Comodule:
-    """The coring itself as a comodule via its comultiplication."""
-    return Comodule(c, side, c.carrier, c.delta)
-
-
-def plain_comodule(c: Coring, side: str, action, coaction) -> Comodule:
-    """Comodule whose carrier has no extra outer action (field on the far side)."""
-    p = c.p
-    action = linalg.asmat(action, p)
-    dm = action.shape[1]
-    k = field_algebra(p)
-    triv = linalg.identity(dm).reshape(1, dm, dm)
-    if side == "right":
-        carrier = Bimodule(k, c.base, triv, action)
-    else:
-        carrier = Bimodule(c.base, k, action, triv)
-    return Comodule(c, side, carrier, coaction)
-
-
-def comodule_to_module(m: Comodule) -> LeftModule:
-    """Convert along the dual-ring action formula; refuses non-projective bases.
-
-    Right comodules become left modules over opposite(*C) via m.f = m0 f(m1);
-    left comodules become left modules over C* via g.n = g(n-1) n0.
-    """
-    c = m.coring
-    p = c.p
-    right = m.side == "right"
-    side = "left" if right else "right"  # the dual ring's side
-    if is_fg_projective(restrict_bimodule(c.carrier, side)) is None:
-        raise NotFgpOverBase(f"carrier is not finitely generated projective as a {side} module over the base")
-    dual = left_dual_ring(c) if right else right_dual_ring(c)
-    acts = _dual_action(side, dual.maps.basis, m.carrier.right_acts if right else m.carrier.left_acts, m.rep, p)
-    return LeftModule(opposite(dual.target) if right else dual.target, acts)
-
-
-class Cotensor:
-    """The equalizer subspace of M (x)_A N, with surviving outer actions."""
-
-    def __init__(self, basis, ambient, bimodule):
-        self.basis = basis
-        self.ambient = ambient
-        self.bimodule = bimodule
-        self.dim = basis.shape[1]
-
-
-def _same_coring(c1: Coring, c2: Coring) -> bool:
-    return c1 is c2 or (
-        c1.p == c2.p
-        and equal_algebras(c1.base, c2.base)
-        and np.array_equal(c1.carrier.left_acts, c2.carrier.left_acts)
-        and np.array_equal(c1.carrier.right_acts, c2.carrier.right_acts)
-        and np.array_equal(c1.delta, c2.delta)
-        and np.array_equal(c1.eps, c2.eps)
-    )
-
-
-def cotensor(m: Comodule, n: Comodule) -> Cotensor:
-    """Equalizer of rho_M (x) N and M (x) lambda_N inside M (x)_A N."""
-    if m.side != "right" or n.side != "left":
-        raise UsageError("cotensor takes a right comodule and a left comodule")
-    if not _same_coring(m.coring, n.coring):
-        raise UsageError("cotensor factors live over different corings")
-    c = m.coring
-    p = c.p
-    dm, dn = m.dim, n.dim
-    amb = tensor_over(c.base, m.carrier, n.carrier)
-    # onto (M (x) C) (x) N; any projection with the same kernel differs by
-    # an invertible factor on the left, so the equalizer nullspace is the same
-    route_m = linalg.kron_apply(p, m.rep, amb.sect, dn, False)
-    route_n = linalg.kron_apply(p, n.rep, amb.sect, dm, True)
-    equalizer = triple_projection(m.tensor, n.carrier, (route_m - route_n) % p)
-    basis = linalg.nullspace(equalizer, p)
-    # surviving outer actions, restricted to the equalizer: every X basis
-    # in one product, solved against basis in one system
-    acts = np.concatenate([amb.left_acts, amb.right_acts])
-    na, d, k = acts.shape[0], amb.dim, basis.shape[1]
-    moved = linalg.matmul(acts.reshape(na * d, d), basis, p).reshape(na, d, k)
-    sol = linalg.solve_right(basis, moved.transpose(1, 0, 2).reshape(d, na * k), p)
-    if sol is None:
-        raise UsageError(
-            "outer action does not preserve the cotensor subspace; "
-            "the carrier is not a bicomodule for it"
-        )
-    acts = sol.reshape(k, na, k).transpose(1, 0, 2)
-    nl = amb.left_acts.shape[0]
-    bim = Bimodule(m.carrier.left_alg, n.carrier.right_alg, acts[:nl], acts[nl:])
-    return Cotensor(basis, amb, bim)
-
-
-def cotensor_map(x: Comodule, n: Comodule, n2: Comodule, f) -> Mat:
-    """The map X cot N -> X cot N2 induced by a left-comodule map f: N -> N2."""
-    c = x.coring
-    p = c.p
-    f = linalg.asmat(f, p)
-    if f.shape != (n2.dim, n.dim):
-        raise UsageError(f"comodule map must be {n2.dim}x{n.dim}, got {f.shape}")
-    # f must intertwine the coactions (checked in quotient coordinates)
-    lhs = linalg.matmul(n2.tensor.proj, linalg.kron_apply(p, f, n.rep, c.dim, True), p)
-    if not np.array_equal(lhs, linalg.matmul(n2.coaction, f, p)):
-        raise UsageError("map does not commute with the coactions")
-    if not linalg.intertwines(f, n.carrier.left_acts, n2.carrier.left_acts, p):
-        raise UsageError("comodule map is not linear over the base")
-    left = cotensor(x, n)
-    right = cotensor(x, n2)
-    # X cot N -> X (x) N -> X (x) N2 along kron(I, f), then onto X cot N2
-    raw = linalg.kron_apply(p, f, linalg.matmul(left.ambient.sect, left.basis, p), x.dim, True)
-    moved = linalg.matmul(right.ambient.proj, raw, p)
-    sol = linalg.solve_right(right.basis, moved, p)
-    if sol is None:
-        raise InternalCheckError("induced map escapes the cotensor subspace")
-    return sol
-
-
-# ---------------------------------------------------------------------------
-# coring homomorphisms
-
-
-def validate_coring_hom(c: Coring, d: Coring, rho: AlgebraHom, phi) -> report.Outcome:
-    """Check the two coring-morphism axioms; reduce to the extension test
-    when both corings have the trivial shape."""
-    if not equal_algebras(rho.source, c.base) or not equal_algebras(rho.target, d.base):
-        raise UsageError("ring map endpoints do not match the coring bases")
-    p = c.p
-    phi = linalg.asmat(phi, p)
-    if phi.shape != (d.dim, c.dim):
-        raise UsageError(f"carrier map must be {d.dim}x{c.dim}, got {phi.shape}")
-    # phi must be bilinear over the source base (target viewed through rho)
-    on_c = np.concatenate([c.carrier.left_acts, c.carrier.right_acts])
-    on_d = [linalg.combine(rho.matrix, acts, p) for acts in (d.carrier.left_acts, d.carrier.right_acts)]
-    if not linalg.intertwines(phi, on_c, np.concatenate(on_d), p):
-        raise NotBimoduleMap("phi")
-    out = report.Outcome(report.VALID)
-    counit_ok = np.array_equal(
-        linalg.matmul(d.eps, phi, p), linalg.matmul(rho.matrix, c.eps, p)
-    )
-    if not counit_ok:
-        raise CounitFails("morphism")
-    out.add(report.Check("counit compatibility", "counit-commutes-with-ring-map", report.VALID))
-    # comultiplication: Delta_D phi = (canonical surjection)(phi x phi) Delta_C
-    lhs = linalg.matmul(d.delta, phi, p)
-    rhs = linalg.matmul_chain(p, d.tensor_square.proj, np.kron(phi, phi) % p, c.delta_rep())
-    if not np.array_equal(lhs, rhs):
-        raise ValidationError("carrier map does not commute with the comultiplications")
-    out.add(
-        report.Check(
-            "comultiplication compatibility", "comultiplication-commutes-with-carrier-map", report.VALID
-        )
-    )
-    if c.is_trivial_shape() and d.is_trivial_shape():
-        ext_out = is_qf_extension(Extension(rho))
-        out.add(
-            report.Check(
-                "trivial-shape reduction",
-                "morphism-qf-reduces-to-extension-qf",
-                ext_out.verdict,
-                note="for corings of trivial shape the quasi-Frobenius morphism "
-                "property is decided by the underlying ring extension",
-            )
-        )
     return out

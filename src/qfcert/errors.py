@@ -95,11 +95,6 @@ class NotGraded(ValidationError):
         super().__init__(msg)
 
 
-class NotFgpOverBase(ValidationError):
-    def __init__(self, msg="carrier is not finitely generated projective over the base"):
-        super().__init__(msg)
-
-
 class NotProjectiveAtStage(QfcertError):
     def __init__(self, stage, side):
         super().__init__(f"dual sequence stops: stage {stage} ({side}) is not projective")

@@ -17,10 +17,11 @@ with a fixed seed, then, only if those do not span, the basis vectors,
 each kept when it enlarges the submodule spanned so far); a free module
 can still get relations (``_presentation``).  Presentations are memoized
 on the action tensor.
-``is_fg_projective`` splits that cover A^k -> M.  Every split pair the
-provers build comes from one solve, ``trace_split`` (division,
-projectivity, isomorphism of indecomposables), and passes one check,
-``split_pair_reasons``, which names failures as the verifier does.
+``is_fg_projective`` splits that cover A^k -> M, memoized on the algebra
+and the action tensor.  Every split pair the provers build comes from one
+solve, ``trace_split`` (division, projectivity, isomorphism of
+indecomposables), and passes one check, ``split_pair_reasons``, which
+names failures as the verifier does.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
 from ``_presented_projection``: with a presentation of the right factor,
@@ -69,7 +70,7 @@ def _validate_action(alg: Algebra, action: Mat):
     flat = action.reshape(n, d * d)
     u = linalg.matmul(alg.unit.reshape(1, n), flat, p).reshape(d, d)
     if not np.array_equal(u, ident):
-        raise UnitViolation(int(np.nonzero((u - ident) % p)[0][0]) if d else 0)
+        raise UnitViolation(int(np.nonzero((u - ident) % p)[1][0]))
     # action[i] @ action[j] and sum_k mul[i, j, k] action[k], for every (i, j);
     # the first mismatch in C order is the reported (i, j)
     lhs = linalg.matmul_pairs(action, action, p)
@@ -97,10 +98,6 @@ class LeftModule:
     @property
     def p(self) -> int:
         return self.algebra.p
-
-    def act(self, x) -> Mat:
-        """Matrix of the action of an algebra element given by coordinates."""
-        return linalg.combine(linalg.asmat(x, self.p).reshape(-1, 1), self.action, self.p)[0]
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over dim-{self.algebra.dim} algebra, p={self.p})"
@@ -153,11 +150,6 @@ class HomSpace:
         acts on the source through ``stack`` (one map per basis element, such
         as its right multiplications), as ``action`` returns it."""
         return self.action(_precompose(self.basis, stack, self.source.p))
-
-    def element(self, coeffs) -> Mat:
-        p, dn, dm = self.source.p, self.target.dim, self.source.dim
-        c = linalg.asmat(coeffs, p).reshape(1, self.k)
-        return linalg.matmul(c, self.basis.reshape(self.k, dn * dm), p).reshape(dn, dm)
 
 
 def hom_space(source: LeftModule, target: LeftModule) -> HomSpace:
@@ -301,21 +293,13 @@ class BalancedTensor(Bimodule):
     quotient basis; ``proj @ sect`` is the identity.
     """
 
-    def __init__(self, m, n, left_alg, right_alg, left_acts, right_acts, proj, sect):
+    def __init__(self, left_alg, right_alg, left_acts, right_acts, proj, sect):
         # ``tensor_over`` checked that the outer actions are well defined on
         # classes; the quotient map is onto and intertwines them, so the
         # module laws and their commutation carry over from M and N
         super().__init__(left_alg, right_alg, left_acts, right_acts, _validate=False)
-        self.factor_left = m
-        self.factor_right = n
         self.proj = proj
         self.sect = sect
-
-    def pure(self, vm, vn) -> Mat:
-        """Class of the pure tensor vm (x) vn in quotient coordinates."""
-        p = self.p
-        w = np.kron(linalg.asmat(vm, p).reshape(-1), linalg.asmat(vn, p).reshape(-1)) % p
-        return linalg.matmul(self.proj, w.reshape(-1, 1), p).reshape(-1)
 
 
 def _presentation(p, left_acts):
@@ -464,7 +448,7 @@ def tensor_over(s_alg: Algebra, m: Bimodule, n: Bimodule) -> BalancedTensor:
         if not np.array_equal(lifted, moved.reshape(k * q, dim0)):
             raise InternalCheckError("balanced tensor action not well-defined")
         induced.append(on_classes)
-    return BalancedTensor(m, n, m.left_alg, n.right_alg, induced[0], induced[1], proj, sect)
+    return BalancedTensor(m.left_alg, n.right_alg, induced[0], induced[1], proj, sect)
 
 
 def triple_projection(t: BalancedTensor, n: Bimodule, x: Mat) -> Mat:
@@ -596,6 +580,8 @@ class SplitWitness:
         self.pi_blocks = pi_blocks
         self.sigma_blocks = sigma_blocks
         self.free_rank = pi_blocks.shape[0]
+        # a memoized answer: no caller may write into a later hit
+        memo.readonly(pi_blocks, sigma_blocks)
         reasons = split_pair_reasons(
             module.p, module.dim, [(sigma_blocks, pi_blocks, (module.algebra.left_mult,))],
             [("A", module.action)], ("sigma", "pi"),
@@ -614,15 +600,21 @@ def is_fg_projective(m: LeftModule):
     so one ``trace_split`` on a basis of Hom(M, A), the hom space the dual
     is built on, finds one or proves there is none, with at most one block
     per generator.  A cover without relations is an isomorphism, inverted
-    by the presentation's section: no system at all.
+    by the presentation's section: no system at all.  Within a memo scope
+    equal algebras and action tensors share one answer.
     """
-    alg, p, d, n = m.algebra, m.p, m.dim, m.algebra.dim
-    gens, ker, sigma = _presentation(p, m.action)
+    return memo.cached("split_witness", _split_witness, m.algebra, m.action)
+
+
+def _split_witness(alg: Algebra, action: Mat):
+    m = LeftModule(alg, action, _validate=False)
+    p, d, n = alg.p, m.dim, alg.dim
+    gens, ker, sigma = _presentation(p, action)
     k = gens.shape[1]
     # pi_blocks[b][:, t] = e_t . g_b
     pi_blocks = linalg.matmul(m.action.reshape(n * d, d), gens, p).reshape(n, d, k).transpose(2, 1, 0)
     if not ker.shape[1]:
         return SplitWitness(m, pi_blocks, sigma.reshape(k, n, d))
     # Hom(M, A) on the key ``hom_space`` gives it, so the dual built next reads it
-    split = trace_split(p, memo.cached("hom_space", _hom_basis, p, m.action, alg.left_mult), pi_blocks)
+    split = trace_split(p, memo.cached("hom_space", _hom_basis, p, action, alg.left_mult), pi_blocks)
     return None if split is None else SplitWitness(m, pi_blocks[split[0]], split[1])

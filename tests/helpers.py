@@ -110,8 +110,8 @@ def simple_modules_prod(p):
 
 def unit_bimodule_rs(r_alg, s_alg, phi_matrix, p):
     """S as an (R, S)-bimodule: left through phi, right regular."""
-    la = np.stack([s_alg.left_mult_matrix(phi_matrix[:, i]) for i in range(r_alg.dim)])
-    return Bimodule(r_alg, s_alg, la % p, s_alg.right_mult)
+    la = linalg.combine(linalg.asmat(phi_matrix, p), s_alg.left_mult, p)
+    return Bimodule(r_alg, s_alg, la, s_alg.right_mult)
 
 
 def python_rref(a, p):
@@ -207,8 +207,9 @@ def reference_hom_basis(source, target):
             break
         stack = v.T.reshape(cur, dn, dm)
         # f a - a f for every basis map f at once, as two exact 2-D products
-        fa = linalg.matmul(stack.reshape(cur * dn, dm), source.act(x), p).reshape(cur, dn, dm)
-        af = linalg.matmul(target.act(x), stack.transpose(1, 0, 2).reshape(dn, cur * dm), p)
+        x_on_m, x_on_n = (linalg.combine(x.reshape(-1, 1), mod.action, p)[0] for mod in (source, target))
+        fa = linalg.matmul(stack.reshape(cur * dn, dm), x_on_m, p).reshape(cur, dn, dm)
+        af = linalg.matmul(x_on_n, stack.transpose(1, 0, 2).reshape(dn, cur * dm), p)
         resid = (fa - af.reshape(dn, cur, dm).transpose(1, 0, 2)) % p
         coeffs = linalg.nullspace(resid.reshape(cur, k).T, p)
         v = linalg.matmul(v, coeffs, p)

@@ -31,6 +31,18 @@ the tests check the package against:
   the maps are sorted stably by degree.  Also: ``restrict_e`` (identity
   component over R_e) and ``suspend`` (relabel the blocks by a group
   element).
+* The comodule layer of a coring C over A, the oracle a coring-morphism
+  decision would be checked against: a ``Comodule`` keeps its coaction in
+  the quotient basis of M (x)_A C or C (x)_A M and checks coassociativity
+  and the counit law in one bracketing of the triple tensor product
+  (``modrep.triple_projection``), as ``Coring`` checks its own laws.
+  ``comodule_to_module`` turns a right comodule into a left module over
+  opposite(*C) (m.f = m0 f(m1)) and a left one into a module over C*
+  (g.n = g(n-1) n0), and refuses a carrier that is not finitely generated
+  projective on the dual ring's side.  ``cotensor`` is the equalizer of
+  rho_M (x) N and M (x) lambda_N inside M (x)_A N, with the outer actions
+  that survive on it, and ``cotensor_map`` the map it induces from a
+  left-comodule map.
 """
 
 import itertools
@@ -39,10 +51,21 @@ import numpy as np
 
 from helpers import power_bimodule
 from qfcert import linalg, memo, report, verify
-from qfcert.algebra import equal_algebras
-from qfcert.errors import InternalCheckError, NotGraded, UsageError
+from qfcert.algebra import equal_algebras, field_algebra, opposite
+from qfcert.coring import Coring, _dual_action, left_dual_ring, right_dual_ring
+from qfcert.errors import (
+    CounitFails,
+    InternalCheckError,
+    NotBimoduleMap,
+    NotCoassociative,
+    NotGraded,
+    UsageError,
+    ValidationError,
+)
 from qfcert.graded import GradedRing
+from qfcert.linalg import Mat
 from qfcert.modrep import (
+    Bimodule,
     HomSpace,
     LeftModule,
     as_bimodule,
@@ -54,6 +77,7 @@ from qfcert.modrep import (
     restrict_bimodule,
     split_pair_reasons,
     tensor_over,
+    triple_projection,
 )
 from qfcert.ringext import Extension
 from qfcert.simdiv import divides
@@ -102,9 +126,9 @@ def divides_enumeration_oracle(m_bim, n_bim, max_power=2, budget=400000) -> bool
             raise RuntimeError("enumeration oracle out of budget")
         ident = linalg.identity(m_bim.dim)
         for cf in itertools.product(range(p), repeat=h1.k):
-            phi = h1.element(list(cf))
+            phi = linalg.combine(np.array(cf, dtype=np.int64).reshape(-1, 1), h1.basis, p)[0]
             for cg in itertools.product(range(p), repeat=h2.k):
-                psi = h2.element(list(cg))
+                psi = linalg.combine(np.array(cg, dtype=np.int64).reshape(-1, 1), h2.basis, p)[0]
                 if np.array_equal(linalg.matmul(psi, phi, p), ident):
                     return True
     return False
@@ -371,3 +395,184 @@ def suspend(m: GradedModule, x: int) -> GradedModule:
     act = m.total.action[:, perm][:, :, perm] % ring.p
     # the laws are those of m; only the block labels move
     return GradedModule(ring, new_dims, act, _validate=False)
+
+
+# ---------------------------------------------------------------------------
+# comodules and the cotensor product over a coring
+
+
+class Comodule:
+    """A one-sided comodule, with the coaction stored in quotient coordinates.
+
+    The carrier is kept as a bimodule so an outer (ordinary) module action
+    can ride along; a plain comodule uses the one-dimensional field algebra
+    on the outer side.  ``rep`` is the coaction composed with the section
+    into raw tensor coordinates.
+    """
+
+    def __init__(self, coring: Coring, side: str, carrier: Bimodule, coaction):
+        if side not in ("left", "right"):
+            raise UsageError("comodule side must be 'left' or 'right'")
+        p = coring.p
+        self.coring = coring
+        self.side = side
+        self.carrier = carrier
+        base, cbim = coring.base, coring.carrier
+        if side == "right":
+            if not equal_algebras(carrier.right_alg, base):
+                raise UsageError("right comodule carrier must be a right module over the base")
+            self.tensor = tensor_over(base, carrier, cbim)
+        else:
+            if not equal_algebras(carrier.left_alg, base):
+                raise UsageError("left comodule carrier must be a left module over the base")
+            self.tensor = tensor_over(base, cbim, carrier)
+        self.coaction = linalg.asmat(coaction, p)
+        if self.coaction.shape != (self.tensor.dim, carrier.dim):
+            raise UsageError(
+                f"coaction must be {self.tensor.dim}x{carrier.dim}, got {self.coaction.shape}"
+            )
+        self.rep = linalg.matmul(self.tensor.sect, self.coaction, p)
+        self._validate()
+
+    @property
+    def dim(self) -> int:
+        return self.carrier.dim
+
+    @property
+    def p(self) -> int:
+        return self.coring.p
+
+    def _validate(self):
+        p = self.p
+        car, cbim = self.carrier, self.coring.carrier
+        dm, dc = car.dim, cbim.dim
+        right = self.side == "right"
+        acts, on_tensor = (car.right_acts, self.tensor.right_acts) if right else (car.left_acts, self.tensor.left_acts)
+        if not linalg.intertwines(self.coaction, acts, on_tensor, p):
+            raise NotBimoduleMap("coaction")
+        # right: in (M (x) C) (x) C, rho twice against Delta after rho;
+        # left: in (C (x) C) (x) M, lambda twice against Delta after lambda
+        one = linalg.kron_apply(p, self.rep, self.rep, dc, not right)
+        two = linalg.kron_apply(p, self.coring.delta_rep(), self.rep, dm, right)
+        # eps on the C leg, with eval[c] = sum_a eps[a, c] X_a
+        counit = linalg.combine(self.coring.eps, acts, p).transpose((1, 2, 0) if right else (1, 0, 2))
+        counit = counit.reshape(dm, dm * dc)
+        t, third = (self.tensor, cbim) if right else (self.coring.tensor_square, car)
+        if triple_projection(t, third, (one - two) % p).any():
+            raise NotCoassociative()
+        if not np.array_equal(linalg.matmul(counit, self.rep, p), linalg.identity(dm)):
+            raise CounitFails(self.side)
+
+
+def regular_comodule(c: Coring, side: str) -> Comodule:
+    """The coring itself as a comodule via its comultiplication."""
+    return Comodule(c, side, c.carrier, c.delta)
+
+
+def plain_comodule(c: Coring, side: str, action, coaction) -> Comodule:
+    """Comodule whose carrier has no extra outer action (field on the far side)."""
+    p = c.p
+    action = linalg.asmat(action, p)
+    dm = action.shape[1]
+    k = field_algebra(p)
+    triv = linalg.identity(dm).reshape(1, dm, dm)
+    if side == "right":
+        carrier = Bimodule(k, c.base, triv, action)
+    else:
+        carrier = Bimodule(c.base, k, action, triv)
+    return Comodule(c, side, carrier, coaction)
+
+
+def comodule_to_module(m: Comodule) -> LeftModule:
+    """Convert along the dual-ring action formula; refuses non-projective bases.
+
+    Right comodules become left modules over opposite(*C) via m.f = m0 f(m1);
+    left comodules become left modules over C* via g.n = g(n-1) n0.
+    """
+    c = m.coring
+    p = c.p
+    right = m.side == "right"
+    side = "left" if right else "right"  # the dual ring's side
+    if is_fg_projective(restrict_bimodule(c.carrier, side)) is None:
+        raise ValidationError(f"carrier is not finitely generated projective as a {side} module over the base")
+    dual = left_dual_ring(c) if right else right_dual_ring(c)
+    acts = _dual_action(side, dual.maps.basis, m.carrier.right_acts if right else m.carrier.left_acts, m.rep, p)
+    return LeftModule(opposite(dual.target) if right else dual.target, acts)
+
+
+class Cotensor:
+    """The equalizer subspace of M (x)_A N, with surviving outer actions."""
+
+    def __init__(self, basis, ambient, bimodule):
+        self.basis = basis
+        self.ambient = ambient
+        self.bimodule = bimodule
+        self.dim = basis.shape[1]
+
+
+def _same_coring(c1: Coring, c2: Coring) -> bool:
+    return c1 is c2 or (
+        c1.p == c2.p
+        and equal_algebras(c1.base, c2.base)
+        and np.array_equal(c1.carrier.left_acts, c2.carrier.left_acts)
+        and np.array_equal(c1.carrier.right_acts, c2.carrier.right_acts)
+        and np.array_equal(c1.delta, c2.delta)
+        and np.array_equal(c1.eps, c2.eps)
+    )
+
+
+def cotensor(m: Comodule, n: Comodule) -> Cotensor:
+    """Equalizer of rho_M (x) N and M (x) lambda_N inside M (x)_A N."""
+    if m.side != "right" or n.side != "left":
+        raise UsageError("cotensor takes a right comodule and a left comodule")
+    if not _same_coring(m.coring, n.coring):
+        raise UsageError("cotensor factors live over different corings")
+    c = m.coring
+    p = c.p
+    dm, dn = m.dim, n.dim
+    amb = tensor_over(c.base, m.carrier, n.carrier)
+    # onto (M (x) C) (x) N; any projection with the same kernel differs by
+    # an invertible factor on the left, so the equalizer nullspace is the same
+    route_m = linalg.kron_apply(p, m.rep, amb.sect, dn, False)
+    route_n = linalg.kron_apply(p, n.rep, amb.sect, dm, True)
+    equalizer = triple_projection(m.tensor, n.carrier, (route_m - route_n) % p)
+    basis = linalg.nullspace(equalizer, p)
+    # surviving outer actions, restricted to the equalizer: every X basis
+    # in one product, solved against basis in one system
+    acts = np.concatenate([amb.left_acts, amb.right_acts])
+    na, d, k = acts.shape[0], amb.dim, basis.shape[1]
+    moved = linalg.matmul(acts.reshape(na * d, d), basis, p).reshape(na, d, k)
+    sol = linalg.solve_right(basis, moved.transpose(1, 0, 2).reshape(d, na * k), p)
+    if sol is None:
+        raise UsageError(
+            "outer action does not preserve the cotensor subspace; "
+            "the carrier is not a bicomodule for it"
+        )
+    acts = sol.reshape(k, na, k).transpose(1, 0, 2)
+    nl = amb.left_acts.shape[0]
+    bim = Bimodule(m.carrier.left_alg, n.carrier.right_alg, acts[:nl], acts[nl:])
+    return Cotensor(basis, amb, bim)
+
+
+def cotensor_map(x: Comodule, n: Comodule, n2: Comodule, f) -> Mat:
+    """The map X cot N -> X cot N2 induced by a left-comodule map f: N -> N2."""
+    c = x.coring
+    p = c.p
+    f = linalg.asmat(f, p)
+    if f.shape != (n2.dim, n.dim):
+        raise UsageError(f"comodule map must be {n2.dim}x{n.dim}, got {f.shape}")
+    # f must intertwine the coactions (checked in quotient coordinates)
+    lhs = linalg.matmul(n2.tensor.proj, linalg.kron_apply(p, f, n.rep, c.dim, True), p)
+    if not np.array_equal(lhs, linalg.matmul(n2.coaction, f, p)):
+        raise UsageError("map does not commute with the coactions")
+    if not linalg.intertwines(f, n.carrier.left_acts, n2.carrier.left_acts, p):
+        raise UsageError("comodule map is not linear over the base")
+    left = cotensor(x, n)
+    right = cotensor(x, n2)
+    # X cot N -> X (x) N -> X (x) N2 along kron(I, f), then onto X cot N2
+    raw = linalg.kron_apply(p, f, linalg.matmul(left.ambient.sect, left.basis, p), x.dim, True)
+    moved = linalg.matmul(right.ambient.proj, raw, p)
+    sol = linalg.solve_right(right.basis, moved, p)
+    if sol is None:
+        raise InternalCheckError("induced map escapes the cotensor subspace")
+    return sol

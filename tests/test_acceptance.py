@@ -150,6 +150,26 @@ def test_criterion_01_certificate_soundness(battery_run):
     assert total >= 40
 
 
+def yes_checks(checks, depth=0):
+    """(depth, check) for every check whose verdict is yes, and for those
+    nested in the ``outcome`` certificates of any check."""
+    for chk in checks:
+        if chk["verdict"] == report.YES:
+            yield depth, chk
+        cert = chk.get("certificate")
+        if cert is not None and cert["kind"] == "outcome":
+            yield from yes_checks(cert["checks"], depth + 1)
+
+
+def test_every_yes_carries_a_certificate_at_every_depth(battery_run):
+    results, _ = battery_run
+    found = [(r["name"], depth, chk) for r in results for depth, chk in yes_checks(r["report"]["checks"])]
+    uncertified = [(name, chk["condition"]) for name, _, chk in found if chk.get("certificate") is None]
+    assert uncertified == []
+    top = sum(1 for _, depth, _ in found if depth == 0)
+    assert (top, len(found) - top) == (128, 104)
+
+
 def test_battery_reports_are_byte_identical_to_golden_digests(battery_run):
     results, _ = battery_run
     digests = {

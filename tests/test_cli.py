@@ -229,6 +229,13 @@ def test_battery_flag_conflicts_with_subcommand(tmp_path):
     assert cli.main([]) == 2
 
 
+def test_battery_report_is_written_and_verifies(tmp_path, capsys):
+    rep_path = str(tmp_path / "battery.json")
+    assert cli.main(["--battery", "--report", rep_path]) == 0
+    assert "battery: 39/39 pass" in capsys.readouterr().out
+    assert cli.main(["verify", rep_path]) == 0
+
+
 def test_verify_non_string_kind_is_a_no_with_a_reason(tmp_path, capsys):
     doc = write_doc(tmp_path, "ext.json", hom_doc(unit_extension(group_alg(5, 2))))
     rep_path = str(tmp_path / "rep.json")

@@ -23,17 +23,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qfcert"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# The comodule layer and the coring morphism check are read only by the
-# tests until a command runs them or they are deleted (ROADMAP item 9).
-READ_BY_TESTS_ONLY = {
-    "regular_comodule",
-    "plain_comodule",
-    "comodule_to_module",
-    "cotensor_map",
-    "validate_coring_hom",
-}
-
-
 def private_definitions(tree) -> list:
     """Every module-level ``_name`` function or class of ``tree``."""
     return [
@@ -117,7 +106,7 @@ def test_every_public_module_name_is_read_by_the_package_or_a_span():
     unread = [
         (module, line, name)
         for module, line, name in dead_names(trees, module_publics)
-        if name not in spans and name not in READ_BY_TESTS_ONLY
+        if name not in spans
     ]
     assert unread == []
 

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qfcert import cli, memo, modrep, report, schema
+from qfcert import cli, fixtures, memo, modrep, report, schema
 from qfcert.coring import sweedler
 from qfcert.errors import UsageError
 from qfcert.fixtures import unit_extension
@@ -14,7 +14,7 @@ from qfcert.modrep import hom_space, regular_bimodule, regular_left
 from qfcert.ringext import is_qf_extension
 from qfcert.simdiv import dual_sequence
 
-from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra
+from helpers import count_calls, dual_numbers, group_alg, mat_units_algebra, record_calls
 
 P = 5
 
@@ -47,15 +47,31 @@ def test_check_coring_memo_counts(scopes):
     doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
-    # no decision decomposes or builds an envelope, so hom spaces and
-    # presentations are all the memo holds
+    # no decision decomposes or builds an envelope, so hom spaces,
+    # presentations and split witnesses are all the memo holds
     assert scopes[0].counts() == {
-        # each of the 8 projectivity tests reads a presentation; the 6 whose
-        # cover has relations solve on Hom(C, A), which the dual rings solve
-        # for too, so they add hits and no misses
-        "hom_space": (11, 13),
-        "presentation": (13, 10),
+        # 8 projectivity tests on 5 distinct modules: the 3 repeats are hits.
+        # Each of the 5 reads a presentation; the 4 whose cover has relations
+        # solve on Hom(C, A), which the dual rings solve for too, so they add
+        # hits and no misses
+        "hom_space": (9, 13),
+        "presentation": (10, 10),
+        "split_witness": (3, 5),
     }
+
+
+@pytest.mark.parametrize("name, calls, distinct", [("coring-sweedler-f5-c2", 8, 5), ("ext-unit-f5-m2", 4, 3)])
+def test_each_projectivity_check_is_solved_once_per_document(name, calls, distinct, monkeypatch):
+    # check-coring tests the carrier's left restriction itself and again in
+    # the carrier bimodule's prelude; the two routes of check-extension
+    # share one restriction: repeats are memo hits, not solves
+    fixture = next(f for f in fixtures.corpus() if f.name == name)
+    checked = record_calls(monkeypatch, modrep.is_fg_projective)
+    solves = count_calls(monkeypatch, modrep._split_witness)
+    out = cli.run_documents(fixture.command, fixture.docs, seed=0, depth=fixture.depth)
+    assert out.verdict == fixture.expected
+    keys = {(m.algebra.memo_key(), memo.array_key(m.action)) for (m,) in checked}
+    assert (len(checked), len(keys), solves) == (calls, distinct, [distinct])
 
 
 def test_dual_sequence_reuses_each_dual_hom_space(scopes):

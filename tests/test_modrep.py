@@ -34,7 +34,7 @@ import oracles
 from qfcert import cli, fixtures, linalg, memo, modrep, verify
 from qfcert.coring import sweedler
 from qfcert.algebra import field_algebra, group_algebra, make_algebra, opposite
-from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UsageError
+from qfcert.errors import ActionsDoNotCommute, InternalCheckError, ModuleLawViolation, UnitViolation, UsageError
 from qfcert.simdiv import split_witness_payload
 from qfcert.modrep import (
     Bimodule,
@@ -90,22 +90,19 @@ def test_module_law_violation_names_the_first_failing_pair(group, p, index, pair
     assert exc.value.pair == pair
 
 
-def test_hom_space_element_exact_at_the_largest_prime():
-    # a linear combination of dense hom basis maps: raw int64 sums of
-    # products of residues would overflow at this prime
-    p = LARGEST_PRIME
-    a = mat_units_algebra(p, 2)
-    for seed in range(4):
-        rng = np.random.RandomState(seed)
-        t, t_inv = dense_basis_change(a.dim, p, rng)
-        m = LeftModule(a, conjugated(a.left_mult, t, t_inv, p))
-        h = hom_space(m, m)
-        coeffs = [int(x) for x in rng.randint(0, p, size=h.k)]
-        basis = h.basis.tolist()
-        expected = [
-            [sum(c * b[r][col] for c, b in zip(coeffs, basis)) % p for col in range(m.dim)] for r in range(m.dim)
-        ]
-        assert h.element(coeffs).tolist() == expected
+def test_unit_violation_names_the_basis_element_it_fails_on():
+    # 1 . e_0 = e_0 + e_1 and 1 . e_1 = e_1: the unit axiom fails at e_0,
+    # the column of the unit's action that differs from the identity
+    k = field_algebra(5)
+    shear = np.array([[[1, 0], [1, 1]]], dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64).reshape(1, 2, 2)
+    with pytest.raises(UnitViolation) as exc:
+        LeftModule(k, shear)
+    assert exc.value.index == 0
+    # a right action is validated as a left one over the opposite algebra
+    with pytest.raises(UnitViolation) as exc:
+        Bimodule(k, k, eye, shear)
+    assert exc.value.index == 0
 
 
 SMALL_ALGEBRAS = {
@@ -241,7 +238,7 @@ def test_tensor_worked_example_dim4():
     s = dual_numbers(p)
     k = field_algebra(p)
     phi = np.array([[1], [0]], dtype=np.int64)
-    la = np.stack([s.left_mult_matrix(phi[:, 0])]) % p
+    la = linalg.combine(phi, s.left_mult, p)
     rs = Bimodule(k, s, la, s.right_mult)  # S as (F5, S)
     sr = Bimodule(s, k, s.left_mult, linalg.identity(2).reshape(1, 2, 2))  # S as (S, F5)
     t = tensor_over(s, rs, sr)  # wrong sides on purpose? no: need (R,S) (x)_S (S,T)
@@ -259,7 +256,7 @@ def test_tensor_balanced_relation():
     assert tt.dim == 2
     x = np.array([0, 1])
     one = np.array([1, 0])
-    assert np.array_equal(tt.pure(x, one), tt.pure(one, x))
+    assert np.array_equal(tt.proj @ np.kron(x, one) % p, tt.proj @ np.kron(one, x) % p)
 
 
 def test_tensor_over_rejects_an_action_not_defined_on_classes():
