@@ -20,8 +20,10 @@ on the action tensor.
 ``is_fg_projective`` splits that cover A^k -> M, memoized on the algebra
 and the action tensor.  Every split pair the provers build comes from one
 solve, ``trace_split`` (division, projectivity, isomorphism of
-indecomposables), and passes one check, ``split_pair_reasons``, which
-names failures as the verifier does.
+indecomposables), memoized on its two stacks of maps, and passes one
+check, ``split_pair_reasons``, which names failures as the verifier does.
+A module's laws are checked once per algebra and action tensor in a memo
+scope, so a dual that several decisions build is validated once.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
 from ``_presented_projection``: with a presentation of the right factor,
@@ -64,6 +66,13 @@ _SPIN_SEED = 0
 
 
 def _validate_action(alg: Algebra, action: Mat):
+    """The unit and associativity laws of an action tensor, or the first
+    violation raised; within a memo scope equal algebras and action
+    tensors are checked once (the keyed action becomes read-only)."""
+    memo.cached("module_laws", _module_laws, alg, action)
+
+
+def _module_laws(alg: Algebra, action: Mat):
     p = alg.p
     n, d = action.shape[0], action.shape[1]
     ident = linalg.identity(d)
@@ -500,7 +509,8 @@ def right_dual(m: Bimodule) -> Bimodule:
 
 
 def trace_split(p, f: Mat, g: Mat):
-    """A split pair through copies of X, from one solve in the trace ideal.
+    """A split pair through copies of X, from one solve in the trace ideal;
+    memoized on p and the two stacks (both become read-only).
 
     For maps f_i: M -> X and g_j: X -> M, stacked (a, dim X, dim M) and
     (b, dim M, dim X), one solve of sum c_ji g_j f_i = id_M gives
@@ -511,6 +521,10 @@ def trace_split(p, f: Mat, g: Mat):
     that M is no summand of a power of X (Auslander, Reiten and Smalo,
     Representation Theory of Artin Algebras, 1995, on trace ideals).
     """
+    return memo.cached("trace_split", _trace_split, p, f, g)
+
+
+def _trace_split(p, f: Mat, g: Mat):
     a, b, dx, dm = len(f), len(g), f.shape[1], f.shape[2]
     # column j*a + i is vec(g_j f_i)
     prods = linalg.matmul_pairs(g, f, p).reshape(b * a, dm * dm).T
@@ -520,8 +534,9 @@ def trace_split(p, f: Mat, g: Mat):
     # the solution is nonzero only at pivot columns, which are independent,
     # so g_j h_j = sum_i c_ji g_j f_i is nonzero exactly when some c_ji is
     kept = np.flatnonzero(c.reshape(b, a).any(axis=1))
-    h = linalg.matmul(c.reshape(b, a)[kept], f.reshape(a, dx * dm), p)
-    return kept, h.reshape(len(kept), dx, dm)
+    h = linalg.matmul(c.reshape(b, a)[kept], f.reshape(a, dx * dm), p).reshape(len(kept), dx, dm)
+    memo.readonly(kept, h)
+    return kept, h
 
 
 def split_pair_reasons(p, d, classes, families, names) -> list:

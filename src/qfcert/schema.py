@@ -28,6 +28,7 @@ by the constructors and surface as ValidationError.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -74,15 +75,36 @@ def _nonneg_int(value, pointer):
 
 
 def _int_array(obj, shape, p, pointer):
-    """Nested lists of the exact given shape, entries in [0, p)."""
+    """Nested lists of the exact given shape, entries in [0, p).
+
+    Checked a level at a time, each over all of that level's lists with
+    builtins that run at C speed: the types and lengths of the lists, then
+    the types and the range of the flattened entries.  Only a failure walks
+    the array entry by entry, to name the first fault by its JSON pointer
+    (``_first_fault``).
+    """
+    level = [obj]
+    for n in shape:
+        if set(map(type, level)) - {list} or set(map(len, level)) - {n}:
+            return _first_fault(obj, shape, p, pointer)
+        level = list(itertools.chain.from_iterable(level))
+    if level and (set(map(type, level)) != {int} or min(level) < 0 or max(level) >= p):
+        _first_fault(obj, shape, p, pointer)
+
+
+def _first_fault(obj, shape, p, pointer):
+    """Raise the SchemaError of the first fault in document order, if any:
+    an int or list subclass other than bool fails the level checks of
+    ``_int_array`` but is no fault."""
     if not shape:
         _int_in_range(obj, pointer, p)
-        return obj
+        return
     if not isinstance(obj, list):
         raise SchemaError(pointer, f"expected a list of length {shape[0]}")
     if len(obj) != shape[0]:
         raise SchemaError(pointer, f"expected length {shape[0]}, got {len(obj)}")
-    return [_int_array(v, shape[1:], p, f"{pointer}/{i}") for i, v in enumerate(obj)]
+    for i, v in enumerate(obj):
+        _first_fault(v, shape[1:], p, f"{pointer}/{i}")
 
 
 def _validate_algebra(doc, p, pointer):

@@ -89,16 +89,23 @@ class DividesCert:
             raise InternalCheckError("constructed divides certificate is invalid: " + "; ".join(reasons))
 
     def payload(self) -> dict:
-        return {
-            "kind": "divides",
-            "p": self.source.p,
-            "n": self.n,
-            "source": _module_payload(self.source),
-            "target": _module_payload(self.target),
-            "phi": report.payload_array(self.phi),
-            "psi": report.payload_array(self.psi),
-            "note": "n is at most dim Hom(N, M)",
-        }
+        pay = _maps_payload(self)
+        pay["source"] = _module_payload(self.source)
+        pay["target"] = _module_payload(self.target)
+        return pay
+
+
+def _maps_payload(cert: DividesCert) -> dict:
+    """A divides payload without its two modules: the backward half of a
+    similarity, which reads them from its forward half."""
+    return {
+        "kind": "divides",
+        "p": cert.source.p,
+        "n": cert.n,
+        "phi": report.payload_array(cert.phi),
+        "psi": report.payload_array(cert.psi),
+        "note": "n is at most dim Hom(N, M)",
+    }
 
 
 def _require_same_sides(m: Bimodule, n: Bimodule):
@@ -127,6 +134,10 @@ def divides(m: Bimodule, n: Bimodule):
 
 
 class SimilarityCert:
+    """M | N^n and N | M^m.  The payload carries the two modules once, in
+    the forward half: the backward half's source is the forward target and
+    its target the forward source."""
+
     def __init__(self, forward: DividesCert, backward: DividesCert):
         self.forward = forward
         self.backward = backward
@@ -135,7 +146,7 @@ class SimilarityCert:
         return {
             "kind": "similarity",
             "forward": self.forward.payload(),
-            "backward": self.backward.payload(),
+            "backward": _maps_payload(self.backward),
         }
 
 

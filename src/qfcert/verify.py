@@ -9,9 +9,10 @@ kernel: products here are int64 with the inner dimension cut into chunks
 The three leaf kinds, ``split-witness``, ``divides`` and
 ``decomposition``, are split pairs, checked by ``_split_pair``: maps into
 copies of some module and back whose composites sum to the identity,
-every block a module map.  ``similarity``, ``projective-and-similar`` and
-``outcome`` only contain other certificates.  Any other kind is reported
-as unknown.
+every block a module map.  A ``similarity`` is two ``divides`` halves
+on one pair of modules, which only the forward half carries.
+``projective-and-similar`` and ``outcome`` only contain other
+certificates.  Any other kind is reported as unknown.
 
 Entry points: ``verify_payload`` for one certificate dict,
 ``verify_report`` for a full report (every certificate attached to a
@@ -114,12 +115,15 @@ def _stacked(d, copies):
     return intos, backs
 
 
-def _verify_divides(cert, reasons, prefix):
+def _verify_divides(cert, reasons, prefix, modules=None):
+    """``modules``, when given, are parsed modules that stand for the
+    payload's own (source, target), each as ``_module_payload`` returns it."""
     try:
         p = int(cert["p"])
         n = int(cert["n"])
-        sl, sr, dm = _module_payload(cert["source"], p)
-        tl, tr, dn = _module_payload(cert["target"], p)
+        if modules is None:
+            modules = _module_payload(cert["source"], p), _module_payload(cert["target"], p)
+        (sl, sr, dm), (tl, tr, dn) = modules
         phi = _arr(cert["phi"], p).reshape(n * dn, dm)
         psi = _arr(cert["psi"], p).reshape(dm, n * dn)
     except (KeyError, TypeError, ValueError) as exc:
@@ -129,17 +133,33 @@ def _verify_divides(cert, reasons, prefix):
 
 
 def _verify_similarity(cert, reasons, prefix):
+    """Both halves on the one pair of modules the forward half carries: the
+    backward half's source is the forward target and its target the forward
+    source, parsed once.  A backward half may still carry both modules, as
+    reports written before it dropped them do; they must then be the
+    forward ones, crosswise.  One that carries a single module is
+    malformed."""
     try:
         fwd = cert["forward"]
         bwd = cert["backward"]
+        carried = [key in bwd for key in ("source", "target")]
+        crossed = all(carried) and fwd["source"] == bwd["target"] and fwd["target"] == bwd["source"]
+        same_p = fwd["p"] == bwd["p"]
     except (KeyError, TypeError) as exc:
         return _fail(reasons, prefix, f"malformed similarity payload ({exc})")
-    ok = _verify_divides(fwd, reasons, f"{prefix}/forward")
-    ok = _verify_divides(bwd, reasons, f"{prefix}/backward") and ok
-    # the two halves must talk about the same pair, crosswise
-    if fwd.get("source") != bwd.get("target") or fwd.get("target") != bwd.get("source"):
-        ok = _fail(reasons, prefix, "forward and backward halves disagree about the modules")
-    return ok
+    if any(carried) and not all(carried):
+        return _fail(reasons, prefix, "malformed similarity payload (the backward half carries one module of two)")
+    if all(carried) and not crossed:
+        return _fail(reasons, prefix, "forward and backward halves disagree about the modules")
+    if not same_p:
+        return _fail(reasons, prefix, "forward and backward halves disagree about p")
+    try:
+        p = int(fwd["p"])
+        modules = _module_payload(fwd["source"], p), _module_payload(fwd["target"], p)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _fail(reasons, f"{prefix}/forward", f"malformed divides payload ({exc})")
+    ok = _verify_divides(fwd, reasons, f"{prefix}/forward", modules)
+    return _verify_divides(bwd, reasons, f"{prefix}/backward", modules[::-1]) and ok
 
 
 def _verify_split_witness(cert, reasons, prefix):

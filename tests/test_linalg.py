@@ -579,13 +579,16 @@ def test_small_kernel_matches_brute_force_on_f5(a, rhs):
 
 
 def test_exact_plan_switches_dtype_between_the_reference_primes():
-    # the third entry is the int64 budget, which the small matmul path uses
-    assert linalg._exact_plan(P_FLOAT_TOP) == (np.float64, 1, 4096)
-    assert linalg._exact_plan(6850007) == (np.float64, 47, 196565)
-    assert linalg._exact_plan(480000019) == (np.int64, 40, 40)
+    # the third entry is the int64 budget, which the small matmul path uses;
+    # the fourth is the float32 budget, which a whole inner dimension must fit
+    assert linalg._exact_plan(P_FLOAT_TOP) == (np.float64, 1, 4096, 0)
+    assert linalg._exact_plan(6850007) == (np.float64, 47, 196565, 0)
+    assert linalg._exact_plan(480000019) == (np.int64, 40, 40, 0)
     assert linalg._exact_plan(P_INT_LOW)[0] is np.int64
-    assert linalg._exact_plan(5)[0] is np.float64
-    assert linalg._exact_plan(P_LARGEST) == (np.int64, 1, 1)
+    # p = 5 is float32 up to 262,143 products a sum, float64 past them
+    assert linalg._exact_plan(5)[::3] == (np.float64, 262143)
+    assert [linalg._exact_plan(p)[3] for p in (20011, 2053, 2039, 1021)] == [0, 0, 1, 4]
+    assert linalg._exact_plan(P_LARGEST) == (np.int64, 1, 1, 0)
     with pytest.raises(InvalidPrime):
         linalg._exact_plan(P_FIRST_REJECTED)
 
@@ -685,6 +688,52 @@ def test_combine_and_intertwines_exact_at_large_primes(p):
     assert linalg.intertwines(f, src, bad, p) is False
     assert linalg.intertwines(np.stack([f, f, f]), src, bad, p).tolist() == [False] * 3
     assert linalg.intertwines(np.stack([f, linalg.zeros(3, 5)]), src, bad, p).tolist() == [False, True]
+
+
+@st.composite
+def float32_edge_products(draw):
+    """(p, a, b) with an inner dimension at the float32 budget k32 of
+    ``_exact_plan`` or one past it, and at least ``_MATMUL_SMALL`` + 1
+    multiply-adds, so the product takes a float path: p = 2039 is the
+    largest prime with (p-1)^2 + p < 2^22 (k32 = 1), p = 1021 has k32 = 4
+    and p = 257 has k32 = 63.  Row 0 of a and column 0 of b are p - 1, so
+    entry (0, 0) is the largest sum the budget allows."""
+    p = draw(st.sampled_from([2039, 1021, 257]))
+    inner = linalg._exact_plan(p)[3] + draw(st.integers(0, 1))
+    m = draw(st.integers(1, 80))
+    n = linalg._MATMUL_SMALL // (m * inner) + draw(st.integers(1, 3))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    a = rng.randint(0, p, size=(m, inner)).astype(np.int64)
+    b = rng.randint(0, p, size=(inner, n)).astype(np.int64)
+    a[0], b[:, 0] = p - 1, p - 1
+    return p, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(float32_edge_products())
+@example((2039, np.full((70, 1), 2038), np.full((1, 70), 2038)))
+@example((2039, np.full((35, 2), 2038), np.full((2, 70), 2038)))
+@example((1021, np.full((30, 4), 1020), np.full((4, 40), 1020)))
+@example((1021, np.full((30, 5), 1020), np.full((5, 40), 1020)))
+def test_matmul_takes_float32_only_when_the_whole_inner_dimension_fits(product):
+    p, a, b = product
+    k32 = linalg._exact_plan(p)[3]
+    before = a.copy(), b.copy()
+    seen = []
+
+    def recording_mod(x, q):
+        seen.append(x.dtype)
+        return mod(x, q)
+
+    mod, linalg._mod = linalg._mod, recording_mod
+    try:
+        got = linalg.matmul(a, b, p)
+    finally:
+        linalg._mod = mod
+    assert got.dtype == np.int64
+    assert got.tolist() == python_matmul(a, b, p)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+    assert seen and set(seen) == {np.dtype(np.float32 if a.shape[1] <= k32 else np.float64)}
 
 
 # one int64 sum holds 40 products of residues at 480000019 and one at P_LARGEST

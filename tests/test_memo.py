@@ -47,16 +47,24 @@ def test_check_coring_memo_counts(scopes):
     doc = schema.coring_document(sweedler(unit_extension(group_alg(P, 2))))
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
-    # no decision decomposes or builds an envelope, so hom spaces,
-    # presentations and split witnesses are all the memo holds
+    # no decision decomposes or builds an envelope, so hom spaces, module
+    # laws, presentations, split witnesses and trace solves are all the
+    # memo holds
     assert scopes[0].counts() == {
         # 8 projectivity tests on 5 distinct modules: the 3 repeats are hits.
         # Each of the 5 reads a presentation; the 4 whose cover has relations
         # solve on Hom(C, A), which the dual rings solve for too, so they add
         # hits and no misses
         "hom_space": (9, 13),
+        # 18 law checks on 7 distinct actions: 12 validate the duals that
+        # ``_dual`` builds, and the conditions build the same duals again
+        "module_laws": (11, 7),
         "presentation": (10, 10),
         "split_witness": (3, 5),
+        # 14 solves on 9 distinct pairs of stacks: 4 for the split witnesses
+        # and 10 for divisions, where the backward solve of a similar(X, X)
+        # repeats its forward one and conditions share their divisions
+        "trace_split": (5, 9),
     }
 
 

@@ -101,6 +101,63 @@ def test_pointer_paths():
     assert pointer_of([1, 2, 3]) == ""
 
 
+def algebra_doc(mul=None, unit=None):
+    """The dual numbers over F_5 as an algebra document, with ``mul`` or
+    ``unit`` replaced."""
+    body = schema.algebra_document(dual_numbers(P))
+    if mul is not None:
+        body["mul"] = mul
+    if unit is not None:
+        body["unit"] = unit
+    return {"p": P, "algebra": body}
+
+
+MUL = schema.algebra_document(dual_numbers(P))["mul"]
+
+
+def with_entry(path, value):
+    """MUL with the entry at ``path`` set to ``value``."""
+    mul = json.loads(json.dumps(MUL))
+    *head, last = path
+    row = mul
+    for i in head:
+        row = row[i]
+    row[last] = value
+    return mul
+
+
+# one document per fault kind, each with the pointer and message of the
+# first fault in document order
+@pytest.mark.parametrize("doc, pointer, message", [
+    (algebra_doc(unit=[True, 0]), "/algebra/unit/0", "expected an integer, got True"),
+    (algebra_doc(unit=[1, 0.0]), "/algebra/unit/1", "expected an integer, got 0.0"),
+    (algebra_doc(mul=with_entry((1, 0, 1), -1)), "/algebra/mul/1/0/1", "value -1 out of range [0, 5)"),
+    (algebra_doc(mul=with_entry((0, 1, 0), P)), "/algebra/mul/0/1/0", "value 5 out of range [0, 5)"),
+    (algebra_doc(unit=[1, 10**40]), "/algebra/unit/1", f"value {10**40} out of range [0, 5)"),
+    (algebra_doc(mul=with_entry((1, 1), [0, 0, 0])), "/algebra/mul/1/1", "expected length 2, got 3"),
+    (algebra_doc(mul=with_entry((1,), [[0, 0]])), "/algebra/mul/1", "expected length 2, got 1"),
+    (algebra_doc(mul=with_entry((0, 1), 7)), "/algebra/mul/0/1", "expected a list of length 2"),
+    (algebra_doc(unit="10"), "/algebra/unit", "expected a list of length 2"),
+    # the first fault in document order, not the shallowest
+    (algebra_doc(mul=with_entry((0, 0, 0), 5)[:1] + [[[0, 0]]]), "/algebra/mul/0/0/0", "value 5 out of range [0, 5)"),
+])
+def test_array_faults_are_named_by_their_first_pointer(doc, pointer, message):
+    with pytest.raises(SchemaError) as exc:
+        schema.validate(doc)
+    assert (exc.value.pointer, exc.value.message) == (pointer, message)
+
+
+def test_int_and_list_subclasses_other_than_bool_are_entries():
+    class Entry(int):
+        pass
+
+    class Row(list):
+        pass
+
+    doc = algebra_doc(unit=Row([Entry(1), 0]))
+    assert schema.validate(doc) == "algebra"
+
+
 def test_graded_table_entries_are_group_indices():
     ring = grade_by_partition(group_alg(P, 2), [[0, 1], [1, 0]], [[0], [1]])
     doc = schema.graded_document(ring)

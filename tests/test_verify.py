@@ -18,6 +18,7 @@ from helpers import (
     dual_numbers,
     group_alg,
     mat_units_algebra,
+    power_bimodule,
 )
 from oracles import check_pair_witness, qf_pair_witness
 from qfcert import cli, fixtures, report, schema, verify
@@ -81,14 +82,48 @@ def test_similarity_roundtrip_and_tamper():
 
 def test_similarity_halves_must_match():
     # both halves internally fine, but taken from different module pairs
-    sim_a = similar(regular_bimodule(group_alg(P, 2)), regular_bimodule(group_alg(P, 2)))
-    sim_b = similar(regular_bimodule(dual_numbers(P)), regular_bimodule(dual_numbers(P)))
-    franken = {
-        "kind": "similarity",
-        "forward": sim_a.payload()["forward"],
-        "backward": sim_b.payload()["backward"],
-    }
+    sim_a = similar(regular_bimodule(dual_numbers(P)), regular_bimodule(dual_numbers(P)))
+    sim_b = similar(regular_bimodule(group_alg(P, 2)), regular_bimodule(group_alg(P, 2)))
+    # a backward half that carries its modules must carry the forward ones
+    franken = {"kind": "similarity", "forward": sim_a.forward.payload(), "backward": sim_b.backward.payload()}
     assert_rejected(franken, "disagree")
+    # one that carries none is checked on the forward ones, which its maps do not respect
+    franken["backward"] = sim_b.payload()["backward"]
+    assert "source" not in franken["backward"]
+    assert_rejected(franken, "certificate/backward: phi block 0 is not left-equivariant")
+
+
+def test_backward_half_takes_its_modules_from_the_forward_half():
+    # the forward half carries both modules; the backward half, the maps alone
+    m = regular_bimodule(group_alg(P, 2))
+    pay = similar(m, power_bimodule(m, 2)).payload()
+    fwd, bwd = pay["forward"], pay["backward"]
+    assert sorted(bwd) == ["kind", "n", "note", "p", "phi", "psi"]
+    assert fwd["source"]["dim"] == 2 and fwd["target"]["dim"] == 4
+    assert_verifies(pay)
+    # the older form, with the forward modules crosswise in the backward half, still verifies
+    old = copy.deepcopy(pay)
+    old["backward"].update(source=fwd["target"], target=fwd["source"])
+    assert_verifies(old)
+    # it does not with them uncrossed, nor with one of them alone
+    uncrossed = copy.deepcopy(pay)
+    uncrossed["backward"].update(source=fwd["source"], target=fwd["target"])
+    assert_rejected(uncrossed, "disagree")
+    for key in ("source", "target"):
+        one = copy.deepcopy(pay)
+        one["backward"][key] = old["backward"][key]
+        ok, reasons = verify.verify_payload(one)
+        assert not ok and reasons == [
+            "certificate: malformed similarity payload (the backward half carries one module of two)"
+        ]
+    # the halves must share their prime
+    other_p = copy.deepcopy(pay)
+    other_p["backward"]["p"] = 7
+    assert_rejected(other_p, "disagree about p")
+    # the backward maps are checked on the forward modules
+    bad = copy.deepcopy(pay)
+    bad["backward"]["psi"][0][0] = (bad["backward"]["psi"][0][0] + 1) % P
+    assert_rejected(bad, "certificate/backward: ")
 
 
 def test_qf_coring_certificates_verify():
@@ -357,10 +392,14 @@ def test_zero_dimensional_split_pairs_verify(command):
 @pytest.fixture(scope="module")
 def battery_certificates():
     """Every certificate of the seed-0 battery, nested ones too, each
-    distinct one once."""
+    distinct one once; a similarity's backward half is a whole divides
+    payload, with the modules it reads from its forward half crosswise."""
     found = {}
     for r in fixtures.battery(seed=0):
         for cert in certificates(r["report"]):
+            if cert["kind"] == "similarity":
+                fwd = cert["forward"]
+                cert["backward"].update(source=fwd["target"], target=fwd["source"])
             found.setdefault(report.canonical_json(cert), cert)
     return list(found.values())
 
@@ -375,6 +414,18 @@ def test_no_battery_block_adds_nothing_to_the_sum(battery_certificates):
         for into, back in block_maps(pay)
     ]
     assert len(composites) > 100 and all(composites)
+
+
+def test_both_forms_of_every_battery_similarity_verify(battery_certificates):
+    # the fixture has put the forward modules, crosswise, into every
+    # backward half: the form reports had before the backward half dropped
+    # them, which must keep verifying
+    sims = [c for c in battery_certificates if c["kind"] == "similarity"]
+    assert len(sims) > 10 and all("source" in c["backward"] for c in sims)
+    for old in sims:
+        new = copy.deepcopy(old)
+        del new["backward"]["source"], new["backward"]["target"]
+        assert verify.verify_payload(old) == verify.verify_payload(new) == (True, [])
 
 
 def prover_reasons(pay):
