@@ -2,8 +2,17 @@
 
 An algebra of dimension n is stored as a tensor ``mul`` of shape (n, n, n)
 with ``e_i * e_j = sum_k mul[i, j, k] e_k``, plus the coordinate vector of
-the unit.  ``make_algebra`` checks associativity exhaustively (all basis
-triples, via the regular representation) and both unit laws.
+the unit.
+
+Every input goes through one unit law and one product law on a stack of
+matrices X_i, one per basis element: ``unit_law`` (sum_i u_i X_i = I) and
+``product_law`` (X_i X_j = sum_k mul_ijk X_k), each returning the first
+failure in C order.  ``make_algebra`` applies them to the regular
+representation: the unit law on the left and on the right
+multiplications, then the product law on the left ones, which is
+associativity.  A module applies them to its action tensor, and a ring
+map to its target as a left module through the map (``AlgebraHom``).
+``check_group_table`` checks a group table by array comparisons.
 """
 
 from __future__ import annotations
@@ -20,6 +29,26 @@ from .errors import (
     UsageError,
 )
 from .linalg import Mat, PrimeField
+
+
+def unit_law(unit: Mat, acts: Mat, p: int):
+    """The first column of sum_i unit[i] acts[i] that differs from the
+    identity's, or None: the first basis vector the unit does not fix,
+    for an (n, d, d) stack ``acts`` of the basis elements' actions."""
+    n, d = acts.shape[0], acts.shape[1]
+    got = linalg.matmul(unit.reshape(1, n), acts.reshape(n, d * d), p).reshape(d, d)
+    bad = got != linalg.identity(d)
+    return int(np.flatnonzero(bad.any(axis=0))[0]) if bad.any() else None
+
+
+def product_law(mul: Mat, acts: Mat, p: int):
+    """The first (i, j, column), in C order, where acts[i] @ acts[j] differs
+    from sum_k mul[i, j, k] acts[k], or None: two exact products."""
+    n, d = acts.shape[0], acts.shape[1]
+    lhs = linalg.matmul_pairs(acts, acts, p)
+    rhs = linalg.matmul(mul.reshape(n * n, n), acts.reshape(n, d * d), p).reshape(n, n, d, d)
+    bad = lhs != rhs
+    return tuple(int(x) for x in np.argwhere(bad.any(axis=2))[0]) if bad.any() else None
 
 
 class Algebra:
@@ -46,27 +75,17 @@ class Algebra:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
-        p = self.field.p
-        n = self.dim
-        if n == 0:
+        if self.dim == 0:
             raise UsageError("algebras must have positive dimension")
-        L = self.left_mult
-        eye = linalg.identity(n)
-        # unit laws: 1 * e_i = e_i = e_i * 1, each one exact 2-D product.
-        for side in (L, self.right_mult):
-            got = linalg.matmul(self.unit.reshape(1, n), side.reshape(n, n * n), p).reshape(n, n)
-            if not np.array_equal(got, eye):
-                raise UnitViolation(int(np.nonzero((got - eye) % p)[1][0]))
-        # associativity: L_{e_i e_j} == L_i L_j for all pairs, which pins
-        # (e_i e_j) e_l = e_i (e_j e_l) for every l.  Rows (i, a) of L
-        # against columns (j, c) give every L_i L_j in one product.
-        prod = linalg.matmul(L.reshape(n * n, n), L.transpose(1, 0, 2).reshape(n, n * n), p)
-        prod = prod.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        expect = linalg.matmul(self.mul.reshape(n * n, n), L.reshape(n, n * n), p).reshape(n, n, n, n)
-        if not np.array_equal(prod, expect):
-            diff = np.nonzero((prod - expect) % p)
-            i, j, l = int(diff[0][0]), int(diff[1][0]), int(diff[3][0])
-            raise AssociativityViolation(i, j, l)
+        # 1 e_i = e_i = e_i 1, then L_{e_i e_j} = L_i L_j, whose column l
+        # is (e_i e_j) e_l = e_i (e_j e_l)
+        for side in (self.left_mult, self.right_mult):
+            bad = unit_law(self.unit, side, self.p)
+            if bad is not None:
+                raise UnitViolation(bad)
+        bad = product_law(self.mul, self.left_mult, self.p)
+        if bad is not None:
+            raise AssociativityViolation(*bad)
 
     def memo_key(self) -> tuple:
         """Exact memo key: p, ``mul`` and ``unit``; built once, on first use,
@@ -247,30 +266,22 @@ def check_group_table(table):
     n = t.shape[0]
     if n == 0 or t.min() < 0 or t.max() >= n:
         raise NotAGroup("table entries out of range")
-    # identity element
-    e = None
-    for i in range(n):
-        if all(t[i, x] == x and t[x, i] == x for x in range(n)):
-            e = i
-            break
-    if e is None:
+    ids = np.arange(n)
+    found = np.flatnonzero((t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0))
+    if not found.size:
         raise NotAGroup("no identity element")
-    # associativity
+    e = int(found[0])
+    # (g_i g_j) g_k against g_i (g_j g_k), one i at a time: t[t[i]] against t[i][t]
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if t[t[i, j], k] != t[i, t[j, k]]:
-                    raise NotAGroup("associativity fails", (i, j, k))
-    # inverses
-    inv = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if t[i, j] == e and t[j, i] == e:
-                inv[i] = j
-                break
-        if inv[i] < 0:
-            raise NotAGroup("no inverse", i)
-    return t, e, inv
+        bad = t[t[i]] != t[i][t]
+        if bad.any():
+            j, k = np.argwhere(bad)[0]
+            raise NotAGroup("associativity fails", (i, int(j), int(k)))
+    both = (t == e) & (t.T == e)
+    missing = np.flatnonzero(~both.any(axis=1))
+    if missing.size:
+        raise NotAGroup("no inverse", int(missing[0]))
+    return t, e, both.argmax(axis=1).tolist()
 
 
 def group_algebra(p: int, table) -> Algebra:
@@ -304,7 +315,9 @@ class AlgebraHom:
     """Unital algebra map, stored as its matrix on coordinates.
 
     ``matrix`` has shape (dim target, dim source); column i is the image
-    of the i-th source basis vector.
+    of the i-th source basis vector.  ``action`` is the target as a left
+    module over the source through the map: ``action[i]`` is the matrix
+    of x -> phi(e_i) x.  The map is validated by that module's laws.
     """
 
     def __init__(self, source: Algebra, target: Algebra, matrix):
@@ -317,25 +330,18 @@ class AlgebraHom:
             raise UsageError(
                 f"hom matrix must be {(target.dim, source.dim)}, got {self.matrix.shape}"
             )
+        self.action = linalg.combine(self.matrix, target.left_mult, source.p)
         self._validate()
 
     def _validate(self):
+        # phi is a unital ring map exactly when ``action`` obeys the module
+        # laws: the target is unital, so x -> phi(e_i) x pins phi(e_i)
         p = self.source.p
-        m = self.matrix
-        img_unit = linalg.matmul(m, self.source.unit.reshape(-1, 1), p).reshape(-1)
-        if not np.array_equal(img_unit, self.target.unit):
+        if unit_law(self.source.unit, self.action, p) is not None:
             raise NotUnital("map does not send unit to unit")
-        # phi(e_i e_j) == phi(e_i) phi(e_j) for every (i, j); the first
-        # mismatch in C order is the reported (i, j)
-        ns, nt = self.source.dim, self.target.dim
-        lhs = linalg.matmul(self.source.mul.reshape(ns * ns, ns), m.T, p).reshape(ns, ns, nt)
-        # left[i] has row b the product phi(e_i) e_b
-        left = linalg.combine(m, self.target.mul, p)
-        rhs = linalg.matmul(m.T, left.transpose(1, 0, 2).reshape(nt, ns * nt), p).reshape(ns, ns, nt)
-        rhs = rhs.transpose(1, 0, 2)
-        if not np.array_equal(lhs, rhs):
-            i, j = np.argwhere(lhs != rhs)[0][:2]
-            raise NotMultiplicative(int(i), int(j))
+        bad = product_law(self.source.mul, self.action, p)
+        if bad is not None:
+            raise NotMultiplicative(*bad[:2])
 
     def __repr__(self):
         return f"AlgebraHom({self.source!r} -> {self.target!r})"

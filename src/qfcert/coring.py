@@ -160,16 +160,14 @@ class DualRing(Extension):
     its embedding i (left side) or i' (right side).
 
     ``hom`` is that embedding and ``target`` the ring, in the canonical
-    basis of ``maps``, the hom space of maps C -> A (``maps.basis[t]`` is
-    the t-th basis map).  ``action_maps[t]`` is the induced endomorphism
+    basis of the hom space of maps C -> A (its t-th basis element is the
+    t-th basis map f_t).  ``action_maps[t]`` is the induced endomorphism
     of C (c |-> c1 f_t(c2) on the left side, c |-> f_t(c1) c2 on the
     right).
     """
 
-    def __init__(self, side, embed, maps, action_maps):
+    def __init__(self, embed, action_maps):
         super().__init__(embed)
-        self.side = side
-        self.maps = maps
         self.action_maps = action_maps
 
 
@@ -211,7 +209,7 @@ def _convolution_ring(c: Coring, side: str) -> DualRing:
         embed = AlgebraHom(base, alg, embed_mat)
     except ValidationError as exc:
         raise InternalCheckError(f"base embedding fails ring-map laws: {exc}") from exc
-    return DualRing(side, embed, h, acts)
+    return DualRing(embed, acts)
 
 
 def left_dual_ring(c: Coring) -> DualRing:

@@ -40,11 +40,10 @@ class GradedRing:
     """
 
     def __init__(self, p, table, dims, products):
-        table, e, inv = check_group_table(table)
+        table, e, _ = check_group_table(table)
         self.table = table
         self.order = int(table.shape[0])
         self.e = e
-        self.inv = inv
         dims = [int(d) for d in dims]
         if len(dims) != self.order or min(dims) < 0:
             raise UsageError("need one nonnegative dimension per group element")

@@ -22,7 +22,8 @@ and the action tensor.  Every split pair the provers build comes from one
 solve, ``trace_split`` (division, projectivity, isomorphism of
 indecomposables), memoized on its two stacks of maps, and passes one
 check, ``split_pair_reasons``, which names failures as the verifier does.
-A module's laws are checked once per algebra and action tensor in a memo
+A module's laws are ``algebra.unit_law`` and ``algebra.product_law`` on
+its action tensor, checked once per algebra and action tensor in a memo
 scope, so a dual that several decisions build is validated once.
 ``hom_space`` solves for the generators' images, k * dim N unknowns
 instead of dim N * dim M.  Every balanced tensor product M (x)_S N comes
@@ -51,7 +52,7 @@ import random
 import numpy as np
 
 from . import linalg, memo
-from .algebra import Algebra, enveloping, equal_algebras, field_algebra, opposite
+from .algebra import Algebra, enveloping, equal_algebras, field_algebra, opposite, product_law, unit_law
 from .errors import (
     ActionsDoNotCommute,
     InternalCheckError,
@@ -73,20 +74,20 @@ def _validate_action(alg: Algebra, action: Mat):
 
 
 def _module_laws(alg: Algebra, action: Mat):
-    p = alg.p
-    n, d = action.shape[0], action.shape[1]
-    ident = linalg.identity(d)
-    flat = action.reshape(n, d * d)
-    u = linalg.matmul(alg.unit.reshape(1, n), flat, p).reshape(d, d)
-    if not np.array_equal(u, ident):
-        raise UnitViolation(int(np.nonzero((u - ident) % p)[1][0]))
-    # action[i] @ action[j] and sum_k mul[i, j, k] action[k], for every (i, j);
-    # the first mismatch in C order is the reported (i, j)
-    lhs = linalg.matmul_pairs(action, action, p)
-    rhs = linalg.matmul(alg.mul.reshape(n * n, n), flat, p).reshape(n, n, d, d)
-    if not np.array_equal(lhs, rhs):
-        i, j = np.argwhere(lhs != rhs)[0][:2]
-        raise ModuleLawViolation(int(i), int(j))
+    bad = unit_law(alg.unit, action, alg.p)
+    if bad is not None:
+        raise UnitViolation(bad)
+    bad = product_law(alg.mul, action, alg.p)
+    if bad is not None:
+        raise ModuleLawViolation(*bad[:2])
+
+
+def _action_tensor(alg: Algebra, acts, name="action") -> Mat:
+    """``acts`` reduced mod p, which must have shape (dim alg, d, d)."""
+    acts = linalg.asmat(acts, alg.p)
+    if acts.ndim != 3 or acts.shape[0] != alg.dim or acts.shape[1] != acts.shape[2]:
+        raise UsageError(f"{name} tensor must be ({alg.dim}, d, d), got {acts.shape}")
+    return acts
 
 
 class LeftModule:
@@ -94,12 +95,7 @@ class LeftModule:
 
     def __init__(self, algebra: Algebra, action, _validate=True):
         self.algebra = algebra
-        p = algebra.p
-        self.action = linalg.asmat(action, p)
-        if self.action.ndim != 3 or self.action.shape[0] != algebra.dim or self.action.shape[1] != self.action.shape[2]:
-            raise UsageError(
-                f"action tensor must be ({algebra.dim}, d, d), got {self.action.shape}"
-            )
+        self.action = _action_tensor(algebra, action)
         self.dim = self.action.shape[1]
         if _validate:
             _validate_action(algebra, self.action)
@@ -223,12 +219,8 @@ class Bimodule:
         p = left_alg.p
         self.left_alg = left_alg
         self.right_alg = right_alg
-        self.left_acts = linalg.asmat(left_acts, p)
-        self.right_acts = linalg.asmat(right_acts, p)
-        if self.left_acts.ndim != 3 or self.left_acts.shape[0] != left_alg.dim:
-            raise UsageError(f"left action tensor has shape {self.left_acts.shape}")
-        if self.right_acts.ndim != 3 or self.right_acts.shape[0] != right_alg.dim:
-            raise UsageError(f"right action tensor has shape {self.right_acts.shape}")
+        self.left_acts = _action_tensor(left_alg, left_acts, "left action")
+        self.right_acts = _action_tensor(right_alg, right_acts, "right action")
         self.dim = self.left_acts.shape[1]
         if self.right_acts.shape[1] != self.dim:
             raise UsageError("left and right actions act on different spaces")
@@ -594,7 +586,6 @@ class SplitWitness:
         self.module = module
         self.pi_blocks = pi_blocks
         self.sigma_blocks = sigma_blocks
-        self.free_rank = pi_blocks.shape[0]
         # a memoized answer: no caller may write into a later hit
         memo.readonly(pi_blocks, sigma_blocks)
         reasons = split_pair_reasons(

@@ -68,13 +68,6 @@ class Outcome:
     def certificates(self):
         return [c.certificate for c in self.checks if c.certificate is not None]
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "checks": [c.to_dict() for c in self.checks],
-            "notes": list(self.notes),
-        }
-
 
 def exit_code(verdict: str) -> int:
     if verdict in (YES, VALID, VACUOUS):

@@ -5,6 +5,11 @@ left via phi / right regular (the (R, S) side), and left regular / right
 via phi (the (S, R) side).  The extension is quasi-Frobenius iff either
 bimodule is, and the two routes must agree — disagreement is an internal
 inconsistency, never a verdict.
+
+phi is validated by the one unit law and the one product law of
+``algebra``, applied to S as a left R-module through phi
+(``AlgebraHom.action``).  The (R, S) side reads that module as its left
+action instead of building it a second time.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ class Extension:
         self.hom = hom
         r, s = hom.source, hom.target
         # r acts through phi: by phi(e_i) times, on the left or on the right
-        self.bimodule_rs = Bimodule(r, s, linalg.combine(hom.matrix, s.left_mult, r.p), s.right_mult, _validate=False)
+        self.bimodule_rs = Bimodule(r, s, hom.action, s.right_mult, _validate=False)
         self.bimodule_sr = Bimodule(s, r, s.left_mult, linalg.combine(hom.matrix, s.right_mult, r.p), _validate=False)
 
     @property

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from qfcert import linalg, report, verify
-from qfcert.algebra import AlgebraHom, equal_algebras, field_algebra, group_algebra, make_algebra
+from qfcert.algebra import AlgebraHom, check_group_table, equal_algebras, field_algebra, group_algebra, make_algebra, opposite
 from qfcert.errors import UsageError
-from qfcert.modrep import Bimodule, LeftModule, SplitWitness, hom_space, regular_left, tensor_over
+from qfcert.modrep import Bimodule, LeftModule, SplitWitness, hom_space, regular_left, restrict_bimodule, tensor_over
 
 
 def mat_units_algebra(p, n):
@@ -259,14 +259,23 @@ def balancing_quotient(s_alg, m, n):
     return linalg.row_space_quotient(balanced_relations(s_alg, m, n), m.dim * n.dim, s_alg.p)
 
 
-def moved_dual_bimodule(c, dual):
-    """A dual ring of a coring as a bimodule over itself and the base,
-    from its basis maps moved by the base action on C: *C over (A, *C)
-    with (a.f)(x) = f(x a), right regular; C* over (C*, A) left regular,
-    with (f.a)(x) = f(a x).  The reference the unit bimodules of the dual
-    ring's extension must match."""
-    p, h = c.p, dual.maps
-    if dual.side == "left":
+def dual_maps(c, side):
+    """The hom space of maps C -> A that the dual ring of ``c`` on ``side``
+    is built on, in its canonical basis: the t-th basis map is the ring's
+    t-th basis element."""
+    if side == "left":
+        return hom_space(restrict_bimodule(c.carrier, "left"), regular_left(c.base))
+    return hom_space(restrict_bimodule(c.carrier, "right"), regular_left(opposite(c.base)))
+
+
+def moved_dual_bimodule(c, dual, side):
+    """The dual ring of a coring on ``side`` as a bimodule over itself and
+    the base, from its basis maps moved by the base action on C: *C over
+    (A, *C) with (a.f)(x) = f(x a), right regular; C* over (C*, A) left
+    regular, with (f.a)(x) = f(a x).  The reference the unit bimodules of
+    the dual ring's extension must match."""
+    p, h = c.p, dual_maps(c, side)
+    if side == "left":
         moved = linalg.matmul_pairs(h.basis, c.carrier.right_acts, p).transpose(1, 0, 2, 3)
         return Bimodule(c.base, dual.target, h.action(moved), dual.target.right_mult)
     moved = linalg.matmul_pairs(h.basis, c.carrier.left_acts, p).transpose(1, 0, 2, 3)
@@ -421,8 +430,8 @@ def reference_coinduce(ring, n):
     homs)``: one hom space Hom_{R_e}(R_{y^-1}, N) per degree y, and the
     block of a in R_x from degree y to xy from right multiplication by a.
     The reference the one hom space of ``oracles.coinduce`` must match."""
-    p = ring.p
-    homs = [hom_space(ring.component_module(ring.inv[y]), n) for y in range(ring.order)]
+    p, inv = ring.p, check_group_table(ring.table)[2]
+    homs = [hom_space(ring.component_module(inv[y]), n) for y in range(ring.order)]
     dims = [h.k for h in homs]
     offsets, act = _blockwise(ring, dims)
     for x in range(ring.order):
@@ -432,7 +441,7 @@ def reference_coinduce(ring, n):
                 continue
             z = int(ring.table[x, y])
             # right mult by each a in R_x: R_{(xy)^-1} -> R_{y^-1}, then apply f
-            rmats = ring.products[ring.inv[z]][x].transpose(1, 2, 0)
+            rmats = ring.products[inv[z]][x].transpose(1, 2, 0)
             moved = linalg.matmul_pairs(homs[y].basis, rmats, p).transpose(1, 0, 2, 3)
             act[rb, offsets[z] : offsets[z + 1], offsets[y] : offsets[y + 1]] = homs[z].action(moved)
     return dims, act, homs

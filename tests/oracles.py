@@ -43,22 +43,34 @@ the tests check the package against:
   rho_M (x) N and M (x) lambda_N inside M (x)_A N, with the outer actions
   that survive on it, and ``cotensor_map`` the map it induces from a
   left-comodule map.
+* The input laws, brute force on Python integers: ``algebra_failure``,
+  ``module_failure``, ``ring_map_failure`` and ``group_failure`` return
+  the exception the package must raise on an algebra, a module action, a
+  ring-map matrix or a group table, or None.  Each loops over basis
+  elements (or group elements) in C order and checks each law from its
+  definition, never through a representation.
 """
 
 import itertools
 
 import numpy as np
 
-from helpers import power_bimodule
+from helpers import dual_maps, power_bimodule
 from qfcert import linalg, memo, report, verify
-from qfcert.algebra import equal_algebras, field_algebra, opposite
+from qfcert.algebra import check_group_table, equal_algebras, field_algebra, opposite
 from qfcert.coring import Coring, _dual_action, left_dual_ring, right_dual_ring
 from qfcert.errors import (
+    AssociativityViolation,
     CounitFails,
     InternalCheckError,
+    ModuleLawViolation,
+    NotAGroup,
     NotBimoduleMap,
     NotCoassociative,
     NotGraded,
+    NotMultiplicative,
+    NotUnital,
+    UnitViolation,
     UsageError,
     ValidationError,
 )
@@ -368,7 +380,8 @@ def coinduce(ring: GradedRing, n: LeftModule) -> GradedModule:
     sources = [np.unique(component(ring, np.flatnonzero(f.any(axis=0)))) for f in h.basis]
     if any(s.size != 1 for s in sources):
         raise InternalCheckError("a coinduced basis map spans several components")
-    degrees = np.array([ring.inv[int(s[0])] for s in sources], dtype=np.int64)
+    inv = check_group_table(ring.table)[2]
+    degrees = np.array([inv[int(s[0])] for s in sources], dtype=np.int64)
     order = np.argsort(degrees, kind="stable")
     h = HomSpace(h.source, h.target, h.basis[order])
     out = GradedModule(ring, np.bincount(degrees, minlength=ring.order), h.precomposed(ring.total.right_mult))
@@ -496,7 +509,7 @@ def comodule_to_module(m: Comodule) -> LeftModule:
     if is_fg_projective(restrict_bimodule(c.carrier, side)) is None:
         raise ValidationError(f"carrier is not finitely generated projective as a {side} module over the base")
     dual = left_dual_ring(c) if right else right_dual_ring(c)
-    acts = _dual_action(side, dual.maps.basis, m.carrier.right_acts if right else m.carrier.left_acts, m.rep, p)
+    acts = _dual_action(side, dual_maps(c, side).basis, m.carrier.right_acts if right else m.carrier.left_acts, m.rep, p)
     return LeftModule(opposite(dual.target) if right else dual.target, acts)
 
 
@@ -576,3 +589,73 @@ def cotensor_map(x: Comodule, n: Comodule, n2: Comodule, f) -> Mat:
     if sol is None:
         raise InternalCheckError("induced map escapes the cotensor subspace")
     return sol
+
+
+def algebra_failure(mul, unit, p):
+    """The first unit law failure, 1 e_c != e_c and then e_c 1 != e_c, or
+    else the first triple (i, j, l) with (e_i e_j) e_l != e_i (e_j e_l)."""
+    mul, unit = np.asarray(mul).tolist(), np.asarray(unit).tolist()
+    n = len(unit)
+    rng = range(n)
+    for left in (True, False):
+        for c in rng:
+            got = [sum(unit[i] * (mul[i][c][k] if left else mul[c][i][k]) for i in rng) % p for k in rng]
+            if got != [int(k == c) for k in rng]:
+                return UnitViolation(c)
+    for i, j, l in itertools.product(rng, repeat=3):
+        lhs = [sum(mul[i][j][k] * mul[k][l][m] for k in rng) % p for m in rng]
+        rhs = [sum(mul[j][l][k] * mul[i][k][m] for k in rng) % p for m in rng]
+        if lhs != rhs:
+            return AssociativityViolation(i, j, l)
+    return None
+
+
+def module_failure(mul, unit, action, p):
+    """The first basis vector e_c with 1 . e_c != e_c, or else the first
+    pair (i, j) with e_i . (e_j . m) != (e_i e_j) . m for some m."""
+    mul, unit, a = np.asarray(mul).tolist(), np.asarray(unit).tolist(), np.asarray(action).tolist()
+    n, d = len(a), len(a[0])
+    for c in range(d):
+        if [sum(unit[i] * a[i][r][c] for i in range(n)) % p for r in range(d)] != [int(r == c) for r in range(d)]:
+            return UnitViolation(c)
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = [[sum(a[i][r][t] * a[j][t][c] for t in range(d)) % p for c in range(d)] for r in range(d)]
+        rhs = [[sum(mul[i][j][k] * a[k][r][c] for k in range(n)) % p for c in range(d)] for r in range(d)]
+        if lhs != rhs:
+            return ModuleLawViolation(i, j)
+    return None
+
+
+def ring_map_failure(source, target, matrix, p):
+    """NotUnital when phi(1) != 1, or else the first pair (i, j) with
+    phi(e_i e_j) != phi(e_i) phi(e_j), for the map with columns phi(e_i)."""
+    m = np.asarray(matrix).tolist()
+    smul, tmul = source.mul.tolist(), target.mul.tolist()
+    ns, nt = source.dim, target.dim
+    image = [sum(m[r][c] * int(source.unit[c]) for c in range(ns)) % p for r in range(nt)]
+    if image != target.unit.tolist():
+        return NotUnital("map does not send unit to unit")
+    for i, j in itertools.product(range(ns), repeat=2):
+        lhs = [sum(smul[i][j][k] * m[r][k] for k in range(ns)) % p for r in range(nt)]
+        rhs = [sum(m[a][i] * m[b][j] * tmul[a][b][r] for a in range(nt) for b in range(nt)) % p for r in range(nt)]
+        if lhs != rhs:
+            return NotMultiplicative(i, j)
+    return None
+
+
+def group_failure(table):
+    """The first failure of a square table with entries in range: no
+    identity, or the first triple (i, j, k) with (g_i g_j) g_k != g_i (g_j
+    g_k), or the first element without a two-sided inverse."""
+    t = [list(map(int, row)) for row in table]
+    rng = range(len(t))
+    e = next((i for i in rng if all(t[i][x] == x == t[x][i] for x in rng)), None)
+    if e is None:
+        return NotAGroup("no identity element")
+    for i, j, k in itertools.product(rng, repeat=3):
+        if t[t[i][j]][k] != t[i][t[j][k]]:
+            return NotAGroup("associativity fails", (i, j, k))
+    for i in rng:
+        if not any(t[i][j] == e == t[j][i] for j in rng):
+            return NotAGroup("no inverse", i)
+    return None

@@ -45,6 +45,7 @@ from helpers import (
     conjugated,
     count_calls,
     dense_basis_change,
+    dual_maps,
     dual_numbers,
     group_alg,
     identity_hom,
@@ -367,9 +368,9 @@ def test_dual_rings_of_trivial_coring_recover_base():
 def test_trivial_coring_left_action_maps_are_right_multiplications():
     alg = dual_numbers(P)
     c = trivial_coring(alg)
-    dl = left_dual_ring(c)
+    dl, maps = left_dual_ring(c), dual_maps(c, "left")
     for t in range(dl.target.dim):
-        val = linalg.matmul(dl.maps.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
+        val = linalg.matmul(maps.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
         assert np.array_equal(dl.action_maps[t], linalg.combine(val.reshape(-1, 1), alg.right_mult, P)[0])
 
 
@@ -409,7 +410,7 @@ def test_dual_ring_unit_bimodules_are_the_moved_basis_maps():
     assert len(corings) == 10
     for c in corings:
         dl, dr = left_dual_ring(c), right_dual_ring(c)
-        for got, ref in ((dl.bimodule_rs, moved_dual_bimodule(c, dl)), (dr.bimodule_sr, moved_dual_bimodule(c, dr))):
+        for got, ref in ((dl.bimodule_rs, moved_dual_bimodule(c, dl, "left")), (dr.bimodule_sr, moved_dual_bimodule(c, dr, "right"))):
             assert equal_algebras(got.left_alg, ref.left_alg) and equal_algebras(got.right_alg, ref.right_alg)
             assert np.array_equal(got.left_acts, ref.left_acts)
             assert np.array_equal(got.right_acts, ref.right_acts)
@@ -509,10 +510,10 @@ def test_comodule_to_module_trivial_coring():
     c = trivial_coring(alg)
     com = regular_comodule(c, "right")
     mod = comodule_to_module(com)
-    dl = left_dual_ring(c)
+    dl, maps = left_dual_ring(c), dual_maps(c, "left")
     # over the trivial coring the dual acts through evaluation at 1
     for t in range(dl.target.dim):
-        val = linalg.matmul(dl.maps.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
+        val = linalg.matmul(maps.basis[t], np.array(alg.unit).reshape(-1, 1), P).ravel()
         assert np.array_equal(mod.action[t], linalg.combine(val.reshape(-1, 1), alg.right_mult, P)[0])
 
 

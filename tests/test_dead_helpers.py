@@ -11,9 +11,15 @@ package is what a command runs, and a reference construction that only
 tests read belongs with the tests.  A read is a name loaded
 (``_helper(...)``), an attribute taken (``linalg._helper``) or a name
 imported (``from .x import f``).
+
+Every attribute a package class sets on ``self`` must be loaded as an
+attribute somewhere in the package: one that only tests read is data the
+commands never use.  Exception classes are exempt, because their
+attributes are what a caller that catches them reads.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import pathlib
@@ -81,6 +87,48 @@ def dead_helpers(trees: dict) -> list:
     return dead_names(trees, private_definitions)
 
 
+def base_name(node):
+    """The name a class base is written with: ``Error`` or ``errors.Error``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def exception_classes(trees: dict) -> set:
+    """Names of the builtin exceptions and of every class of ``trees`` that
+    derives from one, directly or through other classes of ``trees``."""
+    names = {n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    classes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    while True:
+        new = {c.name for c in classes if any(base_name(b) in names for b in c.bases)} - names
+        if not new:
+            return names
+        names |= new
+
+
+def unread_attributes(trees: dict) -> list:
+    """(module, line, class, attribute) of every ``self.attribute`` that a
+    class of ``trees``, other than an exception class, stores and that no
+    tree loads as an attribute of anything."""
+    exempt = exception_classes(trees)
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (module, node.lineno, cls.name, node.attr)
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name not in exempt
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr not in loaded
+    )
+
+
 def load_tracer():
     """``perfbench/tracer.py``, loaded by path: it is not a package."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
@@ -109,6 +157,41 @@ def test_every_public_module_name_is_read_by_the_package_or_a_span():
         if name not in spans
     ]
     assert unread == []
+
+
+def test_every_attribute_set_on_self_is_read_by_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert unread_attributes(trees) == []
+
+
+def test_the_attribute_guard_fails_on_an_injected_attribute():
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    trees["injected"] = ast.parse("class Probe:\n    def __init__(self, x):\n        self.unread_probe = x\n")
+    assert unread_attributes(trees) == [("injected", 3, "Probe", "unread_probe")]
+
+
+def test_the_attribute_guard_sees_every_form():
+    a = (
+        "import b\n"
+        "class Held:\n"
+        "    def __init__(self, x):\n"
+        "        self.read = x\n"
+        "        self.dead = x\n"
+        "        self.first, self.second = x\n"
+        "        self.counter += 1\n"
+        "        other.elsewhere = x\n"
+        "    def use(self):\n"
+        "        return self.read + b.obj.first\n"
+        "class Failure(b.Error):\n"
+        "    def __init__(self, x):\n"
+        "        self.witness = x\n"
+        "class Late(Failure):\n"
+        "    def __init__(self, x):\n"
+        "        self.stage = x\n"
+    )
+    b = "class Error(ValueError):\n    def __init__(self):\n        self.code = 1\n"
+    found = unread_attributes({"a": ast.parse(a), "b": ast.parse(b)})
+    assert [attr for _, _, _, attr in found] == ["dead", "second", "counter"]
 
 
 def test_the_guard_sees_every_form():

@@ -105,6 +105,17 @@ def test_unit_violation_names_the_basis_element_it_fails_on():
     assert exc.value.index == 0
 
 
+def test_bimodule_actions_must_be_square():
+    # a (1, 2, 3) action tensor is rejected as a usage error, validated or not
+    k = field_algebra(5)
+    flat = np.zeros((1, 2, 3), dtype=np.int64)
+    square = np.eye(2, dtype=np.int64).reshape(1, 2, 2)
+    for left, right, side in ((flat, flat, "left"), (square, flat, "right")):
+        for validate in (True, False):
+            with pytest.raises(UsageError, match=f"{side} action tensor must be \\(1, d, d\\), got \\(1, 2, 3\\)"):
+                Bimodule(k, k, left, right, _validate=validate)
+
+
 SMALL_ALGEBRAS = {
     "m2": lambda p: mat_units_algebra(p, 2),
     "c3": lambda p: group_alg(p, 3),
@@ -312,7 +323,7 @@ def test_fgp_regular_and_column_modules():
     m = regular_left(a)
     w = is_fg_projective(m)
     # the cover is on the spun generators: a singular first draw and one more
-    assert w is not None and w.free_rank == _presentation(p, m.action)[0].shape[1] == 2
+    assert w is not None and len(w.pi_blocks) == _presentation(p, m.action)[0].shape[1] == 2
     col = column_module(p)
     w2 = is_fg_projective(col)
     assert w2 is not None
@@ -357,7 +368,7 @@ def test_spun_cover_agrees_with_the_cover_by_all_basis_vectors(monkeypatch):
         assert (w is None) == (ref is None)
         projective.append(w is not None)
         if w is not None:
-            assert w.free_rank == _presentation(m.p, m.action)[0].shape[1] <= m.dim
+            assert len(w.pi_blocks) == _presentation(m.p, m.action)[0].shape[1] <= m.dim
             assert verify.verify_payload(split_witness_payload(w)) == (True, [])
     assert projective[-2:] == [False, False]
     assert True in projective[:-2] and False in projective[:-2]

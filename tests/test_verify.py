@@ -64,7 +64,7 @@ def test_split_witness_on_fewer_generators_than_basis_vectors():
 def test_split_witness_of_the_zero_module():
     w = is_fg_projective(LeftModule(dual_numbers(P), np.zeros((2, 0, 0), dtype=np.int64)))
     pay = split_witness_payload(w)
-    assert w.free_rank == 0 and pay["pi_blocks"] == pay["sigma_blocks"] == []
+    assert len(w.pi_blocks) == 0 and pay["pi_blocks"] == pay["sigma_blocks"] == []
     assert_verifies(pay)
 
 
