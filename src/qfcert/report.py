@@ -93,15 +93,84 @@ def command_field(command: str, depth: int) -> str:
 
 
 def build_report(outcome: Outcome, seed: int, input_sha: str, command: str) -> dict:
-    return {
+    """The report of ``outcome``.  Its certificates name their algebras and
+    modules by index into the report's ``algebras`` and ``modules`` tables
+    (``Tables``); the outcome's own certificates are left self-contained."""
+    tables = Tables()
+    rep = {
         "tool_version": __version__,
         "command": command,
         "seed": seed,
         "input_sha256": input_sha,
         "verdict": outcome.verdict,
-        "checks": [c.to_dict() for c in outcome.checks],
+        "checks": [tables.check(c.to_dict()) for c in outcome.checks],
         "notes": list(outcome.notes),
     }
+    rep.update(tables.written())
+    return rep
+
+
+# the inline keys of a split witness that one ``module`` index replaces
+_WITNESS_INLINE = ("algebra_mul", "algebra_unit", "module_action")
+
+
+class Tables:
+    """The ``algebras`` and ``modules`` tables of one report.
+
+    An algebra entry is ``{mul, unit}``; a module entry is a bimodule
+    ``{dim, left_acts, right_acts}`` or a left module ``{algebra, action}``
+    whose ``algebra`` is an index.  A ``divides`` names its source and
+    target by index and a ``split-witness`` its module.  Entries are keyed
+    by the identity of their payload lists, which the payload builders
+    memoize on the arrays' bytes (``simdiv``), so within one memo scope an
+    equal algebra or module is one entry.
+    """
+
+    def __init__(self):
+        self.algebras = []
+        self.modules = []
+        self._index = {}
+
+    def _intern(self, table, key, entry):
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(table)
+            table.append(entry)
+        return i
+
+    def _bimodule(self, m: dict) -> int:
+        return self._intern(self.modules, ("bimodule", id(m["left_acts"]), id(m["right_acts"])), m)
+
+    def check(self, chk: dict) -> dict:
+        cert = chk.get("certificate")
+        return chk if cert is None else dict(chk, certificate=self.certificate(cert))
+
+    def certificate(self, cert: dict) -> dict:
+        """A copy of ``cert`` that names its algebras and modules by index."""
+        kind = cert["kind"]
+        if kind == "outcome":
+            return dict(cert, checks=[self.check(c) for c in cert["checks"]])
+        if kind == "projective-and-similar":
+            return dict(cert, projectivity=self.certificate(cert["projectivity"]),
+                        similarity=self.certificate(cert["similarity"]))
+        if kind == "similarity":
+            return dict(cert, forward=self.certificate(cert["forward"]), backward=self.certificate(cert["backward"]))
+        if kind == "divides":
+            # a similarity's backward half carries no modules
+            return dict(cert, **{end: self._bimodule(cert[end]) for end in ("source", "target") if end in cert})
+        if kind == "split-witness":
+            mul, unit, action = (cert[key] for key in _WITNESS_INLINE)
+            alg = self._intern(self.algebras, ("algebra", id(mul), id(unit)), {"mul": mul, "unit": unit})
+            named = {key: value for key, value in cert.items() if key not in _WITNESS_INLINE}
+            named["module"] = self._intern(
+                self.modules, ("left module", alg, id(action)), {"algebra": alg, "action": action}
+            )
+            return named
+        return cert
+
+    def written(self) -> dict:
+        """The tables that have entries, by their report keys."""
+        return {name: table for name, table in (("algebras", self.algebras), ("modules", self.modules)) if table}
 
 
 def payload_array(arr):

@@ -49,10 +49,19 @@ from .modrep import (
 )
 
 
+def _table_array(arr):
+    """``report.payload_array`` of an algebra's or a module's array, memoized
+    on the array's bytes: within a scope equal arrays give one list, and
+    ``report.build_report`` writes each such list into its tables once.
+    Payloads share these lists, so a caller copies one before writing
+    into it."""
+    return memo.cached("table_array", report.payload_array, arr)
+
+
 def _module_payload(m: Bimodule):
     return {
-        "left_acts": report.payload_array(m.left_acts),
-        "right_acts": report.payload_array(m.right_acts),
+        "left_acts": _table_array(m.left_acts),
+        "right_acts": _table_array(m.right_acts),
         "dim": m.dim,
     }
 
@@ -62,9 +71,9 @@ def split_witness_payload(w: SplitWitness) -> dict:
     return {
         "kind": "split-witness",
         "p": w.module.p,
-        "algebra_mul": report.payload_array(alg.mul),
-        "algebra_unit": report.payload_array(alg.unit),
-        "module_action": report.payload_array(w.module.action),
+        "algebra_mul": _table_array(alg.mul),
+        "algebra_unit": _table_array(alg.unit),
+        "module_action": _table_array(w.module.action),
         "pi_blocks": report.payload_array(w.pi_blocks),
         "sigma_blocks": report.payload_array(w.sigma_blocks),
     }

@@ -14,6 +14,13 @@ on one pair of modules, which only the forward half carries.
 ``projective-and-similar`` and ``outcome`` only contain other
 certificates.  Any other kind is reported as unknown.
 
+In a report, a ``divides`` names its source and target and a
+``split-witness`` its module by index into the report's ``modules``
+table, whose left modules name their algebra by index into its
+``algebras`` table (``_Tables``); each entry is parsed once per report and
+prime.  Inline modules, as in bare certificates and older reports, are
+read from the certificate itself.
+
 Entry points: ``verify_payload`` for one certificate dict,
 ``verify_report`` for a full report (every certificate attached to a
 passing check must verify), both returning (ok, list of reasons).
@@ -66,6 +73,71 @@ def _module_payload(obj, p):
     return la, ra, d
 
 
+def _algebra_entry(obj, p, tables):
+    """(mul, unit) of an ``algebras`` entry ``{mul, unit}``."""
+    n = len(obj["mul"])
+    unit = _arr(obj["unit"], p)
+    if unit.shape != (n,):
+        raise ValueError(f"unit of shape {unit.shape} in an algebra of dimension {n}")
+    return _arr(obj["mul"], p).reshape(n, n, n), unit
+
+
+def _bimodule_entry(obj, p, tables):
+    """A ``modules`` entry ``{dim, left_acts, right_acts}``, as
+    ``_module_payload`` returns it."""
+    if "algebra" in obj:
+        raise ValueError("it is a left module, not a bimodule")
+    return _module_payload(obj, p)
+
+
+def _left_module_entry(obj, p, tables):
+    """(mul, action) of a ``modules`` entry ``{algebra, action}``."""
+    if "algebra" not in obj:
+        raise ValueError("it is not a left module")
+    mul, _ = tables.parse("algebras", obj["algebra"], p, _algebra_entry)
+    n = len(mul)
+    d = len(obj["action"][0]) if n else 0
+    return mul, _arr(obj["action"], p).reshape(n, d, d)
+
+
+class _Tables:
+    """The ``algebras`` and ``modules`` tables of one report, or none for a
+    bare certificate.  ``parse`` reads an entry once per prime and parser,
+    and raises ValueError with a reason for a bad index, table or entry."""
+
+    def __init__(self, rep=None):
+        self.rows = {name: rep[name] for name in ("algebras", "modules") if rep is not None and name in rep}
+        self.parsed = {}
+
+    def parse(self, table, index, p, parser):
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValueError(f"{table} index {_shown(index)} is not an integer")
+        key = (parser, index, p)
+        if key in self.parsed:
+            return self.parsed[key]
+        if table not in self.rows:
+            raise ValueError(f"{table} entry {index} is named, but there is no {table} table")
+        rows = self.rows[table]
+        if not isinstance(rows, list):
+            raise ValueError(f"the {table} table is not a list")
+        if not 0 <= index < len(rows):
+            raise ValueError(f"{table} index {index} is out of range: the table has {len(rows)} entries")
+        try:
+            value = parser(rows[index], p, self)
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ValueError(f"{table} entry {index} is malformed ({exc})") from None
+        self.parsed[key] = value
+        return value
+
+
+def _bimodule(ref, p, tables):
+    """A divides' source or target, as ``_module_payload`` returns it: an
+    inline payload, or an index into the ``modules`` table."""
+    if isinstance(ref, dict):
+        return _module_payload(ref, p)
+    return tables.parse("modules", ref, p, _bimodule_entry)
+
+
 def _mul(a, b, p):
     """Exact ``a @ b mod p`` (batched like ``np.matmul``) in int64, for
     entries in [0, p): each chunk of the inner dimension sums at most
@@ -115,14 +187,14 @@ def _stacked(d, copies):
     return intos, backs
 
 
-def _verify_divides(cert, reasons, prefix, modules=None):
+def _verify_divides(cert, reasons, prefix, tables, modules=None):
     """``modules``, when given, are parsed modules that stand for the
     payload's own (source, target), each as ``_module_payload`` returns it."""
     try:
         p = int(cert["p"])
         n = int(cert["n"])
         if modules is None:
-            modules = _module_payload(cert["source"], p), _module_payload(cert["target"], p)
+            modules = _bimodule(cert["source"], p, tables), _bimodule(cert["target"], p, tables)
         (sl, sr, dm), (tl, tr, dn) = modules
         phi = _arr(cert["phi"], p).reshape(n * dn, dm)
         psi = _arr(cert["psi"], p).reshape(dm, n * dn)
@@ -132,7 +204,7 @@ def _verify_divides(cert, reasons, prefix, modules=None):
     return _split_pair(reasons, prefix, p, dm, blocks, [("left", sl), ("right", sr)], ("phi", "psi"))
 
 
-def _verify_similarity(cert, reasons, prefix):
+def _verify_similarity(cert, reasons, prefix, tables):
     """Both halves on the one pair of modules the forward half carries: the
     backward half's source is the forward target and its target the forward
     source, parsed once.  A backward half may still carry both modules, as
@@ -155,20 +227,24 @@ def _verify_similarity(cert, reasons, prefix):
         return _fail(reasons, prefix, "forward and backward halves disagree about p")
     try:
         p = int(fwd["p"])
-        modules = _module_payload(fwd["source"], p), _module_payload(fwd["target"], p)
+        modules = _bimodule(fwd["source"], p, tables), _bimodule(fwd["target"], p, tables)
     except (KeyError, TypeError, ValueError) as exc:
         return _fail(reasons, f"{prefix}/forward", f"malformed divides payload ({exc})")
-    ok = _verify_divides(fwd, reasons, f"{prefix}/forward", modules)
-    return _verify_divides(bwd, reasons, f"{prefix}/backward", modules[::-1]) and ok
+    ok = _verify_divides(fwd, reasons, f"{prefix}/forward", tables, modules)
+    return _verify_divides(bwd, reasons, f"{prefix}/backward", tables, modules[::-1]) and ok
 
 
-def _verify_split_witness(cert, reasons, prefix):
+def _verify_split_witness(cert, reasons, prefix, tables):
     try:
         p = int(cert["p"])
-        n = len(cert["algebra_mul"])
-        mul = _arr(cert["algebra_mul"], p).reshape(n, n, n)
-        d = len(cert["module_action"][0]) if n else 0
-        action = _arr(cert["module_action"], p).reshape(n, d, d)
+        if "module" in cert:
+            mul, action = tables.parse("modules", cert["module"], p, _left_module_entry)
+            n, d = len(mul), action.shape[1]
+        else:
+            n = len(cert["algebra_mul"])
+            mul = _arr(cert["algebra_mul"], p).reshape(n, n, n)
+            d = len(cert["module_action"][0]) if n else 0
+            action = _arr(cert["module_action"], p).reshape(n, d, d)
         r = len(cert["pi_blocks"])
         pi = _arr(cert["pi_blocks"], p).reshape(r, d, n)
         sigma = _arr(cert["sigma_blocks"], p).reshape(r, n, d)
@@ -180,17 +256,17 @@ def _verify_split_witness(cert, reasons, prefix):
     return _split_pair(reasons, prefix, p, d, blocks, [("A", action)], ("sigma", "pi"))
 
 
-def _verify_projective_and_similar(cert, reasons, prefix):
+def _verify_projective_and_similar(cert, reasons, prefix, tables):
     try:
         proj = cert["projectivity"]
         sim = cert["similarity"]
     except (KeyError, TypeError) as exc:
         return _fail(reasons, prefix, f"malformed payload ({exc})")
-    ok = verify_payload(proj, reasons, f"{prefix}/projectivity")
-    return verify_payload(sim, reasons, f"{prefix}/similarity") and ok
+    ok = verify_payload(proj, reasons, f"{prefix}/projectivity", tables)
+    return verify_payload(sim, reasons, f"{prefix}/similarity", tables) and ok
 
 
-def _verify_decomposition(cert, reasons, prefix):
+def _verify_decomposition(cert, reasons, prefix, tables):
     try:
         p = int(cert["p"])
         na = len(cert["module_action"])
@@ -219,7 +295,7 @@ def _verify_decomposition(cert, reasons, prefix):
     return ok
 
 
-def _verify_outcome(cert, reasons, prefix):
+def _verify_outcome(cert, reasons, prefix, tables):
     checks = cert.get("checks")
     if not isinstance(checks, list):
         return _fail(reasons, prefix, "outcome payload has no check list")
@@ -229,7 +305,7 @@ def _verify_outcome(cert, reasons, prefix):
             ok = _fail(reasons, prefix, f"nested check {i} is malformed")
             continue
         if chk["verdict"] in PASSING and chk.get("certificate") is not None:
-            ok = verify_payload(chk["certificate"], reasons, f"{prefix}/checks/{i}") and ok
+            ok = verify_payload(chk["certificate"], reasons, f"{prefix}/checks/{i}", tables) and ok
     return ok
 
 
@@ -243,10 +319,13 @@ _KINDS = {
 }
 
 
-def verify_payload(cert, reasons=None, prefix="certificate"):
-    """Re-check one certificate dict.  Returns ok when reasons is given,
-    else the pair (ok, reasons)."""
+def verify_payload(cert, reasons=None, prefix="certificate", tables=None):
+    """Re-check one certificate dict, reading any table index it names from
+    ``tables``, a report's ``_Tables``: a bare certificate has none, so any
+    index it names is a reason.  Returns ok when reasons is given, else the
+    pair (ok, reasons)."""
     collected = [] if reasons is None else reasons
+    tables = _Tables() if tables is None else tables
     if not isinstance(cert, dict) or "kind" not in cert:
         ok = _fail(collected, prefix, "certificate is not an object with a kind")
     else:
@@ -256,7 +335,7 @@ def verify_payload(cert, reasons=None, prefix="certificate"):
             ok = _fail(collected, prefix, f"unknown certificate kind {_shown(cert['kind'])}")
         else:
             try:
-                ok = handler(cert, collected, prefix)
+                ok = handler(cert, collected, prefix, tables)
             except Exception as exc:  # malformed payloads must not crash the verifier
                 ok = _fail(collected, prefix, f"verification raised {type(exc).__name__}: {exc}")
     if reasons is None:
@@ -291,7 +370,11 @@ def verify_report(rep):
         return False, [f"report: unknown verdict {_shown(rep['verdict'])}"]
     if not isinstance(rep["checks"], list):
         return False, ["report: checks is not a list"]
+    tables = _Tables(rep)
     ok = True
+    for name, rows in tables.rows.items():
+        if not isinstance(rows, list):
+            ok = _fail(reasons, "report", f"the {name} table is not a list")
     for i, chk in enumerate(rep["checks"]):
         if not isinstance(chk, dict) or not {"name", "condition", "verdict"} <= set(chk):
             ok = _fail(reasons, f"checks/{i}", "malformed check entry")
@@ -300,5 +383,5 @@ def verify_report(rep):
             ok = _fail(reasons, f"checks/{i}", f"unknown verdict {_shown(chk['verdict'])}")
             continue
         if chk["verdict"] in PASSING and chk.get("certificate") is not None:
-            ok = verify_payload(chk["certificate"], reasons, f"checks/{i}") and ok
+            ok = verify_payload(chk["certificate"], reasons, f"checks/{i}", tables) and ok
     return ok, reasons

@@ -379,6 +379,48 @@ def report_verifies(out, command="check") -> bool:
     return verify.verify_report(json.loads(report.canonical_json(rep)))[0]
 
 
+def certificates(obj):
+    """Every certificate nested anywhere in a report or a payload."""
+    if isinstance(obj, dict):
+        if isinstance(obj.get("kind"), str):
+            yield obj
+        for value in obj.values():
+            yield from certificates(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from certificates(value)
+
+
+def inline(rep: dict) -> dict:
+    """A copy of a report without its ``algebras`` and ``modules`` tables,
+    every table entry written back into the certificates that name it:
+    the form reports had before the tables, which bare certificates keep."""
+    algebras, modules = rep.get("algebras", []), rep.get("modules", [])
+
+    def checks(chks):
+        return [dict(chk, certificate=cert(chk["certificate"])) if "certificate" in chk else chk for chk in chks]
+
+    def cert(c):
+        c = dict(c)
+        if c["kind"] == "outcome":
+            c["checks"] = checks(c["checks"])
+        for key in ("projectivity", "similarity", "forward", "backward"):
+            if key in c:
+                c[key] = cert(c[key])
+        for end in ("source", "target"):
+            if isinstance(c.get(end), int):
+                c[end] = modules[c[end]]
+        if "module" in c:
+            entry = modules[c.pop("module")]
+            alg = algebras[entry["algebra"]]
+            c.update(algebra_mul=alg["mul"], algebra_unit=alg["unit"], module_action=entry["action"])
+        return c
+
+    out = {key: value for key, value in rep.items() if key not in ("algebras", "modules")}
+    out["checks"] = checks(rep["checks"])
+    return out
+
+
 def outcome_rows(out):
     """The verdict, notes and per-check (name, condition, verdict, reason,
     certificate kind) of an Outcome, for pinning a decision exactly."""

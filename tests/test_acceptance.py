@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import direct_sum, power_bimodule
+from helpers import direct_sum, inline, power_bimodule
 from oracles import check_pair_witness, qf_pair_witness
 from qfcert import cli, fixtures, linalg, report, verify
 from qfcert.algebra import AlgebraHom, group_algebra
@@ -46,7 +46,9 @@ from qfcert.simdiv import divides, is_qf_bimodule, similar
 
 SEED = 0
 
-# SHA-256 of each battery report's canonical JSON at SEED, by fixture name
+# SHA-256 of each battery report's canonical JSON at SEED, by fixture name:
+# "reports" as written, "inline" with its tables written back into its
+# certificates (``helpers.inline``), the bytes reports had before the tables
 GOLDEN_REPORTS = json.loads(pathlib.Path(__file__).with_name("golden_reports.json").read_text())
 
 
@@ -143,7 +145,7 @@ def test_criterion_01_certificate_soundness(battery_run):
     # every certificate in every report re-verifies, not only passing ones
     total = 0
     for r in results:
-        for _, cert in all_certificates(r["report"]):
+        for _, cert in all_certificates(inline(r["report"])):
             ok, reasons = verify.verify_payload(cert)
             assert ok, (r["name"], reasons)
             total += 1
@@ -170,14 +172,22 @@ def test_every_yes_carries_a_certificate_at_every_depth(battery_run):
     assert (top, len(found) - top) == (128, 104)
 
 
+def digest(rep) -> str:
+    return hashlib.sha256(report.canonical_json(rep).encode()).hexdigest()
+
+
 def test_battery_reports_are_byte_identical_to_golden_digests(battery_run):
     results, _ = battery_run
-    digests = {
-        r["name"]: hashlib.sha256(report.canonical_json(r["report"]).encode()).hexdigest()
-        for r in results
-    }
+    digests = {r["name"]: digest(r["report"]) for r in results}
     assert len(digests) == 39
-    assert digests == GOLDEN_REPORTS
+    assert digests == GOLDEN_REPORTS["reports"]
+
+
+def test_inlining_the_tables_gives_back_the_reports_written_before_them(battery_run):
+    # the tables lose nothing: every certificate with its entries written
+    # back is byte for byte the one written before the tables existed
+    results, _ = battery_run
+    assert {r["name"]: digest(inline(r["report"])) for r in results} == GOLDEN_REPORTS["inline"]
 
 
 def test_criterion_02_five_coring_conditions_agree():

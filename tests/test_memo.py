@@ -48,8 +48,8 @@ def test_check_coring_memo_counts(scopes):
     out = cli.run_documents("check-coring", [doc], seed=0)
     assert out.verdict == report.YES
     # no decision decomposes or builds an envelope, so hom spaces, module
-    # laws, presentations, split witnesses and trace solves are all the
-    # memo holds
+    # laws, presentations, split witnesses, trace solves and the payload
+    # lists of algebras and modules are all the memo holds
     assert scopes[0].counts() == {
         # 8 projectivity tests on 5 distinct modules: the 3 repeats are hits.
         # Each of the 5 reads a presentation; the 4 whose cover has relations
@@ -61,6 +61,9 @@ def test_check_coring_memo_counts(scopes):
         "module_laws": (11, 7),
         "presentation": (10, 10),
         "split_witness": (3, 5),
+        # 44 algebra and module arrays in the certificates, 3 per split
+        # witness and 4 per similarity, are 10 distinct arrays, each one list
+        "table_array": (34, 10),
         # 14 solves on 9 distinct pairs of stacks: 4 for the split witnesses
         # and 10 for divisions, where the backward solve of a similar(X, X)
         # repeats its forward one and conditions share their divisions

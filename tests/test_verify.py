@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    certificates,
     direct_sum,
     dual_numbers,
     group_alg,
+    inline,
     mat_units_algebra,
     power_bimodule,
 )
@@ -235,23 +237,12 @@ def test_verify_report_battery_shape():
 # split pairs: every leaf kind is checked by one predicate
 
 
-def certificates(obj):
-    """Every certificate nested anywhere in a report or a payload."""
-    if isinstance(obj, dict):
-        if isinstance(obj.get("kind"), str):
-            yield obj
-        for value in obj.values():
-            yield from certificates(value)
-    elif isinstance(obj, list):
-        for value in obj:
-            yield from certificates(value)
-
-
 def battery_report(name):
-    """The seed-0 battery report of the fixture ``name``."""
+    """The seed-0 battery report of the fixture ``name``, with its tables
+    written back into its certificates."""
     (f,) = [f for f in fixtures.corpus() if f.name == name]
     out = cli.run_documents(f.command, f.docs, seed=0, depth=f.depth)
-    return report.build_report(out, 0, "0" * 64, f.command)
+    return inline(report.build_report(out, 0, "0" * 64, f.command))
 
 
 # kinds that stack their into maps as row blocks and set their back maps
@@ -392,11 +383,12 @@ def test_zero_dimensional_split_pairs_verify(command):
 @pytest.fixture(scope="module")
 def battery_certificates():
     """Every certificate of the seed-0 battery, nested ones too, each
-    distinct one once; a similarity's backward half is a whole divides
-    payload, with the modules it reads from its forward half crosswise."""
+    distinct one once and with its table entries written back; a
+    similarity's backward half is a whole divides payload, with the modules
+    it reads from its forward half crosswise."""
     found = {}
     for r in fixtures.battery(seed=0):
-        for cert in certificates(r["report"]):
+        for cert in certificates(inline(r["report"])):
             if cert["kind"] == "similarity":
                 fwd = cert["forward"]
                 cert["backward"].update(source=fwd["target"], target=fwd["source"])
